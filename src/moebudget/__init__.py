@@ -26,17 +26,9 @@ from .budgeting import (
     rank_router,
     rank_static,
 )
-from .coverage import CoveragePolicy, TokenCoverageStats, moe_forward_budgeted, model_forward_budgeted
+from .coverage import CoveragePolicy, budgeted_moe
 from .draft_tree import DraftTree, TreeRouting, binary_branching, build_tree, expert_union, union_growth_curve
-from .moe_core import (
-    Expert,
-    MoELayerWeights,
-    RouterWeights,
-    RoutingRecord,
-    mixing_weights,
-    moe_forward_full,
-    route,
-)
+from .moe_core import Expert, MoELayerWeights, RouterWeights
 from .numerics import Rng, softmax, top_k_indices
 from .simulator import (
     BudgetConfig,
@@ -55,6 +47,7 @@ from .toy_model import (
     ModelConfig,
     MoEModel,
     PRESETS,
+    TreeDecoder,
     build_target,
     derive_draft,
     forward,

@@ -333,7 +333,9 @@ def read_trace(path, n_experts: int, k: int | None = None) -> dict[int, dict[str
     """Parse an external routing trace into per-layer arrays.
 
     Dense records carry the full probability vector; sparse records list
-    (index, probability) pairs and unlisted experts count as probability 0.
+    (index, probability) pairs, at least k of them, with distinct indices in
+    0..n_experts-1; unlisted experts count as probability 0. Probabilities
+    must lie in [0, 1]. A malformed record raises ValueError naming its line.
     Returns {layer: {"probs": (T, n_experts), "selected": (T, k)}}; for
     dense records the selection is the top-k by probability, so ``k`` is
     required when any dense record appears.
@@ -357,18 +359,28 @@ def read_trace(path, n_experts: int, k: int | None = None) -> dict[int, dict[str
                     raise ValueError(
                         "k is required to derive selections from dense trace records"
                     )
-                sel = top_k_indices(vec, k)
+                kk = k
             elif "topk" in rec:
-                pairs = rec["topk"]
-                vec = np.zeros(n_experts, dtype=np.float64)
-                for idx, p in pairs:
-                    vec[int(idx)] = float(p)
+                pairs = [(int(i), float(p)) for i, p in rec["topk"]]
+                ids = [i for i, _ in pairs]
+                for i in ids:
+                    if not 0 <= i < n_experts:
+                        raise ValueError(
+                            f"line {line_no}: expert index {i} outside 0..{n_experts - 1}"
+                        )
+                if len(set(ids)) != len(ids):
+                    raise ValueError(f"line {line_no}: duplicate expert index in topk")
                 kk = k if k is not None else len(pairs)
-                sel = top_k_indices(vec, kk)
+                if len(pairs) < kk:
+                    raise ValueError(f"line {line_no}: {len(pairs)} topk pairs, need k={kk}")
+                vec = np.zeros(n_experts, dtype=np.float64)
+                vec[ids] = [p for _, p in pairs]
             else:
                 raise ValueError(f"line {line_no}: record needs 'probs' or 'topk'")
+            if not np.all((vec >= 0.0) & (vec <= 1.0)):
+                raise ValueError(f"line {line_no}: probabilities must lie in [0, 1]")
             probs_rows.setdefault(layer, []).append(vec)
-            sel_rows.setdefault(layer, []).append(sel)
+            sel_rows.setdefault(layer, []).append(top_k_indices(vec, kk))
 
     out = {}
     for layer in sorted(probs_rows):

@@ -70,23 +70,6 @@ class Shortlist:
         table[self.experts] = True
         return table
 
-    def to_json(self) -> dict:
-        return {
-            "layer": self.layer,
-            "method": self.method,
-            "experts": self.experts.tolist(),
-            "scores": self.scores.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Shortlist":
-        return cls(
-            layer=int(obj["layer"]),
-            experts=np.array(obj["experts"]),
-            method=obj["method"],
-            scores=np.array(obj["scores"], dtype=np.float64),
-        )
-
 
 @dataclass
 class CalibrationCounts:
@@ -100,13 +83,6 @@ class CalibrationCounts:
         self.counts = np.asarray(self.counts, dtype=np.int64)
         if np.any(self.counts < 0):
             raise ValueError("calibration counts must be non-negative")
-
-    def to_json(self) -> dict:
-        return {"tokens": self.tokens, "counts": self.counts.tolist()}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CalibrationCounts":
-        return cls(counts=np.array(obj["counts"]), tokens=int(obj["tokens"]))
 
 
 def calibrate_static(model: MoEModel, sequences) -> CalibrationCounts:

@@ -28,13 +28,12 @@ from .analysis import (
     read_trace,
     reconstruction_analysis,
 )
-from .budgeting import calibrate_static, save_static_ranking
+from .budgeting import save_static_ranking
 from .coverage import CoveragePolicy
 from .draft_tree import binary_branching, build_tree, tree_routing
 from .numerics import Rng
 from .simulator import (
     CALIB_STREAM,
-    PROMPT_STREAM,
     CostModelParams,
     SweepCell,
     SweepSpec,

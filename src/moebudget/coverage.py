@@ -9,7 +9,9 @@ the shortlist when it is smaller than k).
 
 Both policies reduce to per-token (expert, weight) slot assignments fed to
 the same grouped executor the unbudgeted forward uses, so a full-capacity
-shortlist reproduces the unbudgeted forward bit for bit.
+shortlist reproduces the unbudgeted forward bit for bit. ``budgeted_moe``
+is the one place the budget enters a forward: it wraps route -> shortlist ->
+assignments -> execution into a hook for the decoder's MoE sublayer.
 """
 
 from __future__ import annotations
@@ -20,22 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budgeting import Shortlist
-from .draft_tree import DraftTree, TreeRouting, tree_mask
-from .moe_core import (
-    MoELayerWeights,
-    RoutingRecord,
-    apply_experts,
-    route_batch,
-    selection_weights,
-)
-from .toy_model import ForwardResult, MoEModel, forward
+from .moe_core import MoELayerWeights, apply_experts, route_batch, selection_weights
 
 __all__ = [
-    "BudgetedForward",
     "CoveragePolicy",
-    "TokenCoverageStats",
-    "model_forward_budgeted",
-    "moe_forward_budgeted",
+    "LayerBudget",
+    "budgeted_moe",
     "policy_assignments",
 ]
 
@@ -43,14 +35,6 @@ __all__ = [
 class CoveragePolicy(str, enum.Enum):
     TRUNCATION = "truncation"
     SUBSTITUTION = "substitution"
-
-
-@dataclass
-class TokenCoverageStats:
-    """How far a token's natural routing fell outside the shortlist."""
-
-    missing_count: int  # |top_k \ shortlist|, in 0..k
-    fully_skipped: bool  # no natural expert available (missing_count == k)
 
 
 def policy_assignments(
@@ -93,107 +77,50 @@ def policy_assignments(
     return ids, weights, missing
 
 
-def moe_forward_budgeted(
-    layer: MoELayerWeights,
-    h: np.ndarray,
-    record: RoutingRecord,
-    shortlist: Shortlist,
-    policy: CoveragePolicy,
-) -> tuple[np.ndarray, TokenCoverageStats]:
-    """Budgeted layer output for a single token plus its coverage stats."""
-    h = np.asarray(h, dtype=np.float64)
-    if h.shape != (layer.d_model,):
-        raise ValueError(f"hidden state must have shape ({layer.d_model},), got {h.shape}")
-    ids, weights, missing = policy_assignments(
-        layer, record.probs[None, :], record.selected[None, :], shortlist, policy
-    )
-    out = apply_experts(layer, h[None, :], ids, weights)
-    m = int(missing[0])
-    return out[0], TokenCoverageStats(missing_count=m, fully_skipped=m == layer.k)
-
-
 @dataclass
-class BudgetedForward:
-    """Everything a verification step needs from a budgeted tree forward."""
+class LayerBudget:
+    """What one budgeted MoE layer ran: the shortlist it used, the per-token
+    slot assignments, and the per-token count of missing natural experts."""
 
-    result: ForwardResult  # logits + natural routing of every row
-    routing: TreeRouting  # tree-row slice of the natural routing
-    shortlists: list[Shortlist]
-    missing_counts: list[np.ndarray]  # per layer, (M,) ints
-    fully_skipped: list[np.ndarray]  # per layer, (M,) bools
-    executed: list[np.ndarray]  # per layer, sorted expert ids actually run
+    shortlist: Shortlist
+    ids: np.ndarray  # (T, k) assigned expert ids, -1 for inactive slots
+    missing: np.ndarray  # (T,) |top_k \ shortlist|, in 0..k
+
+    @property
+    def executed(self) -> np.ndarray:
+        """Sorted ids of the experts this layer actually ran."""
+        return np.unique(self.ids[self.ids >= 0])
 
 
-def model_forward_budgeted(
-    model: MoEModel,
-    context_tokens,
-    tree: DraftTree,
-    shortlists,
-    policy: CoveragePolicy,
-) -> BudgetedForward:
-    """Tree-attention forward where each MoE sublayer runs under a budget.
-
-    Context rows execute at full capacity (they stand in for cached history
-    whose cost the model charges to the shared term); only draft-tree rows
-    are budgeted. Routing is computed from the budgeted stream's own hidden
-    states, so approximation compounds across layers exactly as a real
-    budgeted verification pass would, and the captured routing is the
-    natural routing of that stream, recorded before budgeting.
+def budgeted_moe(shortlists, policy: CoveragePolicy, n_layers: int):
+    """The budgeted MoE sublayer, as a ``TreeDecoder.run_rows`` hook.
 
     ``shortlists`` is either a sequence with one Shortlist per MoE layer, or
-    a callable ``(layer_index, layer, tree_states, probs, selected) ->
-    Shortlist`` invoked mid-forward (router and oracle ranking need the
-    budgeted stream's own states).
+    a callable ``(layer_index, layer, states, probs, selected) -> Shortlist``
+    invoked mid-forward (router and oracle ranking need the budgeted
+    stream's own states). Routing is computed from the budgeted stream's own
+    hidden states, so approximation compounds across layers exactly as in a
+    real budgeted verification pass, and the returned probs/selected are the
+    natural routing, recorded before budgeting.
+
+    Returns ``(hook, record)``; the hook appends one LayerBudget per layer it
+    runs to ``record``.
     """
     policy = CoveragePolicy(policy)
-    context_tokens = np.asarray(context_tokens, dtype=np.int64)
-    n_context = int(context_tokens.size)
     provider = shortlists if callable(shortlists) else None
     if provider is None:
         shortlists = list(shortlists)
-        if len(shortlists) != model.n_layers:
-            raise ValueError("need one shortlist per MoE layer")
+        if len(shortlists) != n_layers:
+            raise ValueError(
+                f"need one shortlist per MoE layer: got {len(shortlists)} for {n_layers} layers"
+            )
+    record: list[LayerBudget] = []
 
-    used: list[Shortlist] = []
-    missing_counts: list[np.ndarray] = []
-    fully_skipped: list[np.ndarray] = []
-    executed: list[np.ndarray] = []
-
-    def moe_fn(li: int, layer: MoELayerWeights, states: np.ndarray):
+    def hook(li: int, layer: MoELayerWeights, states: np.ndarray):
         probs, selected = route_batch(layer, states)
-        node_probs, node_sel = probs[n_context:], selected[n_context:]
-        node_states = states[n_context:]
-        sl = (
-            provider(li, layer, node_states, node_probs, node_sel)
-            if provider
-            else shortlists[li]
-        )
-        node_ids, node_w, missing = policy_assignments(
-            layer, node_probs, node_sel, sl, policy
-        )
-        ids = np.concatenate([selected[:n_context], node_ids])
-        weights = np.concatenate(
-            [
-                selection_weights(
-                    probs[:n_context], selected[:n_context], layer.renormalize
-                ),
-                node_w,
-            ]
-        )
-        out = apply_experts(layer, states, ids, weights)
-        used.append(sl)
-        missing_counts.append(missing)
-        fully_skipped.append(missing == layer.k)
-        executed.append(np.unique(node_ids[node_ids >= 0]))
-        return out, probs, selected
+        sl = provider(li, layer, states, probs, selected) if provider else shortlists[li]
+        ids, weights, missing = policy_assignments(layer, probs, selected, sl, policy)
+        record.append(LayerBudget(shortlist=sl, ids=ids, missing=missing))
+        return apply_experts(layer, states, ids, weights), probs, selected
 
-    all_tokens = np.concatenate([context_tokens, tree.tokens])
-    result = forward(model, all_tokens, tree_mask(n_context, tree), moe_fn=moe_fn)
-    return BudgetedForward(
-        result=result,
-        routing=TreeRouting.from_forward(result, n_context),
-        shortlists=used,
-        missing_counts=missing_counts,
-        fully_skipped=fully_skipped,
-        executed=executed,
-    )
+    return hook, record

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moe_core import MoELayerWeights, RoutingRecord
 from .numerics import Rng, top_k_indices
 from .toy_model import ForwardResult, MoEModel, TreeDecoder, causal_mask, forward, random_tokens
 
@@ -143,7 +142,7 @@ def expand_tree(decoder: TreeDecoder, branching) -> DraftTree:
     if any(b > decoder.model.config.vocab_size for b in branching):
         raise ValueError("branching factor exceeds vocabulary size")
 
-    base = decoder.n_context
+    base = decoder.causal_len
     root_token = int(np.argmax(decoder.context_logits))
     tokens = [root_token]
     parents = [-1]
@@ -193,16 +192,6 @@ class TreeRouting:
     @property
     def n_layers(self) -> int:
         return len(self.probs)
-
-    @property
-    def size(self) -> int:
-        return int(self.probs[0].shape[0])
-
-    def records(self, layer: int) -> list[RoutingRecord]:
-        return [
-            RoutingRecord(probs=self.probs[layer][t], selected=self.selected[layer][t])
-            for t in range(self.size)
-        ]
 
     @classmethod
     def from_forward(cls, result: ForwardResult, n_context: int) -> "TreeRouting":

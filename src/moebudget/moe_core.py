@@ -1,5 +1,8 @@
 """Single MoE layer: router, expert networks, mixing weights, full forward.
 
+Every function works on a (T, d_model) batch of token states; a single
+token is a batch of one.
+
 The full (unbudgeted) forward is the ground truth that budgeted execution is
 measured against. Expert execution is funneled through one grouped executor,
 ``apply_experts``, so that the full and budgeted code paths perform identical
@@ -18,10 +21,10 @@ __all__ = [
     "Expert",
     "MoELayerWeights",
     "RouterWeights",
-    "RoutingRecord",
-    "mixing_weights",
-    "moe_forward_full",
-    "route",
+    "apply_experts",
+    "moe_forward_full_batch",
+    "route_batch",
+    "selection_weights",
 ]
 
 
@@ -111,56 +114,26 @@ class MoELayerWeights:
         return self._stacks["w_out"]
 
 
-@dataclass
-class RoutingRecord:
-    """A token's router distribution and its natural top-k selection."""
-
-    probs: np.ndarray  # (n_experts,)
-    selected: np.ndarray  # (k,) descending by probability, ties to lower index
-
-
-def route(layer: MoELayerWeights, h: np.ndarray) -> RoutingRecord:
-    """Router distribution and top-k selection for a single token."""
-    h = np.asarray(h, dtype=np.float64)
-    if h.shape != (layer.d_model,):
-        raise ValueError(f"hidden state must have shape ({layer.d_model},), got {h.shape}")
-    probs = softmax(layer.router.w @ h + layer.router.bias)
-    return RoutingRecord(probs=probs, selected=top_k_indices(probs, layer.k))
-
-
 def route_batch(layer: MoELayerWeights, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized ``route`` over a (T, d_model) batch of token states.
+    """Router distribution and natural top-k selection of a (T, d_model)
+    batch of token states; a single token is a (1, d_model) batch.
 
-    Returns (probs, selected) of shapes (T, n_experts) and (T, k).
+    Returns (probs, selected) of shapes (T, n_experts) and (T, k), the
+    selection descending by probability with ties to the lower index.
     """
     states = np.asarray(states, dtype=np.float64)
+    if states.ndim != 2 or states.shape[1] != layer.d_model:
+        raise ValueError(f"states must have shape (T, {layer.d_model}), got {states.shape}")
     logits = states @ layer.router.w.T + layer.router.bias
     probs = softmax(logits, axis=-1)
     return probs, top_k_indices(probs, layer.k)
 
 
-def mixing_weights(
-    record: RoutingRecord, over, renormalize: bool
-) -> dict[int, float]:
-    """Mixing weight per expert in ``over``: raw routing probabilities, or
-    probabilities renormalized to sum to 1 over ``over``.
-    """
-    over = [int(i) for i in over]
-    if not over:
-        raise ValueError("mixing_weights requires a non-empty expert set")
-    raw = {i: float(record.probs[i]) for i in over}
-    if not renormalize:
-        return raw
-    total = sum(raw.values())
-    if total <= 0.0:
-        raise ValueError("cannot renormalize: selected probabilities sum to zero")
-    return {i: v / total for i, v in raw.items()}
-
-
 def selection_weights(
     probs: np.ndarray, selected: np.ndarray, renormalize: bool
 ) -> np.ndarray:
-    """Vectorized mixing weights for (T, k) selections against (T, N) probs."""
+    """Mixing weights for (T, j) selections against (T, N) probs: the raw
+    routing probabilities, or those renormalized to sum to 1 per token."""
     w = np.take_along_axis(probs, selected, axis=-1)
     if renormalize:
         totals = w.sum(axis=-1, keepdims=True)
@@ -234,15 +207,6 @@ def moe_forward_full_batch(
     return apply_experts(layer, states, selected, weights), probs, selected
 
 
-def moe_forward_full(layer: MoELayerWeights, h: np.ndarray) -> np.ndarray:
-    """Unbudgeted MoE layer output for a single token."""
-    h = np.asarray(h, dtype=np.float64)
-    if h.shape != (layer.d_model,):
-        raise ValueError(f"hidden state must have shape ({layer.d_model},), got {h.shape}")
-    out, _, _ = moe_forward_full_batch(layer, h[None, :])
-    return out[0]
-
-
 def expert_outputs_grouped(
     layer: MoELayerWeights, states: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -270,8 +234,12 @@ def expert_outputs_grouped(
 
 
 def expert_outputs_all(layer: MoELayerWeights, states: np.ndarray) -> np.ndarray:
-    """Every expert's output on every token: shape (T, n_experts, d_model)."""
+    """Every expert's output on every token: shape (T, n_experts, d_model).
+
+    Always a fresh array: the grouped result lives in a scratch buffer that
+    the next call overwrites.
+    """
     grouped = expert_outputs_grouped(
         layer, states, out=scratch("dense_grouped", layer.n_experts, len(states), layer.d_model)
     )
-    return np.ascontiguousarray(grouped.transpose(1, 0, 2))
+    return grouped.transpose(1, 0, 2).copy()

@@ -9,11 +9,17 @@ experts per layer; a verification step pays the shared cost plus the unique
 experts it actually loads per layer, an optional selection-overhead factor
 when budgeting, and a per-level drafting charge. Wall-clock time is reported
 for information only and never written into result files.
+
+Every forward here runs on a ``TreeDecoder``: the draft decoder grows each
+tree, and ``verify_greedy`` appends it to the target decoder -- with each
+MoE layer behind the ``coverage.budgeted_moe`` hook when budgeting --
+judges it, and rolls it back.
 """
 
 from __future__ import annotations
 
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -27,15 +33,9 @@ from .budgeting import (
     rank_router,
     rank_static,
 )
-from .coverage import CoveragePolicy, model_forward_budgeted, policy_assignments
-from .draft_tree import (
-    DEFAULT_CONTEXT_LEN,
-    DraftTree,
-    binary_branching,
-    expand_tree,
-    tree_mask,
-)
-from .moe_core import apply_experts, moe_forward_full_batch, route_batch
+from .coverage import CoveragePolicy, budgeted_moe
+from .draft_tree import DEFAULT_CONTEXT_LEN, DraftTree, binary_branching, expand_tree
+from .moe_core import moe_forward_full_batch
 from .numerics import Rng
 from .toy_model import (
     DraftSpec,
@@ -44,7 +44,6 @@ from .toy_model import (
     TreeDecoder,
     build_target,
     derive_draft,
-    forward,
     random_tokens,
 )
 
@@ -78,10 +77,14 @@ MODES = ("ar", "spec_full", "spec_budgeted")
 class CostModelParams:
     """Bandwidth-cost constants, in arbitrary cost units.
 
-    Defaults are derived once (see demos/derive_cost_defaults.py) so that
-    expert bytes dominate the per-layer shared cost roughly 4:1 at the
-    autoregressive operating point and the unbudgeted speedup curve peaks at
-    an interior tree size.
+    The defaults put expert bytes about 4:1 over the shared cost at the
+    autoregressive operating point: with the default 4 layers and k=8, an AR
+    step loads 32 expert units against 8 shared ones. They also leave room
+    for the unbudgeted speedup curve to peak at an interior tree size: a
+    verify step pays the shared cost once for the whole tree, which favours
+    larger trees, but one expert unit per unique expert per layer and 2
+    units per draft level, which grow with tree size. Where the peak falls
+    depends on how many drafted tokens a prompt accepts.
     """
 
     bytes_expert: float = 1.0
@@ -216,7 +219,7 @@ def _greedy_accept(
 
 def _shortlist_source(budget_cfg: BudgetConfig, static_shortlists):
     """Per-layer shortlists (static) or a mid-forward provider (router,
-    oracle) for model_forward_budgeted."""
+    oracle) for budgeted_moe."""
     if budget_cfg.method == "static":
         if static_shortlists is None:
             raise ValueError("static ranking requires calibrated shortlists")
@@ -273,68 +276,24 @@ def _build_report(
 
 
 def verify_greedy(
-    target: MoEModel,
-    context_tokens,
+    decoder: TreeDecoder,
     tree: DraftTree,
     budget_cfg: BudgetConfig | None = None,
     cost: CostModelParams = CostModelParams(),
     static_shortlists: list[Shortlist] | None = None,
 ) -> tuple[list[int], StepReport]:
-    """One verification step over a drafted tree (one-shot forward).
+    """One verification step over a drafted tree on a target decoder.
 
-    Runs the target forward (budgeted when ``budget_cfg`` is given) with
-    ancestor masking, accepts the deepest drafted chain consistent with the
-    verifier's greedy choices, and appends the bonus token. Returns the
-    emitted tokens and the step report.
+    The tree rows are appended to the decoder's causal prefix in one batch
+    (each MoE layer budgeted when ``budget_cfg`` is given), judged, and
+    rolled back; the deepest drafted chain consistent with the verifier's
+    greedy choices is accepted and the bonus token appended. The prefix rows
+    of a causal model never change when rows are appended, so this matches a
+    one-shot ancestor-masked forward over context + tree to roundoff.
+    Returns the emitted tokens and the step report.
     """
-    context_tokens = np.asarray(context_tokens, dtype=np.int64)
-    n_context = int(context_tokens.size)
-
     if budget_cfg is None:
-        all_tokens = np.concatenate([context_tokens, tree.tokens])
-        result = forward(target, all_tokens, tree_mask(n_context, tree))
-        logits = result.logits
-        unique = [
-            int(np.unique(trace.selected[n_context:]).size) for trace in result.layers
-        ]
-        missing = fully = None
-    else:
-        budget_cfg.validate()
-        out = model_forward_budgeted(
-            target,
-            context_tokens,
-            tree,
-            _shortlist_source(budget_cfg, static_shortlists),
-            budget_cfg.policy,
-        )
-        logits = out.result.logits
-        unique = [int(e.size) for e in out.executed]
-        missing = [m.tolist() for m in out.missing_counts]
-        fully = [f.tolist() for f in out.fully_skipped]
-
-    path, bonus = _greedy_accept(tree, logits[n_context:], logits[n_context - 1])
-    emitted = [int(tree.tokens[i]) for i in path] + [bonus]
-    return emitted, _build_report(tree, emitted, unique, budget_cfg, cost, missing, fully)
-
-
-def _session_verify(
-    decoder: TreeDecoder,
-    tree: DraftTree,
-    budget_cfg: BudgetConfig | None,
-    cost: CostModelParams,
-    static_shortlists: list[Shortlist] | None,
-) -> tuple[list[int], StepReport]:
-    """Verification step against a persistent target decoder.
-
-    Arithmetically equivalent to ``verify_greedy`` (the prefix rows of a
-    causal model never change when rows are appended); the prefix cache just
-    avoids redoing them. Tree rows are appended, judged, and rolled back.
-    """
-    unique: list[int] = []
-    missing: list[list[int]] = []
-    fully: list[list[bool]] = []
-
-    if budget_cfg is None:
+        unique: list[int] = []
 
         def hook(li, layer, states):
             out, probs, selected = moe_forward_full_batch(layer, states)
@@ -343,35 +302,26 @@ def _session_verify(
 
     else:
         budget_cfg.validate()
-        source = _shortlist_source(budget_cfg, static_shortlists)
-        provider = source if callable(source) else None
-
-        def hook(li, layer, states):
-            probs, selected = route_batch(layer, states)
-            sl = provider(li, layer, states, probs, selected) if provider else source[li]
-            ids, w, miss = policy_assignments(layer, probs, selected, sl, budget_cfg.policy)
-            out = apply_experts(layer, states, ids, w)
-            unique.append(int(np.unique(ids[ids >= 0]).size))
-            missing.append(miss.tolist())
-            fully.append((miss == layer.k).tolist())
-            return out, probs, selected
+        hook, layers = budgeted_moe(
+            _shortlist_source(budget_cfg, static_shortlists),
+            budget_cfg.policy,
+            decoder.model.n_layers,
+        )
 
     marker = decoder.checkpoint()
     anchor_logits = decoder.context_logits
     tree_logits = decoder.extend_tree(tree, hook)
     decoder.rollback(marker)
 
+    missing = fully = None
+    if budget_cfg is not None:
+        k = decoder.model.config.top_k
+        unique = [int(rec.executed.size) for rec in layers]
+        missing = [rec.missing.tolist() for rec in layers]
+        fully = [(rec.missing == k).tolist() for rec in layers]
     path, bonus = _greedy_accept(tree, tree_logits, anchor_logits)
     emitted = [int(tree.tokens[i]) for i in path] + [bonus]
-    return emitted, _build_report(
-        tree,
-        emitted,
-        unique,
-        budget_cfg,
-        cost,
-        missing if budget_cfg is not None else None,
-        fully if budget_cfg is not None else None,
-    )
+    return emitted, _build_report(tree, emitted, unique, budget_cfg, cost, missing, fully)
 
 
 def static_shortlists_from_counts(
@@ -466,7 +416,7 @@ def run_generation(
             marker = draft_dec.checkpoint()
             tree = expand_tree(draft_dec, branching)
             draft_dec.rollback(marker)
-            emitted, report = _session_verify(
+            emitted, report = verify_greedy(
                 target_dec, tree, use_budget, cost, static_shortlists
             )
             if not keep_coverage:
@@ -694,10 +644,10 @@ def _sweep_task(args) -> tuple[tuple, SweepRow | None, list[StepReport] | None, 
             spec, cell, seed, target, draft, static_counts, ar_stream, keep_reports
         )
         return (cell.key(), seed), row, reports, None
-    except Exception as exc:  # noqa: BLE001 - collected for the failure report
+    except Exception:  # noqa: BLE001 - collected for the failure report
         if strict:
             raise
-        return (cell.key(), seed), None, None, f"{type(exc).__name__}: {exc}"
+        return (cell.key(), seed), None, None, traceback.format_exc()
 
 
 def sweep(

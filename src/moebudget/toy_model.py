@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -347,10 +347,12 @@ class _RowCache:
 class TreeDecoder:
     """Incremental forward over a causal prefix plus a growing token tree.
 
-    Under ancestor masking, already-computed rows never change when new rows
-    are appended, so each extension only computes the new rows against
-    cached per-layer keys/values. Numerically this matches the one-shot
-    masked forward to floating-point roundoff.
+    This is the lab's one execution engine: prefill, drafting, verification
+    (full or budgeted, through ``moe_hook``) and prefix growth all run
+    through ``run_rows``. Under ancestor masking, already-computed rows
+    never change when new rows are appended, so each extension only computes
+    the new rows against cached per-layer keys/values. Numerically this
+    matches the one-shot masked ``forward`` to floating-point roundoff.
 
     The decoder also supports checkpoint/rollback of the tree rows and
     appending accepted tokens to the causal prefix, so one decoder can serve
@@ -363,33 +365,17 @@ class TreeDecoder:
         context_tokens = np.asarray(context_tokens, dtype=np.int64)
         if context_tokens.size == 0:
             raise ValueError("context must be non-empty")
-        self.causal_len = int(context_tokens.size)
-        self.n_rows = self.causal_len
+        self.causal_len = self.n_rows = 0
         self._allowed: list[np.ndarray] = []  # per tree row: attended columns
         d = model.config.d_model
         self._k_cache = [_RowCache(d) for _ in model.blocks]
         self._v_cache = [_RowCache(d) for _ in model.blocks]
 
-        # One causal pass over the context, seeding the per-layer caches.
-        x = model.embedding[context_tokens]
-        cmask = causal_mask(self.causal_len)
-        scale = np.sqrt(d)
-        for li, block in enumerate(model.blocks):
-            xn = rms_norm(x)
-            q = xn @ block.attention.wq.T
-            k = xn @ block.attention.wk.T
-            v = xn @ block.attention.wv.T
-            self._k_cache[li].append(k)
-            self._v_cache[li].append(v)
-            att = masked_softmax((q @ k.T) / scale, cmask) @ v
-            x = x + att @ block.attention.wo.T
-            out, _, _ = moe_forward_full_batch(block.moe, rms_norm(x))
-            x = x + out
-        self.context_logits = rms_norm(x[-1]) @ model.head.T
-
-    @property
-    def n_context(self) -> int:
-        return self.causal_len
+        # Prefill: the context is a causal batch of rows over an empty cache.
+        n = int(context_tokens.size)
+        logits = self.run_rows(context_tokens, np.ones((n, 0), dtype=bool), causal_mask(n))
+        self.causal_len = n
+        self.context_logits = logits[-1]
 
     def run_rows(
         self,

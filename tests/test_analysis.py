@@ -271,3 +271,22 @@ class TestTraces:
         write_trace_dense(path, {0: np.full((2, 4), 0.25)})
         with pytest.raises(ValueError):
             read_trace(path, 8, k=2)
+
+    @pytest.mark.parametrize(
+        "bad_record, message",
+        [
+            ('{"layer": 0, "topk": [[-1, 0.5], [2, 0.3]]}', "expert index -1 outside"),
+            ('{"layer": 0, "topk": [[99, 0.5], [2, 0.3]]}', "expert index 99 outside"),
+            ('{"layer": 0, "topk": [[1, 0.5], [1, 0.3]]}', "duplicate expert index"),
+            ('{"layer": 0, "topk": [[1, 1.5], [2, 0.3]]}', r"probabilities must lie in \[0, 1\]"),
+            ('{"layer": 0, "topk": [[1, 0.5]]}', "1 topk pairs, need k=2"),
+            ('{"layer": 0, "probs": [0.5, -0.1, 0.3, 0.3, 0, 0, 0, 0]}', r"probabilities must lie in \[0, 1\]"),
+        ],
+        ids=["negative_index", "index_out_of_range", "duplicate_index", "prob_above_one",
+             "shorter_than_k", "dense_negative_prob"],
+    )
+    def test_malformed_record_names_line(self, tmp_path, bad_record, message):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"layer": 0, "topk": [[1, 0.5], [2, 0.3]]}\n' + bad_record + "\n")
+        with pytest.raises(ValueError, match="line 2: " + message):
+            read_trace(path, 8, k=2)

@@ -249,9 +249,3 @@ class TestShortlistInvariants:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             Shortlist(layer=0, experts=np.array([1]), method="magic", scores=np.zeros(1))
-
-    def test_json_round_trip(self):
-        sl = Shortlist(layer=2, experts=np.array([3, 1]), method="router", scores=np.array([0.9, 0.5]))
-        back = Shortlist.from_json(sl.to_json())
-        assert back.layer == 2 and back.method == "router"
-        assert back.experts.tolist() == [3, 1]

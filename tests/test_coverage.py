@@ -4,19 +4,15 @@ import numpy as np
 import pytest
 
 from moebudget.budgeting import Shortlist, rank_router
-from moebudget.coverage import (
-    CoveragePolicy,
-    model_forward_budgeted,
-    moe_forward_budgeted,
-    policy_assignments,
-)
-from moebudget.draft_tree import build_tree, tree_mask
-from moebudget.moe_core import moe_forward_full, route
-from moebudget.numerics import Rng
-from moebudget.toy_model import forward
+from moebudget.coverage import CoveragePolicy, budgeted_moe, policy_assignments
+from moebudget.draft_tree import build_tree
+from moebudget.moe_core import apply_experts, moe_forward_full_batch, route_batch
+from moebudget.numerics import Rng, top_k_indices
+from moebudget.simulator import BudgetConfig, verify_greedy
+from moebudget.toy_model import TreeDecoder
 
 from conftest import prompt_tokens
-from test_moe_core import expert_eval_naive, make_layer
+from test_moe_core import expert_eval_naive, make_layer, route_one
 
 POLICIES = (CoveragePolicy.TRUNCATION, CoveragePolicy.SUBSTITUTION)
 
@@ -28,26 +24,39 @@ def shortlist_of(experts, layer=0) -> Shortlist:
     )
 
 
+def budgeted_batch(layer, states, shortlist, policy):
+    """Budgeted layer outputs and per-token missing counts of a (T, d) batch."""
+    probs, selected = route_batch(layer, states)
+    ids, weights, missing = policy_assignments(layer, probs, selected, shortlist, policy)
+    return apply_experts(layer, states, ids, weights), missing
+
+
+def budgeted_one(layer, h, shortlist, policy):
+    """Budgeted output and missing count of a single token, a (1, d) batch."""
+    out, missing = budgeted_batch(layer, h[None, :], shortlist, policy)
+    return out[0], int(missing[0])
+
+
 def budgeted_naive(layer, h, shortlist, policy):
     """Direct evaluation of the two coverage formulas, scalar loops only."""
-    rec = route(layer, h)
+    probs, selected = route_one(layer, h)
     members = set(int(i) for i in shortlist.experts)
-    natural = [int(i) for i in rec.selected]
+    natural = [int(i) for i in selected]
     if policy is CoveragePolicy.TRUNCATION:
         chosen = [i for i in natural if i in members]
         if layer.renormalize:
-            denom = sum(rec.probs[i] for i in natural)
-            weights = {i: rec.probs[i] / denom for i in chosen}
+            denom = sum(probs[i] for i in natural)
+            weights = {i: probs[i] / denom for i in chosen}
         else:
-            weights = {i: rec.probs[i] for i in chosen}
+            weights = {i: probs[i] for i in chosen}
     else:
-        ranked = sorted(members, key=lambda i: (-rec.probs[i], i))
+        ranked = sorted(members, key=lambda i: (-probs[i], i))
         chosen = ranked[: min(layer.k, len(ranked))]
         if layer.renormalize:
-            denom = sum(rec.probs[i] for i in chosen)
-            weights = {i: rec.probs[i] / denom for i in chosen}
+            denom = sum(probs[i] for i in chosen)
+            weights = {i: probs[i] / denom for i in chosen}
         else:
-            weights = {i: rec.probs[i] for i in chosen}
+            weights = {i: probs[i] for i in chosen}
     out = np.zeros(layer.d_model)
     for i in chosen:
         out += weights[i] * expert_eval_naive(layer.experts[i], h)
@@ -59,72 +68,72 @@ class TestSingleTokenPolicies:
     @pytest.mark.parametrize("renormalize", [True, False])
     def test_full_budget_equals_unbudgeted_bitwise(self, policy, renormalize):
         layer = make_layer(n=8, k=2, renormalize=renormalize)
-        h = Rng(1).normal(size=4)
-        rec = route(layer, h)
-        out, stats = moe_forward_budgeted(layer, h, rec, shortlist_of(np.arange(8)), policy)
-        np.testing.assert_array_equal(out, moe_forward_full(layer, h))
-        assert stats.missing_count == 0 and not stats.fully_skipped
+        for t in (1, 6):
+            states = Rng(1).normal(size=(t, 4))
+            out, missing = budgeted_batch(layer, states, shortlist_of(np.arange(8)), policy)
+            np.testing.assert_array_equal(out, moe_forward_full_batch(layer, states)[0])
+            assert np.all(missing == 0)
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_covered_topk_equals_unbudgeted(self, policy):
         layer = make_layer(n=8, k=2)
         h = Rng(2).normal(size=4)
-        rec = route(layer, h)
-        sl = shortlist_of(rec.selected)  # exactly the natural top-k
-        out, stats = moe_forward_budgeted(layer, h, rec, sl, policy)
-        np.testing.assert_allclose(out, moe_forward_full(layer, h), atol=1e-15)
-        assert stats.missing_count == 0
+        _, selected = route_one(layer, h)
+        sl = shortlist_of(selected)  # exactly the natural top-k
+        out, missing = budgeted_one(layer, h, sl, policy)
+        np.testing.assert_allclose(
+            out, moe_forward_full_batch(layer, h[None, :])[0][0], atol=1e-15
+        )
+        assert missing == 0
 
     def test_empty_intersection_truncation_gives_zero(self):
         layer = make_layer(n=8, k=2)
         h = Rng(3).normal(size=4)
-        rec = route(layer, h)
-        outside = np.array([i for i in range(8) if i not in rec.selected])[:3]
-        out, stats = moe_forward_budgeted(
-            layer, h, rec, shortlist_of(outside), CoveragePolicy.TRUNCATION
-        )
+        _, selected = route_one(layer, h)
+        outside = np.array([i for i in range(8) if i not in selected])[:3]
+        out, missing = budgeted_one(layer, h, shortlist_of(outside), CoveragePolicy.TRUNCATION)
         np.testing.assert_array_equal(out, np.zeros(4))
-        assert stats.fully_skipped and stats.missing_count == layer.k
+        assert missing == layer.k  # fully skipped
 
     def test_substitution_replaces_missing_with_best_available(self):
         layer = make_layer(n=8, k=2)
         h = Rng(3).normal(size=4)
-        rec = route(layer, h)
-        outside = np.array([i for i in range(8) if i not in rec.selected])
-        out, stats = moe_forward_budgeted(
-            layer, h, rec, shortlist_of(outside), CoveragePolicy.SUBSTITUTION
+        _, selected = route_one(layer, h)
+        outside = np.array([i for i in range(8) if i not in selected])
+        out, missing = budgeted_one(
+            layer, h, shortlist_of(outside), CoveragePolicy.SUBSTITUTION
         )
-        assert stats.missing_count == layer.k  # natural experts all missing
+        assert missing == layer.k  # natural experts all missing
         assert np.any(out != 0.0)  # substitutes still run
 
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("renormalize", [True, False])
     def test_matches_direct_formula_oracle(self, policy, renormalize):
-        # 100+ random small instances against scalar reimplementation.
+        # 100+ random small instances against a scalar reimplementation; each
+        # layer's four tokens run as one (4, d) batch under four shortlists.
         trials = 0
         for seed in range(30):
             layer = make_layer(n=8, k=2, d=4, seed=seed, renormalize=renormalize)
             rng = Rng(1000 + seed)
+            states = rng.normal(size=(4, 4))
             for _ in range(4):
-                h = rng.normal(size=4)
-                rec = route(layer, h)
-                members = rng.permutation(8)[:4]
-                sl = shortlist_of(np.sort(members))
-                got, stats = moe_forward_budgeted(layer, h, rec, sl, policy)
-                want, missing = budgeted_naive(layer, h, sl, policy)
-                np.testing.assert_allclose(got, want, atol=1e-9)
-                assert stats.missing_count == missing
-                trials += 1
+                sl = shortlist_of(np.sort(rng.permutation(8)[:4]))
+                got, missing = budgeted_batch(layer, states, sl, policy)
+                for t in range(4):
+                    want, want_missing = budgeted_naive(layer, states[t], sl, policy)
+                    np.testing.assert_allclose(got[t], want, atol=1e-9)
+                    assert missing[t] == want_missing
+                    trials += 1
         assert trials >= 100
 
     def test_budget_below_k_uses_all_of_shortlist(self):
         layer = make_layer(n=8, k=3, renormalize=True)
         h = Rng(4).normal(size=4)
-        rec = route(layer, h)
-        sl = shortlist_of([int(rec.selected[0])])  # single expert, below k
-        out, _ = moe_forward_budgeted(layer, h, rec, sl, CoveragePolicy.SUBSTITUTION)
+        _, selected = route_one(layer, h)
+        sl = shortlist_of([int(selected[0])])  # single expert, below k
+        out, _ = budgeted_one(layer, h, sl, CoveragePolicy.SUBSTITUTION)
         # Renormalized single expert carries weight 1.
-        want = expert_eval_naive(layer.experts[int(rec.selected[0])], h)
+        want = expert_eval_naive(layer.experts[int(selected[0])], h)
         np.testing.assert_allclose(out, want, atol=1e-9)
 
     def test_policy_agreement_when_fully_covered(self):
@@ -132,21 +141,19 @@ class TestSingleTokenPolicies:
         rng = Rng(5)
         for _ in range(10):
             h = rng.normal(size=4)
-            rec = route(layer, h)
-            sl = shortlist_of(np.sort(np.unique(np.concatenate([rec.selected, [0, 1]]))))
-            a, sa = moe_forward_budgeted(layer, h, rec, sl, CoveragePolicy.TRUNCATION)
-            b, sb = moe_forward_budgeted(layer, h, rec, sl, CoveragePolicy.SUBSTITUTION)
-            if sa.missing_count == 0:
+            _, selected = route_one(layer, h)
+            sl = shortlist_of(np.sort(np.unique(np.concatenate([selected, [0, 1]]))))
+            a, missing_a = budgeted_one(layer, h, sl, CoveragePolicy.TRUNCATION)
+            b, missing_b = budgeted_one(layer, h, sl, CoveragePolicy.SUBSTITUTION)
+            if missing_a == 0:
                 np.testing.assert_allclose(a, b, atol=1e-12)
-                assert sb.missing_count == 0
+                assert missing_b == 0
 
 
 class TestPolicyAssignments:
     def test_substitution_always_assigns_k(self):
         layer = make_layer(n=16, k=4)
         states = Rng(6).normal(size=(20, 4))
-        from moebudget.moe_core import route_batch
-
         probs, selected = route_batch(layer, states)
         sl = shortlist_of(np.arange(0, 16, 2))  # 8 members
         ids, weights, missing = policy_assignments(
@@ -159,8 +166,6 @@ class TestPolicyAssignments:
     def test_truncation_assigns_k_minus_missing(self):
         layer = make_layer(n=16, k=4)
         states = Rng(7).normal(size=(20, 4))
-        from moebudget.moe_core import route_batch
-
         probs, selected = route_batch(layer, states)
         sl = shortlist_of(np.arange(5))
         ids, _, missing = policy_assignments(
@@ -169,71 +174,89 @@ class TestPolicyAssignments:
         assert np.all((ids >= 0).sum(axis=1) == layer.k - missing)
 
 
+def budgeted_tree(model, ctx, tree, shortlists, policy):
+    """Tree logits from a fresh decoder whose MoE layers run the budgeted
+    hook, plus the hook's per-layer record."""
+    hook, record = budgeted_moe(shortlists, policy, model.n_layers)
+    return TreeDecoder(model, ctx).extend_tree(tree, hook), record
+
+
+def router_provider(budget):
+    def provider(li, layer, states, probs, selected):
+        return rank_router(probs, li, budget)
+
+    return provider
+
+
 class TestModelForwardBudgeted:
+    """The budgeted hook inside a decoder's tree forward."""
+
     def test_full_shortlists_bit_compatible_with_unbudgeted(self, target, draft):
         ctx = prompt_tokens(target, 20)
         tree = build_tree(draft, ctx, (2, 2, 2))
         n = target.config.n_experts
         full = [shortlist_of(np.arange(n), layer=l) for l in range(target.n_layers)]
-        ref = forward(
-            target, np.concatenate([ctx, tree.tokens]), tree_mask(len(ctx), tree)
-        )
+        ref = TreeDecoder(target, ctx).extend_tree(tree)
         for policy in POLICIES:
-            out = model_forward_budgeted(target, ctx, tree, full, policy)
-            np.testing.assert_array_equal(out.result.logits, ref.logits)
+            logits, _ = budgeted_tree(target, ctx, tree, full, policy)
+            np.testing.assert_array_equal(logits, ref)
 
     def test_budget_enforced_per_layer(self, target, draft):
         ctx = prompt_tokens(target, 21)
         tree = build_tree(draft, ctx, (2,) * 5)
         budget = 32
-
-        def provider(li, layer, states, probs, selected):
-            return rank_router(probs, li, budget)
-
         for policy in POLICIES:
-            out = model_forward_budgeted(target, ctx, tree, provider, policy)
-            for executed, sl in zip(out.executed, out.shortlists):
-                assert executed.size <= budget
-                assert set(executed.tolist()) <= set(sl.experts.tolist())
+            _, record = budgeted_tree(target, ctx, tree, router_provider(budget), policy)
+            assert len(record) == target.n_layers
+            for rec in record:
+                assert rec.executed.size <= budget
+                assert set(rec.executed.tolist()) <= set(rec.shortlist.experts.tolist())
 
     def test_substitution_at_budget_k_uses_exactly_shortlist(self, target, draft):
         ctx = prompt_tokens(target, 22)
         tree = build_tree(draft, ctx, (2, 2))
-        k = target.config.top_k
-
-        def provider(li, layer, states, probs, selected):
-            return rank_router(probs, li, k)
-
-        out = model_forward_budgeted(
-            target, ctx, tree, provider, CoveragePolicy.SUBSTITUTION
+        _, record = budgeted_tree(
+            target, ctx, tree, router_provider(target.config.top_k), CoveragePolicy.SUBSTITUTION
         )
-        for executed, sl in zip(out.executed, out.shortlists):
-            assert set(executed.tolist()) == set(sl.experts.tolist())
+        for rec in record:
+            assert set(rec.executed.tolist()) == set(rec.shortlist.experts.tolist())
 
     def test_routing_captured_is_natural_routing(self, target, draft):
-        # Captured records reflect natural routing of the budgeted stream,
+        # The hook hands back the natural routing of the budgeted stream,
         # not the substituted selection.
         ctx = prompt_tokens(target, 23)
         tree = build_tree(draft, ctx, (2, 2))
         sl = [shortlist_of(np.arange(8), layer=l) for l in range(target.n_layers)]
-        out = model_forward_budgeted(target, ctx, tree, sl, CoveragePolicy.SUBSTITUTION)
-        from moebudget.numerics import top_k_indices
+        hook, record = budgeted_moe(sl, CoveragePolicy.SUBSTITUTION, target.n_layers)
+        captured = []
 
-        for layer in range(target.n_layers):
-            probs = out.routing.probs[layer]
-            np.testing.assert_array_equal(
-                out.routing.selected[layer], top_k_indices(probs, target.config.top_k)
-            )
+        def capture(li, layer, states):
+            out, probs, selected = hook(li, layer, states)
+            captured.append((layer, states.copy(), probs, selected))
+            return out, probs, selected
+
+        TreeDecoder(target, ctx).extend_tree(tree, capture)
+        assert len(captured) == target.n_layers
+        for (layer, states, probs, selected), rec in zip(captured, record):
+            want_probs, want_selected = route_batch(layer, states)
+            np.testing.assert_array_equal(probs, want_probs)
+            np.testing.assert_array_equal(selected, want_selected)
+            np.testing.assert_array_equal(selected, top_k_indices(probs, target.config.top_k))
+            assert not np.array_equal(rec.ids, selected)  # substitution did act
 
     def test_coverage_stats_shapes_and_consistency(self, target, draft):
         ctx = prompt_tokens(target, 24)
         tree = build_tree(draft, ctx, (2, 2))
         sl = [shortlist_of(np.arange(4), layer=l) for l in range(target.n_layers)]
-        out = model_forward_budgeted(target, ctx, tree, sl, CoveragePolicy.TRUNCATION)
+        _, record = budgeted_tree(target, ctx, tree, sl, CoveragePolicy.TRUNCATION)
+        cfg = BudgetConfig(method="static", policy=CoveragePolicy.TRUNCATION, budget=4)
+        _, report = verify_greedy(TreeDecoder(target, ctx), tree, cfg, static_shortlists=sl)
         k = target.config.top_k
-        for missing, skipped in zip(out.missing_counts, out.fully_skipped):
-            assert missing.shape == (tree.size,)
-            np.testing.assert_array_equal(skipped, missing == k)
+        assert report.unique_experts == [rec.executed.size for rec in record]
+        for rec, missing, skipped in zip(record, report.missing_counts, report.fully_skipped):
+            assert rec.missing.shape == (tree.size,)
+            assert missing == rec.missing.tolist()
+            assert skipped == (rec.missing == k).tolist()
 
     def test_empty_shortlist_rejected(self):
         with pytest.raises(ValueError):
@@ -242,7 +265,9 @@ class TestModelForwardBudgeted:
     def test_wrong_shortlist_count_rejected(self, small_target, small_draft):
         ctx = prompt_tokens(small_target, 25, 8)
         tree = build_tree(small_draft, ctx, (1,))
+        short = [shortlist_of([0])]
         with pytest.raises(ValueError):
-            model_forward_budgeted(
-                small_target, ctx, tree, [shortlist_of([0])], CoveragePolicy.TRUNCATION
-            )
+            budgeted_moe(short, CoveragePolicy.TRUNCATION, small_target.n_layers)
+        cfg = BudgetConfig(method="static", policy=CoveragePolicy.TRUNCATION, budget=1)
+        with pytest.raises(ValueError, match="one shortlist per MoE layer"):
+            verify_greedy(TreeDecoder(small_target, ctx), tree, cfg, static_shortlists=short)

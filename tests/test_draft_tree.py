@@ -134,8 +134,8 @@ class TestExpertUnion:
         routing = tree_routing(target, ctx, tree)
         for layer in range(target.n_layers):
             want = set()
-            for rec in routing.records(layer):
-                want |= set(int(i) for i in rec.selected)
+            for row in routing.selected[layer]:
+                want |= set(int(i) for i in row)
             got = expert_union(routing, layer)
             assert set(got.tolist()) == want
             assert got.tolist() == sorted(want)

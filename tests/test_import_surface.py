@@ -1,0 +1,71 @@
+"""Static checks of the package's import surface, with the standard library's
+``ast`` only: every name a module lists in ``__all__`` resolves, and every
+name a module imports is used in it or re-exported by it."""
+
+from __future__ import annotations
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import moebudget
+
+PACKAGE_DIR = Path(moebudget.__file__).parent
+MODULES = sorted(p.stem for p in PACKAGE_DIR.glob("*.py"))
+
+
+def module_named(stem: str):
+    return importlib.import_module("moebudget" if stem == "__init__" else f"moebudget.{stem}")
+
+
+def imported_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names |= {alias.asname or alias.name for alias in node.names}
+    return names
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    """Names read anywhere in the module, including inside string
+    annotations such as ``-> "DraftTree"``."""
+    names = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for ann in annotations:
+        if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+            names |= used_names(ast.parse(ann.value, mode="eval"))
+    return names
+
+
+def test_every_module_is_checked():
+    assert {"__init__", "coverage", "moe_core", "simulator", "toy_model"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("stem", MODULES)
+def test_all_names_resolve(stem):
+    module = module_named(stem)
+    exported = getattr(module, "__all__", [])
+    assert len(set(exported)) == len(exported), "duplicate names in __all__"
+    assert [name for name in exported if not hasattr(module, name)] == []
+
+
+# The package namespace re-exports everything it imports.
+@pytest.mark.parametrize("stem", [m for m in MODULES if m != "__init__"])
+def test_imported_names_are_used_or_reexported(stem):
+    tree = ast.parse((PACKAGE_DIR / f"{stem}.py").read_text())
+    exported = set(getattr(module_named(stem), "__all__", []))
+    unused = imported_names(tree) - used_names(tree) - exported
+    assert sorted(unused) == []

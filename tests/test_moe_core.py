@@ -12,11 +12,9 @@ from moebudget.moe_core import (
     RouterWeights,
     apply_experts,
     expert_outputs_all,
-    mixing_weights,
-    moe_forward_full,
     moe_forward_full_batch,
-    route,
     route_batch,
+    selection_weights,
     silu,
 )
 from moebudget.numerics import Rng
@@ -67,43 +65,56 @@ def route_highprec(layer: MoELayerWeights, h: np.ndarray) -> np.ndarray:
         return np.array([float(e / total) for e in exps])
 
 
+def route_one(layer: MoELayerWeights, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Routing of a single token, as a (1, d_model) batch."""
+    probs, selected = route_batch(layer, h[None, :])
+    return probs[0], selected[0]
+
+
+def forward_one(layer: MoELayerWeights, h: np.ndarray) -> np.ndarray:
+    """Unbudgeted layer output of a single token, as a (1, d_model) batch."""
+    return moe_forward_full_batch(layer, h[None, :])[0][0]
+
+
 class TestRoute:
     def test_identical_router_rows_give_uniform_probs(self):
         layer = make_layer(n=6, k=3)
         layer.router.w[:] = layer.router.w[0]
-        rec = route(layer, Rng(1).normal(size=4))
-        np.testing.assert_allclose(rec.probs, np.full(6, 1 / 6), atol=1e-12)
-        assert rec.selected.tolist() == [0, 1, 2]  # tie rule
+        probs, selected = route_one(layer, Rng(1).normal(size=4))
+        np.testing.assert_allclose(probs, np.full(6, 1 / 6), atol=1e-12)
+        assert selected.tolist() == [0, 1, 2]  # tie rule
 
     def test_matches_high_precision_oracle(self):
         layer = make_layer(n=4, k=2, d=4)
-        for i in range(10):
-            h = Rng(100 + i).normal(size=4)
-            rec = route(layer, h)
-            np.testing.assert_allclose(rec.probs, route_highprec(layer, h), atol=1e-12)
-            assert rec.selected.tolist() == sorted(
-                range(4), key=lambda j: (-rec.probs[j], j)
+        states = np.stack([Rng(100 + i).normal(size=4) for i in range(10)])
+        probs, selected = route_batch(layer, states)
+        for t in range(10):
+            np.testing.assert_allclose(probs[t], route_highprec(layer, states[t]), atol=1e-12)
+            assert selected[t].tolist() == sorted(
+                range(4), key=lambda j: (-probs[t, j], j)
             )[:2]
 
     def test_expert_permutation_permutes_probs(self):
         layer = make_layer(n=6, k=2)
         h = Rng(2).normal(size=4)
-        base = route(layer, h).probs
+        base, _ = route_one(layer, h)
         perm = Rng(3).permutation(6)
         permuted = make_layer(n=6, k=2)
         permuted.router.w[:] = layer.router.w[perm]
-        got = route(permuted, h).probs
+        got, _ = route_one(permuted, h)
         np.testing.assert_allclose(got, base[perm], atol=1e-15)
 
     def test_dimension_mismatch_rejected(self):
         layer = make_layer()
         with pytest.raises(ValueError):
-            route(layer, np.zeros(5))
+            route_batch(layer, np.zeros((1, 5)))
+        with pytest.raises(ValueError):
+            route_batch(layer, np.zeros(4))
 
     def test_bias_shifts_routing(self):
         h = Rng(4).normal(size=4)
-        flat = route(make_layer(n=8, k=2), h).probs
-        boosted = route(make_layer(n=8, k=2, bias=[10, 0, 0, 0, 0, 0, 0, 0]), h).probs
+        flat, _ = route_one(make_layer(n=8, k=2), h)
+        boosted, _ = route_one(make_layer(n=8, k=2, bias=[10, 0, 0, 0, 0, 0, 0, 0]), h)
         assert boosted[0] > flat[0]
 
     def test_batch_matches_single(self):
@@ -111,44 +122,41 @@ class TestRoute:
         states = Rng(5).normal(size=(7, 4))
         probs, selected = route_batch(layer, states)
         for t in range(7):
-            rec = route(layer, states[t])
-            np.testing.assert_allclose(probs[t], rec.probs, atol=1e-15)
-            assert selected[t].tolist() == rec.selected.tolist()
+            one_probs, one_selected = route_one(layer, states[t])
+            np.testing.assert_allclose(probs[t], one_probs, atol=1e-15)
+            assert selected[t].tolist() == one_selected.tolist()
 
 
 class TestMixingWeights:
     def test_renormalized_weights_sum_to_one(self):
         layer = make_layer()
-        rec = route(layer, Rng(1).normal(size=4))
-        w = mixing_weights(rec, rec.selected, renormalize=True)
-        assert abs(sum(w.values()) - 1.0) < 1e-12
+        probs, selected = route_batch(layer, Rng(1).normal(size=(5, 4)))
+        w = selection_weights(probs, selected, renormalize=True)
+        np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
 
     def test_raw_weights_equal_probs(self):
         layer = make_layer()
-        rec = route(layer, Rng(1).normal(size=4))
-        w = mixing_weights(rec, rec.selected, renormalize=False)
-        for i, v in w.items():
-            assert v == rec.probs[i]
+        probs, selected = route_batch(layer, Rng(1).normal(size=(5, 4)))
+        w = selection_weights(probs, selected, renormalize=False)
+        for t in range(5):
+            for j, i in enumerate(selected[t]):
+                assert w[t, j] == probs[t, i]
 
     def test_single_expert_renormalizes_to_one(self):
         layer = make_layer()
-        rec = route(layer, Rng(1).normal(size=4))
-        w = mixing_weights(rec, [int(rec.selected[0])], renormalize=True)
-        assert w[int(rec.selected[0])] == 1.0
+        probs, selected = route_batch(layer, Rng(1).normal(size=(5, 4)))
+        w = selection_weights(probs, selected[:, :1], renormalize=True)
+        assert np.all(w == 1.0)
 
     def test_empty_set_rejected(self):
         layer = make_layer()
-        rec = route(layer, Rng(1).normal(size=4))
+        probs, _ = route_batch(layer, Rng(1).normal(size=(1, 4)))
         with pytest.raises(ValueError):
-            mixing_weights(rec, [], renormalize=True)
+            selection_weights(probs, np.empty((1, 0), dtype=np.int64), renormalize=True)
 
     def test_zero_mass_guarded(self):
-        rec_probs = np.zeros(4)
-        from moebudget.moe_core import RoutingRecord
-
-        rec = RoutingRecord(probs=rec_probs, selected=np.array([0, 1]))
         with pytest.raises(ValueError):
-            mixing_weights(rec, [0, 1], renormalize=True)
+            selection_weights(np.zeros((1, 4)), np.array([[0, 1]]), renormalize=True)
 
 
 class TestForwardFull:
@@ -158,44 +166,44 @@ class TestForwardFull:
             e.w_in[:] = 0.0
             e.w_out[:] = 0.0
         layer._stacks.clear()
-        out = moe_forward_full(layer, Rng(1).normal(size=4))
+        out = forward_one(layer, Rng(1).normal(size=4))
         np.testing.assert_array_equal(out, np.zeros(4))
 
     def test_all_experts_active_equals_dense_mixture(self):
         layer = make_layer(n=4, k=4, renormalize=True)
         h = Rng(2).normal(size=4)
-        rec = route(layer, h)
-        dense = sum(
-            rec.probs[i] * expert_eval_naive(layer.experts[i], h) for i in range(4)
-        )
-        np.testing.assert_allclose(moe_forward_full(layer, h), dense, atol=1e-9)
+        probs, _ = route_one(layer, h)
+        dense = sum(probs[i] * expert_eval_naive(layer.experts[i], h) for i in range(4))
+        np.testing.assert_allclose(forward_one(layer, h), dense, atol=1e-9)
 
     @pytest.mark.parametrize("renormalize", [True, False])
     def test_matches_bruteforce_oracle(self, renormalize):
         layer = make_layer(n=8, k=2, d=4, renormalize=renormalize)
-        for i in range(10):
-            h = Rng(200 + i).normal(size=4)
-            rec = route(layer, h)
-            weights = mixing_weights(rec, rec.selected, renormalize)
-            want = sum(weights[i] * expert_eval_naive(layer.experts[i], h) for i in weights)
-            np.testing.assert_allclose(moe_forward_full(layer, h), want, atol=1e-9)
+        states = np.stack([Rng(200 + i).normal(size=4) for i in range(10)])
+        outs, probs, selected = moe_forward_full_batch(layer, states)
+        for t in range(10):
+            chosen = [int(i) for i in selected[t]]
+            denom = sum(probs[t, i] for i in chosen) if renormalize else 1.0
+            want = sum(
+                probs[t, i] / denom * expert_eval_naive(layer.experts[i], states[t])
+                for i in chosen
+            )
+            np.testing.assert_allclose(outs[t], want, atol=1e-9)
 
     def test_batch_matches_single(self):
         layer = make_layer(n=8, k=3, renormalize=True)
         states = Rng(6).normal(size=(5, 4))
         outs, _, _ = moe_forward_full_batch(layer, states)
         for t in range(5):
-            np.testing.assert_allclose(
-                outs[t], moe_forward_full(layer, states[t]), atol=1e-12
-            )
+            np.testing.assert_allclose(outs[t], forward_one(layer, states[t]), atol=1e-12)
 
     def test_scaled_input_stays_finite_with_k_selected(self):
         layer = make_layer(n=8, k=2)
         h = Rng(7).normal(size=4)
         for scale in (1.0, 10.0, 1000.0):
-            rec = route(layer, scale * h)
-            assert rec.selected.size == 2
-            assert np.all(np.isfinite(moe_forward_full(layer, scale * h)))
+            _, selected = route_one(layer, scale * h)
+            assert selected.size == 2
+            assert np.all(np.isfinite(forward_one(layer, scale * h)))
 
 
 class TestApplyExperts:
@@ -231,6 +239,18 @@ class TestApplyExperts:
                 np.testing.assert_allclose(
                     dense[t, e], expert_eval_naive(layer.experts[e], states[t]), atol=1e-9
                 )
+
+
+    @pytest.mark.parametrize("n, t", [(5, 1), (1, 3)], ids=["one_token", "one_expert"])
+    def test_dense_expert_outputs_are_fresh_arrays(self, n, t):
+        # With one token or one expert the transpose of the grouped scratch
+        # result is already contiguous; the result must still be a copy.
+        layer = make_layer(n=n, k=1, d=4)
+        first = expert_outputs_all(layer, Rng(3).normal(size=(t, 4)))
+        kept = first.copy()
+        second = expert_outputs_all(layer, Rng(4).normal(size=(t, 4)))
+        assert not np.shares_memory(first, second)
+        np.testing.assert_array_equal(first, kept)
 
 
 def test_silu_basics():

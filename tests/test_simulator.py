@@ -19,7 +19,7 @@ from moebudget.simulator import (
     sweep,
     verify_greedy,
 )
-from moebudget.toy_model import DraftSpec, ModelConfig, forward, random_tokens
+from moebudget.toy_model import DraftSpec, ModelConfig, TreeDecoder, forward, random_tokens
 
 from conftest import prompt_tokens
 
@@ -57,7 +57,7 @@ class TestVerifyGreedy:
         ctx = prompt_tokens(small_target, 30, 8)
         for m in (1, 3, 5):
             tree = build_tree(small_target, ctx, (1,) * (m - 1))
-            emitted, report = verify_greedy(small_target, ctx, tree)
+            emitted, report = verify_greedy(TreeDecoder(small_target, ctx), tree)
             assert report.tau == m + 1
             assert emitted[:-1] == tree.tokens.tolist()
 
@@ -66,7 +66,7 @@ class TestVerifyGreedy:
         truth = ar_rollout(small_target, ctx, 1)[0]
         wrong = (truth + 1) % small_target.config.vocab_size
         tree = DraftTree(tokens=[wrong], parents=[-1], depths=[0], branching=())
-        emitted, report = verify_greedy(small_target, ctx, tree)
+        emitted, report = verify_greedy(TreeDecoder(small_target, ctx), tree)
         assert report.tau == 1
         assert emitted == [truth]
 
@@ -76,7 +76,7 @@ class TestVerifyGreedy:
         for seed in (40, 41, 42):
             ctx = prompt_tokens(target, seed)
             tree = build_tree(draft, ctx, binary_branching(15))
-            emitted, report = verify_greedy(target, ctx, tree)
+            emitted, report = verify_greedy(TreeDecoder(target, ctx), tree)
             truth = ar_rollout(target, ctx, tree.depth + 2)
             match_len = 0
             for tok, want in zip(emitted[:-1], truth):
@@ -91,7 +91,7 @@ class TestVerifyGreedy:
 
         ctx = prompt_tokens(target, 43)
         tree = build_tree(draft, ctx, binary_branching(31))
-        _, report = verify_greedy(target, ctx, tree)
+        _, report = verify_greedy(TreeDecoder(target, ctx), tree)
         routing = tree_routing(target, ctx, tree)
         assert report.unique_experts == [
             expert_union(routing, l).size for l in range(target.n_layers)
@@ -306,6 +306,22 @@ class TestSweep:
             SweepCell(mode="spec_budgeted", method="router").validate()
         with pytest.raises(ValueError):
             SweepCell(mode="spec_full", tree_size=10).validate()
+
+    def test_failure_keeps_traceback(self, monkeypatch):
+        from moebudget import simulator
+
+        def _forced_cell_failure(*args, **kwargs):
+            raise RuntimeError("forced cell failure")
+
+        monkeypatch.setattr(simulator, "_run_cell", _forced_cell_failure)
+        spec = small_sweep_spec(cells=(SweepCell(mode="spec_full", tree_size=15),), seeds=(1,))
+        result = sweep(spec, workers=1, strict=False)
+        assert result.rows == []
+        [(cell, seed, error)] = result.failures
+        assert cell.mode == "spec_full" and seed == 1
+        assert error.startswith("Traceback")
+        assert "in _forced_cell_failure" in error  # the raising frame
+        assert "RuntimeError: forced cell failure" in error
 
     def test_step_report_json_round_trip(self, target, draft):
         run = run_generation(

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from moebudget.analysis import coverage_curve
+from moebudget.draft_tree import DraftTree
 from moebudget.moe_core import route_batch
 from moebudget.numerics import Rng
 from moebudget.toy_model import (
@@ -262,6 +264,89 @@ class TestTreeDecoder:
         dec.extend([3], [-1])
         with pytest.raises(ValueError):
             dec.append_tokens([4])
+
+
+def masked_reference(model, prefix, rows) -> np.ndarray:
+    """One-shot forward logits over a causal prefix plus tree rows, where
+    ``rows`` holds (token, parent) with parent an index into ``rows`` or -1."""
+    n, m = len(prefix), len(rows)
+    mask = np.zeros((n + m, n + m), dtype=bool)
+    mask[:n, :n] = causal_mask(n)
+    for i, (_, parent) in enumerate(rows):
+        if parent >= 0:
+            mask[n + i] = mask[n + parent]
+        mask[n + i, :n] = True
+        mask[n + i, n + i] = True
+    tokens = list(prefix) + [tok for tok, _ in rows]
+    return forward(model, tokens, mask).logits
+
+
+def random_tree(data, vocab: int) -> DraftTree:
+    branching = data.draw(st.lists(st.integers(1, 3), max_size=3), label="branching")
+    parents, depths, frontier = [-1], [0], [0]
+    for depth, b in enumerate(branching):
+        level = []
+        for node in frontier:
+            for _ in range(b):
+                parents.append(node)
+                depths.append(depth + 1)
+                level.append(len(parents) - 1)
+        frontier = level
+    tokens = data.draw(
+        st.lists(st.integers(0, vocab - 1), min_size=len(parents), max_size=len(parents))
+    )
+    return DraftTree(tokens=tokens, parents=parents, depths=depths, branching=tuple(branching))
+
+
+class TestTreeDecoderProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_random_operations_match_one_shot_forward(self, small_target, data):
+        vocab = small_target.config.vocab_size
+        token = st.integers(0, vocab - 1)
+        prefix = data.draw(st.lists(token, min_size=1, max_size=6), label="context")
+        dec = TreeDecoder(small_target, prefix)
+        rows: list[tuple[int, int]] = []
+        markers: list[tuple[int, int]] = []  # (decoder marker, tree rows then)
+
+        def check(got, want):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+            np.testing.assert_array_equal(np.argmax(got, axis=-1), np.argmax(want, axis=-1))
+
+        check(dec.context_logits, masked_reference(small_target, prefix, [])[-1])
+        ops = st.sampled_from(
+            ["extend", "extend", "extend_tree", "checkpoint", "rollback", "rollback", "append"]
+        )
+        for _ in range(data.draw(st.integers(1, 10), label="n_ops")):
+            op = data.draw(ops)
+            if op == "extend":
+                r = data.draw(st.integers(1, 3))
+                tokens = data.draw(st.lists(token, min_size=r, max_size=r))
+                parents = [data.draw(st.integers(-1, len(rows) - 1)) for _ in range(r)]
+                got = dec.extend(tokens, [p + len(prefix) if p >= 0 else -1 for p in parents])
+                rows += list(zip(tokens, parents))
+                check(got, masked_reference(small_target, prefix, rows)[-r:])
+            elif op == "checkpoint":
+                markers.append((dec.checkpoint(), len(rows)))
+            elif op == "rollback" and markers:
+                marker, kept = markers.pop(data.draw(st.integers(0, len(markers) - 1)))
+                dec.rollback(marker)
+                del rows[kept:]
+                markers = [m for m in markers if m[1] <= kept]
+            elif op in ("extend_tree", "append"):
+                dec.rollback(len(prefix))  # both need a bare prefix
+                rows, markers = [], []
+                if op == "append":
+                    extra = data.draw(st.lists(token, min_size=1, max_size=4))
+                    got = dec.append_tokens(extra)
+                    prefix = prefix + extra
+                    check(got, masked_reference(small_target, prefix, [])[-1])
+                else:
+                    tree = random_tree(data, vocab)
+                    got = dec.extend_tree(tree)
+                    rows = list(zip(tree.tokens.tolist(), tree.parents.tolist()))
+                    check(got, masked_reference(small_target, prefix, rows)[len(prefix):])
+            check(dec.context_logits, masked_reference(small_target, prefix, [])[len(prefix) - 1])
 
 
 class TestSerialization:
