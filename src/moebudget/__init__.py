@@ -25,9 +25,17 @@ from .budgeting import (
     rank_oracle,
     rank_router,
     rank_static,
+    shortlister,
 )
 from .coverage import CoveragePolicy, budgeted_moe
-from .draft_tree import DraftTree, TreeRouting, binary_branching, build_tree, expert_union, union_growth_curve
+from .draft_tree import (
+    DraftTree,
+    binary_branching,
+    build_tree,
+    expert_union,
+    tree_routing,
+    union_growth_curve,
+)
 from .moe_core import Expert, MoELayerWeights, RouterWeights
 from .numerics import Rng, softmax, top_k_indices
 from .simulator import (

@@ -1,9 +1,11 @@
 """Offline analytics over routing records and step reports: reconstruction
 error, coverage curves, co-activation concentration, and Pareto tables.
 
-Computations accept either in-process routing (TreeRouting) or external
-trace files (JSON lines, one record per token and layer), so logs from real
-systems can be analyzed with the same code paths the toy lab uses.
+Computations accept either in-process routing (the per-layer captures of
+``draft_tree.tree_routing``) or external trace files (JSON lines, one record
+per token and layer), so logs from real systems can be analyzed with the
+same code paths the toy lab uses. Reconstruction analysis ranks experts
+through ``budgeting.shortlister``, the provider budgeted verification uses.
 """
 
 from __future__ import annotations
@@ -17,16 +19,15 @@ import numpy as np
 from .budgeting import (
     CalibrationCounts,
     Shortlist,
+    gold_outputs,
     oracle_reconstruction_weights,
-    rank_oracle,
-    rank_router,
-    rank_static,
+    shortlister,
 )
 from .coverage import CoveragePolicy, policy_assignments
-from .draft_tree import TreeRouting, binary_branching, build_tree, tree_mask
-from .moe_core import MoELayerWeights, apply_experts, expert_outputs_all, selection_weights
+from .draft_tree import binary_branching, build_tree, tree_routing
+from .moe_core import MoELayerWeights, apply_experts, expert_outputs_grouped
 from .numerics import Rng, top_k_indices
-from .toy_model import MoEModel, forward, random_tokens
+from .toy_model import MoEModel, random_tokens
 
 __all__ = [
     "CoactivationMatrix",
@@ -71,16 +72,15 @@ def reconstruction_error(
         raise ValueError(f"mode must be one of {RECONSTRUCTION_MODES}, got {mode!r}")
     states = np.asarray(states, dtype=np.float64)
 
-    gold_w = selection_weights(probs, selected, layer.renormalize)
-    gold = apply_experts(layer, states, selected, gold_w)
+    gold = gold_outputs(layer, states, probs, selected)
     denom = float(np.sum(gold * gold))
     if denom == 0.0:
         raise ValueError("degenerate input: unbudgeted outputs are identically zero")
 
     if mode == "raw":
         w = oracle_reconstruction_weights(probs, selected, layer.renormalize, uses_raw_g)
-        contributions = expert_outputs_all(layer, states) * w[:, :, None]
-        approx = contributions[:, shortlist.experts].sum(axis=1)
+        sl = shortlist.experts
+        approx = (expert_outputs_grouped(layer, states)[sl] * w.T[sl, :, None]).sum(axis=0)
     else:
         ids, weights, _ = policy_assignments(
             layer, probs, selected, shortlist, CoveragePolicy(mode)
@@ -89,44 +89,6 @@ def reconstruction_error(
 
     diff = approx - gold
     return float(np.sum(diff * diff)) / denom
-
-
-def teacher_forced_layers(
-    target: MoEModel, context_tokens, tree
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per MoE layer: (states, probs, selected) of the tree rows under the
-    full model, the inputs reconstruction analysis measures against."""
-    context_tokens = np.asarray(context_tokens, dtype=np.int64)
-    n_context = context_tokens.size
-    all_tokens = np.concatenate([context_tokens, tree.tokens])
-    result = forward(target, all_tokens, tree_mask(n_context, tree))
-    return [
-        (t.moe_input[n_context:], t.probs[n_context:], t.selected[n_context:])
-        for t in result.layers
-    ]
-
-
-def method_shortlist(
-    method: str,
-    layer_index: int,
-    layer: MoELayerWeights,
-    states: np.ndarray,
-    probs: np.ndarray,
-    selected: np.ndarray,
-    budget: int,
-    static_counts: CalibrationCounts | None = None,
-    uses_raw_g: bool = True,
-) -> Shortlist:
-    """Shortlist for one layer under any ranking method, teacher-forced."""
-    if method == "static":
-        if static_counts is None:
-            raise ValueError("static ranking requires calibration counts")
-        return rank_static(static_counts, layer_index, budget)
-    if method == "router":
-        return rank_router(probs, layer_index, budget)
-    if method == "oracle":
-        return rank_oracle(layer, states, probs, selected, layer_index, budget, uses_raw_g)
-    raise ValueError(f"unknown ranking method {method!r}")
 
 
 def reconstruction_analysis(
@@ -155,31 +117,17 @@ def reconstruction_analysis(
     for t in range(n_trees):
         context = random_tokens(rng.substream(t), context_len, target.config.vocab_size)
         tree = build_tree(draft, context, branching)
-        layers = teacher_forced_layers(target, context, tree)
+        layers = tree_routing(target, context, tree)
         for method in methods:
             for budget in budgets:
+                shortlist_for = shortlister(method, int(budget), static_counts, uses_raw_g)
                 errs = []
-                for li, (states, probs, selected) in enumerate(layers):
-                    sl = method_shortlist(
-                        method,
-                        li,
-                        target.blocks[li].moe,
-                        states,
-                        probs,
-                        selected,
-                        int(budget),
-                        static_counts,
-                        uses_raw_g,
-                    )
+                for li, tr in enumerate(layers):
+                    moe = target.blocks[li].moe
+                    sl = shortlist_for(li, moe, tr.moe_input, tr.probs, tr.selected)
                     errs.append(
                         reconstruction_error(
-                            target.blocks[li].moe,
-                            states,
-                            probs,
-                            selected,
-                            sl,
-                            mode,
-                            uses_raw_g,
+                            moe, tr.moe_input, tr.probs, tr.selected, sl, mode, uses_raw_g
                         )
                     )
                 out[(method, int(budget))].append(float(np.mean(errs)))
@@ -211,10 +159,6 @@ def coverage_curve(tree_probs: np.ndarray, layer: int = 0) -> CoverageCurve:
         raise ValueError("routing mass must be positive")
     order = top_k_indices(scores, scores.size)
     return CoverageCurve(layer=layer, values=np.cumsum(scores[order]) / total)
-
-
-def coverage_curves(routing: TreeRouting) -> list[CoverageCurve]:
-    return [coverage_curve(routing.probs[li], li) for li in range(routing.n_layers)]
 
 
 # ---------------------------------------------------------------------------
@@ -329,10 +273,51 @@ def write_trace_topk(
                 f.write("\n")
 
 
+def _trace_record(line: str, n_experts: int, k: int | None) -> tuple[int, np.ndarray, int]:
+    """One trace line as (layer, probability vector, selection width)."""
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON at column {exc.colno}: {exc.msg}") from None
+    if not isinstance(rec, dict):
+        raise ValueError("record must be a JSON object")
+    if "layer" not in rec:
+        raise ValueError("record needs 'layer'")
+    layer = rec["layer"]
+    if isinstance(layer, bool) or not isinstance(layer, int) or layer < 0:
+        raise ValueError(f"layer must be a non-negative integer, got {layer!r}")
+    if "probs" in rec:
+        vec = np.asarray(rec["probs"], dtype=np.float64)
+        if vec.shape != (n_experts,):
+            raise ValueError(f"probs length {vec.size} != n_experts {n_experts}")
+        if k is None:
+            raise ValueError("k is required to derive selections from dense trace records")
+        kk = k
+    elif "topk" in rec:
+        pairs = [(int(i), float(p)) for i, p in rec["topk"]]
+        ids = [i for i, _ in pairs]
+        for i in ids:
+            if not 0 <= i < n_experts:
+                raise ValueError(f"expert index {i} outside 0..{n_experts - 1}")
+        if len(set(ids)) != len(ids):
+            raise ValueError("duplicate expert index in topk")
+        kk = k if k is not None else len(pairs)
+        if len(pairs) < kk:
+            raise ValueError(f"{len(pairs)} topk pairs, need k={kk}")
+        vec = np.zeros(n_experts, dtype=np.float64)
+        vec[ids] = [p for _, p in pairs]
+    else:
+        raise ValueError("record needs 'probs' or 'topk'")
+    if not np.all((vec >= 0.0) & (vec <= 1.0)):
+        raise ValueError("probabilities must lie in [0, 1]")
+    return layer, vec, kk
+
+
 def read_trace(path, n_experts: int, k: int | None = None) -> dict[int, dict[str, np.ndarray]]:
     """Parse an external routing trace into per-layer arrays.
 
-    Dense records carry the full probability vector; sparse records list
+    Each record is a JSON object with a non-negative integer "layer". Dense
+    records carry the full probability vector; sparse records list
     (index, probability) pairs, at least k of them, with distinct indices in
     0..n_experts-1; unlisted experts count as probability 0. Probabilities
     must lie in [0, 1]. A malformed record raises ValueError naming its line.
@@ -347,38 +332,10 @@ def read_trace(path, n_experts: int, k: int | None = None) -> dict[int, dict[str
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
-            layer = int(rec["layer"])
-            if "probs" in rec:
-                vec = np.asarray(rec["probs"], dtype=np.float64)
-                if vec.size != n_experts:
-                    raise ValueError(
-                        f"line {line_no}: probs length {vec.size} != n_experts {n_experts}"
-                    )
-                if k is None:
-                    raise ValueError(
-                        "k is required to derive selections from dense trace records"
-                    )
-                kk = k
-            elif "topk" in rec:
-                pairs = [(int(i), float(p)) for i, p in rec["topk"]]
-                ids = [i for i, _ in pairs]
-                for i in ids:
-                    if not 0 <= i < n_experts:
-                        raise ValueError(
-                            f"line {line_no}: expert index {i} outside 0..{n_experts - 1}"
-                        )
-                if len(set(ids)) != len(ids):
-                    raise ValueError(f"line {line_no}: duplicate expert index in topk")
-                kk = k if k is not None else len(pairs)
-                if len(pairs) < kk:
-                    raise ValueError(f"line {line_no}: {len(pairs)} topk pairs, need k={kk}")
-                vec = np.zeros(n_experts, dtype=np.float64)
-                vec[ids] = [p for _, p in pairs]
-            else:
-                raise ValueError(f"line {line_no}: record needs 'probs' or 'topk'")
-            if not np.all((vec >= 0.0) & (vec <= 1.0)):
-                raise ValueError(f"line {line_no}: probabilities must lie in [0, 1]")
+            try:
+                layer, vec, kk = _trace_record(line, n_experts, k)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"line {line_no}: {exc}") from exc
             probs_rows.setdefault(layer, []).append(vec)
             sel_rows.setdefault(layer, []).append(top_k_indices(vec, kk))
 

@@ -6,6 +6,10 @@ never looks at the tree. Router ranking sums each tree's routing
 probabilities. Oracle ranking greedily minimizes squared reconstruction
 error against the unbudgeted layer output; it needs every expert's output
 and is a quality ceiling, not a production method.
+
+``shortlister`` is the one place a method name becomes a ranking: budgeted
+verification and the offline reconstruction analysis both ask it for the
+per-layer shortlist provider.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ __all__ = [
     "rank_oracle",
     "rank_router",
     "rank_static",
+    "shortlister",
 ]
 
 METHODS = ("static", "router", "oracle")
@@ -228,6 +233,33 @@ def rank_oracle(
         method="oracle",
         scores=np.array(neg_residuals),
     )
+
+
+def shortlister(
+    method: str,
+    budget: int,
+    static_counts: CalibrationCounts | None = None,
+    uses_raw_g: bool = True,
+):
+    """The shortlist provider of a ranking method at budget B:
+    ``(layer_index, layer, states, probs, selected) -> Shortlist``.
+
+    ``states``/``probs``/``selected`` are one layer's MoE inputs and their
+    natural routing over the tree rows. Static ranking reads only
+    ``static_counts``, router ranking only ``probs``; oracle ranking needs
+    all of them.
+    """
+    if method == "static":
+        if static_counts is None:
+            raise ValueError("static ranking requires calibration counts")
+        return lambda li, layer, states, probs, selected: rank_static(static_counts, li, budget)
+    if method == "router":
+        return lambda li, layer, states, probs, selected: rank_router(probs, li, budget)
+    if method == "oracle":
+        return lambda li, layer, states, probs, selected: rank_oracle(
+            layer, states, probs, selected, li, budget, uses_raw_g
+        )
+    raise ValueError(f"unknown ranking method {method!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .analysis import (
     read_trace,
     reconstruction_analysis,
 )
-from .budgeting import save_static_ranking
+from .budgeting import METHODS, save_static_ranking
 from .coverage import CoveragePolicy
 from .draft_tree import binary_branching, build_tree, tree_routing
 from .numerics import Rng
@@ -103,7 +103,7 @@ class ExperimentConfig:
         if not self.methods:
             raise ConfigError("methods: list must not be empty")
         for m in self.methods:
-            if m not in ("static", "router", "oracle"):
+            if m not in METHODS:
                 raise ConfigError(f"methods: unknown ranking method {m!r}")
         if not self.policies:
             raise ConfigError("policies: list must not be empty")
@@ -131,33 +131,60 @@ class ExperimentConfig:
             raise ConfigError("workers: must be >= 1")
 
     def to_json(self) -> dict:
-        return {
-            "preset": self.preset,
-            "model": dataclasses.asdict(self.model),
-            "draft": dataclasses.asdict(self.draft),
-            "tree_size": self.tree_size,
-            "tree_sizes": list(self.tree_sizes),
-            "budgets": list(self.budgets),
-            "methods": list(self.methods),
-            "policies": list(self.policies),
-            "seeds": list(self.seeds),
-            "prompts": self.prompts,
-            "gen_len": self.gen_len,
-            "context_len": self.context_len,
-            "trees": self.trees,
-            "cost": dataclasses.asdict(self.cost),
-            "uses_raw_g": self.uses_raw_g,
-            "out_dir": self.out_dir,
-            "workers": self.workers,
-        }
+        return dataclasses.asdict(self)
 
 
-_LIST_FIELDS = {"tree_sizes", "budgets", "methods", "policies", "seeds"}
+# The JSON type of every scalar or list field, and of each list's items.
 _INT_FIELDS = {"tree_size", "prompts", "gen_len", "context_len", "trees", "workers"}
+_LIST_FIELDS = {"tree_sizes": int, "budgets": int, "methods": str, "policies": str, "seeds": int}
+_OTHER_FIELDS = {"preset": str, "uses_raw_g": bool, "out_dir": str}
+_BLOCKS = {"model": ModelConfig(), "draft": DraftSpec(), "cost": CostModelParams()}
+_KINDS = {int: "an integer", float: "a number", bool: "a boolean", str: "a string",
+          list: "a list", dict: "an object"}
+
+
+def _typed(name: str, value, kind: type):
+    """``value`` if it has JSON type ``kind`` (a number may be an integer;
+    a boolean is neither); otherwise a ConfigError naming the field."""
+    ok = isinstance(value, {float: (int, float), list: (list, tuple)}.get(kind, kind))
+    if not ok or (kind in (int, float) and isinstance(value, bool)):
+        raise ConfigError(f"{name}: expected {_KINDS[kind]}, got {json.dumps(value)}")
+    return value
+
+
+def _field(name: str, value):
+    """A top-level field's value, type-checked; lists become tuples."""
+    if name in _INT_FIELDS:
+        return _typed(name, value, int)
+    if name in _LIST_FIELDS:
+        _typed(name, value, list)
+        return tuple(_typed(f"{name}[{i}]", v, _LIST_FIELDS[name]) for i, v in enumerate(value))
+    if name == "preset" and value is None:
+        return None
+    return _typed(name, value, _OTHER_FIELDS[name])
+
+
+def _block(name: str, value) -> dict:
+    """A model/draft/cost object; each key must name a field and match the
+    type of its default."""
+    if value is None:
+        return {}
+    _typed(name, value, dict)
+    default = _BLOCKS[name]
+    known = {f.name for f in dataclasses.fields(default)}
+    for key, v in value.items():
+        if key not in known:
+            raise ConfigError(f"{name}.{key}: unknown configuration field")
+        want = getattr(default, key)
+        if v is not None or want is not None:
+            _typed(f"{name}.{key}", v, int if want is None else type(want))
+    return value
 
 
 def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
-    """Merge defaults, an optional JSON config file, and CLI overrides."""
+    """Merge defaults, an optional JSON config file, and CLI overrides. An
+    override of a model/draft/cost key (--seed sets model.seed) merges into
+    the file's block instead of replacing it."""
     data: dict = {}
     if path is not None:
         try:
@@ -167,43 +194,27 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
             raise ConfigError(f"config: cannot read {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config: top level must be a JSON object")
-    merged = {**data, **{k: v for k, v in overrides.items() if v is not None}}
+    overrides = {k: v for k, v in overrides.items() if v is not None}
+    merged = {**data, **overrides}
 
     known = {f.name for f in dataclasses.fields(ExperimentConfig)}
     for key in merged:
         if key not in known:
             raise ConfigError(f"{key}: unknown configuration field")
-
-    preset = merged.get("preset")
-    model_kwargs = dict(merged.get("model") or {})
     if "seed" in merged:  # master seed shortcut folded into the model config
         raise ConfigError("seed: set model.seed or use the --seed flag")
+
+    blocks = {n: {**_block(n, data.get(n)), **_block(n, overrides.get(n))} for n in _BLOCKS}
+    kwargs = {name: _field(name, merged[name]) for name in merged if name not in _BLOCKS}
+    preset = kwargs.get("preset")
     base_model = ModelConfig()
     if preset is not None:
         if preset not in PRESETS:
             raise ConfigError(f"preset: unknown preset {preset!r}; choose from {sorted(PRESETS)}")
         base_model = preset_config(preset)
-    try:
-        model = dataclasses.replace(base_model, **model_kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"model: {exc}") from exc
-
-    try:
-        draft = DraftSpec(**(merged.get("draft") or {}))
-    except TypeError as exc:
-        raise ConfigError(f"draft: {exc}") from exc
-    try:
-        cost = CostModelParams(**(merged.get("cost") or {}))
-    except TypeError as exc:
-        raise ConfigError(f"cost: {exc}") from exc
-
-    kwargs: dict = {"preset": preset, "model": model, "draft": draft, "cost": cost}
-    for name in known - {"preset", "model", "draft", "cost"}:
-        if name in merged:
-            value = merged[name]
-            if name in _LIST_FIELDS:
-                value = tuple(value)
-            kwargs[name] = value
+    kwargs["model"] = dataclasses.replace(base_model, **blocks["model"])
+    kwargs["draft"] = DraftSpec(**blocks["draft"])
+    kwargs["cost"] = CostModelParams(**blocks["cost"])
     cfg = ExperimentConfig(**kwargs)
     cfg.validate()
     return cfg
@@ -438,10 +449,9 @@ def _collect_tree_records(config: ExperimentConfig) -> dict[int, dict[str, np.nd
     for t in range(config.trees):
         ctx = random_tokens(rng.substream(t), config.context_len, config.model.vocab_size)
         tree = build_tree(draft, ctx, branching)
-        routing = tree_routing(target, ctx, tree)
-        for li in range(target.n_layers):
-            probs[li].append(routing.probs[li])
-            selected[li].append(routing.selected[li])
+        for li, layer in enumerate(tree_routing(target, ctx, tree)):
+            probs[li].append(layer.probs)
+            selected[li].append(layer.selected)
     return {
         li: {
             "probs_per_tree": probs[li],
@@ -672,20 +682,7 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        overrides = _overrides_from_args(args)
-        # The model override must merge on top of any config-file model block.
-        config_file = args.config
-        file_model = {}
-        if config_file:
-            try:
-                with open(config_file) as f:
-                    file_model = (json.load(f) or {}).get("model") or {}
-            except (OSError, json.JSONDecodeError) as exc:
-                print(f"error: config: cannot read {config_file}: {exc}", file=sys.stderr)
-                return 2
-        if "model" in overrides:
-            overrides["model"] = {**file_model, **overrides["model"]}
-        config = load_config(config_file, overrides)
+        config = load_config(args.config, _overrides_from_args(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

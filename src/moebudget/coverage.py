@@ -11,7 +11,8 @@ Both policies reduce to per-token (expert, weight) slot assignments fed to
 the same grouped executor the unbudgeted forward uses, so a full-capacity
 shortlist reproduces the unbudgeted forward bit for bit. ``budgeted_moe``
 is the one place the budget enters a forward: it wraps route -> shortlist ->
-assignments -> execution into a hook for the decoder's MoE sublayer.
+assignments -> execution into a hook for the decoder's MoE sublayer, taking
+its shortlists from the provider ``budgeting.shortlister`` builds.
 """
 
 from __future__ import annotations
@@ -92,33 +93,26 @@ class LayerBudget:
         return np.unique(self.ids[self.ids >= 0])
 
 
-def budgeted_moe(shortlists, policy: CoveragePolicy, n_layers: int):
+def budgeted_moe(shortlist_for, policy: CoveragePolicy):
     """The budgeted MoE sublayer, as a ``TreeDecoder.run_rows`` hook.
 
-    ``shortlists`` is either a sequence with one Shortlist per MoE layer, or
-    a callable ``(layer_index, layer, states, probs, selected) -> Shortlist``
-    invoked mid-forward (router and oracle ranking need the budgeted
-    stream's own states). Routing is computed from the budgeted stream's own
-    hidden states, so approximation compounds across layers exactly as in a
-    real budgeted verification pass, and the returned probs/selected are the
-    natural routing, recorded before budgeting.
+    ``shortlist_for(layer_index, layer, states, probs, selected) ->
+    Shortlist`` is the provider ``budgeting.shortlister`` builds; it is asked
+    mid-forward because router and oracle ranking need the budgeted stream's
+    own states. Routing is computed from those states, so approximation
+    compounds across layers exactly as in a real budgeted verification pass,
+    and the returned probs/selected are the natural routing, recorded before
+    budgeting.
 
     Returns ``(hook, record)``; the hook appends one LayerBudget per layer it
     runs to ``record``.
     """
     policy = CoveragePolicy(policy)
-    provider = shortlists if callable(shortlists) else None
-    if provider is None:
-        shortlists = list(shortlists)
-        if len(shortlists) != n_layers:
-            raise ValueError(
-                f"need one shortlist per MoE layer: got {len(shortlists)} for {n_layers} layers"
-            )
     record: list[LayerBudget] = []
 
     def hook(li: int, layer: MoELayerWeights, states: np.ndarray):
         probs, selected = route_batch(layer, states)
-        sl = provider(li, layer, states, probs, selected) if provider else shortlists[li]
+        sl = shortlist_for(li, layer, states, probs, selected)
         ids, weights, missing = policy_assignments(layer, probs, selected, sl, policy)
         record.append(LayerBudget(shortlist=sl, ids=ids, missing=missing))
         return apply_experts(layer, states, ids, weights), probs, selected

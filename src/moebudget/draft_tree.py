@@ -7,25 +7,29 @@ each chosen greedily from the draft model's logits under tree attention.
 The sweep sizes 1, 3, 7, ..., 255 are the binary-branching family, and
 binary trees of different depths nest, which keeps union growth monotone
 per prompt, not just on average.
+
+``tree_routing`` is the one teacher-forced capture of a tree under the full
+target: the per-layer MoE inputs and natural routing of the tree rows that
+the union statistics, the reconstruction analysis and the CLI's coverage and
+co-activation records all read.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import Rng, top_k_indices
-from .toy_model import ForwardResult, MoEModel, TreeDecoder, causal_mask, forward, random_tokens
+from .toy_model import LayerTrace, MoEModel, TreeDecoder, causal_mask, forward, random_tokens
 
 __all__ = [
     "DraftTree",
-    "TreeRouting",
     "binary_branching",
     "build_tree",
     "expert_union",
     "tree_mask",
+    "tree_routing",
     "union_growth_curve",
 ]
 
@@ -72,37 +76,6 @@ class DraftTree:
             path.append(i)
             i = int(self.parents[i])
         return path[::-1]
-
-    def to_jsonl(self, path) -> None:
-        """One node per line: {index, parent, token, depth}."""
-        with open(path, "w") as f:
-            for i in range(self.size):
-                f.write(
-                    json.dumps(
-                        {
-                            "index": i,
-                            "parent": int(self.parents[i]),
-                            "token": int(self.tokens[i]),
-                            "depth": int(self.depths[i]),
-                        }
-                    )
-                    + "\n"
-                )
-
-    @classmethod
-    def from_jsonl(cls, path, branching: tuple[int, ...] = ()) -> "DraftTree":
-        rows = []
-        with open(path) as f:
-            for line in f:
-                if line.strip():
-                    rows.append(json.loads(line))
-        rows.sort(key=lambda r: r["index"])
-        return cls(
-            tokens=np.array([r["token"] for r in rows]),
-            parents=np.array([r["parent"] for r in rows]),
-            depths=np.array([r["depth"] for r in rows]),
-            branching=tuple(branching),
-        )
 
 
 def binary_branching(size: int) -> tuple[int, ...]:
@@ -181,37 +154,19 @@ def build_tree(draft: MoEModel, context_tokens, branching) -> DraftTree:
     return expand_tree(TreeDecoder(draft, context_tokens), branching)
 
 
-@dataclass
-class TreeRouting:
-    """Natural routing of every tree node at every MoE layer, as captured
-    during a target forward over the tree."""
-
-    probs: list[np.ndarray]  # per layer (M, n_experts)
-    selected: list[np.ndarray]  # per layer (M, k)
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.probs)
-
-    @classmethod
-    def from_forward(cls, result: ForwardResult, n_context: int) -> "TreeRouting":
-        return cls(
-            probs=[t.probs[n_context:] for t in result.layers],
-            selected=[t.selected[n_context:] for t in result.layers],
-        )
-
-
-def expert_union(routing: TreeRouting, layer: int) -> np.ndarray:
-    """Sorted union of every node's selected experts at ``layer``."""
-    return np.unique(routing.selected[layer])
-
-
-def tree_routing(target: MoEModel, context_tokens, tree: DraftTree) -> TreeRouting:
-    """Target-model routing over a tree (full forward, no budgeting)."""
+def tree_routing(target: MoEModel, context_tokens, tree: DraftTree) -> list[LayerTrace]:
+    """Teacher-forced capture of the tree rows under the full target, one
+    LayerTrace per MoE layer: the states each MoE sublayer consumed and the
+    natural routing they induced (no budgeting)."""
     context_tokens = np.asarray(context_tokens, dtype=np.int64)
-    all_tokens = np.concatenate([context_tokens, tree.tokens])
-    result = forward(target, all_tokens, tree_mask(context_tokens.size, tree))
-    return TreeRouting.from_forward(result, context_tokens.size)
+    n = context_tokens.size
+    result = forward(target, np.concatenate([context_tokens, tree.tokens]), tree_mask(n, tree))
+    return [LayerTrace(t.moe_input[n:], t.probs[n:], t.selected[n:]) for t in result.layers]
+
+
+def expert_union(routing: list[LayerTrace], layer: int) -> np.ndarray:
+    """Sorted union of every node's selected experts at ``layer``."""
+    return np.unique(routing[layer].selected)
 
 
 def union_growth_curve(

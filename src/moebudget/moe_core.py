@@ -231,15 +231,3 @@ def expert_outputs_grouped(
         out = np.empty((n, t, d))
     np.matmul(hidden, layer.w_out_stack.transpose(0, 2, 1), out=out)
     return out
-
-
-def expert_outputs_all(layer: MoELayerWeights, states: np.ndarray) -> np.ndarray:
-    """Every expert's output on every token: shape (T, n_experts, d_model).
-
-    Always a fresh array: the grouped result lives in a scratch buffer that
-    the next call overwrites.
-    """
-    grouped = expert_outputs_grouped(
-        layer, states, out=scratch("dense_grouped", layer.n_experts, len(states), layer.d_model)
-    )
-    return grouped.transpose(1, 0, 2).copy()

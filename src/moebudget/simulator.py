@@ -25,14 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .budgeting import (
-    CalibrationCounts,
-    Shortlist,
-    calibrate_static,
-    rank_oracle,
-    rank_router,
-    rank_static,
-)
+from .budgeting import METHODS, CalibrationCounts, calibrate_static, shortlister
 from .coverage import CoveragePolicy, budgeted_moe
 from .draft_tree import DEFAULT_CONTEXT_LEN, DraftTree, binary_branching, expand_tree
 from .moe_core import moe_forward_full_batch
@@ -120,7 +113,7 @@ class BudgetConfig:
     uses_raw_g: bool = True
 
     def validate(self) -> None:
-        if self.method not in ("static", "router", "oracle"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown ranking method {self.method!r}")
         CoveragePolicy(self.policy)
         if self.budget < 1:
@@ -217,38 +210,6 @@ def _greedy_accept(
     return path, int(node_argmax[best_node])
 
 
-def _shortlist_source(budget_cfg: BudgetConfig, static_shortlists):
-    """Per-layer shortlists (static) or a mid-forward provider (router,
-    oracle) for budgeted_moe."""
-    if budget_cfg.method == "static":
-        if static_shortlists is None:
-            raise ValueError("static ranking requires calibrated shortlists")
-        return [
-            Shortlist(
-                layer=s.layer,
-                experts=s.experts[: budget_cfg.budget],
-                method=s.method,
-                scores=s.scores[: budget_cfg.budget],
-            )
-            if s.budget > budget_cfg.budget
-            else s
-            for s in static_shortlists
-        ]
-    if budget_cfg.method == "router":
-
-        def provider(li, layer, states, probs, selected):
-            return rank_router(probs, li, budget_cfg.budget)
-
-        return provider
-
-    def provider(li, layer, states, probs, selected):
-        return rank_oracle(
-            layer, states, probs, selected, li, budget_cfg.budget, budget_cfg.uses_raw_g
-        )
-
-    return provider
-
-
 def _build_report(
     tree: DraftTree,
     emitted: list[int],
@@ -280,17 +241,18 @@ def verify_greedy(
     tree: DraftTree,
     budget_cfg: BudgetConfig | None = None,
     cost: CostModelParams = CostModelParams(),
-    static_shortlists: list[Shortlist] | None = None,
+    static_counts: CalibrationCounts | None = None,
 ) -> tuple[list[int], StepReport]:
     """One verification step over a drafted tree on a target decoder.
 
     The tree rows are appended to the decoder's causal prefix in one batch
-    (each MoE layer budgeted when ``budget_cfg`` is given), judged, and
-    rolled back; the deepest drafted chain consistent with the verifier's
-    greedy choices is accepted and the bonus token appended. The prefix rows
-    of a causal model never change when rows are appended, so this matches a
-    one-shot ancestor-masked forward over context + tree to roundoff.
-    Returns the emitted tokens and the step report.
+    (each MoE layer budgeted when ``budget_cfg`` is given, with shortlists
+    from ``budgeting.shortlister``; static ranking reads ``static_counts``),
+    judged, and rolled back; the deepest drafted chain consistent with the
+    verifier's greedy choices is accepted and the bonus token appended. The
+    prefix rows of a causal model never change when rows are appended, so
+    this matches a one-shot ancestor-masked forward over context + tree to
+    roundoff. Returns the emitted tokens and the step report.
     """
     if budget_cfg is None:
         unique: list[int] = []
@@ -302,11 +264,16 @@ def verify_greedy(
 
     else:
         budget_cfg.validate()
-        hook, layers = budgeted_moe(
-            _shortlist_source(budget_cfg, static_shortlists),
-            budget_cfg.policy,
-            decoder.model.n_layers,
+        want = (decoder.model.n_layers, decoder.model.config.n_experts)
+        if static_counts is not None and static_counts.counts.shape != want:
+            raise ValueError(
+                f"static counts must have shape {want}, one shortlist per MoE layer "
+                f"over every expert; got {static_counts.counts.shape}"
+            )
+        shortlist_for = shortlister(
+            budget_cfg.method, budget_cfg.budget, static_counts, budget_cfg.uses_raw_g
         )
+        hook, layers = budgeted_moe(shortlist_for, budget_cfg.policy)
 
     marker = decoder.checkpoint()
     anchor_logits = decoder.context_logits
@@ -322,12 +289,6 @@ def verify_greedy(
     path, bonus = _greedy_accept(tree, tree_logits, anchor_logits)
     emitted = [int(tree.tokens[i]) for i in path] + [bonus]
     return emitted, _build_report(tree, emitted, unique, budget_cfg, cost, missing, fully)
-
-
-def static_shortlists_from_counts(
-    counts: CalibrationCounts, budget: int
-) -> list[Shortlist]:
-    return [rank_static(counts, li, budget) for li in range(counts.counts.shape[0])]
 
 
 def default_calibration(target: MoEModel, rng: Rng) -> CalibrationCounts:
@@ -371,12 +332,6 @@ def run_generation(
     if not context:
         raise ValueError("prompt must be non-empty")
 
-    static_shortlists = None
-    if mode == "spec_budgeted" and budget_cfg.method == "static":
-        if static_counts is None:
-            raise ValueError("static ranking requires calibration counts")
-        static_shortlists = static_shortlists_from_counts(static_counts, budget_cfg.budget)
-
     generated: list[int] = []
     reports: list[StepReport] = []
 
@@ -417,7 +372,7 @@ def run_generation(
             tree = expand_tree(draft_dec, branching)
             draft_dec.rollback(marker)
             emitted, report = verify_greedy(
-                target_dec, tree, use_budget, cost, static_shortlists
+                target_dec, tree, use_budget, cost, static_counts
             )
             if not keep_coverage:
                 report.missing_counts = None
@@ -573,10 +528,6 @@ def build_model_pair(
     return _MODEL_CACHE[key]
 
 
-def _build_models(spec: SweepSpec) -> tuple[MoEModel, MoEModel]:
-    return build_model_pair(spec.model_config, spec.draft_spec)
-
-
 def _prompt_for_seed(spec: SweepSpec, seed: int) -> np.ndarray:
     rng = Rng(spec.model_config.seed).substream(PROMPT_STREAM, seed)
     return random_tokens(rng, spec.context_len, spec.model_config.vocab_size)
@@ -593,9 +544,10 @@ def _run_cell(
     target: MoEModel,
     draft: MoEModel,
     static_counts: CalibrationCounts | None,
-    ar_stream: list[int],
-    keep_reports: bool,
-) -> tuple[SweepRow, list[StepReport] | None]:
+    ar_stream: list[int] | None,
+) -> tuple[SweepRow, GenerationRun]:
+    """Run one (cell, seed) and build its row; ``ar_stream`` is the seed's
+    AR reference, None when the cell is that reference."""
     prompt = _prompt_for_seed(spec, seed)
     budget_cfg = None
     if cell.mode == "spec_budgeted":
@@ -616,7 +568,8 @@ def _run_cell(
         tree_size=cell.tree_size,
         static_counts=static_counts,
     )
-    matches = float(np.mean(np.array(run.tokens) == np.array(ar_stream)))
+    reference = run.tokens if ar_stream is None else ar_stream
+    matches = float(np.mean(np.array(run.tokens) == np.array(reference)))
     s = run.summary
     row = SweepRow(
         cell=cell,
@@ -631,7 +584,7 @@ def _run_cell(
         speedup=s.speedup,
         ar_match_rate=matches,
     )
-    return row, (run.reports if keep_reports else None)
+    return row, run
 
 
 def _sweep_task(args) -> tuple[tuple, SweepRow | None, list[StepReport] | None, str | None]:
@@ -639,11 +592,9 @@ def _sweep_task(args) -> tuple[tuple, SweepRow | None, list[StepReport] | None, 
     only on the cell identity, never on scheduling."""
     spec, cell, seed, static_counts, ar_stream, keep_reports, strict = args
     try:
-        target, draft = _build_models(spec)
-        row, reports = _run_cell(
-            spec, cell, seed, target, draft, static_counts, ar_stream, keep_reports
-        )
-        return (cell.key(), seed), row, reports, None
+        target, draft = build_model_pair(spec.model_config, spec.draft_spec)
+        row, run = _run_cell(spec, cell, seed, target, draft, static_counts, ar_stream)
+        return (cell.key(), seed), row, (run.reports if keep_reports else None), None
     except Exception:  # noqa: BLE001 - collected for the failure report
         if strict:
             raise
@@ -662,7 +613,7 @@ def sweep(
     ``strict=False`` failing cells are collected instead of raised.
     """
     spec.validate()
-    target, draft = _build_models(spec)
+    target, draft = build_model_pair(spec.model_config, spec.draft_spec)
 
     static_counts = None
     if _needs_static(spec):
@@ -675,23 +626,9 @@ def sweep(
     ar_streams: dict[int, list[int]] = {}
     ar_reports: dict[int, list[StepReport] | None] = {}
     for seed in spec.seeds:
-        prompt = _prompt_for_seed(spec, seed)
-        run = run_generation(target, draft, prompt, spec.gen_len, "ar", spec.cost)
+        row, run = _run_cell(spec, SweepCell(mode="ar"), seed, target, draft, None, None)
+        ar_rows[seed] = row
         ar_streams[seed] = run.tokens
-        s = run.summary
-        ar_rows[seed] = SweepRow(
-            cell=SweepCell(mode="ar"),
-            seed=seed,
-            tokens=s.tokens,
-            steps=s.steps,
-            mean_tau=s.mean_tau,
-            mean_unique_experts=float(np.mean(s.mean_unique_experts)),
-            unique_experts_per_layer=s.mean_unique_experts,
-            max_unique_experts=target.config.top_k,
-            total_cost=s.total_cost,
-            speedup=s.speedup,
-            ar_match_rate=1.0,
-        )
         ar_reports[seed] = run.reports if keep_reports else None
 
     tasks = []

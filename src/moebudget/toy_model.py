@@ -282,27 +282,24 @@ def _attend(attn: AttentionWeights, x: np.ndarray, mask: np.ndarray) -> np.ndarr
     return masked_softmax(scores, mask) @ v @ attn.wo.T
 
 
-def forward(
-    model: MoEModel,
-    tokens,
-    mask: np.ndarray | None = None,
-    moe_fn=None,
-) -> ForwardResult:
-    """Run the model over ``tokens`` under an arbitrary ancestor mask.
+def _check_vocab(model: MoEModel, tokens: np.ndarray) -> None:
+    if np.any(tokens < 0) or np.any(tokens >= model.config.vocab_size):
+        raise ValueError("token id out of vocabulary range")
+
+
+def forward(model: MoEModel, tokens, mask: np.ndarray | None = None) -> ForwardResult:
+    """Run the full model over ``tokens`` under an arbitrary ancestor mask.
 
     ``mask`` is a (T, T) boolean matrix where entry (i, j) allows position i
     to attend to position j; ``None`` means plain causal attention. Each
-    block is pre-norm residual: x += attn(norm(x)); x += moe(norm(x)).
-
-    ``moe_fn(layer_index, layer, states) -> (out, probs, selected)`` replaces
-    the unbudgeted MoE sublayer when given; the default runs every layer at
-    full capacity. Captured probs/selected always describe natural routing.
+    block is pre-norm residual: x += attn(norm(x)); x += moe(norm(x)), every
+    MoE layer at full capacity. This is the one-shot reference the
+    incremental ``TreeDecoder`` is tested against.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.ndim != 1 or tokens.size == 0:
         raise ValueError("tokens must be a non-empty 1-D sequence")
-    if np.any(tokens < 0) or np.any(tokens >= model.config.vocab_size):
-        raise ValueError("token id out of vocabulary range")
+    _check_vocab(model, tokens)
     n = tokens.size
     if mask is None:
         mask = causal_mask(n)
@@ -311,13 +308,10 @@ def forward(
 
     x = model.embedding[tokens]
     traces = []
-    for li, block in enumerate(model.blocks):
+    for block in model.blocks:
         x = x + _attend(block.attention, x, mask)
         moe_in = rms_norm(x)
-        if moe_fn is None:
-            out, probs, selected = moe_forward_full_batch(block.moe, moe_in)
-        else:
-            out, probs, selected = moe_fn(li, block.moe, moe_in)
+        out, probs, selected = moe_forward_full_batch(block.moe, moe_in)
         traces.append(LayerTrace(moe_input=moe_in, probs=probs, selected=selected))
         x = x + out
     logits = rms_norm(x) @ model.head.T
@@ -390,8 +384,10 @@ class TreeDecoder:
         (r, r) attention mask among the new rows themselves; by default each
         row attends only to itself. ``moe_hook(layer_index, layer, states)
         -> (out, probs, selected)`` overrides the full-capacity MoE sublayer
-        for the new rows (budgeted verification hooks in here).
+        for the new rows (budgeted verification hooks in here). Token ids
+        outside the vocabulary raise ValueError before any state changes.
         """
+        _check_vocab(self.model, tokens)
         r = tokens.size
         cached = self.n_rows
         d = self.model.config.d_model
@@ -436,8 +432,10 @@ class TreeDecoder:
         for i, p in enumerate(parent_rows):
             if p >= 0:
                 allowed[i, self._allowed[p - self.causal_len]] = True
-            self._allowed.append(np.append(np.nonzero(allowed[i])[0], cached + i))
-        return self.run_rows(tokens, allowed)
+        logits = self.run_rows(tokens, allowed)
+        for i, row in enumerate(allowed):
+            self._allowed.append(np.append(np.nonzero(row)[0], cached + i))
+        return logits
 
     def extend_tree(self, tree, moe_hook=None) -> np.ndarray:
         """Append a whole drafted tree in one batch and return its logits.
@@ -454,13 +452,14 @@ class TreeDecoder:
             p = int(tree.parents[i])
             if p >= 0:
                 within[i] |= within[p]
+        logits = self.run_rows(tree.tokens, allowed, within, moe_hook)
         for i in range(m):
             self._allowed.append(
                 np.concatenate(
                     [np.arange(self.causal_len), self.causal_len + np.nonzero(within[i])[0]]
                 )
             )
-        return self.run_rows(tree.tokens, allowed, within, moe_hook)
+        return logits
 
     def checkpoint(self) -> int:
         """Opaque marker for the current tree state."""

@@ -10,13 +10,11 @@ from moebudget.analysis import (
     coactivation,
     concentration_ratio,
     coverage_curve,
-    coverage_curves,
     expected_pair_probability,
     pareto_table,
     read_trace,
     reconstruction_analysis,
     reconstruction_error,
-    teacher_forced_layers,
     write_trace_dense,
     write_trace_topk,
 )
@@ -64,13 +62,13 @@ class TestReconstructionError:
         probs, selected = route_batch(layer, states)
         sl = shortlist_of([0, 2, 5])
         got = reconstruction_error(layer, states, probs, selected, sl, "raw", True)
-        from moebudget.moe_core import expert_outputs_all, selection_weights, apply_experts
+        from moebudget.moe_core import expert_outputs_grouped, selection_weights, apply_experts
 
         gold = apply_experts(
             layer, states, selected, selection_weights(probs, selected, False)
         )
-        dense = expert_outputs_all(layer, states)
-        approx = sum(probs[:, j, None] * dense[:, j] for j in [0, 2, 5])
+        dense = expert_outputs_grouped(layer, states)
+        approx = sum(probs[:, j, None] * dense[j] for j in [0, 2, 5])
         want = float(np.sum((approx - gold) ** 2) / np.sum(gold * gold))
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -87,8 +85,8 @@ class TestReconstructionError:
         # these seeded trees.
         ctx = prompt_tokens(target, 80)
         tree = build_tree(draft, ctx, (2,) * 4)
-        layers = teacher_forced_layers(target, ctx, tree)
-        for li, (states, probs, selected) in enumerate(layers):
+        for li, tr in enumerate(tree_routing(target, ctx, tree)):
+            states, probs, selected = tr.moe_input, tr.probs, tr.selected
             full_order = rank_router(probs, li, target.config.n_experts).experts
             errs = []
             for budget in (8, 16, 32, 48, 64):
@@ -125,8 +123,8 @@ class TestCoverageCurve:
     def test_reaches_one_and_monotone(self, target, draft):
         ctx = prompt_tokens(target, 81)
         tree = build_tree(draft, ctx, (2,) * 4)
-        routing = tree_routing(target, ctx, tree)
-        for curve in coverage_curves(routing):
+        for li, layer in enumerate(tree_routing(target, ctx, tree)):
+            curve = coverage_curve(layer.probs, li)
             assert curve.values[-1] == pytest.approx(1.0, abs=1e-9)
             assert np.all(np.diff(curve.values) >= -1e-12)
             assert curve.at(target.config.n_experts) == curve.values[-1]
@@ -228,11 +226,11 @@ class TestTraces:
         tree = build_tree(small_draft, ctx, (2, 2))
         routing = tree_routing(small_target, ctx, tree)
         path = tmp_path / "trace_dense.jsonl"
-        write_trace_dense(path, {li: routing.probs[li] for li in range(routing.n_layers)})
+        write_trace_dense(path, {li: layer.probs for li, layer in enumerate(routing)})
         back = read_trace(path, small_target.config.n_experts, k=small_target.config.top_k)
-        for li in range(routing.n_layers):
-            np.testing.assert_array_equal(back[li]["probs"], routing.probs[li])
-            np.testing.assert_array_equal(back[li]["selected"], routing.selected[li])
+        for li, layer in enumerate(routing):
+            np.testing.assert_array_equal(back[li]["probs"], layer.probs)
+            np.testing.assert_array_equal(back[li]["selected"], layer.selected)
 
     def test_topk_round_trip_selection_and_coverage(self, small_target, small_draft, tmp_path):
         ctx = prompt_tokens(small_target, 83, 8)
@@ -241,23 +239,23 @@ class TestTraces:
         path = tmp_path / "trace_topk.jsonl"
         write_trace_topk(
             path,
-            {li: routing.probs[li] for li in range(routing.n_layers)},
-            {li: routing.selected[li] for li in range(routing.n_layers)},
+            {li: layer.probs for li, layer in enumerate(routing)},
+            {li: layer.selected for li, layer in enumerate(routing)},
         )
         back = read_trace(path, small_target.config.n_experts)
-        for li in range(routing.n_layers):
-            np.testing.assert_array_equal(back[li]["selected"], routing.selected[li])
+        for li, layer in enumerate(routing):
+            np.testing.assert_array_equal(back[li]["selected"], layer.selected)
             # Coverage from sparse trace equals in-process coverage: the
             # aggregate scores only involve the listed (top-k) mass for the
             # experts that would be ranked anyway.
-            mat_in = coactivation(routing.selected[li], small_target.config.n_experts)
+            mat_in = coactivation(layer.selected, small_target.config.n_experts)
             mat_tr = coactivation(back[li]["selected"], small_target.config.n_experts)
             np.testing.assert_array_equal(mat_in.counts, mat_tr.counts)
 
     def test_dense_requires_k(self, tmp_path):
         path = tmp_path / "t.jsonl"
         write_trace_dense(path, {0: np.full((2, 4), 0.25)})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="line 1: k is required"):
             read_trace(path, 4)
 
     def test_bad_record_rejected(self, tmp_path):
@@ -281,9 +279,13 @@ class TestTraces:
             ('{"layer": 0, "topk": [[1, 1.5], [2, 0.3]]}', r"probabilities must lie in \[0, 1\]"),
             ('{"layer": 0, "topk": [[1, 0.5]]}', "1 topk pairs, need k=2"),
             ('{"layer": 0, "probs": [0.5, -0.1, 0.3, 0.3, 0, 0, 0, 0]}', r"probabilities must lie in \[0, 1\]"),
+            ('{"topk": [[1, 0.5], [2, 0.3]]}', "record needs 'layer'"),
+            ('{"layer": "x", "topk": [[1, 0.5], [2, 0.3]]}', "layer must be a non-negative integer"),
+            ('{"layer": 0, "topk": [[1, 0.5], [2, 0.3]}', "invalid JSON at column"),
         ],
         ids=["negative_index", "index_out_of_range", "duplicate_index", "prob_above_one",
-             "shorter_than_k", "dense_negative_prob"],
+             "shorter_than_k", "dense_negative_prob", "missing_layer", "non_integer_layer",
+             "malformed_json"],
     )
     def test_malformed_record_names_line(self, tmp_path, bad_record, message):
         path = tmp_path / "t.jsonl"

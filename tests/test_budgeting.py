@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from moebudget.budgeting import (
+    METHODS,
     CalibrationCounts,
     Shortlist,
     calibrate_static,
@@ -14,6 +15,7 @@ from moebudget.budgeting import (
     rank_router,
     rank_static,
     save_static_ranking,
+    shortlister,
 )
 from moebudget.draft_tree import build_tree, tree_routing
 from moebudget.moe_core import route_batch
@@ -125,7 +127,7 @@ class TestRankRouter:
         tree = build_tree(draft, ctx, (2,) * 5)
         routing = tree_routing(target, ctx, tree)
         for layer in range(target.n_layers):
-            probs = routing.probs[layer]
+            probs = routing[layer].probs
             scores = [sum(probs[t][i] for t in range(probs.shape[0])) for i in range(64)]
             sl = rank_router(probs, layer, 16)
             want = sorted(range(64), key=lambda i: (-scores[i], i))[:16]
@@ -221,19 +223,13 @@ class TestShortlistInvariants:
         routing = tree_routing(small_target, ctx, tree)
         counts = calibrate_static(small_target, [ctx])
         n = small_target.config.n_experts
-        layers = [
-            (small_target.blocks[li].moe, routing.probs[li], routing.selected[li])
-            for li in range(small_target.n_layers)
-        ]
-        from moebudget.analysis import teacher_forced_layers
-
-        tf = teacher_forced_layers(small_target, ctx, tree)
         for budget in (1, 3, n):
-            for li, (layer, probs, selected) in enumerate(layers):
+            for li, tr in enumerate(routing):
+                layer = small_target.blocks[li].moe
                 lists = [
                     rank_static(counts, li, budget),
-                    rank_router(probs, li, budget),
-                    rank_oracle(layer, tf[li][0], tf[li][1], tf[li][2], li, budget),
+                    rank_router(tr.probs, li, budget),
+                    rank_oracle(layer, tr.moe_input, tr.probs, tr.selected, li, budget),
                 ]
                 for sl in lists:
                     assert sl.budget == min(budget, n)
@@ -241,6 +237,33 @@ class TestShortlistInvariants:
                     assert sl.experts.min() >= 0 and sl.experts.max() < n
                     if budget == n:
                         assert sorted(sl.experts.tolist()) == list(range(n))
+
+    @pytest.mark.parametrize("uses_raw_g", [True, False])
+    def test_shortlister_equals_direct_ranking(self, small_target, small_draft, uses_raw_g):
+        ctx = prompt_tokens(small_target, 14, 8)
+        tree = build_tree(small_draft, ctx, (2, 2))
+        counts = calibrate_static(small_target, [ctx])
+        for budget in (1, 3):
+            providers = {m: shortlister(m, budget, counts, uses_raw_g) for m in METHODS}
+            for li, tr in enumerate(tree_routing(small_target, ctx, tree)):
+                layer = small_target.blocks[li].moe
+                args = (tr.moe_input, tr.probs, tr.selected)
+                want = {
+                    "static": rank_static(counts, li, budget),
+                    "router": rank_router(tr.probs, li, budget),
+                    "oracle": rank_oracle(layer, *args, li, budget, uses_raw_g),
+                }
+                for method, provider in providers.items():
+                    got = provider(li, layer, *args)
+                    assert (got.layer, got.method) == (li, method)
+                    np.testing.assert_array_equal(got.experts, want[method].experts)
+                    np.testing.assert_array_equal(got.scores, want[method].scores)
+
+    def test_shortlister_rejects_unknown_method_and_static_without_counts(self):
+        with pytest.raises(ValueError, match="unknown ranking method"):
+            shortlister("magic", 4)
+        with pytest.raises(ValueError, match="requires calibration counts"):
+            shortlister("static", 4)
 
     def test_duplicate_experts_rejected(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from moebudget.budgeting import Shortlist, rank_router
+from moebudget.budgeting import CalibrationCounts, Shortlist, shortlister
 from moebudget.coverage import CoveragePolicy, budgeted_moe, policy_assignments
 from moebudget.draft_tree import build_tree
 from moebudget.moe_core import apply_experts, moe_forward_full_batch, route_batch
@@ -174,18 +174,17 @@ class TestPolicyAssignments:
         assert np.all((ids >= 0).sum(axis=1) == layer.k - missing)
 
 
-def budgeted_tree(model, ctx, tree, shortlists, policy):
+def budgeted_tree(model, ctx, tree, shortlist_for, policy):
     """Tree logits from a fresh decoder whose MoE layers run the budgeted
     hook, plus the hook's per-layer record."""
-    hook, record = budgeted_moe(shortlists, policy, model.n_layers)
+    hook, record = budgeted_moe(shortlist_for, policy)
     return TreeDecoder(model, ctx).extend_tree(tree, hook), record
 
 
-def router_provider(budget):
-    def provider(li, layer, states, probs, selected):
-        return rank_router(probs, li, budget)
-
-    return provider
+def ordered_counts(model) -> CalibrationCounts:
+    """Calibration counts whose static top-B is experts 0..B-1 on every layer."""
+    n = model.config.n_experts
+    return CalibrationCounts(counts=np.tile(np.arange(n, 0, -1), (model.n_layers, 1)), tokens=1)
 
 
 class TestModelForwardBudgeted:
@@ -194,8 +193,7 @@ class TestModelForwardBudgeted:
     def test_full_shortlists_bit_compatible_with_unbudgeted(self, target, draft):
         ctx = prompt_tokens(target, 20)
         tree = build_tree(draft, ctx, (2, 2, 2))
-        n = target.config.n_experts
-        full = [shortlist_of(np.arange(n), layer=l) for l in range(target.n_layers)]
+        full = shortlister("static", target.config.n_experts, ordered_counts(target))
         ref = TreeDecoder(target, ctx).extend_tree(tree)
         for policy in POLICIES:
             logits, _ = budgeted_tree(target, ctx, tree, full, policy)
@@ -206,7 +204,7 @@ class TestModelForwardBudgeted:
         tree = build_tree(draft, ctx, (2,) * 5)
         budget = 32
         for policy in POLICIES:
-            _, record = budgeted_tree(target, ctx, tree, router_provider(budget), policy)
+            _, record = budgeted_tree(target, ctx, tree, shortlister("router", budget), policy)
             assert len(record) == target.n_layers
             for rec in record:
                 assert rec.executed.size <= budget
@@ -216,7 +214,8 @@ class TestModelForwardBudgeted:
         ctx = prompt_tokens(target, 22)
         tree = build_tree(draft, ctx, (2, 2))
         _, record = budgeted_tree(
-            target, ctx, tree, router_provider(target.config.top_k), CoveragePolicy.SUBSTITUTION
+            target, ctx, tree, shortlister("router", target.config.top_k),
+            CoveragePolicy.SUBSTITUTION,
         )
         for rec in record:
             assert set(rec.executed.tolist()) == set(rec.shortlist.experts.tolist())
@@ -226,8 +225,8 @@ class TestModelForwardBudgeted:
         # not the substituted selection.
         ctx = prompt_tokens(target, 23)
         tree = build_tree(draft, ctx, (2, 2))
-        sl = [shortlist_of(np.arange(8), layer=l) for l in range(target.n_layers)]
-        hook, record = budgeted_moe(sl, CoveragePolicy.SUBSTITUTION, target.n_layers)
+        sl = shortlister("static", 8, ordered_counts(target))
+        hook, record = budgeted_moe(sl, CoveragePolicy.SUBSTITUTION)
         captured = []
 
         def capture(li, layer, states):
@@ -247,11 +246,13 @@ class TestModelForwardBudgeted:
     def test_coverage_stats_shapes_and_consistency(self, target, draft):
         ctx = prompt_tokens(target, 24)
         tree = build_tree(draft, ctx, (2, 2))
-        sl = [shortlist_of(np.arange(4), layer=l) for l in range(target.n_layers)]
+        counts = ordered_counts(target)
+        sl = shortlister("static", 4, counts)
         _, record = budgeted_tree(target, ctx, tree, sl, CoveragePolicy.TRUNCATION)
         cfg = BudgetConfig(method="static", policy=CoveragePolicy.TRUNCATION, budget=4)
-        _, report = verify_greedy(TreeDecoder(target, ctx), tree, cfg, static_shortlists=sl)
+        _, report = verify_greedy(TreeDecoder(target, ctx), tree, cfg, static_counts=counts)
         k = target.config.top_k
+        assert [rec.shortlist.experts.tolist() for rec in record] == [[0, 1, 2, 3]] * len(record)
         assert report.unique_experts == [rec.executed.size for rec in record]
         for rec, missing, skipped in zip(record, report.missing_counts, report.fully_skipped):
             assert rec.missing.shape == (tree.size,)
@@ -263,11 +264,13 @@ class TestModelForwardBudgeted:
             shortlist_of(np.array([], dtype=np.int64))
 
     def test_wrong_shortlist_count_rejected(self, small_target, small_draft):
+        # Static counts must hold one row (one shortlist) per MoE layer and
+        # one column per expert; a wrong expert count used to go unchecked.
         ctx = prompt_tokens(small_target, 25, 8)
         tree = build_tree(small_draft, ctx, (1,))
-        short = [shortlist_of([0])]
-        with pytest.raises(ValueError):
-            budgeted_moe(short, CoveragePolicy.TRUNCATION, small_target.n_layers)
+        layers, n = small_target.n_layers, small_target.config.n_experts
         cfg = BudgetConfig(method="static", policy=CoveragePolicy.TRUNCATION, budget=1)
-        with pytest.raises(ValueError, match="one shortlist per MoE layer"):
-            verify_greedy(TreeDecoder(small_target, ctx), tree, cfg, static_shortlists=short)
+        for shape in ((layers - 1, n), (layers, n - 1), (layers, n + 1)):
+            counts = CalibrationCounts(counts=np.ones(shape, dtype=np.int64), tokens=1)
+            with pytest.raises(ValueError, match="one shortlist per MoE layer"):
+                verify_greedy(TreeDecoder(small_target, ctx), tree, cfg, static_counts=counts)

@@ -5,7 +5,6 @@ import pytest
 
 from moebudget.draft_tree import (
     DraftTree,
-    TreeRouting,
     binary_branching,
     build_tree,
     expert_union,
@@ -50,17 +49,6 @@ class TestDraftTreeType:
         assert tree.path_to(3) == [0, 2, 3]
         assert tree.path_to(0) == [0]
         assert tree.depth == 2
-
-    def test_jsonl_round_trip(self, tmp_path):
-        tree = DraftTree(
-            tokens=[5, 6, 7], parents=[-1, 0, 1], depths=[0, 1, 2], branching=(1, 1)
-        )
-        path = tmp_path / "tree.jsonl"
-        tree.to_jsonl(path)
-        loaded = DraftTree.from_jsonl(path, branching=(1, 1))
-        assert loaded.tokens.tolist() == tree.tokens.tolist()
-        assert loaded.parents.tolist() == tree.parents.tolist()
-        assert loaded.depths.tolist() == tree.depths.tolist()
 
 
 class TestBuildTree:
@@ -126,7 +114,7 @@ class TestExpertUnion:
         for layer in range(small_target.n_layers):
             union = expert_union(routing, layer)
             assert union.size == small_target.config.top_k
-            assert set(union.tolist()) == set(routing.selected[layer][0].tolist())
+            assert set(union.tolist()) == set(routing[layer].selected[0].tolist())
 
     def test_union_matches_bruteforce_set_union(self, target, draft):
         ctx = prompt_tokens(target, 6)
@@ -134,7 +122,7 @@ class TestExpertUnion:
         routing = tree_routing(target, ctx, tree)
         for layer in range(target.n_layers):
             want = set()
-            for row in routing.selected[layer]:
+            for row in routing[layer].selected:
                 want |= set(int(i) for i in row)
             got = expert_union(routing, layer)
             assert set(got.tolist()) == want
@@ -191,12 +179,14 @@ class TestUnionGrowthCurve:
 
 
 def test_tree_routing_matches_forward_capture(small_target, small_draft):
+    # The capture is the tree rows of a tree-masked full forward, per layer.
     ctx = prompt_tokens(small_target, 9, 8)
     tree = build_tree(small_draft, ctx, (2,))
     routing = tree_routing(small_target, ctx, tree)
     all_tokens = np.concatenate([ctx, tree.tokens])
     ref = forward(small_target, all_tokens, tree_mask(len(ctx), tree))
-    again = TreeRouting.from_forward(ref, len(ctx))
-    for layer in range(small_target.n_layers):
-        np.testing.assert_array_equal(routing.probs[layer], again.probs[layer])
-        np.testing.assert_array_equal(routing.selected[layer], again.selected[layer])
+    assert len(routing) == small_target.n_layers
+    for got, want in zip(routing, ref.layers):
+        np.testing.assert_array_equal(got.moe_input, want.moe_input[len(ctx):])
+        np.testing.assert_array_equal(got.probs, want.probs[len(ctx):])
+        np.testing.assert_array_equal(got.selected, want.selected[len(ctx):])

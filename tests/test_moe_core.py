@@ -11,7 +11,7 @@ from moebudget.moe_core import (
     MoELayerWeights,
     RouterWeights,
     apply_experts,
-    expert_outputs_all,
+    expert_outputs_grouped,
     moe_forward_full_batch,
     route_batch,
     selection_weights,
@@ -233,22 +233,24 @@ class TestApplyExperts:
     def test_dense_expert_outputs_match_naive(self):
         layer = make_layer(n=5, k=2, d=4)
         states = Rng(2).normal(size=(3, 4))
-        dense = expert_outputs_all(layer, states)
+        dense = expert_outputs_grouped(layer, states)
+        assert dense.shape == (5, 3, 4)
         for t in range(3):
             for e in range(5):
                 np.testing.assert_allclose(
-                    dense[t, e], expert_eval_naive(layer.experts[e], states[t]), atol=1e-9
+                    dense[e, t], expert_eval_naive(layer.experts[e], states[t]), atol=1e-9
                 )
 
 
     @pytest.mark.parametrize("n, t", [(5, 1), (1, 3)], ids=["one_token", "one_expert"])
     def test_dense_expert_outputs_are_fresh_arrays(self, n, t):
-        # With one token or one expert the transpose of the grouped scratch
-        # result is already contiguous; the result must still be a copy.
+        # Without an ``out`` buffer the result is the caller's to keep, so it
+        # must not live in scratch memory that the next call overwrites,
+        # whatever the shape.
         layer = make_layer(n=n, k=1, d=4)
-        first = expert_outputs_all(layer, Rng(3).normal(size=(t, 4)))
+        first = expert_outputs_grouped(layer, Rng(3).normal(size=(t, 4)))
         kept = first.copy()
-        second = expert_outputs_all(layer, Rng(4).normal(size=(t, 4)))
+        second = expert_outputs_grouped(layer, Rng(4).normal(size=(t, 4)))
         assert not np.shares_memory(first, second)
         np.testing.assert_array_equal(first, kept)
 

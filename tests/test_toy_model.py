@@ -259,6 +259,24 @@ class TestTreeDecoder:
         again = dec.extend([1], [-1])
         np.testing.assert_array_equal(before, again)
 
+    @pytest.mark.parametrize("bad", [-1, 32], ids=["negative", "vocab_size"])
+    def test_out_of_range_token_rejected_on_every_path(self, small_target, bad):
+        assert small_target.config.vocab_size == 32
+        with pytest.raises(ValueError, match="out of vocabulary range"):
+            TreeDecoder(small_target, [3, bad])
+        dec, ref = TreeDecoder(small_target, [3, 5]), TreeDecoder(small_target, [3, 5])
+        with pytest.raises(ValueError, match="out of vocabulary range"):
+            dec.append_tokens([bad])
+        for d in (dec, ref):
+            d.extend([1], [-1])
+        with pytest.raises(ValueError, match="out of vocabulary range"):
+            dec.extend([4, bad], [2, -1])
+        # A rejected batch leaves no trace: later rows and their ancestors
+        # match a decoder that never saw it.
+        for d in (dec, ref):
+            d.extend([4], [-1])
+        np.testing.assert_array_equal(dec.extend([6], [3]), ref.extend([6], [3]))
+
     def test_append_with_tree_rows_rejected(self, small_target):
         dec = TreeDecoder(small_target, [1, 2])
         dec.extend([3], [-1])
