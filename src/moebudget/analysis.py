@@ -32,6 +32,7 @@ from .toy_model import MoEModel, random_tokens
 __all__ = [
     "CoactivationMatrix",
     "CoverageCurve",
+    "cell_summaries",
     "coactivation",
     "coverage_curve",
     "expected_pair_probability",
@@ -212,36 +213,56 @@ def concentration_ratio(matrix: CoactivationMatrix, k: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def cell_summaries(rows) -> list[dict]:
+    """Sweep rows aggregated over seeds: one dict per cell, in cell-key
+    order, with the cell's coordinates, its seed count and the mean (and
+    speedup spread) of each reported metric."""
+    by_cell: dict[tuple, list] = {}
+    for r in rows:
+        by_cell.setdefault(r.cell.key(), []).append(r)
+
+    out = []
+    for key in sorted(by_cell):
+        group = by_cell[key]
+        cell = group[0].cell
+        out.append(
+            {
+                "mode": cell.mode,
+                "method": cell.method,
+                "policy": cell.policy,
+                "budget": cell.budget,
+                "tree_size": cell.tree_size,
+                "seeds": len(group),
+                "speedup_mean": float(np.mean([r.speedup for r in group])),
+                "speedup_std": float(np.std([r.speedup for r in group])),
+                "mean_tau": float(np.mean([r.mean_tau for r in group])),
+                "mean_unique_experts": float(np.mean([r.mean_unique_experts for r in group])),
+                "ar_match_rate_mean": float(np.mean([r.ar_match_rate for r in group])),
+            }
+        )
+    return out
+
+
 def pareto_table(rows) -> list[dict]:
     """Quality-versus-speedup rows normalized to the AR baseline.
 
     ``rows`` are sweep rows; quality is the exact-match rate of each cell's
     token stream against AR greedy (the strictest drift proxy the toy has).
-    Cells are aggregated over seeds and sorted by speedup.
+    Cells are aggregated over seeds by ``cell_summaries`` and sorted by
+    speedup.
     """
     rows = list(rows)
     if not any(r.cell.mode == "ar" for r in rows):
         raise ValueError("pareto table requires AR baseline cells in the sweep")
-
-    by_cell: dict[tuple, list] = {}
-    for r in rows:
-        by_cell.setdefault(r.cell.key(), []).append(r)
-
-    table = []
-    for key in sorted(by_cell):
-        group = by_cell[key]
-        cell = group[0].cell
-        table.append(
-            {
-                "mode": cell.mode,
-                "method": cell.method or "",
-                "policy": cell.policy or "",
-                "budget": cell.budget if cell.budget is not None else "",
-                "tree_size": cell.tree_size,
-                "speedup": float(np.mean([r.speedup for r in group])),
-                "quality_pct": float(np.mean([r.ar_match_rate for r in group])) * 100.0,
-            }
-        )
+    coords = ("mode", "method", "policy", "budget", "tree_size")
+    table = [
+        {
+            **{name: cell[name] for name in coords},
+            "speedup": cell["speedup_mean"],
+            "quality_pct": cell["ar_match_rate_mean"] * 100.0,
+        }
+        for cell in cell_summaries(rows)
+    ]
     table.sort(key=lambda r: (r["speedup"], str(r)))
     return table
 
@@ -273,6 +294,13 @@ def write_trace_topk(
                 f.write("\n")
 
 
+def _probability(value) -> float:
+    """A JSON number (not a boolean) as a float; range is checked later."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"probability must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
 def _trace_record(line: str, n_experts: int, k: int | None) -> tuple[int, np.ndarray, int]:
     """One trace line as (layer, probability vector, selection width)."""
     try:
@@ -287,16 +315,18 @@ def _trace_record(line: str, n_experts: int, k: int | None) -> tuple[int, np.nda
     if isinstance(layer, bool) or not isinstance(layer, int) or layer < 0:
         raise ValueError(f"layer must be a non-negative integer, got {layer!r}")
     if "probs" in rec:
-        vec = np.asarray(rec["probs"], dtype=np.float64)
+        vec = np.array([_probability(p) for p in rec["probs"]], dtype=np.float64)
         if vec.shape != (n_experts,):
             raise ValueError(f"probs length {vec.size} != n_experts {n_experts}")
         if k is None:
             raise ValueError("k is required to derive selections from dense trace records")
         kk = k
     elif "topk" in rec:
-        pairs = [(int(i), float(p)) for i, p in rec["topk"]]
+        pairs = [(i, _probability(p)) for i, p in rec["topk"]]
         ids = [i for i, _ in pairs]
         for i in ids:
+            if isinstance(i, bool) or not isinstance(i, int):
+                raise ValueError(f"expert index must be an integer, got {json.dumps(i)}")
             if not 0 <= i < n_experts:
                 raise ValueError(f"expert index {i} outside 0..{n_experts - 1}")
         if len(set(ids)) != len(ids):
@@ -318,9 +348,10 @@ def read_trace(path, n_experts: int, k: int | None = None) -> dict[int, dict[str
 
     Each record is a JSON object with a non-negative integer "layer". Dense
     records carry the full probability vector; sparse records list
-    (index, probability) pairs, at least k of them, with distinct indices in
-    0..n_experts-1; unlisted experts count as probability 0. Probabilities
-    must lie in [0, 1]. A malformed record raises ValueError naming its line.
+    (index, probability) pairs, at least k of them, with distinct integer
+    indices in 0..n_experts-1; unlisted experts count as probability 0.
+    Probabilities are numbers (not booleans) in [0, 1]. A malformed record
+    raises ValueError naming its line.
     Returns {layer: {"probs": (T, n_experts), "selected": (T, k)}}; for
     dense records the selection is the top-k by probability, so ``k`` is
     required when any dense record appears.

@@ -1,10 +1,14 @@
 """Command-line entry point: wires experiment configs to the simulator and
 analysis modules and emits every artifact deterministically.
 
-Configuration precedence is CLI flag > config file > built-in default. Every
-output file starts with a header block carrying the tool version, the full
-config echo, and the master seed, so results are self-describing; reruns of
-the same config produce byte-identical files at any worker count.
+Configuration precedence is CLI flag > config file > built-in default; each
+flag's destination is the name of the config field it sets, and each
+subcommand carries its ``cmd_*`` function. Every output file starts with a
+header block carrying the tool version, the full config echo, and the master
+seed, so results are self-describing; reruns of the same config produce
+byte-identical files at any worker count. ``simulate`` and ``ablate`` write
+each ``SweepRow``'s fields as one CSV row, and their summary JSON and Pareto
+table both aggregate cells through ``analysis.cell_summaries``.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    cell_summaries,
     coactivation,
     concentration_ratio,
     coverage_curve,
@@ -301,56 +306,6 @@ COACTIVATION_COLUMNS = (
 RECONSTRUCT_COLUMNS = ("method", "budget", "mode", "trees", "error_mean", "error_std")
 
 
-def _sweep_rows_as_dicts(rows) -> list[dict]:
-    out = []
-    for r in rows:
-        out.append(
-            {
-                "mode": r.cell.mode,
-                "method": r.cell.method or "",
-                "policy": r.cell.policy or "",
-                "budget": r.cell.budget if r.cell.budget is not None else "",
-                "tree_size": r.cell.tree_size,
-                "seed": r.seed,
-                "tokens": r.tokens,
-                "steps": r.steps,
-                "mean_tau": r.mean_tau,
-                "mean_unique_experts": r.mean_unique_experts,
-                "max_unique_experts": r.max_unique_experts,
-                "total_cost": r.total_cost,
-                "speedup": r.speedup,
-                "ar_match_rate": r.ar_match_rate,
-            }
-        )
-    return out
-
-
-def _summarize_cells(rows) -> list[dict]:
-    groups: dict[tuple, list] = {}
-    for r in rows:
-        groups.setdefault(r.cell.key(), []).append(r)
-    out = []
-    for key in sorted(groups):
-        group = groups[key]
-        cell = group[0].cell
-        out.append(
-            {
-                "mode": cell.mode,
-                "method": cell.method,
-                "policy": cell.policy,
-                "budget": cell.budget,
-                "tree_size": cell.tree_size,
-                "seeds": len(group),
-                "speedup_mean": float(np.mean([r.speedup for r in group])),
-                "speedup_std": float(np.std([r.speedup for r in group])),
-                "mean_tau": float(np.mean([r.mean_tau for r in group])),
-                "mean_unique_experts": float(np.mean([r.mean_unique_experts for r in group])),
-                "ar_match_rate_mean": float(np.mean([r.ar_match_rate for r in group])),
-            }
-        )
-    return out
-
-
 def _run_sweep_command(command: str, config: ExperimentConfig, cells) -> int:
     spec = SweepSpec(
         model_config=config.model,
@@ -371,7 +326,7 @@ def _run_sweep_command(command: str, config: ExperimentConfig, cells) -> int:
         command,
         config,
         SWEEP_COLUMNS,
-        _sweep_rows_as_dicts(result.rows),
+        [{**dataclasses.asdict(r), **dataclasses.asdict(r.cell)} for r in result.rows],
     )
     write_csv(
         out_dir / f"{command}_pareto.csv",
@@ -384,7 +339,7 @@ def _run_sweep_command(command: str, config: ExperimentConfig, cells) -> int:
         out_dir / f"{command}_summary.json",
         command,
         config,
-        {"cells": _summarize_cells(result.rows)},
+        {"cells": cell_summaries(result.rows)},
     )
     for r in result.rows:
         print(
@@ -624,88 +579,61 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"moebudget {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, trace: bool = False):
+    def add_command(name: str, run, help: str, trace: bool = False):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("--config", help="JSON experiment config file")
         p.add_argument("--seed", type=int, help="master seed (model weights and streams)")
         p.add_argument("--workers", type=int, help="parallel sweep workers")
         p.add_argument("--out-dir", help="output directory")
         p.add_argument("--preset", choices=sorted(PRESETS), help="model shape preset")
-        p.add_argument("--budget", type=_int_list, help="comma-separated expert budgets")
-        p.add_argument("--method", type=_str_list, help="ranking methods (static,router,oracle)")
-        p.add_argument("--policy", type=_str_list, help="coverage policies (truncation,substitution)")
-        p.add_argument("--tree-size", type=_int_list, help="draft tree sizes (2^j - 1)")
+        p.add_argument(
+            "--budget", dest="budgets", type=_int_list, help="comma-separated expert budgets"
+        )
+        p.add_argument(
+            "--method", dest="methods", type=_str_list, help="ranking methods (static,router,oracle)"
+        )
+        p.add_argument(
+            "--policy", dest="policies", type=_str_list,
+            help="coverage policies (truncation,substitution)",
+        )
+        p.add_argument(
+            "--tree-size", dest="tree_sizes", type=_int_list, help="draft tree sizes (2^j - 1)"
+        )
         p.add_argument("--gen-len", type=int, help="tokens to generate per run")
         p.add_argument("--prompts", type=int, help="number of evaluation prompts")
         p.add_argument("--trees", type=int, help="trees per analysis")
         if trace:
             p.add_argument("--trace", help="external routing trace (JSON lines)")
 
-    add_common(sub.add_parser("simulate", help="tree-size sweep with budgeted verification"))
-    add_common(sub.add_parser("ablate", help="method x policy x budget grid"))
-    add_common(sub.add_parser("coverage", help="routing-probability coverage curves"), trace=True)
-    add_common(sub.add_parser("coactivation", help="expert co-activation analysis"), trace=True)
-    add_common(sub.add_parser("reconstruct", help="teacher-forced reconstruction error"))
-    add_common(sub.add_parser("calibrate-static", help="static ranking calibration"))
-    add_common(sub.add_parser("export-model", help="write target and draft model files"))
+    add_command("simulate", cmd_simulate, "tree-size sweep with budgeted verification")
+    add_command("ablate", cmd_ablate, "method x policy x budget grid")
+    add_command("coverage", cmd_coverage, "routing-probability coverage curves", trace=True)
+    add_command("coactivation", cmd_coactivation, "expert co-activation analysis", trace=True)
+    add_command("reconstruct", cmd_reconstruct, "teacher-forced reconstruction error")
+    add_command("calibrate-static", cmd_calibrate_static, "static ranking calibration")
+    add_command("export-model", cmd_export_model, "write target and draft model files")
     return parser
-
-
-def _overrides_from_args(args: argparse.Namespace) -> dict:
-    overrides: dict = {}
-    if args.seed is not None:
-        overrides["model"] = {"seed": args.seed}
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.out_dir is not None:
-        overrides["out_dir"] = args.out_dir
-    if args.preset is not None:
-        overrides["preset"] = args.preset
-    if args.budget is not None:
-        overrides["budgets"] = args.budget
-    if args.method is not None:
-        overrides["methods"] = args.method
-    if args.policy is not None:
-        overrides["policies"] = args.policy
-    if args.tree_size is not None:
-        overrides["tree_sizes"] = args.tree_size
-        if len(args.tree_size) == 1:
-            overrides["tree_size"] = args.tree_size[0]
-    if args.gen_len is not None:
-        overrides["gen_len"] = args.gen_len
-    if args.prompts is not None:
-        overrides["prompts"] = args.prompts
-    if args.trees is not None:
-        overrides["trees"] = args.trees
-    return overrides
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Every flag whose destination names a config field overrides it; --seed
+    # sets model.seed, and a single --tree-size also sets tree_size.
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    overrides = {k: v for k, v in vars(args).items() if k in fields}
+    if args.seed is not None:
+        overrides["model"] = {"seed": args.seed}
+    if args.tree_sizes is not None and len(args.tree_sizes) == 1:
+        overrides["tree_size"] = args.tree_sizes[0]
     try:
-        config = load_config(args.config, _overrides_from_args(args))
+        config = load_config(args.config, overrides)
+        if "trace" in args:
+            return args.run(config, args.trace)
+        return args.run(config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    try:
-        if args.command == "simulate":
-            return cmd_simulate(config)
-        if args.command == "ablate":
-            return cmd_ablate(config)
-        if args.command == "coverage":
-            return cmd_coverage(config, getattr(args, "trace", None))
-        if args.command == "coactivation":
-            return cmd_coactivation(config, getattr(args, "trace", None))
-        if args.command == "reconstruct":
-            return cmd_reconstruct(config)
-        if args.command == "calibrate-static":
-            return cmd_calibrate_static(config)
-        if args.command == "export-model":
-            return cmd_export_model(config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 if __name__ == "__main__":

@@ -14,6 +14,10 @@ Every forward here runs on a ``TreeDecoder``: the draft decoder grows each
 tree, and ``verify_greedy`` appends it to the target decoder -- with each
 MoE layer behind the ``coverage.budgeted_moe`` hook when budgeting --
 judges it, and rolls it back.
+
+``sweep`` runs every (cell, seed) of a grid, each seed's AR baseline
+included, as one task on one path, serially or in a process pool, and
+builds each row from its finished run and the seed's AR tokens.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -142,20 +146,7 @@ class StepReport:
         return self.verify_cost + self.draft_cost
 
     def to_json(self) -> dict:
-        return {
-            "tau": self.tau,
-            "emitted": self.emitted,
-            "unique_experts": self.unique_experts,
-            "tree_depth": self.tree_depth,
-            "mode": self.mode,
-            "method": self.method,
-            "policy": self.policy,
-            "budget": self.budget,
-            "verify_cost": self.verify_cost,
-            "draft_cost": self.draft_cost,
-            "missing_counts": self.missing_counts,
-            "fully_skipped": self.fully_skipped,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -504,9 +495,6 @@ class SweepResult:
     reports: dict[tuple, list[StepReport]] = field(default_factory=dict)
     failures: list[tuple[SweepCell, int, str]] = field(default_factory=list)
 
-    def ar_rows(self) -> list[SweepRow]:
-        return [r for r in self.rows if r.cell.mode == "ar"]
-
 
 # Per-process cache so pooled sweep workers build each model pair once.
 _MODEL_CACHE: dict = {}
@@ -533,22 +521,11 @@ def _prompt_for_seed(spec: SweepSpec, seed: int) -> np.ndarray:
     return random_tokens(rng, spec.context_len, spec.model_config.vocab_size)
 
 
-def _needs_static(spec: SweepSpec) -> bool:
-    return any(c.mode == "spec_budgeted" and c.method == "static" for c in spec.cells)
-
-
 def _run_cell(
-    spec: SweepSpec,
-    cell: SweepCell,
-    seed: int,
-    target: MoEModel,
-    draft: MoEModel,
-    static_counts: CalibrationCounts | None,
-    ar_stream: list[int] | None,
-) -> tuple[SweepRow, GenerationRun]:
-    """Run one (cell, seed) and build its row; ``ar_stream`` is the seed's
-    AR reference, None when the cell is that reference."""
-    prompt = _prompt_for_seed(spec, seed)
+    spec: SweepSpec, cell: SweepCell, seed: int, static_counts: CalibrationCounts | None
+) -> GenerationRun:
+    """Run one (cell, seed) from the seed's prompt."""
+    target, draft = build_model_pair(spec.model_config, spec.draft_spec)
     budget_cfg = None
     if cell.mode == "spec_budgeted":
         budget_cfg = BudgetConfig(
@@ -557,10 +534,10 @@ def _run_cell(
             budget=cell.budget,
             uses_raw_g=spec.uses_raw_g,
         )
-    run = run_generation(
+    return run_generation(
         target,
         draft,
-        prompt,
+        _prompt_for_seed(spec, seed),
         spec.gen_len,
         cell.mode,
         spec.cost,
@@ -568,10 +545,12 @@ def _run_cell(
         tree_size=cell.tree_size,
         static_counts=static_counts,
     )
-    reference = run.tokens if ar_stream is None else ar_stream
-    matches = float(np.mean(np.array(run.tokens) == np.array(reference)))
+
+
+def _sweep_row(cell: SweepCell, seed: int, run: GenerationRun, ar_tokens: list[int]) -> SweepRow:
+    """A finished run as a sweep row, matched against the seed's AR tokens."""
     s = run.summary
-    row = SweepRow(
+    return SweepRow(
         cell=cell,
         seed=seed,
         tokens=s.tokens,
@@ -582,23 +561,21 @@ def _run_cell(
         max_unique_experts=max(max(r.unique_experts) for r in run.reports),
         total_cost=s.total_cost,
         speedup=s.speedup,
-        ar_match_rate=matches,
+        ar_match_rate=float(np.mean(np.array(run.tokens) == np.array(ar_tokens))),
     )
-    return row, run
 
 
-def _sweep_task(args) -> tuple[tuple, SweepRow | None, list[StepReport] | None, str | None]:
+def _sweep_task(args) -> tuple[tuple, GenerationRun | None, str | None]:
     """Worker entry point; rebuilds models from the spec so results depend
-    only on the cell identity, never on scheduling."""
-    spec, cell, seed, static_counts, ar_stream, keep_reports, strict = args
+    only on the cell identity, never on scheduling. An AR baseline raises
+    even when ``strict`` is off, since every row of its seed needs it."""
+    spec, cell, seed, static_counts, strict = args
     try:
-        target, draft = build_model_pair(spec.model_config, spec.draft_spec)
-        row, run = _run_cell(spec, cell, seed, target, draft, static_counts, ar_stream)
-        return (cell.key(), seed), row, (run.reports if keep_reports else None), None
+        return (cell.key(), seed), _run_cell(spec, cell, seed, static_counts), None
     except Exception:  # noqa: BLE001 - collected for the failure report
-        if strict:
+        if strict or cell.mode == "ar":
             raise
-        return (cell.key(), seed), None, None, traceback.format_exc()
+        return (cell.key(), seed), None, traceback.format_exc()
 
 
 def sweep(
@@ -606,68 +583,49 @@ def sweep(
 ) -> SweepResult:
     """Deterministic grid evaluation over cells x seeds.
 
-    The autoregressive baseline for every seed is always computed (it anchors
-    both the speedup normalization and the exact-match quality proxy), then
-    remaining cells run in any order -- results are byte-identical for any
-    worker count because every task is keyed by (cell, seed) alone. With
-    ``strict=False`` failing cells are collected instead of raised.
+    Every (cell, seed) is one task, and each seed's autoregressive baseline
+    is one of them even when no AR cell is asked for: it anchors both the
+    speedup normalization and the exact-match quality proxy. Tasks run in a
+    process pool when ``workers > 1``; rows are built once every task is
+    back, so results are byte-identical for any worker count. With
+    ``strict=False`` failing cells are collected instead of raised, except a
+    failing AR baseline.
     """
     spec.validate()
-    target, draft = build_model_pair(spec.model_config, spec.draft_spec)
+    # Built here so that forked pool workers inherit the models.
+    target, _ = build_model_pair(spec.model_config, spec.draft_spec)
 
     static_counts = None
-    if _needs_static(spec):
+    if any(c.mode == "spec_budgeted" and c.method == "static" for c in spec.cells):
         static_counts = default_calibration(
             target, Rng(spec.model_config.seed).substream(CALIB_STREAM)
         )
 
-    # Phase 1: AR baselines per seed (serial; these are the reference runs).
-    ar_rows: dict[int, SweepRow] = {}
-    ar_streams: dict[int, list[int]] = {}
-    ar_reports: dict[int, list[StepReport] | None] = {}
-    for seed in spec.seeds:
-        row, run = _run_cell(spec, SweepCell(mode="ar"), seed, target, draft, None, None)
-        ar_rows[seed] = row
-        ar_streams[seed] = run.tokens
-        ar_reports[seed] = run.reports if keep_reports else None
-
-    tasks = []
-    for cell in spec.cells:
-        if cell.mode == "ar":
-            continue
-        for seed in spec.seeds:
-            tasks.append(
-                (spec, cell, seed, static_counts, ar_streams[seed], keep_reports, strict)
-            )
-
-    results: dict[tuple, tuple[SweepRow | None, list[StepReport] | None, str | None]] = {}
+    cells = dict(sorted({c.key(): c for c in spec.cells}.items()))
+    ar_cell = next((c for c in cells.values() if c.mode == "ar"), SweepCell(mode="ar"))
+    tasks = [
+        (spec, cell, seed, static_counts, strict)
+        for cell in {ar_cell.key(): ar_cell, **cells}.values()
+        for seed in spec.seeds
+    ]
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for key, row, reports, error in pool.map(_sweep_task, tasks):
-                results[key] = (row, reports, error)
+            done = list(pool.map(_sweep_task, tasks))
     else:
-        for task in tasks:
-            key, row, reports, error = _sweep_task(task)
-            results[key] = (row, reports, error)
+        done = [_sweep_task(task) for task in tasks]
+    results = {key: (run, error) for key, run, error in done}
 
     rows: list[SweepRow] = []
-    reports_out: dict[tuple, list[StepReport]] = {}
+    reports: dict[tuple, list[StepReport]] = {}
     failures: list[tuple[SweepCell, int, str]] = []
-    want_ar = any(c.mode == "ar" for c in spec.cells)
-    ordered_cells = sorted({c.key(): c for c in spec.cells}.items())
-    for key, cell in ordered_cells:
+    for key, cell in cells.items():
         for seed in sorted(spec.seeds):
-            if cell.mode == "ar":
-                if want_ar:
-                    rows.append(ar_rows[seed])
-                    if keep_reports and ar_reports[seed] is not None:
-                        reports_out[(key, seed)] = ar_reports[seed]
-                continue
-            row, reports, error = results[(key, seed)]
+            run, error = results[(key, seed)]
             if error is not None:
                 failures.append((cell, seed, error))
                 continue
-            rows.append(row)
-            if keep_reports and reports is not None:
-                reports_out[(key, seed)] = reports
-    return SweepResult(spec=spec, rows=rows, reports=reports_out, failures=failures)
+            ar_run, _ = results[(ar_cell.key(), seed)]
+            rows.append(_sweep_row(cell, seed, run, ar_run.tokens))
+            if keep_reports:
+                reports[(key, seed)] = run.reports
+    return SweepResult(spec=spec, rows=rows, reports=reports, failures=failures)

@@ -394,6 +394,7 @@ class TreeDecoder:
         if within is None:
             within = np.eye(r, dtype=bool)
         x = self.model.embedding[tokens]
+        new_kv = []
         for li, block in enumerate(self.model.blocks):
             xn = rms_norm(x)
             q = xn @ block.attention.wq.T
@@ -406,14 +407,18 @@ class TreeDecoder:
             w = masked_softmax(scores, mask)
             att = w[:, :cached] @ v_cached + w[:, cached:] @ v_self
             x = x + att @ block.attention.wo.T
-            self._k_cache[li].append(k_self)
-            self._v_cache[li].append(v_self)
+            new_kv.append((k_self, v_self))
             moe_in = rms_norm(x)
             if moe_hook is None:
                 out, _, _ = moe_forward_full_batch(block.moe, moe_in)
             else:
                 out, _, _ = moe_hook(li, block.moe, moe_in)
             x = x + out
+        # The caches grow only once every layer has run, so a hook that
+        # raises leaves the decoder as it was.
+        for li, (k_self, v_self) in enumerate(new_kv):
+            self._k_cache[li].append(k_self)
+            self._v_cache[li].append(v_self)
         self.n_rows += r
         return rms_norm(x) @ self.model.head.T
 
@@ -421,12 +426,20 @@ class TreeDecoder:
         """Append one tree level and return its (r, vocab) logits.
 
         ``parent_rows`` holds, per new node, the absolute row index of its
-        parent, or -1 for nodes hanging directly off the causal prefix.
+        parent (a tree row), or -1 for nodes hanging directly off the causal
+        prefix; anything else raises ValueError before any state changes.
         Rows within one extension never attend to each other.
         """
         tokens = np.asarray(tokens, dtype=np.int64)
         parent_rows = np.asarray(parent_rows, dtype=np.int64)
         cached = self.n_rows
+        if parent_rows.shape != tokens.shape or not np.all(
+            (parent_rows == -1) | ((parent_rows >= self.causal_len) & (parent_rows < cached))
+        ):
+            raise ValueError(
+                f"parent_rows must hold one entry per token, each -1 or a tree row in "
+                f"{self.causal_len}..{cached - 1}; got {parent_rows.tolist()}"
+            )
         allowed = np.zeros((tokens.size, cached), dtype=bool)
         allowed[:, : self.causal_len] = True
         for i, p in enumerate(parent_rows):

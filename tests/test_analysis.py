@@ -282,10 +282,17 @@ class TestTraces:
             ('{"topk": [[1, 0.5], [2, 0.3]]}', "record needs 'layer'"),
             ('{"layer": "x", "topk": [[1, 0.5], [2, 0.3]]}', "layer must be a non-negative integer"),
             ('{"layer": 0, "topk": [[1, 0.5], [2, 0.3]}', "invalid JSON at column"),
+            ('{"layer": 0, "topk": [[1.7, 0.5], [2, 0.3]]}', "expert index must be an integer, got 1.7"),
+            ('{"layer": 0, "topk": [[true, 0.5], [2, 0.3]]}', "expert index must be an integer, got true"),
+            ('{"layer": 0, "topk": [[1, "0.5"], [2, 0.3]]}', 'probability must be a number, got "0.5"'),
+            ('{"layer": 0, "topk": [[1, true], [2, 0.3]]}', "probability must be a number, got true"),
+            ('{"layer": 0, "probs": [true, false, 0, 0, 0, 0, 0, 0]}', "probability must be a number, got true"),
+            ('{"layer": 0, "probs": [0.5, null, 0, 0, 0, 0, 0, 0]}', "probability must be a number, got null"),
         ],
         ids=["negative_index", "index_out_of_range", "duplicate_index", "prob_above_one",
              "shorter_than_k", "dense_negative_prob", "missing_layer", "non_integer_layer",
-             "malformed_json"],
+             "malformed_json", "fractional_index", "boolean_index", "string_prob",
+             "boolean_topk_prob", "boolean_dense_probs", "null_dense_prob"],
     )
     def test_malformed_record_names_line(self, tmp_path, bad_record, message):
         path = tmp_path / "t.jsonl"

@@ -68,6 +68,32 @@ def test_seed_flag_merges_into_config_model_block(tmp_path):
     assert {k: model[k] for k in TINY["model"]} == TINY["model"]
 
 
+@pytest.mark.parametrize(
+    "flags, field, value",
+    [
+        (["--budget", "3,5"], "budgets", [3, 5]),
+        (["--method", "oracle,static"], "methods", ["oracle", "static"]),
+        (["--policy", "substitution"], "policies", ["substitution"]),
+        (["--tree-size", "3"], "tree_size", 3),
+        (["--tree-size", "3,15"], "tree_sizes", [3, 15]),
+        (["--gen-len", "9"], "gen_len", 9),
+        (["--prompts", "3"], "prompts", 3),
+        (["--trees", "2"], "trees", 2),
+        (["--workers", "2"], "workers", 2),
+        (["--preset", "olmoe-toy"], "preset", "olmoe-toy"),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_every_flag_reaches_its_config_field(tmp_path, flags, field, value):
+    config = {**TINY, "trees": 1}
+    code, out_dir = run(tmp_path, "coverage", config, *flags)
+    assert code == 0
+    echo = config_echo(out_dir / "coverage.csv")
+    assert echo[field] == value
+    assert echo[field] != config.get(field)
+    assert echo["out_dir"] == str(out_dir)
+
+
 @pytest.mark.parametrize("command", ["coverage", "reconstruct"])
 def test_analysis_outputs_byte_identical_across_runs(tmp_path, command):
     first = run(tmp_path, command, TINY, out="a")

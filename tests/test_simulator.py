@@ -273,8 +273,8 @@ class TestSweep:
 
     def test_ar_rows_have_unit_speedup_and_quality(self):
         result = sweep(small_sweep_spec())
-        ar_rows = result.ar_rows()
-        assert ar_rows
+        ar_rows = [r for r in result.rows if r.cell.mode == "ar"]
+        assert len(ar_rows) == 2
         for row in ar_rows:
             assert row.speedup == pytest.approx(1.0)
             assert row.ar_match_rate == 1.0
@@ -313,7 +313,7 @@ class TestSweep:
         run_cell = simulator._run_cell
 
         def _forced_cell_failure(spec, cell, *args):
-            if cell.mode == "ar":  # the AR baseline runs first, outside collection
+            if cell.mode == "ar":  # a failing AR baseline raises instead
                 return run_cell(spec, cell, *args)
             raise RuntimeError("forced cell failure")
 
@@ -326,6 +326,32 @@ class TestSweep:
         assert error.startswith("Traceback")
         assert "in _forced_cell_failure" in error  # the raising frame
         assert "RuntimeError: forced cell failure" in error
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_ar_baseline_failure_raises_when_not_strict(self, monkeypatch, workers):
+        from moebudget import simulator
+
+        run_cell = simulator._run_cell
+
+        def _forced_ar_failure(spec, cell, *args):
+            if cell.mode == "ar":
+                raise RuntimeError("forced AR failure")
+            return run_cell(spec, cell, *args)
+
+        monkeypatch.setattr(simulator, "_run_cell", _forced_ar_failure)
+        cells = (SweepCell(mode="spec_full", tree_size=15),)
+        with pytest.raises(RuntimeError, match="forced AR failure"):
+            sweep(small_sweep_spec(cells=cells, seeds=(1,)), workers=workers, strict=False)
+
+    def test_match_rate_does_not_depend_on_an_ar_cell(self):
+        budgeted = SweepCell(
+            mode="spec_budgeted", tree_size=15, method="router", policy="truncation", budget=4
+        )
+        with_ar = sweep(small_sweep_spec(cells=(SweepCell(mode="ar"), budgeted)))
+        without_ar = sweep(small_sweep_spec(cells=(budgeted,)))
+        assert [r for r in with_ar.rows if r.cell.mode != "ar"] == without_ar.rows
+        assert all(r.cell.mode != "ar" for r in without_ar.rows)
+        assert any(r.ar_match_rate < 1.0 for r in without_ar.rows)
 
     def test_step_report_json_round_trip(self, target, draft):
         run = run_generation(

@@ -277,6 +277,40 @@ class TestTreeDecoder:
             d.extend([4], [-1])
         np.testing.assert_array_equal(dec.extend([6], [3]), ref.extend([6], [3]))
 
+    def test_hook_failure_leaves_decoder_unchanged(self, small_target):
+        from moebudget.moe_core import moe_forward_full_batch
+
+        def fails_at_layer_1(li, layer, states):
+            if li == 1:
+                raise RuntimeError("hook failure")
+            return moe_forward_full_batch(layer, states)
+
+        tree = DraftTree(tokens=[5, 9], parents=[-1, 0], depths=[0, 1], branching=(1,))
+        dec = TreeDecoder(small_target, [1, 2, 3])
+        with pytest.raises(RuntimeError, match="hook failure"):
+            dec.extend_tree(tree, fails_at_layer_1)
+        assert dec.n_rows == 3
+        fresh = TreeDecoder(small_target, [1, 2, 3])
+        np.testing.assert_array_equal(dec.append_tokens([4]), fresh.append_tokens([4]))
+
+    @pytest.mark.parametrize(
+        "parent", [2, 0, 6, 100, -2], ids=["prefix_row", "first_row", "n_rows", "far", "minus_2"]
+    )
+    def test_parent_outside_tree_rows_rejected(self, small_target, parent):
+        ctx = random_tokens(Rng(8), 4, small_target.config.vocab_size)
+        dec, ref = TreeDecoder(small_target, ctx), TreeDecoder(small_target, ctx)
+        for d in (dec, ref):
+            d.extend([3, 7], [-1, -1])  # tree rows 4 and 5
+        with pytest.raises(ValueError, match="parent_rows"):
+            dec.extend([9], [parent])
+        assert dec.n_rows == 6
+        np.testing.assert_array_equal(dec.extend([9, 2], [4, 5]), ref.extend([9, 2], [4, 5]))
+
+    def test_parent_count_must_match_tokens(self, small_target):
+        dec = TreeDecoder(small_target, [1, 2])
+        with pytest.raises(ValueError, match="parent_rows"):
+            dec.extend([3, 4], [-1])
+
     def test_append_with_tree_rows_rejected(self, small_target):
         dec = TreeDecoder(small_target, [1, 2])
         dec.extend([3], [-1])
