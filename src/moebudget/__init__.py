@@ -28,14 +28,7 @@ from .budgeting import (
     shortlister,
 )
 from .coverage import CoveragePolicy, budgeted_moe
-from .draft_tree import (
-    DraftTree,
-    binary_branching,
-    build_tree,
-    expert_union,
-    tree_routing,
-    union_growth_curve,
-)
+from .draft_tree import DraftTree, binary_branching, build_tree, tree_routing
 from .moe_core import Expert, MoELayerWeights, RouterWeights
 from .numerics import Rng, softmax, top_k_indices
 from .simulator import (
@@ -58,10 +51,7 @@ from .toy_model import (
     TreeDecoder,
     build_target,
     derive_draft,
-    forward,
-    load_model,
     preset_config,
-    save_model,
 )
 
 __version__ = "0.1.0"

@@ -39,8 +39,6 @@ __all__ = [
     "pareto_table",
     "read_trace",
     "reconstruction_error",
-    "write_trace_dense",
-    "write_trace_topk",
 ]
 
 RECONSTRUCTION_MODES = ("raw", "truncation", "substitution")
@@ -270,28 +268,6 @@ def pareto_table(rows) -> list[dict]:
 # ---------------------------------------------------------------------------
 # External trace ingestion
 # ---------------------------------------------------------------------------
-
-
-def write_trace_dense(path, probs_by_layer: dict[int, np.ndarray]) -> None:
-    """One JSON object per (token, layer): {"layer": l, "probs": [...]}."""
-    with open(path, "w") as f:
-        for layer in sorted(probs_by_layer):
-            for row in probs_by_layer[layer]:
-                f.write(json.dumps({"layer": layer, "probs": [float(p) for p in row]}))
-                f.write("\n")
-
-
-def write_trace_topk(
-    path, probs_by_layer: dict[int, np.ndarray], selected_by_layer: dict[int, np.ndarray]
-) -> None:
-    """Sparse trace: {"layer": l, "topk": [[index, prob], ...]} per token."""
-    with open(path, "w") as f:
-        for layer in sorted(probs_by_layer):
-            probs = probs_by_layer[layer]
-            for t, sel in enumerate(selected_by_layer[layer]):
-                pairs = [[int(i), float(probs[t, i])] for i in sel]
-                f.write(json.dumps({"layer": layer, "topk": pairs}))
-                f.write("\n")
 
 
 def _probability(value) -> float:

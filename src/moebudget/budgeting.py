@@ -27,7 +27,7 @@ from .moe_core import (
     selection_weights,
 )
 from .numerics import scratch, top_k_indices
-from .toy_model import MoEModel, forward
+from .toy_model import MoEModel, TreeDecoder, routing_capture
 
 __all__ = [
     "CalibrationCounts",
@@ -93,17 +93,19 @@ class CalibrationCounts:
 def calibrate_static(model: MoEModel, sequences) -> CalibrationCounts:
     """Count, per layer, how many calibration tokens select each expert.
 
-    ``sequences`` is an iterable of token sequences, each run through the
-    full model causally.
+    ``sequences`` is an iterable of token sequences, each prefilled causally
+    at full capacity on a ``TreeDecoder`` whose MoE hook captures the
+    routing; empty sequences are skipped.
     """
     counts = np.zeros((model.n_layers, model.config.n_experts), dtype=np.int64)
     tokens = 0
     for seq in sequences:
-        seq = np.asarray(seq, dtype=np.int64)
+        seq = np.asarray(seq)
         if seq.size == 0:
             continue
-        result = forward(model, seq)
-        for li, trace in enumerate(result.layers):
+        hook, traces = routing_capture()
+        TreeDecoder(model, seq, moe_hook=hook)
+        for li, trace in enumerate(traces):
             np.add.at(counts[li], trace.selected.ravel(), 1)
         tokens += int(seq.size)
     if tokens == 0:
@@ -263,11 +265,14 @@ def shortlister(
 
 
 # ---------------------------------------------------------------------------
-# Export / import, so a pruned deployment can reload a fixed ordering
+# Report of the calibration and the expert ordering static ranking uses
 # ---------------------------------------------------------------------------
 
 
 def save_static_ranking(counts: CalibrationCounts, path) -> None:
+    """Write ``counts`` as JSON: ``tokens``, per-layer ``counts``, and each
+    layer's full ``ordering`` (descending count, ties to the lower index),
+    whose first B entries are ``rank_static``'s shortlist at budget B."""
     payload = {
         "tokens": counts.tokens,
         "counts": counts.counts.tolist(),
@@ -278,9 +283,3 @@ def save_static_ranking(counts: CalibrationCounts, path) -> None:
     with open(path, "w") as f:
         json.dump(payload, f, sort_keys=True)
         f.write("\n")
-
-
-def load_static_ranking(path) -> CalibrationCounts:
-    with open(path) as f:
-        payload = json.load(f)
-    return CalibrationCounts(counts=np.array(payload["counts"]), tokens=int(payload["tokens"]))

@@ -46,14 +46,7 @@ from .simulator import (
     default_calibration,
     sweep,
 )
-from .toy_model import (
-    DraftSpec,
-    ModelConfig,
-    PRESETS,
-    preset_config,
-    random_tokens,
-    save_model,
-)
+from .toy_model import DraftSpec, ModelConfig, PRESETS, preset_config, random_tokens
 
 DEFAULT_TREE_SIZES = (3, 7, 15, 31, 63, 127, 255)
 ANALYSIS_STREAM = 103
@@ -536,22 +529,12 @@ def cmd_reconstruct(config: ExperimentConfig) -> int:
 
 def cmd_calibrate_static(config: ExperimentConfig) -> int:
     """Selection-frequency calibration and the fixed expert ordering it
-    induces, exportable for pruned deployments."""
+    induces, written as a JSON report of what static ranking uses."""
     target, _ = build_model_pair(config.model, config.draft)
     counts = default_calibration(target, Rng(config.model.seed).substream(CALIB_STREAM))
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_static_ranking(counts, out_dir / "static_ranking.json")
-    return 0
-
-
-def cmd_export_model(config: ExperimentConfig) -> int:
-    """Build the target and draft models and write them to disk."""
-    target, draft = build_model_pair(config.model, config.draft)
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_model(target, out_dir / "target.moem")
-    save_model(draft, out_dir / "draft.moem")
     return 0
 
 
@@ -579,9 +562,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"moebudget {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name: str, run, help: str, trace: bool = False):
+    def add_command(name: str, run, help: str, trace: bool = False, one_size: bool = False):
+        # ``one_size`` commands run at tree_size, so a list of sizes is an error.
         p = sub.add_parser(name, help=help)
-        p.set_defaults(run=run)
+        p.set_defaults(run=run, one_size=one_size)
         p.add_argument("--config", help="JSON experiment config file")
         p.add_argument("--seed", type=int, help="master seed (model weights and streams)")
         p.add_argument("--workers", type=int, help="parallel sweep workers")
@@ -607,12 +591,14 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--trace", help="external routing trace (JSON lines)")
 
     add_command("simulate", cmd_simulate, "tree-size sweep with budgeted verification")
-    add_command("ablate", cmd_ablate, "method x policy x budget grid")
-    add_command("coverage", cmd_coverage, "routing-probability coverage curves", trace=True)
-    add_command("coactivation", cmd_coactivation, "expert co-activation analysis", trace=True)
-    add_command("reconstruct", cmd_reconstruct, "teacher-forced reconstruction error")
+    add_command("ablate", cmd_ablate, "method x policy x budget grid", one_size=True)
+    add_command("coverage", cmd_coverage, "routing-probability coverage curves",
+                trace=True, one_size=True)
+    add_command("coactivation", cmd_coactivation, "expert co-activation analysis",
+                trace=True, one_size=True)
+    add_command("reconstruct", cmd_reconstruct, "teacher-forced reconstruction error",
+                one_size=True)
     add_command("calibrate-static", cmd_calibrate_static, "static ranking calibration")
-    add_command("export-model", cmd_export_model, "write target and draft model files")
     return parser
 
 
@@ -627,6 +613,9 @@ def main(argv=None) -> int:
     if args.tree_sizes is not None and len(args.tree_sizes) == 1:
         overrides["tree_size"] = args.tree_sizes[0]
     try:
+        if args.one_size and args.tree_sizes is not None and len(args.tree_sizes) > 1:
+            sizes = ",".join(map(str, args.tree_sizes))
+            raise ConfigError(f"tree_sizes: {args.command} runs one tree size, got {sizes}")
         config = load_config(args.config, overrides)
         if "trace" in args:
             return args.run(config, args.trace)

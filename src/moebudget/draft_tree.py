@@ -1,17 +1,16 @@
-"""Draft-tree construction and the expert-union statistics that motivate
-budgeting.
+"""Draft-tree construction and the teacher-forced routing capture of a tree.
 
 Trees use a static multiplicative topology: a single root drafted at the
 context end, then every node at depth j receives ``branching[j]`` children,
 each chosen greedily from the draft model's logits under tree attention.
 The sweep sizes 1, 3, 7, ..., 255 are the binary-branching family, and
-binary trees of different depths nest, which keeps union growth monotone
-per prompt, not just on average.
+binary trees of different depths nest, which keeps the union of selected
+experts monotone in tree size per prompt, not just on average.
 
 ``tree_routing`` is the one teacher-forced capture of a tree under the full
 target: the per-layer MoE inputs and natural routing of the tree rows that
-the union statistics, the reconstruction analysis and the CLI's coverage and
-co-activation records all read.
+the reconstruction analysis and the CLI's coverage and co-activation records
+all read.
 """
 
 from __future__ import annotations
@@ -20,17 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Rng, top_k_indices
-from .toy_model import LayerTrace, MoEModel, TreeDecoder, causal_mask, forward, random_tokens
+from .numerics import top_k_indices
+from .toy_model import LayerTrace, MoEModel, TreeDecoder, routing_capture
 
 __all__ = [
     "DraftTree",
     "binary_branching",
     "build_tree",
-    "expert_union",
-    "tree_mask",
     "tree_routing",
-    "union_growth_curve",
 ]
 
 DEFAULT_CONTEXT_LEN = 16
@@ -83,23 +79,6 @@ def binary_branching(size: int) -> tuple[int, ...]:
     if size < 1 or (size + 1) & size:
         raise ValueError(f"binary tree size must be 2^j - 1, got {size}")
     return (2,) * (size.bit_length() - 1)
-
-
-def tree_mask(n_context: int, tree: DraftTree) -> np.ndarray:
-    """Ancestor attention mask for [context tokens] + [tree nodes].
-
-    Context rows are causal among themselves; each tree row attends to the
-    whole context, its tree ancestors, and itself.
-    """
-    n = n_context + tree.size
-    mask = np.zeros((n, n), dtype=bool)
-    mask[:n_context, :n_context] = causal_mask(n_context)
-    for i in range(tree.size):
-        row = n_context + i
-        mask[row, :n_context] = True
-        for node in tree.path_to(i):
-            mask[row, n_context + node] = True
-    return mask
 
 
 def expand_tree(decoder: TreeDecoder, branching) -> DraftTree:
@@ -158,44 +137,6 @@ def tree_routing(target: MoEModel, context_tokens, tree: DraftTree) -> list[Laye
     """Teacher-forced capture of the tree rows under the full target, one
     LayerTrace per MoE layer: the states each MoE sublayer consumed and the
     natural routing they induced (no budgeting)."""
-    context_tokens = np.asarray(context_tokens, dtype=np.int64)
-    n = context_tokens.size
-    result = forward(target, np.concatenate([context_tokens, tree.tokens]), tree_mask(n, tree))
-    return [LayerTrace(t.moe_input[n:], t.probs[n:], t.selected[n:]) for t in result.layers]
-
-
-def expert_union(routing: list[LayerTrace], layer: int) -> np.ndarray:
-    """Sorted union of every node's selected experts at ``layer``."""
-    return np.unique(routing[layer].selected)
-
-
-def union_growth_curve(
-    target: MoEModel,
-    draft: MoEModel,
-    sizes,
-    n_trees: int = 20,
-    rng: Rng | None = None,
-    context_len: int = DEFAULT_CONTEXT_LEN,
-) -> dict[int, np.ndarray]:
-    """Mean unique-expert count per layer as a function of tree size.
-
-    For each size, ``n_trees`` seeded prompts are drafted into trees and
-    verified (routing only) by the target; returns {size: per-layer means}.
-    """
-    sizes = [int(s) for s in sizes]
-    if sizes != sorted(sizes):
-        raise ValueError("tree sizes must be ascending")
-    rng = rng if rng is not None else Rng(0)
-    vocab = target.config.vocab_size
-
-    curve: dict[int, np.ndarray] = {}
-    for size in sizes:
-        branching = binary_branching(size)
-        counts = np.zeros((n_trees, target.n_layers))
-        for t in range(n_trees):
-            context = random_tokens(rng.substream(t), context_len, vocab)
-            tree = build_tree(draft, context, branching)
-            routing = tree_routing(target, context, tree)
-            counts[t] = [expert_union(routing, l).size for l in range(target.n_layers)]
-        curve[size] = counts.mean(axis=0)
-    return curve
+    hook, traces = routing_capture()
+    TreeDecoder(target, context_tokens).extend_tree(tree, hook)
+    return traces

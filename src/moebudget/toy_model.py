@@ -1,17 +1,17 @@
 """Small L-layer causal MoE transformer: target model, derived draft model,
-and forward passes under causal or tree (ancestor) attention masks.
+and ``TreeDecoder``, the one engine every forward runs on (causal prefill,
+tree drafting, verification, prefix growth, and the routing captures of the
+offline analyses).
 
 The architecture is deliberately minimal: single-head attention, RMS-style
 scale-only normalization, no positional encoding beyond the mask. Because
-positions enter only through the attention mask, a tree-masked forward
-restricted to any root-to-node path is arithmetically the causal forward of
-that path, which is what makes tree verification exact.
+positions enter only through the attention mask, a tree row computed under
+ancestor masking is arithmetically the causal forward of its root-to-node
+path, which is what makes tree verification exact.
 """
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,7 +21,6 @@ from .numerics import Rng, masked_softmax
 
 __all__ = [
     "DraftSpec",
-    "ForwardResult",
     "LayerTrace",
     "ModelConfig",
     "MoEModel",
@@ -30,11 +29,9 @@ __all__ = [
     "build_target",
     "causal_mask",
     "derive_draft",
-    "forward",
-    "load_model",
     "preset_config",
     "random_tokens",
-    "save_model",
+    "routing_capture",
 ]
 
 RMS_EPS = 1e-8
@@ -248,7 +245,7 @@ def derive_draft(target: MoEModel, spec: DraftSpec, rng: Rng) -> MoEModel:
 
 
 # ---------------------------------------------------------------------------
-# Forward passes
+# Incremental forward
 # ---------------------------------------------------------------------------
 
 
@@ -262,10 +259,18 @@ class LayerTrace:
     selected: np.ndarray  # (T, k)
 
 
-@dataclass
-class ForwardResult:
-    logits: np.ndarray  # (T, vocab_size)
-    layers: list[LayerTrace]
+def routing_capture():
+    """A full-capacity MoE hook that records its layers: ``(hook, traces)``,
+    where ``traces`` gains one LayerTrace per hooked layer, in call order.
+    A fresh capture per forward gives ``traces[l]`` for layer ``l``."""
+    traces: list[LayerTrace] = []
+
+    def hook(li, layer, states):
+        out, probs, selected = moe_forward_full_batch(layer, states)
+        traces.append(LayerTrace(moe_input=states, probs=probs, selected=selected))
+        return out, probs, selected
+
+    return hook, traces
 
 
 def causal_mask(n: int) -> np.ndarray:
@@ -273,49 +278,17 @@ def causal_mask(n: int) -> np.ndarray:
     return np.tril(np.ones((n, n), dtype=bool))
 
 
-def _attend(attn: AttentionWeights, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    xn = rms_norm(x)
-    q = xn @ attn.wq.T
-    k = xn @ attn.wk.T
-    v = xn @ attn.wv.T
-    scores = (q @ k.T) / np.sqrt(x.shape[-1])
-    return masked_softmax(scores, mask) @ v @ attn.wo.T
-
-
-def _check_vocab(model: MoEModel, tokens: np.ndarray) -> None:
-    if np.any(tokens < 0) or np.any(tokens >= model.config.vocab_size):
-        raise ValueError("token id out of vocabulary range")
-
-
-def forward(model: MoEModel, tokens, mask: np.ndarray | None = None) -> ForwardResult:
-    """Run the full model over ``tokens`` under an arbitrary ancestor mask.
-
-    ``mask`` is a (T, T) boolean matrix where entry (i, j) allows position i
-    to attend to position j; ``None`` means plain causal attention. Each
-    block is pre-norm residual: x += attn(norm(x)); x += moe(norm(x)), every
-    MoE layer at full capacity. This is the one-shot reference the
-    incremental ``TreeDecoder`` is tested against.
-    """
-    tokens = np.asarray(tokens, dtype=np.int64)
+def _check_tokens(model: MoEModel, tokens) -> np.ndarray:
+    """``tokens`` as int64 ids, or ValueError: they must be a non-empty 1-D
+    sequence of integers (not booleans) inside the vocabulary."""
+    tokens = np.asarray(tokens)
     if tokens.ndim != 1 or tokens.size == 0:
         raise ValueError("tokens must be a non-empty 1-D sequence")
-    _check_vocab(model, tokens)
-    n = tokens.size
-    if mask is None:
-        mask = causal_mask(n)
-    if mask.shape != (n, n):
-        raise ValueError(f"mask must have shape ({n}, {n})")
-
-    x = model.embedding[tokens]
-    traces = []
-    for block in model.blocks:
-        x = x + _attend(block.attention, x, mask)
-        moe_in = rms_norm(x)
-        out, probs, selected = moe_forward_full_batch(block.moe, moe_in)
-        traces.append(LayerTrace(moe_input=moe_in, probs=probs, selected=selected))
-        x = x + out
-    logits = rms_norm(x) @ model.head.T
-    return ForwardResult(logits=logits, layers=traces)
+    if not np.issubdtype(tokens.dtype, np.integer):
+        raise ValueError(f"tokens must be integer ids, got dtype {tokens.dtype}")
+    if np.any(tokens < 0) or np.any(tokens >= model.config.vocab_size):
+        raise ValueError("token id out of vocabulary range")
+    return tokens.astype(np.int64, copy=False)
 
 
 class _RowCache:
@@ -342,11 +315,13 @@ class TreeDecoder:
     """Incremental forward over a causal prefix plus a growing token tree.
 
     This is the lab's one execution engine: prefill, drafting, verification
-    (full or budgeted, through ``moe_hook``) and prefix growth all run
-    through ``run_rows``. Under ancestor masking, already-computed rows
-    never change when new rows are appended, so each extension only computes
-    the new rows against cached per-layer keys/values. Numerically this
-    matches the one-shot masked ``forward`` to floating-point roundoff.
+    and prefix growth all run through ``run_rows``. A ``moe_hook`` on the
+    prefill or on ``extend_tree`` replaces the full-capacity MoE sublayers;
+    budgeted verification and the offline routing captures run that way.
+    Under ancestor masking, already-computed rows never change when new rows
+    are appended, so each extension only computes the new rows against
+    cached per-layer keys/values. Numerically this matches a one-shot
+    forward of the whole masked sequence to floating-point roundoff.
 
     The decoder also supports checkpoint/rollback of the tree rows and
     appending accepted tokens to the causal prefix, so one decoder can serve
@@ -354,11 +329,11 @@ class TreeDecoder:
     tokens, draft the next tree.
     """
 
-    def __init__(self, model: MoEModel, context_tokens):
+    def __init__(self, model: MoEModel, context_tokens, moe_hook=None):
+        """Prefill ``context_tokens`` causally; ``moe_hook`` runs the prefill's
+        MoE sublayers as in ``run_rows``."""
         self.model = model
-        context_tokens = np.asarray(context_tokens, dtype=np.int64)
-        if context_tokens.size == 0:
-            raise ValueError("context must be non-empty")
+        context_tokens = _check_tokens(model, context_tokens)
         self.causal_len = self.n_rows = 0
         self._allowed: list[np.ndarray] = []  # per tree row: attended columns
         d = model.config.d_model
@@ -367,7 +342,9 @@ class TreeDecoder:
 
         # Prefill: the context is a causal batch of rows over an empty cache.
         n = int(context_tokens.size)
-        logits = self.run_rows(context_tokens, np.ones((n, 0), dtype=bool), causal_mask(n))
+        logits = self.run_rows(
+            context_tokens, np.ones((n, 0), dtype=bool), causal_mask(n), moe_hook
+        )
         self.causal_len = n
         self.context_logits = logits[-1]
 
@@ -380,14 +357,14 @@ class TreeDecoder:
     ) -> np.ndarray:
         """Compute a batch of new rows against the caches; returns logits.
 
+        ``tokens`` are int64 ids already checked by the public entry point.
         ``allowed`` is (r, cached) over existing rows. ``within`` is the
         (r, r) attention mask among the new rows themselves; by default each
         row attends only to itself. ``moe_hook(layer_index, layer, states)
         -> (out, probs, selected)`` overrides the full-capacity MoE sublayer
-        for the new rows (budgeted verification hooks in here). Token ids
-        outside the vocabulary raise ValueError before any state changes.
+        for the new rows (budgeted verification and routing captures hook in
+        here).
         """
-        _check_vocab(self.model, tokens)
         r = tokens.size
         cached = self.n_rows
         d = self.model.config.d_model
@@ -430,7 +407,7 @@ class TreeDecoder:
         prefix; anything else raises ValueError before any state changes.
         Rows within one extension never attend to each other.
         """
-        tokens = np.asarray(tokens, dtype=np.int64)
+        tokens = _check_tokens(self.model, tokens)
         parent_rows = np.asarray(parent_rows, dtype=np.int64)
         cached = self.n_rows
         if parent_rows.shape != tokens.shape or not np.all(
@@ -458,6 +435,7 @@ class TreeDecoder:
         """
         if self.n_rows != self.causal_len:
             raise ValueError("extend_tree requires a bare causal prefix")
+        tokens = _check_tokens(self.model, tree.tokens)
         m = tree.size
         allowed = np.ones((m, self.n_rows), dtype=bool)
         within = np.eye(m, dtype=bool)
@@ -465,7 +443,7 @@ class TreeDecoder:
             p = int(tree.parents[i])
             if p >= 0:
                 within[i] |= within[p]
-        logits = self.run_rows(tree.tokens, allowed, within, moe_hook)
+        logits = self.run_rows(tokens, allowed, within, moe_hook)
         for i in range(m):
             self._allowed.append(
                 np.concatenate(
@@ -496,126 +474,10 @@ class TreeDecoder:
         """
         if self.n_rows != self.causal_len:
             raise ValueError("cannot append to the prefix while tree rows exist")
-        tokens = np.asarray(tokens, dtype=np.int64)
+        tokens = _check_tokens(self.model, tokens)
         r = tokens.size
         allowed = np.ones((r, self.n_rows), dtype=bool)
         logits = self.run_rows(tokens, allowed, within=causal_mask(r))
         self.causal_len += r
         self.context_logits = logits[-1]
         return logits[-1]
-
-
-# ---------------------------------------------------------------------------
-# Serialization: a small versioned binary container
-# ---------------------------------------------------------------------------
-
-_MAGIC = b"MOEM"
-_FORMAT_VERSION = 1
-
-
-def _model_arrays(model: MoEModel) -> list[tuple[str, np.ndarray]]:
-    arrays = [("embedding", model.embedding), ("head", model.head)]
-    for li, block in enumerate(model.blocks):
-        a, m = block.attention, block.moe
-        arrays += [
-            (f"block{li}.wq", a.wq),
-            (f"block{li}.wk", a.wk),
-            (f"block{li}.wv", a.wv),
-            (f"block{li}.wo", a.wo),
-            (f"block{li}.router.w", m.router.w),
-            (f"block{li}.router.bias", m.router.bias),
-        ]
-        for ei, e in enumerate(m.experts):
-            arrays += [
-                (f"block{li}.expert{ei}.w_in", e.w_in),
-                (f"block{li}.expert{ei}.w_out", e.w_out),
-            ]
-    return arrays
-
-
-def save_model(model: MoEModel, path) -> None:
-    """Write the model to a deterministic binary container.
-
-    Layout: magic, format version, JSON header (config echo plus an array
-    manifest of name/shape/offset), then raw little-endian float64 data.
-    Identical models produce byte-identical files.
-    """
-    arrays = _model_arrays(model)
-    manifest = []
-    offset = 0
-    for name, arr in arrays:
-        manifest.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        offset += arr.size * 8
-    header = json.dumps(
-        {
-            "format_version": _FORMAT_VERSION,
-            "config": model.config.__dict__,
-            "arrays": manifest,
-        },
-        sort_keys=True,
-    ).encode()
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<II", _FORMAT_VERSION, len(header)))
-        f.write(header)
-        for _, arr in arrays:
-            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def load_model(path) -> MoEModel:
-    """Inverse of ``save_model``; round-trips bit-exactly."""
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"not a model file: bad magic {magic!r}")
-        version, header_len = struct.unpack("<II", f.read(8))
-        if version != _FORMAT_VERSION:
-            raise ValueError(f"unsupported model format version {version}")
-        header = json.loads(f.read(header_len))
-        blob = f.read()
-
-    config = ModelConfig(**header["config"])
-    data: dict[str, np.ndarray] = {}
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        arr = np.frombuffer(blob, dtype="<f8", count=size, offset=start)
-        data[entry["name"]] = arr.reshape(shape).astype(np.float64)
-
-    blocks = []
-    li = 0
-    while f"block{li}.wq" in data:
-        experts = []
-        ei = 0
-        while f"block{li}.expert{ei}.w_in" in data:
-            experts.append(
-                Expert(
-                    w_in=data[f"block{li}.expert{ei}.w_in"],
-                    w_out=data[f"block{li}.expert{ei}.w_out"],
-                )
-            )
-            ei += 1
-        blocks.append(
-            TransformerBlock(
-                attention=AttentionWeights(
-                    wq=data[f"block{li}.wq"],
-                    wk=data[f"block{li}.wk"],
-                    wv=data[f"block{li}.wv"],
-                    wo=data[f"block{li}.wo"],
-                ),
-                moe=MoELayerWeights(
-                    router=RouterWeights(
-                        w=data[f"block{li}.router.w"],
-                        bias=data[f"block{li}.router.bias"],
-                    ),
-                    experts=experts,
-                    renormalize=config.renormalize,
-                    k=config.top_k,
-                ),
-            )
-        )
-        li += 1
-    return MoEModel(
-        config=config, embedding=data["embedding"], blocks=blocks, head=data["head"]
-    )

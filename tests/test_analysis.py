@@ -15,8 +15,6 @@ from moebudget.analysis import (
     read_trace,
     reconstruction_analysis,
     reconstruction_error,
-    write_trace_dense,
-    write_trace_topk,
 )
 from moebudget.budgeting import Shortlist, calibrate_static, rank_router
 from moebudget.draft_tree import build_tree, tree_routing
@@ -26,6 +24,7 @@ from moebudget.simulator import SweepCell, SweepSpec, sweep
 from moebudget.toy_model import DraftSpec, ModelConfig, random_tokens
 
 from conftest import prompt_tokens
+from reference import forward, write_trace_dense, write_trace_topk
 from test_moe_core import make_layer
 
 
@@ -151,8 +150,6 @@ class TestCoactivation:
     def test_diagonal_equals_selection_counts(self, small_target):
         seqs = [random_tokens(Rng(i), 16, small_target.config.vocab_size) for i in range(3)]
         counts = calibrate_static(small_target, seqs)
-        from moebudget.toy_model import forward
-
         all_selected = {li: [] for li in range(small_target.n_layers)}
         for seq in seqs:
             result = forward(small_target, seq)

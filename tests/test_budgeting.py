@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from moebudget.budgeting import (
     Shortlist,
     calibrate_static,
     gold_outputs,
-    load_static_ranking,
     oracle_reconstruction_weights,
     rank_oracle,
     rank_router,
@@ -20,9 +21,10 @@ from moebudget.budgeting import (
 from moebudget.draft_tree import build_tree, tree_routing
 from moebudget.moe_core import route_batch
 from moebudget.numerics import Rng
-from moebudget.toy_model import forward, random_tokens
+from moebudget.toy_model import random_tokens
 
 from conftest import prompt_tokens
+from reference import forward
 from test_moe_core import expert_eval_naive, make_layer
 
 
@@ -100,13 +102,19 @@ class TestRankStatic:
         want = sorted(range(32), key=lambda i: (-c[0, i], i))[:10]
         assert sl.experts.tolist() == want
 
-    def test_save_load_round_trip(self, tmp_path):
+    def test_save_static_ranking_writes_counts_and_ordering(self, tmp_path):
         counts = CalibrationCounts(counts=np.array([[3, 5, 5, 1], [0, 1, 2, 3]]), tokens=7)
         path = tmp_path / "static.json"
         save_static_ranking(counts, path)
-        loaded = load_static_ranking(path)
-        np.testing.assert_array_equal(loaded.counts, counts.counts)
-        assert loaded.tokens == counts.tokens
+        with open(path) as f:
+            payload = json.load(f)
+        assert payload["counts"] == [[3, 5, 5, 1], [0, 1, 2, 3]]
+        assert payload["tokens"] == 7
+        # Descending count, the tie between experts 1 and 2 to the lower.
+        assert payload["ordering"] == [[1, 2, 0, 3], [3, 2, 1, 0]]
+        for layer, ordering in enumerate(payload["ordering"]):
+            for budget in range(1, 5):
+                assert ordering[:budget] == rank_static(counts, layer, budget).experts.tolist()
 
 
 class TestRankRouter:

@@ -86,12 +86,36 @@ def test_seed_flag_merges_into_config_model_block(tmp_path):
 )
 def test_every_flag_reaches_its_config_field(tmp_path, flags, field, value):
     config = {**TINY, "trees": 1}
-    code, out_dir = run(tmp_path, "coverage", config, *flags)
+    # coverage runs one tree size; a list of sizes is for simulate.
+    command = "simulate" if field == "tree_sizes" else "coverage"
+    code, out_dir = run(tmp_path, command, config, *flags)
     assert code == 0
-    echo = config_echo(out_dir / "coverage.csv")
+    echo = config_echo(out_dir / f"{command}.csv")
     assert echo[field] == value
     assert echo[field] != config.get(field)
     assert echo["out_dir"] == str(out_dir)
+
+
+@pytest.mark.parametrize("command", ["ablate", "coverage", "coactivation", "reconstruct"])
+def test_tree_size_list_rejected_where_one_size_runs(tmp_path, capsys, command):
+    config = {**TINY, "trees": 1, "budgets": [2]}
+    code, out_dir = run(tmp_path, command, config, "--tree-size", "7,15", out="list")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: tree_sizes: {command} runs one tree size, got 7,15")
+    assert not out_dir.exists()
+    # A multi-size tree_sizes from the config, the default included, is fine.
+    default_sizes = {k: v for k, v in config.items() if k != "tree_sizes"}
+    code, out_dir = run(tmp_path, command, default_sizes, out="default")
+    assert code == 0
+    assert config_echo(next(out_dir.glob("*.csv")))["tree_sizes"] == [3, 7, 15, 31, 63, 127, 255]
+
+
+def test_export_model_is_an_unknown_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["export-model"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'export-model'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["coverage", "reconstruct"])

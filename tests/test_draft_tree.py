@@ -3,19 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from moebudget.draft_tree import (
-    DraftTree,
-    binary_branching,
-    build_tree,
-    expert_union,
-    tree_mask,
-    tree_routing,
-    union_growth_curve,
-)
-from moebudget.numerics import Rng
-from moebudget.toy_model import TreeDecoder, forward, random_tokens
+from moebudget.draft_tree import DraftTree, binary_branching, build_tree, tree_routing
 
 from conftest import prompt_tokens
+from reference import forward, tree_mask
 
 
 class TestBinaryBranching:
@@ -112,7 +103,7 @@ class TestExpertUnion:
         tree = build_tree(small_draft, ctx, ())
         routing = tree_routing(small_target, ctx, tree)
         for layer in range(small_target.n_layers):
-            union = expert_union(routing, layer)
+            union = np.unique(routing[layer].selected)
             assert union.size == small_target.config.top_k
             assert set(union.tolist()) == set(routing[layer].selected[0].tolist())
 
@@ -124,7 +115,7 @@ class TestExpertUnion:
             want = set()
             for row in routing[layer].selected:
                 want |= set(int(i) for i in row)
-            got = expert_union(routing, layer)
+            got = np.unique(routing[layer].selected)
             assert set(got.tolist()) == want
             assert got.tolist() == sorted(want)
 
@@ -135,7 +126,7 @@ class TestExpertUnion:
             tree = build_tree(draft, ctx, binary_branching(size))
             routing = tree_routing(target, ctx, tree)
             for layer in range(target.n_layers):
-                u = expert_union(routing, layer).size
+                u = np.unique(routing[layer].selected).size
                 assert k <= u <= min(n, size * k)
 
     def test_union_monotone_under_node_addition(self, small_target, small_draft):
@@ -145,7 +136,7 @@ class TestExpertUnion:
             tree = build_tree(small_draft, ctx, binary_branching(size))
             routing = tree_routing(small_target, ctx, tree)
             for layer in range(small_target.n_layers):
-                cur = set(expert_union(routing, layer).tolist())
+                cur = set(np.unique(routing[layer].selected).tolist())
                 if layer in prev:
                     assert prev[layer] <= cur
                 prev[layer] = cur
@@ -162,24 +153,10 @@ class TestTreeMask:
         assert mask[3, 4] == False  # noqa: E712  child cannot see its child
 
 
-class TestUnionGrowthCurve:
-    def test_growth_curve_properties(self, small_target, small_draft):
-        curve = union_growth_curve(
-            small_target, small_draft, [1, 3, 7], n_trees=5, rng=Rng(3), context_len=8
-        )
-        k, n = small_target.config.top_k, small_target.config.n_experts
-        assert np.allclose(curve[1], k)  # size 1 is exactly top-k
-        means = [curve[s].mean() for s in (1, 3, 7)]
-        assert means == sorted(means)  # non-decreasing
-        assert all(curve[s].max() <= n for s in (1, 3, 7))
-
-    def test_unsorted_sizes_rejected(self, small_target, small_draft):
-        with pytest.raises(ValueError):
-            union_growth_curve(small_target, small_draft, [7, 3], n_trees=2)
-
-
 def test_tree_routing_matches_forward_capture(small_target, small_draft):
-    # The capture is the tree rows of a tree-masked full forward, per layer.
+    # The capture is the tree rows of a tree-masked full forward, per layer:
+    # the same routing, and states and probabilities equal to roundoff (the
+    # decoder matches the one-shot forward to roundoff, not bit for bit).
     ctx = prompt_tokens(small_target, 9, 8)
     tree = build_tree(small_draft, ctx, (2,))
     routing = tree_routing(small_target, ctx, tree)
@@ -187,6 +164,6 @@ def test_tree_routing_matches_forward_capture(small_target, small_draft):
     ref = forward(small_target, all_tokens, tree_mask(len(ctx), tree))
     assert len(routing) == small_target.n_layers
     for got, want in zip(routing, ref.layers):
-        np.testing.assert_array_equal(got.moe_input, want.moe_input[len(ctx):])
-        np.testing.assert_array_equal(got.probs, want.probs[len(ctx):])
+        np.testing.assert_allclose(got.moe_input, want.moe_input[len(ctx):], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.probs, want.probs[len(ctx):], rtol=0, atol=1e-12)
         np.testing.assert_array_equal(got.selected, want.selected[len(ctx):])

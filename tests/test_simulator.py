@@ -19,9 +19,10 @@ from moebudget.simulator import (
     sweep,
     verify_greedy,
 )
-from moebudget.toy_model import DraftSpec, ModelConfig, TreeDecoder, forward, random_tokens
+from moebudget.toy_model import DraftSpec, ModelConfig, TreeDecoder
 
 from conftest import prompt_tokens
+from reference import forward
 
 
 def ar_rollout(model, context, steps):
@@ -87,14 +88,14 @@ class TestVerifyGreedy:
             assert emitted == truth[: len(emitted)]
 
     def test_full_run_unique_experts_are_union_sizes(self, target, draft):
-        from moebudget.draft_tree import expert_union, tree_routing
+        from moebudget.draft_tree import tree_routing
 
         ctx = prompt_tokens(target, 43)
         tree = build_tree(draft, ctx, binary_branching(31))
         _, report = verify_greedy(TreeDecoder(target, ctx), tree)
         routing = tree_routing(target, ctx, tree)
         assert report.unique_experts == [
-            expert_union(routing, l).size for l in range(target.n_layers)
+            np.unique(routing[l].selected).size for l in range(target.n_layers)
         ]
 
 

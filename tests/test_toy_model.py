@@ -16,12 +16,12 @@ from moebudget.toy_model import (
     build_target,
     causal_mask,
     derive_draft,
-    forward,
-    load_model,
     preset_config,
     random_tokens,
-    save_model,
+    routing_capture,
 )
+
+from reference import forward
 
 
 def models_equal(a: MoEModel, b: MoEModel) -> bool:
@@ -259,18 +259,32 @@ class TestTreeDecoder:
         again = dec.extend([1], [-1])
         np.testing.assert_array_equal(before, again)
 
-    @pytest.mark.parametrize("bad", [-1, 32], ids=["negative", "vocab_size"])
-    def test_out_of_range_token_rejected_on_every_path(self, small_target, bad):
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([4, -1], "out of vocabulary range"),
+            ([4, 32], "out of vocabulary range"),
+            ([[1, 2], [3, 4]], "non-empty 1-D sequence"),
+            (5, "non-empty 1-D sequence"),
+            ([], "non-empty 1-D sequence"),
+            ([1.7, 2.2], "integer ids, got dtype float64"),
+            ([True, False], "integer ids, got dtype bool"),
+        ],
+        ids=["negative", "vocab_size", "two_d", "scalar", "empty", "fractional", "boolean"],
+    )
+    def test_out_of_range_token_rejected_on_every_path(self, small_target, bad, message):
+        # Token batches are checked before any coercion or state change on
+        # the prefill, on extend and on append_tokens.
         assert small_target.config.vocab_size == 32
-        with pytest.raises(ValueError, match="out of vocabulary range"):
-            TreeDecoder(small_target, [3, bad])
+        with pytest.raises(ValueError, match=message):
+            TreeDecoder(small_target, bad)
         dec, ref = TreeDecoder(small_target, [3, 5]), TreeDecoder(small_target, [3, 5])
-        with pytest.raises(ValueError, match="out of vocabulary range"):
-            dec.append_tokens([bad])
+        with pytest.raises(ValueError, match=message):
+            dec.append_tokens(bad)
         for d in (dec, ref):
             d.extend([1], [-1])
-        with pytest.raises(ValueError, match="out of vocabulary range"):
-            dec.extend([4, bad], [2, -1])
+        with pytest.raises(ValueError, match=message):
+            dec.extend(bad, [2, -1])
         # A rejected batch leaves no trace: later rows and their ancestors
         # match a decoder that never saw it.
         for d in (dec, ref):
@@ -292,6 +306,29 @@ class TestTreeDecoder:
         assert dec.n_rows == 3
         fresh = TreeDecoder(small_target, [1, 2, 3])
         np.testing.assert_array_equal(dec.append_tokens([4]), fresh.append_tokens([4]))
+
+    def test_prefill_hook_sees_each_layer_once_and_changes_nothing(self, small_target):
+        ctx = random_tokens(Rng(9), 6, small_target.config.vocab_size)
+        hook, traces = routing_capture()
+        seen = []
+
+        def recording(li, layer, states):
+            seen.append((li, states.shape))
+            return hook(li, layer, states)
+
+        hooked = TreeDecoder(small_target, ctx, moe_hook=recording)
+        plain = TreeDecoder(small_target, ctx)
+        np.testing.assert_array_equal(hooked.context_logits, plain.context_logits)
+        d = small_target.config.d_model
+        assert seen == [(li, (6, d)) for li in range(small_target.n_layers)]
+        assert len(traces) == small_target.n_layers
+
+    def test_prefill_hook_failure_propagates(self, small_target):
+        def fails(li, layer, states):
+            raise RuntimeError("hook failure")
+
+        with pytest.raises(RuntimeError, match="hook failure"):
+            TreeDecoder(small_target, [1, 2, 3], moe_hook=fails)
 
     @pytest.mark.parametrize(
         "parent", [2, 0, 6, 100, -2], ids=["prefix_row", "first_row", "n_rows", "far", "minus_2"]
@@ -400,29 +437,3 @@ class TestTreeDecoderProperties:
                     check(got, masked_reference(small_target, prefix, rows)[len(prefix):])
             check(dec.context_logits, masked_reference(small_target, prefix, [])[len(prefix) - 1])
 
-
-class TestSerialization:
-    def test_round_trip_bit_exact(self, small_target, tmp_path):
-        path = tmp_path / "model.moem"
-        save_model(small_target, path)
-        assert models_equal(load_model(path), small_target)
-
-    def test_save_is_byte_deterministic(self, small_target, tmp_path):
-        p1, p2 = tmp_path / "a.moem", tmp_path / "b.moem"
-        save_model(small_target, p1)
-        save_model(small_target, p2)
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.moem"
-        path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(ValueError):
-            load_model(path)
-
-    def test_draft_round_trip(self, small_target, tmp_path):
-        draft = derive_draft(small_target, DraftSpec(layers_kept=1), Rng(2))
-        path = tmp_path / "draft.moem"
-        save_model(draft, path)
-        loaded = load_model(path)
-        assert loaded.n_layers == 1
-        assert models_equal(loaded, draft)
