@@ -24,6 +24,7 @@ import numpy as np
 
 from .budgeting import Shortlist
 from .moe_core import MoELayerWeights, apply_experts, route_batch, selection_weights
+from .numerics import top_k_indices
 
 __all__ = [
     "CoveragePolicy",
@@ -63,10 +64,10 @@ def policy_assignments(
 
     # Substitution: top-k constrained to the shortlist, ranked by routing
     # probability with ties to the lower expert index. Probabilities are
-    # strictly positive, so -1 safely sorts non-members last.
+    # strictly positive, so -1 safely ranks non-members last.
     k_eff = min(layer.k, shortlist.budget)
     masked = np.where(member, probs, -1.0)
-    ids = np.argsort(-masked, axis=-1, kind="stable")[:, : layer.k]
+    ids = top_k_indices(masked, layer.k)
     weights = selection_weights(probs, ids, layer.renormalize)
     if k_eff < layer.k:
         # Renormalize over the members only, then deactivate the overflow.

@@ -42,9 +42,12 @@ class DraftTree:
     branching: tuple[int, ...]
 
     def __post_init__(self):
-        self.tokens = np.asarray(self.tokens, dtype=np.int64)
-        self.parents = np.asarray(self.parents, dtype=np.int64)
-        self.depths = np.asarray(self.depths, dtype=np.int64)
+        for name in ("tokens", "parents", "depths"):
+            values = np.asarray(getattr(self, name))
+            # Checked before the int64 coercion, which would truncate 1.7 to 1.
+            if values.size and not np.issubdtype(values.dtype, np.integer):
+                raise ValueError(f"{name} must be integers, got dtype {values.dtype}")
+            setattr(self, name, values.astype(np.int64, copy=False))
         m = self.tokens.size
         if m == 0:
             raise ValueError("tree must have at least the root node")
@@ -99,23 +102,20 @@ def expand_tree(decoder: TreeDecoder, branching) -> DraftTree:
     tokens = [root_token]
     parents = [-1]
     depths = [0]
-    frontier = [0]
+    frontier = np.zeros(1, dtype=np.int64)
     frontier_logits = decoder.extend([root_token], [-1])
 
     for depth, b in enumerate(branching):
-        new_tokens: list[int] = []
-        new_parents: list[int] = []
-        for node, logits in zip(frontier, frontier_logits):
-            for tok in top_k_indices(logits, b):
-                new_tokens.append(int(tok))
-                new_parents.append(node)
+        # Row f of the level's top-k holds frontier node f's children, best first.
+        new_tokens = top_k_indices(frontier_logits, b).ravel()
+        new_parents = np.repeat(frontier, b)
         start = len(tokens)
-        tokens.extend(new_tokens)
-        parents.extend(new_parents)
-        depths.extend([depth + 1] * len(new_tokens))
-        frontier = list(range(start, len(tokens)))
+        tokens.extend(new_tokens.tolist())
+        parents.extend(new_parents.tolist())
+        depths.extend([depth + 1] * new_tokens.size)
+        frontier = np.arange(start, len(tokens))
         # Parent rows are absolute: prefix rows occupy 0..base-1.
-        frontier_logits = decoder.extend(new_tokens, [base + p for p in new_parents])
+        frontier_logits = decoder.extend(new_tokens, base + new_parents)
 
     return DraftTree(
         tokens=np.array(tokens),

@@ -113,6 +113,18 @@ class MoELayerWeights:
             self._stacks["w_out"] = np.stack([e.w_out for e in self.experts])
         return self._stacks["w_out"]
 
+    @property
+    def expert_views(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-expert transposed views of the stacks, ``(w_in[e].T,
+        w_out[e].T)`` lists indexed by expert id, so the grouped executor's
+        matmuls see the same operands and strides without slicing per call."""
+        if "views" not in self._stacks:
+            self._stacks["views"] = (
+                [w.T for w in self.w_in_stack],
+                [w.T for w in self.w_out_stack],
+            )
+        return self._stacks["views"]
+
 
 def route_batch(layer: MoELayerWeights, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Router distribution and natural top-k selection of a (T, d_model)
@@ -134,7 +146,7 @@ def selection_weights(
 ) -> np.ndarray:
     """Mixing weights for (T, j) selections against (T, N) probs: the raw
     routing probabilities, or those renormalized to sum to 1 per token."""
-    w = np.take_along_axis(probs, selected, axis=-1)
+    w = probs[np.arange(selected.shape[0])[:, None], selected]
     if renormalize:
         totals = w.sum(axis=-1, keepdims=True)
         if np.any(totals <= 0.0):
@@ -164,30 +176,28 @@ def apply_experts(
     out_slots[:] = 0.0
 
     flat_ids = expert_ids.ravel()
-    active = np.nonzero(flat_ids >= 0)[0]
+    active = np.flatnonzero(flat_ids >= 0)
     if active.size > 0:
         order = np.argsort(flat_ids[active], kind="stable")
         sorted_slots = active[order]
         sorted_ids = flat_ids[sorted_slots]
-        # Group boundaries on the already-sorted ids.
-        steps = np.nonzero(np.diff(sorted_ids))[0] + 1
-        starts = np.concatenate(([0], steps))
-        ends = np.concatenate((steps, [sorted_ids.size]))
-
+        # Group boundaries on the already-sorted ids, as Python ints: the
+        # loops below pay no numpy-scalar cost per group.
         n_active = sorted_ids.size
+        steps = (np.flatnonzero(np.diff(sorted_ids)) + 1).tolist()
+        starts = [0] + steps
+        groups = list(zip(starts, steps + [n_active], sorted_ids[starts].tolist()))
+
         gathered = np.take(states, sorted_slots // n_slots, axis=0,
                            out=scratch("apply_gathered", n_active, d))
-        w_in = layer.w_in_stack
-        w_out = layer.w_out_stack
+        w_in_t, w_out_t = layer.expert_views
         pre = scratch("apply_pre", n_active, layer.d_ff)
-        for gi in range(starts.size):
-            lo, hi = starts[gi], ends[gi]
-            np.matmul(gathered[lo:hi], w_in[sorted_ids[lo]].T, out=pre[lo:hi])
+        for lo, hi, e in groups:
+            np.matmul(gathered[lo:hi], w_in_t[e], out=pre[lo:hi])
         act = silu(pre, out=scratch("apply_act", n_active, layer.d_ff))
         produced = scratch("apply_produced", n_active, d)
-        for gi in range(starts.size):
-            lo, hi = starts[gi], ends[gi]
-            np.matmul(act[lo:hi], w_out[sorted_ids[lo]].T, out=produced[lo:hi])
+        for lo, hi, e in groups:
+            np.matmul(act[lo:hi], w_out_t[e], out=produced[lo:hi])
         out_slots[sorted_slots] = produced
 
     slot_w = np.where(expert_ids >= 0, weights, 0.0)

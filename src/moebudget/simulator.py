@@ -12,8 +12,9 @@ for information only and never written into result files.
 
 Every forward here runs on a ``TreeDecoder``: the draft decoder grows each
 tree, and ``verify_greedy`` appends it to the target decoder -- with each
-MoE layer behind the ``coverage.budgeted_moe`` hook when budgeting --
-judges it, and rolls it back.
+MoE layer behind the ``coverage.budgeted_moe`` hook when budgeting, and
+behind ``toy_model.routing_capture`` otherwise, whose traces give each
+layer's expert union -- judges it, and rolls it back.
 
 ``sweep`` runs every (cell, seed) of a grid, each seed's AR baseline
 included, as one task on one path, serially or in a process pool, and
@@ -32,7 +33,6 @@ import numpy as np
 from .budgeting import METHODS, CalibrationCounts, calibrate_static, shortlister
 from .coverage import CoveragePolicy, budgeted_moe
 from .draft_tree import DEFAULT_CONTEXT_LEN, DraftTree, binary_branching, expand_tree
-from .moe_core import moe_forward_full_batch
 from .numerics import Rng
 from .toy_model import (
     DraftSpec,
@@ -42,6 +42,7 @@ from .toy_model import (
     build_target,
     derive_draft,
     random_tokens,
+    routing_capture,
 )
 
 __all__ = [
@@ -246,13 +247,7 @@ def verify_greedy(
     roundoff. Returns the emitted tokens and the step report.
     """
     if budget_cfg is None:
-        unique: list[int] = []
-
-        def hook(li, layer, states):
-            out, probs, selected = moe_forward_full_batch(layer, states)
-            unique.append(int(np.unique(selected).size))
-            return out, probs, selected
-
+        hook, traces = routing_capture()
     else:
         budget_cfg.validate()
         want = (decoder.model.n_layers, decoder.model.config.n_experts)
@@ -272,7 +267,9 @@ def verify_greedy(
     decoder.rollback(marker)
 
     missing = fully = None
-    if budget_cfg is not None:
+    if budget_cfg is None:
+        unique = [int(np.unique(trace.selected).size) for trace in traces]
+    else:
         k = decoder.model.config.top_k
         unique = [int(rec.executed.size) for rec in layers]
         missing = [rec.missing.tolist() for rec in layers]

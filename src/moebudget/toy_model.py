@@ -122,7 +122,9 @@ class MoEModel:
 
 def rms_norm(x: np.ndarray) -> np.ndarray:
     """Scale-only normalization: x / sqrt(mean(x^2) + eps)."""
-    return x / np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + RMS_EPS)
+    # add.reduce / d is np.mean's own arithmetic without its wrapper cost.
+    ms = np.add.reduce(np.square(x), axis=-1, keepdims=True) / x.shape[-1]
+    return x / np.sqrt(ms + RMS_EPS)
 
 
 def random_tokens(rng: Rng, length: int, vocab_size: int) -> np.ndarray:
@@ -323,6 +325,13 @@ class TreeDecoder:
     cached per-layer keys/values. Numerically this matches a one-shot
     forward of the whole masked sequence to floating-point roundoff.
 
+    Which tree rows a row attends to lives in one boolean ancestor matrix
+    over the tree rows: row i is True at i's ancestors and i itself. A new
+    node's attention mask is the whole causal prefix plus its parent's row,
+    gathered for a level at once; ``extend_tree`` fills the matrix level by
+    level. Rolling back needs no bookkeeping, because the rows past the tree
+    are overwritten whole when rows are appended again.
+
     The decoder also supports checkpoint/rollback of the tree rows and
     appending accepted tokens to the causal prefix, so one decoder can serve
     a whole generation loop: draft a tree, roll it back, append the accepted
@@ -335,7 +344,7 @@ class TreeDecoder:
         self.model = model
         context_tokens = _check_tokens(model, context_tokens)
         self.causal_len = self.n_rows = 0
-        self._allowed: list[np.ndarray] = []  # per tree row: attended columns
+        self._anc = np.zeros((0, 0), dtype=bool)  # tree-row ancestor matrix
         d = model.config.d_model
         self._k_cache = [_RowCache(d) for _ in model.blocks]
         self._v_cache = [_RowCache(d) for _ in model.blocks]
@@ -370,6 +379,7 @@ class TreeDecoder:
         d = self.model.config.d_model
         if within is None:
             within = np.eye(r, dtype=bool)
+        mask = np.concatenate([allowed, within], axis=1)
         x = self.model.embedding[tokens]
         new_kv = []
         for li, block in enumerate(self.model.blocks):
@@ -380,7 +390,6 @@ class TreeDecoder:
             k_cached = self._k_cache[li].view()
             v_cached = self._v_cache[li].view()
             scores = np.concatenate([q @ k_cached.T, q @ k_self.T], axis=1) / np.sqrt(d)
-            mask = np.concatenate([allowed, within], axis=1)
             w = masked_softmax(scores, mask)
             att = w[:, :cached] @ v_cached + w[:, cached:] @ v_self
             x = x + att @ block.attention.wo.T
@@ -417,14 +426,18 @@ class TreeDecoder:
                 f"parent_rows must hold one entry per token, each -1 or a tree row in "
                 f"{self.causal_len}..{cached - 1}; got {parent_rows.tolist()}"
             )
+        # A node sees the whole prefix and its parent's ancestor row.
+        t0 = cached - self.causal_len
+        rows = np.arange(t0, t0 + tokens.size)
+        anc = self._ancestors(t0 + tokens.size)
         allowed = np.zeros((tokens.size, cached), dtype=bool)
         allowed[:, : self.causal_len] = True
-        for i, p in enumerate(parent_rows):
-            if p >= 0:
-                allowed[i, self._allowed[p - self.causal_len]] = True
+        hung = parent_rows >= 0
+        allowed[hung, self.causal_len :] = anc[parent_rows[hung] - self.causal_len, :t0]
         logits = self.run_rows(tokens, allowed)
-        for i, row in enumerate(allowed):
-            self._allowed.append(np.append(np.nonzero(row)[0], cached + i))
+        anc[rows] = False
+        anc[rows, :t0] = allowed[:, self.causal_len :]
+        anc[rows, rows] = True
         return logits
 
     def extend_tree(self, tree, moe_hook=None) -> np.ndarray:
@@ -437,20 +450,29 @@ class TreeDecoder:
             raise ValueError("extend_tree requires a bare causal prefix")
         tokens = _check_tokens(self.model, tree.tokens)
         m = tree.size
+        anc = self._ancestors(m)
+        anc[:m] = False
+        anc[np.arange(m), np.arange(m)] = True
+        # Level by level, each node takes its parent's finished row.
+        for depth in range(1, tree.depth + 1):
+            level = np.flatnonzero(tree.depths == depth)
+            anc[level] |= anc[tree.parents[level]]
+        within = anc[:m, :m]
         allowed = np.ones((m, self.n_rows), dtype=bool)
-        within = np.eye(m, dtype=bool)
-        for i in range(m):
-            p = int(tree.parents[i])
-            if p >= 0:
-                within[i] |= within[p]
-        logits = self.run_rows(tokens, allowed, within, moe_hook)
-        for i in range(m):
-            self._allowed.append(
-                np.concatenate(
-                    [np.arange(self.causal_len), self.causal_len + np.nonzero(within[i])[0]]
-                )
-            )
-        return logits
+        return self.run_rows(tokens, allowed, within, moe_hook)
+
+    def _ancestors(self, m: int) -> np.ndarray:
+        """The ancestor matrix, grown to hold at least ``m`` tree rows.
+
+        Row i holds True at tree row i's ancestors and i itself, and False
+        everywhere else; rows at or past the current tree are free space that
+        ``extend`` and ``extend_tree`` overwrite whole."""
+        cap = self._anc.shape[0]
+        if m > cap:
+            grown = np.zeros((max(m, 2 * cap),) * 2, dtype=bool)
+            grown[:cap, :cap] = self._anc
+            self._anc = grown
+        return self._anc
 
     def checkpoint(self) -> int:
         """Opaque marker for the current tree state."""
@@ -463,7 +485,6 @@ class TreeDecoder:
         for li in range(len(self._k_cache)):
             self._k_cache[li].length = marker
             self._v_cache[li].length = marker
-        del self._allowed[marker - self.causal_len :]
         self.n_rows = marker
 
     def append_tokens(self, tokens) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Test-side references: the one-shot masked forward that ``TreeDecoder`` is
-checked against, the ancestor mask of a drafted tree, and writers of the
-routing-trace fixtures that ``read_trace`` parses."""
+checked against, the ancestor mask of a drafted tree, the plain loops that
+the grouped expert executor and the batched tree expansion must match bit for
+bit, and writers of the routing-trace fixtures that ``read_trace`` parses."""
 
 from __future__ import annotations
 
@@ -10,12 +11,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from moebudget.draft_tree import DraftTree
-from moebudget.moe_core import moe_forward_full_batch
-from moebudget.numerics import masked_softmax
+from moebudget.moe_core import MoELayerWeights, moe_forward_full_batch, silu
+from moebudget.numerics import masked_softmax, top_k_indices
 from moebudget.toy_model import (
     AttentionWeights,
     LayerTrace,
     MoEModel,
+    TreeDecoder,
     _check_tokens,
     causal_mask,
     rms_norm,
@@ -79,6 +81,61 @@ def tree_mask(n_context: int, tree: DraftTree) -> np.ndarray:
         for node in tree.path_to(i):
             mask[row, n_context + node] = True
     return mask
+
+
+def apply_experts_loop(
+    layer: MoELayerWeights, states: np.ndarray, expert_ids: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """``moe_core.apply_experts`` as a loop over numpy group bounds that slices
+    the stacked weights per group: the same matmul shapes and operands, so
+    the executor must match it bit for bit."""
+    states = np.asarray(states, dtype=np.float64)
+    n_tokens, n_slots = expert_ids.shape
+    out_slots = np.zeros((n_tokens * n_slots, layer.d_model))
+    flat_ids = expert_ids.ravel()
+    active = np.nonzero(flat_ids >= 0)[0]
+    if active.size > 0:
+        sorted_slots = active[np.argsort(flat_ids[active], kind="stable")]
+        sorted_ids = flat_ids[sorted_slots]
+        steps = np.nonzero(np.diff(sorted_ids))[0] + 1
+        starts = np.concatenate(([0], steps))
+        ends = np.concatenate((steps, [sorted_ids.size]))
+        gathered = states[sorted_slots // n_slots]
+        pre = np.empty((sorted_ids.size, layer.d_ff))
+        for lo, hi in zip(starts, ends):
+            np.matmul(gathered[lo:hi], layer.w_in_stack[sorted_ids[lo]].T, out=pre[lo:hi])
+        act = silu(pre)
+        produced = np.empty((sorted_ids.size, layer.d_model))
+        for lo, hi in zip(starts, ends):
+            np.matmul(act[lo:hi], layer.w_out_stack[sorted_ids[lo]].T, out=produced[lo:hi])
+        out_slots[sorted_slots] = produced
+    slot_w = np.where(expert_ids >= 0, weights, 0.0)
+    return np.einsum("tjd,tj->td", out_slots.reshape(n_tokens, n_slots, -1), slot_w)
+
+
+def expand_tree_per_node(decoder: TreeDecoder, branching) -> DraftTree:
+    """``draft_tree.expand_tree`` taking each frontier node's children with
+    its own top-k call, in frontier order."""
+    base = decoder.causal_len
+    tokens = [int(np.argmax(decoder.context_logits))]
+    parents, depths, frontier = [-1], [0], [0]
+    frontier_logits = decoder.extend(tokens, [-1])
+    for depth, b in enumerate(branching):
+        new_tokens, new_parents = [], []
+        for node, logits in zip(frontier, frontier_logits):
+            for tok in top_k_indices(logits, b):
+                new_tokens.append(int(tok))
+                new_parents.append(node)
+        start = len(tokens)
+        tokens += new_tokens
+        parents += new_parents
+        depths += [depth + 1] * len(new_tokens)
+        frontier = list(range(start, len(tokens)))
+        frontier_logits = decoder.extend(new_tokens, [base + p for p in new_parents])
+    return DraftTree(
+        tokens=np.array(tokens), parents=np.array(parents), depths=np.array(depths),
+        branching=tuple(branching),
+    )
 
 
 def write_trace_dense(path, probs_by_layer: dict[int, np.ndarray]) -> None:

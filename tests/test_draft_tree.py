@@ -3,10 +3,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from moebudget.draft_tree import DraftTree, binary_branching, build_tree, tree_routing
+from moebudget.draft_tree import (
+    DraftTree,
+    binary_branching,
+    build_tree,
+    expand_tree,
+    tree_routing,
+)
+from moebudget.toy_model import TreeDecoder
 
 from conftest import prompt_tokens
-from reference import forward, tree_mask
+from reference import expand_tree_per_node, forward, tree_mask
 
 
 class TestBinaryBranching:
@@ -32,6 +39,25 @@ class TestDraftTreeType:
             DraftTree(tokens=[1, 2], parents=[-1, 0], depths=[0, 2], branching=())
         with pytest.raises(ValueError):  # empty
             DraftTree(tokens=[], parents=[], depths=[], branching=())
+
+    @pytest.mark.parametrize(
+        "fields, named",
+        [
+            # 1.7 and 0.9 used to be truncated to token 1 and parent 0.
+            ({"tokens": [1.7, 2.2], "parents": [-1, 0.9]}, "tokens"),
+            ({"parents": [-1.0, 0.0]}, "parents"),
+            ({"depths": [0.0, 1.0]}, "depths"),
+            ({"tokens": [True, False]}, "tokens"),
+            ({"parents": [True, False]}, "parents"),
+            ({"depths": [False, True]}, "depths"),
+        ],
+        ids=["fractional", "float_parents", "float_depths", "bool_tokens", "bool_parents",
+             "bool_depths"],
+    )
+    def test_non_integer_field_named(self, fields, named):
+        valid = {"tokens": [1, 2], "parents": [-1, 0], "depths": [0, 1]}
+        with pytest.raises(ValueError, match=f"{named} must be integers, got dtype"):
+            DraftTree(**{**valid, **fields}, branching=(1,))
 
     def test_path_to(self):
         tree = DraftTree(
@@ -91,6 +117,20 @@ class TestBuildTree:
         t7 = build_tree(small_draft, ctx, binary_branching(7))
         assert t7.tokens[:3].tolist() == t3.tokens.tolist()
         assert t7.parents[:3].tolist() == t3.parents.tolist()
+
+    @pytest.mark.parametrize(
+        "branching", [(2,) * 5, (3, 2, 1), (1, 1, 1), (4,)], ids=["binary63", "3-2-1", "chain", "4"]
+    )
+    def test_level_top_k_matches_per_node_reference(self, draft, branching):
+        # One top-k per level picks each frontier node's children in the
+        # order the per-node loop did: the trees are equal, not just close.
+        for seed in range(3):
+            ctx = prompt_tokens(draft, 20 + seed)
+            got = expand_tree(TreeDecoder(draft, ctx), branching)
+            want = expand_tree_per_node(TreeDecoder(draft, ctx), branching)
+            for name in ("tokens", "parents", "depths"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            assert got.branching == want.branching
 
     def test_branching_wider_than_vocab_rejected(self, small_draft):
         with pytest.raises(ValueError):

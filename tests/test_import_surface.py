@@ -1,11 +1,13 @@
 """Static checks of the package's import surface, with the standard library's
-``ast`` only: every name a module lists in ``__all__`` resolves, and every
-name a module imports is used in it or re-exported by it."""
+``ast`` and ``tomllib`` only: every name a module lists in ``__all__``
+resolves, every name a module imports is used in it or re-exported by it, and
+every runtime dependency in ``pyproject.toml`` is imported by the package."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -28,6 +30,18 @@ def imported_names(tree: ast.Module) -> set[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             names |= {alias.asname or alias.name for alias in node.names}
     return names
+
+
+def imported_modules(tree: ast.Module) -> set[str]:
+    """Top-level names of the absolute imports, e.g. ``numpy`` for
+    ``from numpy.linalg import norm``."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module.split(".")[0])
+    return modules
 
 
 def used_names(tree: ast.Module) -> set[str]:
@@ -69,3 +83,16 @@ def test_imported_names_are_used_or_reexported(stem):
     exported = set(getattr(module_named(stem), "__all__", []))
     unused = imported_names(tree) - used_names(tree) - exported
     assert sorted(unused) == []
+
+
+def test_every_runtime_dependency_is_imported():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    pyproject = tomllib.loads((PACKAGE_DIR.parents[1] / "pyproject.toml").read_text())
+    wanted = {
+        re.match(r"[A-Za-z0-9_.-]+", dep).group().lower().replace("-", "_")
+        for dep in pyproject["project"]["dependencies"]
+    }
+    imported = set()
+    for stem in MODULES:
+        imported |= imported_modules(ast.parse((PACKAGE_DIR / f"{stem}.py").read_text()))
+    assert wanted and sorted(wanted - imported) == []

@@ -18,6 +18,9 @@ from moebudget.moe_core import (
     silu,
 )
 from moebudget.numerics import Rng
+from moebudget.toy_model import PRESETS, build_target, preset_config
+
+from reference import apply_experts_loop
 
 
 def make_layer(n=8, k=2, d=4, d_ff=6, renormalize=True, seed=0, bias=None) -> MoELayerWeights:
@@ -222,6 +225,23 @@ class TestApplyExperts:
                         layer.experts[ids[t, j]], states[t]
                     )
         np.testing.assert_allclose(got, want, atol=1e-9)
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_matches_group_loop_bit_for_bit(self, preset):
+        # Python-int group bounds and cached weight views feed BLAS the same
+        # operands and shapes as the loop over numpy bounds, so the outputs
+        # are equal, not just close; about a quarter of the slots are -1.
+        layer = build_target(preset_config(preset, n_layers=1)).blocks[0].moe
+        for t in (1, 2, 8, 63, 271):
+            rng = Rng(40, (t,))
+            states = rng.normal(size=(t, layer.d_model))
+            probs, selected = route_batch(layer, states)
+            weights = selection_weights(probs, selected, layer.renormalize)
+            ids = np.where(rng.random(size=selected.shape) < 0.25, -1, selected)
+            for expert_ids in (selected, ids):
+                got = apply_experts(layer, states, expert_ids, weights)
+                want = apply_experts_loop(layer, states, expert_ids, weights)
+                assert np.array_equal(got, want), (t, expert_ids is ids)
 
     def test_all_inactive_rows_are_zero(self):
         layer = make_layer()

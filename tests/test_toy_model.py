@@ -239,6 +239,34 @@ class TestTreeDecoder:
         np.testing.assert_allclose(l1[0], ref.logits[5], atol=1e-9)
         np.testing.assert_allclose(l2, ref.logits[6:], atol=1e-9)
 
+    def test_extend_attends_exactly_the_tree_mask(self, small_target):
+        # The ancestor rows extend gathers select the columns of the one-shot
+        # tree mask, also over rows a rollback freed, so extend equals
+        # run_rows under that mask bit for bit.
+        ctx = [3, 5, 7]
+        n = len(ctx)
+        dec, twin = TreeDecoder(small_target, ctx), TreeDecoder(small_target, ctx)
+        rows: list[tuple[int, int]] = []  # (token, parent index into rows)
+        # Row 4 is rolled back while its row holds rows 2 and 3; the new
+        # row 4 must not inherit them.
+        levels = [
+            ([1], [-1]), ([2, 4], [0, 0]), ([6], [2]), ([8], [3]), "rollback",
+            ([10, 11], [-1, 1]), ([12, 13], [4, 3]),
+        ]
+        for level in levels:
+            if level == "rollback":
+                for d in (dec, twin):
+                    d.rollback(n + 3)
+                del rows[3:]
+                continue
+            tokens, parents = level
+            start = len(rows)
+            rows += list(zip(tokens, parents))
+            mask = reference_mask(n, rows)
+            got = dec.extend(tokens, [n + p if p >= 0 else -1 for p in parents])
+            want = twin.run_rows(np.array(tokens), mask[n + start :, : n + start])
+            assert np.array_equal(got, want), level
+
     def test_append_tokens_matches_causal_forward(self, small_target):
         vocab = small_target.config.vocab_size
         ctx = random_tokens(Rng(5), 4, vocab)
@@ -355,10 +383,11 @@ class TestTreeDecoder:
             dec.append_tokens([4])
 
 
-def masked_reference(model, prefix, rows) -> np.ndarray:
-    """One-shot forward logits over a causal prefix plus tree rows, where
-    ``rows`` holds (token, parent) with parent an index into ``rows`` or -1."""
-    n, m = len(prefix), len(rows)
+def reference_mask(n: int, rows) -> np.ndarray:
+    """Attention mask over a causal prefix of ``n`` tokens plus tree rows,
+    where ``rows`` holds (token, parent) with parent an index into ``rows``
+    or -1."""
+    m = len(rows)
     mask = np.zeros((n + m, n + m), dtype=bool)
     mask[:n, :n] = causal_mask(n)
     for i, (_, parent) in enumerate(rows):
@@ -366,8 +395,14 @@ def masked_reference(model, prefix, rows) -> np.ndarray:
             mask[n + i] = mask[n + parent]
         mask[n + i, :n] = True
         mask[n + i, n + i] = True
+    return mask
+
+
+def masked_reference(model, prefix, rows) -> np.ndarray:
+    """One-shot forward logits over a causal prefix plus tree rows (see
+    ``reference_mask``)."""
     tokens = list(prefix) + [tok for tok, _ in rows]
-    return forward(model, tokens, mask).logits
+    return forward(model, tokens, reference_mask(len(prefix), rows)).logits
 
 
 def random_tree(data, vocab: int) -> DraftTree:
