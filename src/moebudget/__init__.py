@@ -9,7 +9,6 @@ memory-cost model.
 
 from .analysis import (
     CoactivationMatrix,
-    CoverageCurve,
     coactivation,
     concentration_ratio,
     coverage_curve,
@@ -19,8 +18,6 @@ from .analysis import (
     reconstruction_error,
 )
 from .budgeting import (
-    CalibrationCounts,
-    Shortlist,
     calibrate_static,
     rank_oracle,
     rank_router,

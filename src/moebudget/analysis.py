@@ -2,10 +2,11 @@
 error, coverage curves, co-activation concentration, and Pareto tables.
 
 Computations accept either in-process routing (the per-layer captures of
-``draft_tree.tree_routing``) or external trace files (JSON lines, one record
-per token and layer), so logs from real systems can be analyzed with the
-same code paths the toy lab uses. Reconstruction analysis ranks experts
-through ``budgeting.shortlister``, the provider budgeted verification uses.
+``draft_tree.tree_routing`` over the seeded trees of ``tree_captures``) or
+external trace files (JSON lines, one record per token and layer), so logs
+from real systems can be analyzed with the same code paths the toy lab uses.
+Reconstruction analysis ranks experts through ``budgeting.shortlister``, the
+provider budgeted verification uses; shortlists are arrays of expert ids.
 """
 
 from __future__ import annotations
@@ -16,13 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .budgeting import (
-    CalibrationCounts,
-    Shortlist,
-    gold_outputs,
-    oracle_reconstruction_weights,
-    shortlister,
-)
+from .budgeting import gold_outputs, oracle_reconstruction_weights, shortlister
 from .coverage import CoveragePolicy, policy_assignments
 from .draft_tree import binary_branching, build_tree, tree_routing
 from .moe_core import MoELayerWeights, apply_experts, expert_outputs_grouped
@@ -31,7 +26,6 @@ from .toy_model import MoEModel, random_tokens
 
 __all__ = [
     "CoactivationMatrix",
-    "CoverageCurve",
     "cell_summaries",
     "coactivation",
     "coverage_curve",
@@ -39,6 +33,7 @@ __all__ = [
     "pareto_table",
     "read_trace",
     "reconstruction_error",
+    "tree_captures",
 ]
 
 RECONSTRUCTION_MODES = ("raw", "truncation", "substitution")
@@ -54,7 +49,7 @@ def reconstruction_error(
     states: np.ndarray,
     probs: np.ndarray,
     selected: np.ndarray,
-    shortlist: Shortlist,
+    shortlist: np.ndarray,
     mode: str = "raw",
     uses_raw_g: bool = True,
 ) -> float:
@@ -78,8 +73,8 @@ def reconstruction_error(
 
     if mode == "raw":
         w = oracle_reconstruction_weights(probs, selected, layer.renormalize, uses_raw_g)
-        sl = shortlist.experts
-        approx = (expert_outputs_grouped(layer, states)[sl] * w.T[sl, :, None]).sum(axis=0)
+        dense = expert_outputs_grouped(layer, states)[shortlist]
+        approx = (dense * w.T[shortlist, :, None]).sum(axis=0)
     else:
         ids, weights, _ = policy_assignments(
             layer, probs, selected, shortlist, CoveragePolicy(mode)
@@ -88,6 +83,23 @@ def reconstruction_error(
 
     diff = approx - gold
     return float(np.sum(diff * diff)) / denom
+
+
+def tree_captures(
+    target: MoEModel,
+    draft: MoEModel,
+    n_trees: int,
+    tree_size: int,
+    context_len: int,
+    rng: Rng,
+):
+    """Teacher-forced per-layer routing captures of ``n_trees`` seeded draft
+    trees, one list per tree: tree ``t`` grows from a random context drawn
+    from ``rng.substream(t)``."""
+    branching = binary_branching(tree_size)
+    for t in range(n_trees):
+        context = random_tokens(rng.substream(t), context_len, target.config.vocab_size)
+        yield tree_routing(target, context, build_tree(draft, context, branching))
 
 
 def reconstruction_analysis(
@@ -100,7 +112,7 @@ def reconstruction_analysis(
     context_len: int = 16,
     rng: Rng | None = None,
     mode: str = "raw",
-    static_counts: CalibrationCounts | None = None,
+    static_counts: np.ndarray | None = None,
     uses_raw_g: bool = True,
 ) -> dict[tuple[str, int], list[float]]:
     """Layer-averaged teacher-forced reconstruction error per seeded tree.
@@ -109,14 +121,10 @@ def reconstruction_analysis(
     spreads as needed.
     """
     rng = rng if rng is not None else Rng(0)
-    branching = binary_branching(tree_size)
     out: dict[tuple[str, int], list[float]] = {
         (m, int(b)): [] for m in methods for b in budgets
     }
-    for t in range(n_trees):
-        context = random_tokens(rng.substream(t), context_len, target.config.vocab_size)
-        tree = build_tree(draft, context, branching)
-        layers = tree_routing(target, context, tree)
+    for layers in tree_captures(target, draft, n_trees, tree_size, context_len, rng):
         for method in methods:
             for budget in budgets:
                 shortlist_for = shortlister(method, int(budget), static_counts, uses_raw_g)
@@ -138,26 +146,16 @@ def reconstruction_analysis(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CoverageCurve:
+def coverage_curve(tree_probs: np.ndarray) -> np.ndarray:
     """Cumulative aggregate routing probability captured by the top-B
-    experts, for every B in 1..n_experts."""
-
-    layer: int
-    values: np.ndarray  # (n_experts,), values[B-1] = coverage at budget B
-
-    def at(self, budget: int) -> float:
-        return float(self.values[budget - 1])
-
-
-def coverage_curve(tree_probs: np.ndarray, layer: int = 0) -> CoverageCurve:
-    """Coverage curve from the (M, n_experts) routing of one layer's tree."""
+    experts of one layer's (M, n_experts) tree routing: an (n_experts,)
+    array whose entry B-1 is the coverage at budget B."""
     scores = np.asarray(tree_probs, dtype=np.float64).sum(axis=0)
     total = scores.sum()
     if total <= 0:
         raise ValueError("routing mass must be positive")
     order = top_k_indices(scores, scores.size)
-    return CoverageCurve(layer=layer, values=np.cumsum(scores[order]) / total)
+    return np.cumsum(scores[order]) / total
 
 
 # ---------------------------------------------------------------------------

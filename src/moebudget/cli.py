@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -32,10 +33,11 @@ from .analysis import (
     pareto_table,
     read_trace,
     reconstruction_analysis,
+    tree_captures,
 )
-from .budgeting import METHODS, save_static_ranking
+from .budgeting import METHODS, static_ranking_report
 from .coverage import CoveragePolicy
-from .draft_tree import binary_branching, build_tree, tree_routing
+from .draft_tree import binary_branching
 from .numerics import Rng
 from .simulator import (
     CALIB_STREAM,
@@ -46,7 +48,7 @@ from .simulator import (
     default_calibration,
     sweep,
 )
-from .toy_model import DraftSpec, ModelConfig, PRESETS, preset_config, random_tokens
+from .toy_model import DraftSpec, ModelConfig, PRESETS, preset_config
 
 DEFAULT_TREE_SIZES = (3, 7, 15, 31, 63, 127, 255)
 ANALYSIS_STREAM = 103
@@ -299,7 +301,17 @@ COACTIVATION_COLUMNS = (
 RECONSTRUCT_COLUMNS = ("method", "budget", "mode", "trees", "error_mean", "error_std")
 
 
-def _run_sweep_command(command: str, config: ExperimentConfig, cells) -> int:
+def _run_sweep_command(command: str, config: ExperimentConfig, sizes) -> int:
+    """Sweep the AR baseline, full verification at each tree size in
+    ``sizes``, and budgeted verification at each size x method x policy x
+    budget; write the rows, the Pareto table and the cell summaries."""
+    cells = [SweepCell(mode="ar")]
+    for size in sizes:
+        cells.append(SweepCell(mode="spec_full", tree_size=size))
+        for method, policy, budget in itertools.product(
+            config.methods, config.policies, config.budgets
+        ):
+            cells.append(SweepCell("spec_budgeted", size, method, policy, budget))
     spec = SweepSpec(
         model_config=config.model,
         draft_spec=config.draft,
@@ -351,62 +363,29 @@ def _run_sweep_command(command: str, config: ExperimentConfig, cells) -> int:
 
 def cmd_simulate(config: ExperimentConfig) -> int:
     """Tree-size sweep: AR baseline, full verification, and budgeted
-    verification at each configured budget."""
-    cells = [SweepCell(mode="ar")]
-    for size in config.tree_sizes:
-        cells.append(SweepCell(mode="spec_full", tree_size=size))
-        for budget in config.budgets:
-            cells.append(
-                SweepCell(
-                    mode="spec_budgeted",
-                    tree_size=size,
-                    method=config.methods[0],
-                    policy=config.policies[0],
-                    budget=budget,
-                )
-            )
-    return _run_sweep_command("simulate", config, cells)
+    verification at each configured method, policy and budget."""
+    return _run_sweep_command("simulate", config, config.tree_sizes)
 
 
 def cmd_ablate(config: ExperimentConfig) -> int:
     """Design-space grid at a fixed tree size: every ranking method crossed
     with every coverage policy and budget."""
-    cells = [SweepCell(mode="ar"), SweepCell(mode="spec_full", tree_size=config.tree_size)]
-    for method in config.methods:
-        for policy in config.policies:
-            for budget in config.budgets:
-                cells.append(
-                    SweepCell(
-                        mode="spec_budgeted",
-                        tree_size=config.tree_size,
-                        method=method,
-                        policy=policy,
-                        budget=budget,
-                    )
-                )
-    return _run_sweep_command("ablate", config, cells)
+    return _run_sweep_command("ablate", config, (config.tree_size,))
 
 
-def _collect_tree_records(config: ExperimentConfig) -> dict[int, dict[str, np.ndarray]]:
+def _collect_tree_records(config: ExperimentConfig) -> dict[int, dict]:
     """Routing records of `trees` seeded draft trees under the full target."""
     target, draft = build_model_pair(config.model, config.draft)
-    branching = binary_branching(config.tree_size)
-    probs: dict[int, list] = {li: [] for li in range(target.n_layers)}
-    selected: dict[int, list] = {li: [] for li in range(target.n_layers)}
     rng = Rng(config.model.seed).substream(ANALYSIS_STREAM)
-    for t in range(config.trees):
-        ctx = random_tokens(rng.substream(t), config.context_len, config.model.vocab_size)
-        tree = build_tree(draft, ctx, branching)
-        for li, layer in enumerate(tree_routing(target, ctx, tree)):
-            probs[li].append(layer.probs)
-            selected[li].append(layer.selected)
+    trees = list(
+        tree_captures(target, draft, config.trees, config.tree_size, config.context_len, rng)
+    )
     return {
         li: {
-            "probs_per_tree": probs[li],
-            "probs": np.concatenate(probs[li]),
-            "selected": np.concatenate(selected[li]),
+            "probs_per_tree": [layers[li].probs for layers in trees],
+            "selected": np.concatenate([layers[li].selected for layers in trees]),
         }
-        for li in probs
+        for li in range(target.n_layers)
     }
 
 
@@ -414,11 +393,7 @@ def _load_records(config: ExperimentConfig, trace: str | None):
     if trace is not None:
         parsed = read_trace(trace, config.model.n_experts, k=config.model.top_k)
         return {
-            li: {
-                "probs_per_tree": [rec["probs"]],
-                "probs": rec["probs"],
-                "selected": rec["selected"],
-            }
+            li: {"probs_per_tree": [rec["probs"]], "selected": rec["selected"]}
             for li, rec in parsed.items()
         }
     return _collect_tree_records(config)
@@ -429,9 +404,7 @@ def cmd_coverage(config: ExperimentConfig, trace: str | None = None) -> int:
     records = _load_records(config, trace)
     rows = []
     for li in sorted(records):
-        curves = np.stack(
-            [coverage_curve(p, li).values for p in records[li]["probs_per_tree"]]
-        )
+        curves = np.stack([coverage_curve(p) for p in records[li]["probs_per_tree"]])
         for b in range(curves.shape[1]):
             rows.append(
                 {
@@ -534,7 +507,12 @@ def cmd_calibrate_static(config: ExperimentConfig) -> int:
     counts = default_calibration(target, Rng(config.model.seed).substream(CALIB_STREAM))
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_static_ranking(counts, out_dir / "static_ranking.json")
+    write_json(
+        out_dir / "static_ranking.json",
+        "calibrate-static",
+        config,
+        static_ranking_report(counts, config.model.top_k),
+    )
     return 0
 
 

@@ -1,5 +1,8 @@
 """Budgeted MoE execution under a shortlist: truncation or substitution.
 
+A shortlist is one layer's array of distinct expert ids, as the
+``budgeting`` rankings return it.
+
 Truncation keeps each token's natural top-k routing but zeroes the
 contribution of experts outside the shortlist, with mixing weights still
 computed over the original top-k set; a token whose entire top-k is missing
@@ -22,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budgeting import Shortlist
 from .moe_core import MoELayerWeights, apply_experts, route_batch, selection_weights
 from .numerics import top_k_indices
 
@@ -43,7 +45,7 @@ def policy_assignments(
     layer: MoELayerWeights,
     probs: np.ndarray,
     selected: np.ndarray,
-    shortlist: Shortlist,
+    shortlist: np.ndarray,
     policy: CoveragePolicy,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-token expert slot assignments under a coverage policy.
@@ -53,7 +55,8 @@ def policy_assignments(
     the per-token count of natural experts absent from the shortlist.
     """
     policy = CoveragePolicy(policy)
-    member = shortlist.member_table(layer.n_experts)
+    member = np.zeros(layer.n_experts, dtype=bool)
+    member[shortlist] = True
     in_list = member[selected]  # (T, k)
     missing = layer.k - in_list.sum(axis=1)
 
@@ -65,7 +68,7 @@ def policy_assignments(
     # Substitution: top-k constrained to the shortlist, ranked by routing
     # probability with ties to the lower expert index. Probabilities are
     # strictly positive, so -1 safely ranks non-members last.
-    k_eff = min(layer.k, shortlist.budget)
+    k_eff = min(layer.k, len(shortlist))
     masked = np.where(member, probs, -1.0)
     ids = top_k_indices(masked, layer.k)
     weights = selection_weights(probs, ids, layer.renormalize)
@@ -84,7 +87,7 @@ class LayerBudget:
     """What one budgeted MoE layer ran: the shortlist it used, the per-token
     slot assignments, and the per-token count of missing natural experts."""
 
-    shortlist: Shortlist
+    shortlist: np.ndarray  # expert ids in ranking order
     ids: np.ndarray  # (T, k) assigned expert ids, -1 for inactive slots
     missing: np.ndarray  # (T,) |top_k \ shortlist|, in 0..k
 
@@ -97,8 +100,8 @@ class LayerBudget:
 def budgeted_moe(shortlist_for, policy: CoveragePolicy):
     """The budgeted MoE sublayer, as a ``TreeDecoder.run_rows`` hook.
 
-    ``shortlist_for(layer_index, layer, states, probs, selected) ->
-    Shortlist`` is the provider ``budgeting.shortlister`` builds; it is asked
+    ``shortlist_for(layer_index, layer, states, probs, selected) -> expert
+    ids`` is the provider ``budgeting.shortlister`` builds; it is asked
     mid-forward because router and oracle ranking need the budgeted stream's
     own states. Routing is computed from those states, so approximation
     compounds across layers exactly as in a real budgeted verification pass,

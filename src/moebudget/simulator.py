@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .budgeting import METHODS, CalibrationCounts, calibrate_static, shortlister
+from .budgeting import METHODS, calibrate_static, shortlister
 from .coverage import CoveragePolicy, budgeted_moe
 from .draft_tree import DEFAULT_CONTEXT_LEN, DraftTree, binary_branching, expand_tree
 from .numerics import Rng
@@ -233,7 +233,7 @@ def verify_greedy(
     tree: DraftTree,
     budget_cfg: BudgetConfig | None = None,
     cost: CostModelParams = CostModelParams(),
-    static_counts: CalibrationCounts | None = None,
+    static_counts: np.ndarray | None = None,
 ) -> tuple[list[int], StepReport]:
     """One verification step over a drafted tree on a target decoder.
 
@@ -251,10 +251,10 @@ def verify_greedy(
     else:
         budget_cfg.validate()
         want = (decoder.model.n_layers, decoder.model.config.n_experts)
-        if static_counts is not None and static_counts.counts.shape != want:
+        if static_counts is not None and static_counts.shape != want:
             raise ValueError(
                 f"static counts must have shape {want}, one shortlist per MoE layer "
-                f"over every expert; got {static_counts.counts.shape}"
+                f"over every expert; got {static_counts.shape}"
             )
         shortlist_for = shortlister(
             budget_cfg.method, budget_cfg.budget, static_counts, budget_cfg.uses_raw_g
@@ -279,9 +279,9 @@ def verify_greedy(
     return emitted, _build_report(tree, emitted, unique, budget_cfg, cost, missing, fully)
 
 
-def default_calibration(target: MoEModel, rng: Rng) -> CalibrationCounts:
-    """Selection counts over seeded random sequences, disjoint from every
-    evaluation prompt stream."""
+def default_calibration(target: MoEModel, rng: Rng) -> np.ndarray:
+    """(n_layers, n_experts) selection counts over seeded random sequences,
+    disjoint from every evaluation prompt stream."""
     n_seqs = CALIBRATION_TOKENS // CALIBRATION_SEQ_LEN
     seqs = [
         random_tokens(rng.substream(i), CALIBRATION_SEQ_LEN, target.config.vocab_size)
@@ -299,12 +299,13 @@ def run_generation(
     cost: CostModelParams = CostModelParams(),
     budget_cfg: BudgetConfig | None = None,
     tree_size: int = 63,
-    static_counts: CalibrationCounts | None = None,
+    static_counts: np.ndarray | None = None,
     keep_coverage: bool = False,
 ) -> GenerationRun:
     """Generate ``gen_len`` tokens from ``prompt`` in one of three modes:
     plain autoregressive greedy, speculative with full verification, or
-    speculative with budgeted verification.
+    speculative with budgeted verification. The decoders check ``prompt``:
+    a non-empty 1-D sequence of integer token ids.
     """
     if gen_len < 1:
         raise ValueError("gen_len must be >= 1")
@@ -316,16 +317,12 @@ def run_generation(
 
     started = time.perf_counter()
     cfg = target.config
-    context = list(np.asarray(prompt, dtype=np.int64))
-    if not context:
-        raise ValueError("prompt must be non-empty")
-
     generated: list[int] = []
     reports: list[StepReport] = []
 
     if mode == "ar":
         ar_cost = cost.ar_step_cost(cfg.n_layers, cfg.top_k)
-        decoder = TreeDecoder(target, np.asarray(context, dtype=np.int64))
+        decoder = TreeDecoder(target, prompt)
         for _ in range(gen_len):
             nxt = int(np.argmax(decoder.context_logits))
             decoder.append_tokens([nxt])
@@ -353,8 +350,8 @@ def run_generation(
         # earlier ones). Modeled costs are computed as if the verify step
         # re-read the context (charged to the shared term), so the prefix
         # cache changes wall-clock only, never reported numbers.
-        draft_dec = TreeDecoder(draft, np.asarray(context, dtype=np.int64))
-        target_dec = TreeDecoder(target, np.asarray(context, dtype=np.int64))
+        draft_dec = TreeDecoder(draft, prompt)
+        target_dec = TreeDecoder(target, prompt)
         while len(generated) < gen_len:
             marker = draft_dec.checkpoint()
             tree = expand_tree(draft_dec, branching)
@@ -519,7 +516,7 @@ def _prompt_for_seed(spec: SweepSpec, seed: int) -> np.ndarray:
 
 
 def _run_cell(
-    spec: SweepSpec, cell: SweepCell, seed: int, static_counts: CalibrationCounts | None
+    spec: SweepSpec, cell: SweepCell, seed: int, static_counts: np.ndarray | None
 ) -> GenerationRun:
     """Run one (cell, seed) from the seed's prompt."""
     target, draft = build_model_pair(spec.model_config, spec.draft_spec)

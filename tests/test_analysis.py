@@ -16,7 +16,7 @@ from moebudget.analysis import (
     reconstruction_analysis,
     reconstruction_error,
 )
-from moebudget.budgeting import Shortlist, calibrate_static, rank_router
+from moebudget.budgeting import calibrate_static, rank_router
 from moebudget.draft_tree import build_tree, tree_routing
 from moebudget.moe_core import route_batch
 from moebudget.numerics import Rng
@@ -28,11 +28,6 @@ from reference import forward, write_trace_dense, write_trace_topk
 from test_moe_core import make_layer
 
 
-def shortlist_of(experts, layer=0):
-    experts = np.asarray(experts)
-    return Shortlist(layer=layer, experts=experts, method="router", scores=np.zeros(experts.size))
-
-
 class TestReconstructionError:
     @pytest.mark.parametrize("mode", ["truncation", "substitution"])
     def test_full_shortlist_zero_error(self, mode):
@@ -40,7 +35,7 @@ class TestReconstructionError:
         states = Rng(1).normal(size=(5, 4))
         probs, selected = route_batch(layer, states)
         err = reconstruction_error(
-            layer, states, probs, selected, shortlist_of(np.arange(8)), mode
+            layer, states, probs, selected, np.arange(8), mode
         )
         assert err < 1e-12
 
@@ -51,7 +46,7 @@ class TestReconstructionError:
         outside = sorted(set(range(8)) - set(np.unique(selected).tolist()))
         assert outside
         err = reconstruction_error(
-            layer, states, probs, selected, shortlist_of(outside), "truncation"
+            layer, states, probs, selected, np.asarray(outside), "truncation"
         )
         assert err == pytest.approx(1.0, abs=1e-12)
 
@@ -59,7 +54,7 @@ class TestReconstructionError:
         layer = make_layer(n=6, k=2, renormalize=False)
         states = Rng(3).normal(size=(3, 4))
         probs, selected = route_batch(layer, states)
-        sl = shortlist_of([0, 2, 5])
+        sl = np.array([0, 2, 5])
         got = reconstruction_error(layer, states, probs, selected, sl, "raw", True)
         from moebudget.moe_core import expert_outputs_grouped, selection_weights, apply_experts
 
@@ -76,7 +71,7 @@ class TestReconstructionError:
         states = Rng(1).normal(size=(2, 4))
         probs, selected = route_batch(layer, states)
         with pytest.raises(ValueError):
-            reconstruction_error(layer, states, probs, selected, shortlist_of([0]), "magic")
+            reconstruction_error(layer, states, probs, selected, np.array([0]), "magic")
 
     def test_truncation_monotone_for_nested_shortlists(self, target, draft):
         # Router shortlists are prefixes of one fixed ordering, so dropping
@@ -86,10 +81,10 @@ class TestReconstructionError:
         tree = build_tree(draft, ctx, (2,) * 4)
         for li, tr in enumerate(tree_routing(target, ctx, tree)):
             states, probs, selected = tr.moe_input, tr.probs, tr.selected
-            full_order = rank_router(probs, li, target.config.n_experts).experts
+            full_order = rank_router(probs, target.config.n_experts)
             errs = []
             for budget in (8, 16, 32, 48, 64):
-                sl = shortlist_of(full_order[:budget], layer=li)
+                sl = full_order[:budget]
                 errs.append(
                     reconstruction_error(
                         target.blocks[li].moe, states, probs, selected, sl, "truncation"
@@ -117,16 +112,16 @@ class TestCoverageCurve:
     def test_uniform_routing_is_linear(self):
         probs = np.full((10, 8), 1 / 8)
         curve = coverage_curve(probs)
-        np.testing.assert_allclose(curve.values, np.arange(1, 9) / 8, atol=1e-9)
+        np.testing.assert_allclose(curve, np.arange(1, 9) / 8, atol=1e-9)
 
     def test_reaches_one_and_monotone(self, target, draft):
         ctx = prompt_tokens(target, 81)
         tree = build_tree(draft, ctx, (2,) * 4)
         for li, layer in enumerate(tree_routing(target, ctx, tree)):
-            curve = coverage_curve(layer.probs, li)
-            assert curve.values[-1] == pytest.approx(1.0, abs=1e-9)
-            assert np.all(np.diff(curve.values) >= -1e-12)
-            assert curve.at(target.config.n_experts) == curve.values[-1]
+            curve = coverage_curve(layer.probs)
+            assert curve.shape == (target.config.n_experts,)
+            assert curve[-1] == pytest.approx(1.0, abs=1e-9)
+            assert np.all(np.diff(curve) >= -1e-12)
 
     def test_zero_mass_rejected(self):
         with pytest.raises(ValueError):
@@ -158,7 +153,7 @@ class TestCoactivation:
         for li in range(small_target.n_layers):
             sel = np.concatenate(all_selected[li])
             mat = coactivation(sel, small_target.config.n_experts, layer=li)
-            np.testing.assert_array_equal(np.diag(mat.counts), counts.counts[li])
+            np.testing.assert_array_equal(np.diag(mat.counts), counts[li])
             np.testing.assert_array_equal(mat.counts, mat.counts.T)
             assert mat.counts.max() <= mat.tokens_observed
 

@@ -1,22 +1,18 @@
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
 from moebudget.budgeting import (
     METHODS,
-    CalibrationCounts,
-    Shortlist,
     calibrate_static,
     gold_outputs,
     oracle_reconstruction_weights,
     rank_oracle,
     rank_router,
     rank_static,
-    save_static_ranking,
     shortlister,
+    static_ranking_report,
 )
 from moebudget.draft_tree import build_tree, tree_routing
 from moebudget.moe_core import route_batch
@@ -48,35 +44,34 @@ class TestCalibration:
     def test_single_token_counts_k_experts(self, small_target):
         counts = calibrate_static(small_target, [[3]])
         k = small_target.config.top_k
-        for layer_counts in counts.counts:
+        assert counts.dtype == np.int64
+        for layer_counts in counts:
             assert layer_counts.sum() == k
             assert np.count_nonzero(layer_counts) == k
-        assert counts.tokens == 1
 
     def test_duplicated_stream_doubles_counts(self, small_target):
         seq = random_tokens(Rng(1), 12, small_target.config.vocab_size)
         once = calibrate_static(small_target, [seq])
         twice = calibrate_static(small_target, [seq, seq])
-        np.testing.assert_array_equal(twice.counts, 2 * once.counts)
-        assert twice.tokens == 2 * once.tokens
+        np.testing.assert_array_equal(twice, 2 * once)
 
     def test_counts_match_recount_from_routing_records(self, small_target):
         seqs = [random_tokens(Rng(i), 32, small_target.config.vocab_size) for i in range(4)]
         counts = calibrate_static(small_target, seqs)
-        recount = np.zeros_like(counts.counts)
+        recount = np.zeros_like(counts)
         for seq in seqs:
             result = forward(small_target, seq)
             for li, trace in enumerate(result.layers):
                 for row in trace.selected:
                     for e in row:
                         recount[li, e] += 1
-        np.testing.assert_array_equal(counts.counts, recount)
+        np.testing.assert_array_equal(counts, recount)
 
     def test_sum_invariant(self, small_target):
         seqs = [random_tokens(Rng(9), 20, small_target.config.vocab_size)]
         counts = calibrate_static(small_target, seqs)
         k = small_target.config.top_k
-        assert np.all(counts.counts.sum(axis=1) == k * counts.tokens)
+        assert np.all(counts.sum(axis=1) == k * sum(len(seq) for seq in seqs))
 
     def test_empty_stream_rejected(self, small_target):
         with pytest.raises(ValueError):
@@ -85,50 +80,45 @@ class TestCalibration:
 
 class TestRankStatic:
     def test_tie_breaks_to_lower_index(self):
-        counts = CalibrationCounts(counts=np.array([[3, 5, 5, 1]]), tokens=7)
-        sl = rank_static(counts, 0, 2)
-        assert sl.experts.tolist() == [1, 2]
-        assert sl.method == "static"
+        sl = rank_static(np.array([3, 5, 5, 1]), 2)
+        assert sl.dtype == np.int64
+        assert sl.tolist() == [1, 2]
 
     def test_full_budget_returns_all(self):
-        counts = CalibrationCounts(counts=np.array([[3, 5, 5, 1]]), tokens=7)
-        assert sorted(rank_static(counts, 0, 4).experts.tolist()) == [0, 1, 2, 3]
+        assert sorted(rank_static(np.array([3, 5, 5, 1]), 4).tolist()) == [0, 1, 2, 3]
 
     def test_matches_sort_oracle(self):
         rng = Rng(4)
         c = rng.integers(0, 100, size=(1, 32))
-        counts = CalibrationCounts(counts=c, tokens=int(c.sum() // 4))
-        sl = rank_static(counts, 0, 10)
+        sl = rank_static(c[0], 10)
         want = sorted(range(32), key=lambda i: (-c[0, i], i))[:10]
-        assert sl.experts.tolist() == want
+        assert sl.tolist() == want
 
-    def test_save_static_ranking_writes_counts_and_ordering(self, tmp_path):
-        counts = CalibrationCounts(counts=np.array([[3, 5, 5, 1], [0, 1, 2, 3]]), tokens=7)
-        path = tmp_path / "static.json"
-        save_static_ranking(counts, path)
-        with open(path) as f:
-            payload = json.load(f)
-        assert payload["counts"] == [[3, 5, 5, 1], [0, 1, 2, 3]]
+    def test_static_ranking_report_counts_and_ordering(self):
+        # Seven tokens with k=2: each layer's counts sum to 14.
+        counts = np.array([[3, 5, 5, 1], [2, 3, 4, 5]])
+        payload = static_ranking_report(counts, top_k=2)
+        assert payload["counts"] == [[3, 5, 5, 1], [2, 3, 4, 5]]
         assert payload["tokens"] == 7
         # Descending count, the tie between experts 1 and 2 to the lower.
         assert payload["ordering"] == [[1, 2, 0, 3], [3, 2, 1, 0]]
         for layer, ordering in enumerate(payload["ordering"]):
             for budget in range(1, 5):
-                assert ordering[:budget] == rank_static(counts, layer, budget).experts.tolist()
+                assert ordering[:budget] == rank_static(counts[layer], budget).tolist()
 
 
 class TestRankRouter:
     def test_single_token_equals_prob_ranking(self):
         layer = make_layer(n=8, k=2)
         probs, _ = route_batch(layer, Rng(1).normal(size=(1, 4)))
-        sl = rank_router(probs, 0, 3)
+        sl = rank_router(probs, 3)
         want = sorted(range(8), key=lambda i: (-probs[0, i], i))[:3]
-        assert sl.experts.tolist() == want
+        assert sl.dtype == np.int64
+        assert sl.tolist() == want
 
     def test_uniform_scores_tie_to_low_indices(self):
         probs = np.full((5, 8), 1 / 8)
-        sl = rank_router(probs, 0, 4)
-        assert sl.experts.tolist() == [0, 1, 2, 3]
+        assert rank_router(probs, 4).tolist() == [0, 1, 2, 3]
 
     def test_matches_double_loop_oracle(self, target, draft):
         ctx = prompt_tokens(target, 11)
@@ -137,19 +127,14 @@ class TestRankRouter:
         for layer in range(target.n_layers):
             probs = routing[layer].probs
             scores = [sum(probs[t][i] for t in range(probs.shape[0])) for i in range(64)]
-            sl = rank_router(probs, layer, 16)
             want = sorted(range(64), key=lambda i: (-scores[i], i))[:16]
-            assert sl.experts.tolist() == want
-            np.testing.assert_allclose(sl.scores, [scores[i] for i in want], atol=1e-9)
+            assert rank_router(probs, 16).tolist() == want
 
     def test_node_order_invariance(self):
         layer = make_layer(n=8, k=2)
         probs, _ = route_batch(layer, Rng(2).normal(size=(6, 4)))
         perm = Rng(3).permutation(6)
-        a = rank_router(probs, 0, 4)
-        b = rank_router(probs[perm], 0, 4)
-        assert a.experts.tolist() == b.experts.tolist()
-        np.testing.assert_allclose(a.scores, b.scores, atol=1e-12)
+        assert rank_router(probs, 4).tolist() == rank_router(probs[perm], 4).tolist()
 
 
 class TestRankOracle:
@@ -157,9 +142,11 @@ class TestRankOracle:
         layer = make_layer(n=1, k=1)
         states = Rng(1).normal(size=(3, 4))
         probs, selected = route_batch(layer, states)
-        sl = rank_oracle(layer, states, probs, selected, 0, 1, uses_raw_g=True)
-        assert sl.experts.tolist() == [0]
-        assert abs(sl.scores[0]) < 1e-9  # negative residual of ~0
+        sl = rank_oracle(layer, states, probs, selected, 1, uses_raw_g=True)
+        assert sl.dtype == np.int64
+        assert sl.tolist() == [0]
+        residual = exhaustive_residual(layer, states, probs, selected, sl.tolist(), True)
+        assert abs(residual) < 1e-9
 
     @pytest.mark.parametrize("uses_raw_g", [True, False])
     @pytest.mark.parametrize("renormalize", [True, False])
@@ -171,7 +158,7 @@ class TestRankOracle:
             states = Rng(70 + trial).normal(size=(4, 4))
             probs, selected = route_batch(layer, states)
             budget = 4
-            sl = rank_oracle(layer, states, probs, selected, 0, budget, uses_raw_g)
+            sl = rank_oracle(layer, states, probs, selected, budget, uses_raw_g)
             chosen: list[int] = []
             for step in range(budget):
                 cands = {}
@@ -183,27 +170,16 @@ class TestRankOracle:
                     )
                 best = min(cands.values())
                 want = min(i for i, v in cands.items() if abs(v - best) < 1e-9)
-                assert sl.experts[step] == want, (trial, step, cands, sl.experts)
-                chosen.append(int(sl.experts[step]))
-
-    def test_scores_match_residual_at_selection(self):
-        layer = make_layer(n=6, k=2, d=4, seed=3)
-        states = Rng(5).normal(size=(4, 4))
-        probs, selected = route_batch(layer, states)
-        sl = rank_oracle(layer, states, probs, selected, 0, 3, uses_raw_g=True)
-        for step in range(3):
-            want = exhaustive_residual(
-                layer, states, probs, selected, sl.experts[: step + 1].tolist(), True
-            )
-            assert -sl.scores[step] == pytest.approx(want, abs=1e-8)
+                assert sl[step] == want, (trial, step, cands, sl)
+                chosen.append(int(sl[step]))
 
     def test_budget_clamped_with_warning(self):
         layer = make_layer(n=4, k=2)
         states = Rng(1).normal(size=(2, 4))
         probs, selected = route_batch(layer, states)
         with pytest.warns(UserWarning):
-            sl = rank_oracle(layer, states, probs, selected, 0, 9)
-        assert sl.budget == 4
+            sl = rank_oracle(layer, states, probs, selected, 9)
+        assert sorted(sl.tolist()) == [0, 1, 2, 3]
 
     def test_nonrenormalized_full_budget_residual_nonzero(self):
         # With raw-g reconstruction over all experts, non-top-k experts add
@@ -211,8 +187,9 @@ class TestRankOracle:
         layer = make_layer(n=6, k=2, renormalize=False)
         states = Rng(2).normal(size=(3, 4))
         probs, selected = route_batch(layer, states)
-        sl = rank_oracle(layer, states, probs, selected, 0, 6, uses_raw_g=True)
-        assert -sl.scores[-1] > 1e-6
+        sl = rank_oracle(layer, states, probs, selected, 6, uses_raw_g=True)
+        assert sorted(sl.tolist()) == list(range(6))
+        assert exhaustive_residual(layer, states, probs, selected, sl.tolist(), True) > 1e-6
 
     def test_gold_outputs_match_forward(self):
         from moebudget.moe_core import moe_forward_full_batch
@@ -235,16 +212,17 @@ class TestShortlistInvariants:
             for li, tr in enumerate(routing):
                 layer = small_target.blocks[li].moe
                 lists = [
-                    rank_static(counts, li, budget),
-                    rank_router(tr.probs, li, budget),
-                    rank_oracle(layer, tr.moe_input, tr.probs, tr.selected, li, budget),
+                    rank_static(counts[li], budget),
+                    rank_router(tr.probs, budget),
+                    rank_oracle(layer, tr.moe_input, tr.probs, tr.selected, budget),
                 ]
                 for sl in lists:
-                    assert sl.budget == min(budget, n)
-                    assert np.unique(sl.experts).size == sl.experts.size
-                    assert sl.experts.min() >= 0 and sl.experts.max() < n
+                    assert sl.dtype == np.int64
+                    assert sl.shape == (min(budget, n),)
+                    assert np.unique(sl).size == sl.size
+                    assert sl.min() >= 0 and sl.max() < n
                     if budget == n:
-                        assert sorted(sl.experts.tolist()) == list(range(n))
+                        assert sorted(sl.tolist()) == list(range(n))
 
     @pytest.mark.parametrize("uses_raw_g", [True, False])
     def test_shortlister_equals_direct_ranking(self, small_target, small_draft, uses_raw_g):
@@ -257,26 +235,15 @@ class TestShortlistInvariants:
                 layer = small_target.blocks[li].moe
                 args = (tr.moe_input, tr.probs, tr.selected)
                 want = {
-                    "static": rank_static(counts, li, budget),
-                    "router": rank_router(tr.probs, li, budget),
-                    "oracle": rank_oracle(layer, *args, li, budget, uses_raw_g),
+                    "static": rank_static(counts[li], budget),
+                    "router": rank_router(tr.probs, budget),
+                    "oracle": rank_oracle(layer, *args, budget, uses_raw_g),
                 }
                 for method, provider in providers.items():
-                    got = provider(li, layer, *args)
-                    assert (got.layer, got.method) == (li, method)
-                    np.testing.assert_array_equal(got.experts, want[method].experts)
-                    np.testing.assert_array_equal(got.scores, want[method].scores)
+                    np.testing.assert_array_equal(provider(li, layer, *args), want[method])
 
     def test_shortlister_rejects_unknown_method_and_static_without_counts(self):
         with pytest.raises(ValueError, match="unknown ranking method"):
             shortlister("magic", 4)
         with pytest.raises(ValueError, match="requires calibration counts"):
             shortlister("static", 4)
-
-    def test_duplicate_experts_rejected(self):
-        with pytest.raises(ValueError):
-            Shortlist(layer=0, experts=np.array([1, 1]), method="router", scores=np.zeros(2))
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            Shortlist(layer=0, experts=np.array([1]), method="magic", scores=np.zeros(1))

@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from moebudget import __version__
 from moebudget.cli import main
 
 TINY = {
@@ -143,3 +144,57 @@ def test_ablate_rows_identical_at_any_worker_count(tmp_path):
         ]
         assert len(rows[0]) > 1
         assert rows[0] == rows[1]
+
+
+def test_simulate_runs_every_method_and_policy(tmp_path):
+    flags = ("--method", "static,router", "--policy", "truncation,substitution",
+             "--budget", "2", "--tree-size", "3", "--gen-len", "4", "--prompts", "1")
+    code, out_dir = run(tmp_path, "simulate", TINY, *flags)
+    assert code == 0
+    lines = [l for l in (out_dir / "simulate.csv").read_text().splitlines() if l[0] != "#"]
+    rows = [dict(zip(lines[0].split(","), l.split(","))) for l in lines[1:]]
+    budgeted = sorted(
+        (r["method"], r["policy"], r["budget"], r["tree_size"])
+        for r in rows if r["mode"] == "spec_budgeted"
+    )
+    assert budgeted == [
+        (m, p, "2", "3") for m in ("router", "static") for p in ("substitution", "truncation")
+    ]
+
+
+def header_of(path) -> dict:
+    """The header block of an output file: the leading ``# key: value``
+    lines of a CSV file, the ``header`` object of a JSON file."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        return json.loads(text)["header"]
+    lines = text.splitlines()
+    assert lines[0] == f"# moebudget {__version__}"
+    fields = dict(l[2:].split(": ", 1) for l in lines[1:4])
+    assert all(l.startswith("# ") for l in lines[:4]) and list(fields) == [
+        "command", "master_seed", "config"
+    ]
+    return {
+        "tool": lines[0][2:],
+        "command": fields["command"],
+        "master_seed": int(fields["master_seed"]),
+        "config": json.loads(fields["config"]),
+    }
+
+
+@pytest.mark.parametrize(
+    "command", ["simulate", "ablate", "coverage", "coactivation", "reconstruct", "calibrate-static"]
+)
+def test_every_output_file_starts_with_the_header_block(tmp_path, command):
+    config = {**TINY, "methods": ["static"], "budgets": [2], "gen_len": 2, "prompts": 1}
+    code, out_dir = run(tmp_path, command, config, "--seed", "3")
+    assert code == 0
+    files = sorted(out_dir.iterdir())
+    assert files
+    for path in files:
+        header = header_of(path)
+        assert header["tool"] == f"moebudget {__version__}"
+        assert header["command"] == command
+        assert header["master_seed"] == 3
+        assert header["config"]["model"]["seed"] == 3
+        assert header["config"]["out_dir"] == str(out_dir)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from moebudget.budgeting import CalibrationCounts, Shortlist, shortlister
+from moebudget.budgeting import shortlister
 from moebudget.coverage import CoveragePolicy, budgeted_moe, policy_assignments
 from moebudget.draft_tree import build_tree
 from moebudget.moe_core import apply_experts, moe_forward_full_batch, route_batch
@@ -15,13 +15,6 @@ from conftest import prompt_tokens
 from test_moe_core import expert_eval_naive, make_layer, route_one
 
 POLICIES = (CoveragePolicy.TRUNCATION, CoveragePolicy.SUBSTITUTION)
-
-
-def shortlist_of(experts, layer=0) -> Shortlist:
-    experts = np.asarray(experts)
-    return Shortlist(
-        layer=layer, experts=experts, method="router", scores=np.zeros(experts.size)
-    )
 
 
 def budgeted_batch(layer, states, shortlist, policy):
@@ -40,7 +33,7 @@ def budgeted_one(layer, h, shortlist, policy):
 def budgeted_naive(layer, h, shortlist, policy):
     """Direct evaluation of the two coverage formulas, scalar loops only."""
     probs, selected = route_one(layer, h)
-    members = set(int(i) for i in shortlist.experts)
+    members = set(int(i) for i in shortlist)
     natural = [int(i) for i in selected]
     if policy is CoveragePolicy.TRUNCATION:
         chosen = [i for i in natural if i in members]
@@ -70,7 +63,7 @@ class TestSingleTokenPolicies:
         layer = make_layer(n=8, k=2, renormalize=renormalize)
         for t in (1, 6):
             states = Rng(1).normal(size=(t, 4))
-            out, missing = budgeted_batch(layer, states, shortlist_of(np.arange(8)), policy)
+            out, missing = budgeted_batch(layer, states, np.arange(8), policy)
             np.testing.assert_array_equal(out, moe_forward_full_batch(layer, states)[0])
             assert np.all(missing == 0)
 
@@ -79,7 +72,7 @@ class TestSingleTokenPolicies:
         layer = make_layer(n=8, k=2)
         h = Rng(2).normal(size=4)
         _, selected = route_one(layer, h)
-        sl = shortlist_of(selected)  # exactly the natural top-k
+        sl = selected  # exactly the natural top-k
         out, missing = budgeted_one(layer, h, sl, policy)
         np.testing.assert_allclose(
             out, moe_forward_full_batch(layer, h[None, :])[0][0], atol=1e-15
@@ -91,7 +84,7 @@ class TestSingleTokenPolicies:
         h = Rng(3).normal(size=4)
         _, selected = route_one(layer, h)
         outside = np.array([i for i in range(8) if i not in selected])[:3]
-        out, missing = budgeted_one(layer, h, shortlist_of(outside), CoveragePolicy.TRUNCATION)
+        out, missing = budgeted_one(layer, h, outside, CoveragePolicy.TRUNCATION)
         np.testing.assert_array_equal(out, np.zeros(4))
         assert missing == layer.k  # fully skipped
 
@@ -101,7 +94,7 @@ class TestSingleTokenPolicies:
         _, selected = route_one(layer, h)
         outside = np.array([i for i in range(8) if i not in selected])
         out, missing = budgeted_one(
-            layer, h, shortlist_of(outside), CoveragePolicy.SUBSTITUTION
+            layer, h, outside, CoveragePolicy.SUBSTITUTION
         )
         assert missing == layer.k  # natural experts all missing
         assert np.any(out != 0.0)  # substitutes still run
@@ -117,7 +110,7 @@ class TestSingleTokenPolicies:
             rng = Rng(1000 + seed)
             states = rng.normal(size=(4, 4))
             for _ in range(4):
-                sl = shortlist_of(np.sort(rng.permutation(8)[:4]))
+                sl = np.sort(rng.permutation(8)[:4])
                 got, missing = budgeted_batch(layer, states, sl, policy)
                 for t in range(4):
                     want, want_missing = budgeted_naive(layer, states[t], sl, policy)
@@ -130,7 +123,7 @@ class TestSingleTokenPolicies:
         layer = make_layer(n=8, k=3, renormalize=True)
         h = Rng(4).normal(size=4)
         _, selected = route_one(layer, h)
-        sl = shortlist_of([int(selected[0])])  # single expert, below k
+        sl = np.array([int(selected[0])])  # single expert, below k
         out, _ = budgeted_one(layer, h, sl, CoveragePolicy.SUBSTITUTION)
         # Renormalized single expert carries weight 1.
         want = expert_eval_naive(layer.experts[int(selected[0])], h)
@@ -142,7 +135,7 @@ class TestSingleTokenPolicies:
         for _ in range(10):
             h = rng.normal(size=4)
             _, selected = route_one(layer, h)
-            sl = shortlist_of(np.sort(np.unique(np.concatenate([selected, [0, 1]]))))
+            sl = np.unique(np.concatenate([selected, [0, 1]]))
             a, missing_a = budgeted_one(layer, h, sl, CoveragePolicy.TRUNCATION)
             b, missing_b = budgeted_one(layer, h, sl, CoveragePolicy.SUBSTITUTION)
             if missing_a == 0:
@@ -155,19 +148,18 @@ class TestPolicyAssignments:
         layer = make_layer(n=16, k=4)
         states = Rng(6).normal(size=(20, 4))
         probs, selected = route_batch(layer, states)
-        sl = shortlist_of(np.arange(0, 16, 2))  # 8 members
+        sl = np.arange(0, 16, 2)  # 8 members
         ids, weights, missing = policy_assignments(
             layer, probs, selected, sl, CoveragePolicy.SUBSTITUTION
         )
         assert np.all((ids >= 0).sum(axis=1) == layer.k)
-        member = sl.member_table(16)
-        assert np.all(member[ids[ids >= 0]])
+        assert np.all(np.isin(ids[ids >= 0], sl))
 
     def test_truncation_assigns_k_minus_missing(self):
         layer = make_layer(n=16, k=4)
         states = Rng(7).normal(size=(20, 4))
         probs, selected = route_batch(layer, states)
-        sl = shortlist_of(np.arange(5))
+        sl = np.arange(5)
         ids, _, missing = policy_assignments(
             layer, probs, selected, sl, CoveragePolicy.TRUNCATION
         )
@@ -181,10 +173,10 @@ def budgeted_tree(model, ctx, tree, shortlist_for, policy):
     return TreeDecoder(model, ctx).extend_tree(tree, hook), record
 
 
-def ordered_counts(model) -> CalibrationCounts:
+def ordered_counts(model) -> np.ndarray:
     """Calibration counts whose static top-B is experts 0..B-1 on every layer."""
     n = model.config.n_experts
-    return CalibrationCounts(counts=np.tile(np.arange(n, 0, -1), (model.n_layers, 1)), tokens=1)
+    return np.tile(np.arange(n, 0, -1), (model.n_layers, 1))
 
 
 class TestModelForwardBudgeted:
@@ -208,7 +200,7 @@ class TestModelForwardBudgeted:
             assert len(record) == target.n_layers
             for rec in record:
                 assert rec.executed.size <= budget
-                assert set(rec.executed.tolist()) <= set(rec.shortlist.experts.tolist())
+                assert set(rec.executed.tolist()) <= set(rec.shortlist.tolist())
 
     def test_substitution_at_budget_k_uses_exactly_shortlist(self, target, draft):
         ctx = prompt_tokens(target, 22)
@@ -218,7 +210,7 @@ class TestModelForwardBudgeted:
             CoveragePolicy.SUBSTITUTION,
         )
         for rec in record:
-            assert set(rec.executed.tolist()) == set(rec.shortlist.experts.tolist())
+            assert set(rec.executed.tolist()) == set(rec.shortlist.tolist())
 
     def test_routing_captured_is_natural_routing(self, target, draft):
         # The hook hands back the natural routing of the budgeted stream,
@@ -252,16 +244,21 @@ class TestModelForwardBudgeted:
         cfg = BudgetConfig(method="static", policy=CoveragePolicy.TRUNCATION, budget=4)
         _, report = verify_greedy(TreeDecoder(target, ctx), tree, cfg, static_counts=counts)
         k = target.config.top_k
-        assert [rec.shortlist.experts.tolist() for rec in record] == [[0, 1, 2, 3]] * len(record)
+        assert [rec.shortlist.tolist() for rec in record] == [[0, 1, 2, 3]] * len(record)
         assert report.unique_experts == [rec.executed.size for rec in record]
         for rec, missing, skipped in zip(record, report.missing_counts, report.fully_skipped):
             assert rec.missing.shape == (tree.size,)
             assert missing == rec.missing.tolist()
             assert skipped == (rec.missing == k).tolist()
 
-    def test_empty_shortlist_rejected(self):
-        with pytest.raises(ValueError):
-            shortlist_of(np.array([], dtype=np.int64))
+    def test_empty_shortlist_rejected(self, small_target, small_draft):
+        # Rankings return at least one expert: a budget of 0 raises in the
+        # budgeted forward instead of running with an empty shortlist.
+        ctx = prompt_tokens(small_target, 26, 8)
+        tree = build_tree(small_draft, ctx, (1,))
+        for policy in POLICIES:
+            with pytest.raises(ValueError, match="budget must be >= 1"):
+                budgeted_tree(small_target, ctx, tree, shortlister("router", 0), policy)
 
     def test_wrong_shortlist_count_rejected(self, small_target, small_draft):
         # Static counts must hold one row (one shortlist) per MoE layer and
@@ -271,6 +268,6 @@ class TestModelForwardBudgeted:
         layers, n = small_target.n_layers, small_target.config.n_experts
         cfg = BudgetConfig(method="static", policy=CoveragePolicy.TRUNCATION, budget=1)
         for shape in ((layers - 1, n), (layers, n - 1), (layers, n + 1)):
-            counts = CalibrationCounts(counts=np.ones(shape, dtype=np.int64), tokens=1)
+            counts = np.ones(shape, dtype=np.int64)
             with pytest.raises(ValueError, match="one shortlist per MoE layer"):
                 verify_greedy(TreeDecoder(small_target, ctx), tree, cfg, static_counts=counts)

@@ -177,6 +177,13 @@ class TestRunGeneration:
         with pytest.raises(ValueError):
             run_generation(small_target, small_draft, p, 4, "spec_budgeted")
 
+    @pytest.mark.parametrize("mode", ["ar", "spec_full"])
+    @pytest.mark.parametrize("prompt", [[1.7, 2.2], [True, False], []], ids=["float", "bool", "empty"])
+    def test_non_integer_or_empty_prompt_rejected(self, small_target, small_draft, mode, prompt):
+        # The prompt reaches the decoders as given, so 1.7 never runs as 1.
+        with pytest.raises(ValueError, match="tokens must be"):
+            run_generation(small_target, small_draft, prompt, 2, mode, tree_size=3)
+
     def test_static_requires_counts(self, small_target, small_draft):
         cfg = BudgetConfig("static", CoveragePolicy.TRUNCATION, 4)
         with pytest.raises(ValueError):

@@ -90,7 +90,7 @@ class TestBuildTarget:
             for skew in (0.0, 2.0):
                 model = build_target(ModelConfig(skew=skew, seed=seed))
                 probs, _ = route_batch(model.blocks[0].moe, states)
-                cover[skew] = coverage_curve(probs).at(32)
+                cover[skew] = coverage_curve(probs)[31]  # budget 32
             diffs.append(cover[2.0] - cover[0.0])
         assert np.mean(diffs) > 0
         assert np.mean(diffs) > 0.1  # concentration is substantial, not marginal
