@@ -124,20 +124,19 @@ def reconstruction_analysis(
     out: dict[tuple[str, int], list[float]] = {
         (m, int(b)): [] for m in methods for b in budgets
     }
+    providers = {key: shortlister(target, *key, static_counts, uses_raw_g) for key in out}
     for layers in tree_captures(target, draft, n_trees, tree_size, context_len, rng):
-        for method in methods:
-            for budget in budgets:
-                shortlist_for = shortlister(method, int(budget), static_counts, uses_raw_g)
-                errs = []
-                for li, tr in enumerate(layers):
-                    moe = target.blocks[li].moe
-                    sl = shortlist_for(li, moe, tr.moe_input, tr.probs, tr.selected)
-                    errs.append(
-                        reconstruction_error(
-                            moe, tr.moe_input, tr.probs, tr.selected, sl, mode, uses_raw_g
-                        )
+        for key, shortlist_for in providers.items():
+            errs = []
+            for li, tr in enumerate(layers):
+                moe = target.blocks[li].moe
+                sl = shortlist_for(li, moe, tr.moe_input, tr.probs, tr.selected)
+                errs.append(
+                    reconstruction_error(
+                        moe, tr.moe_input, tr.probs, tr.selected, sl, mode, uses_raw_g
                     )
-                out[(method, int(budget))].append(float(np.mean(errs)))
+                )
+            out[key].append(float(np.mean(errs)))
     return out
 
 

@@ -172,22 +172,30 @@ def rank_oracle(
 
 
 def shortlister(
+    model: MoEModel,
     method: str,
     budget: int,
     static_counts: np.ndarray | None = None,
     uses_raw_g: bool = True,
 ):
-    """The shortlist provider of a ranking method at budget B:
+    """The shortlist provider of a ranking method at budget B on ``model``:
     ``(layer_index, layer, states, probs, selected) -> expert ids``.
 
     ``states``/``probs``/``selected`` are one layer's MoE inputs and their
     natural routing over the tree rows. Static ranking reads only row
-    ``layer_index`` of the (n_layers, n_experts) ``static_counts``, router
-    ranking only ``probs``; oracle ranking needs all of them.
+    ``layer_index`` of ``static_counts``, which must have the model's shape
+    (n_layers, n_experts) and is checked here, before any forward runs;
+    router ranking reads only ``probs``; oracle ranking needs all of them.
     """
     if method == "static":
         if static_counts is None:
             raise ValueError("static ranking requires calibration counts")
+        want = (model.n_layers, model.config.n_experts)
+        if np.shape(static_counts) != want:
+            raise ValueError(
+                f"static counts must have shape {want}, one shortlist per MoE layer "
+                f"over every expert; got {np.shape(static_counts)}"
+            )
         return lambda li, layer, states, probs, selected: rank_static(static_counts[li], budget)
     if method == "router":
         return lambda li, layer, states, probs, selected: rank_router(probs, budget)

@@ -3,6 +3,8 @@
 Trees use a static multiplicative topology: a single root drafted at the
 context end, then every node at depth j receives ``branching[j]`` children,
 each chosen greedily from the draft model's logits under tree attention.
+Drafting runs the draft model once per level that gets children; the
+leaves' logits would never be read, so the leaves are never run.
 The sweep sizes 1, 3, 7, ..., 255 are the binary-branching family, and
 binary trees of different depths nest, which keeps the union of selected
 experts monotone in tree size per prompt, not just on average.
@@ -89,7 +91,9 @@ def expand_tree(decoder: TreeDecoder, branching) -> DraftTree:
 
     The root is the draft model's top token at the prefix end; thereafter
     each frontier node at depth j spawns ``branching[j]`` children, the
-    top-scoring tokens of the draft logits at that node.
+    top-scoring tokens of the draft logits at that node. Only levels that
+    get children run through the draft model, one ``extend`` each, so the
+    decoder is left holding the interior rows only; callers roll it back.
     """
     branching = tuple(int(b) for b in branching)
     if any(b < 1 for b in branching):
@@ -103,19 +107,20 @@ def expand_tree(decoder: TreeDecoder, branching) -> DraftTree:
     parents = [-1]
     depths = [0]
     frontier = np.zeros(1, dtype=np.int64)
-    frontier_logits = decoder.extend([root_token], [-1])
+    level_tokens, level_parent_rows = [root_token], [-1]
 
     for depth, b in enumerate(branching):
+        frontier_logits = decoder.extend(level_tokens, level_parent_rows)
         # Row f of the level's top-k holds frontier node f's children, best first.
-        new_tokens = top_k_indices(frontier_logits, b).ravel()
+        level_tokens = top_k_indices(frontier_logits, b).ravel()
         new_parents = np.repeat(frontier, b)
         start = len(tokens)
-        tokens.extend(new_tokens.tolist())
+        tokens.extend(level_tokens.tolist())
         parents.extend(new_parents.tolist())
-        depths.extend([depth + 1] * new_tokens.size)
+        depths.extend([depth + 1] * level_tokens.size)
         frontier = np.arange(start, len(tokens))
         # Parent rows are absolute: prefix rows occupy 0..base-1.
-        frontier_logits = decoder.extend(new_tokens, base + new_parents)
+        level_parent_rows = base + new_parents
 
     return DraftTree(
         tokens=np.array(tokens),

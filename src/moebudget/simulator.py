@@ -81,8 +81,8 @@ class CostModelParams:
     for the unbudgeted speedup curve to peak at an interior tree size: a
     verify step pays the shared cost once for the whole tree, which favours
     larger trees, but one expert unit per unique expert per layer and 2
-    units per draft level, which grow with tree size. Where the peak falls
-    depends on how many drafted tokens a prompt accepts.
+    units per tree level (root included), which grow with tree size. Where
+    the peak falls depends on how many drafted tokens a prompt accepts.
     """
 
     bytes_expert: float = 1.0
@@ -132,7 +132,7 @@ class StepReport:
     tau: int  # accepted tokens incl. the bonus token
     emitted: list[int]  # tokens actually appended (may be trimmed at gen end)
     unique_experts: list[int]  # per layer, unique experts loaded for the tree
-    tree_depth: int  # draft levels run (drafting cost multiplier)
+    tree_depth: int  # tree levels including the root (the draft-cost multiplier)
     mode: str
     method: str | None
     policy: str | None
@@ -250,14 +250,12 @@ def verify_greedy(
         hook, traces = routing_capture()
     else:
         budget_cfg.validate()
-        want = (decoder.model.n_layers, decoder.model.config.n_experts)
-        if static_counts is not None and static_counts.shape != want:
-            raise ValueError(
-                f"static counts must have shape {want}, one shortlist per MoE layer "
-                f"over every expert; got {static_counts.shape}"
-            )
         shortlist_for = shortlister(
-            budget_cfg.method, budget_cfg.budget, static_counts, budget_cfg.uses_raw_g
+            decoder.model,
+            budget_cfg.method,
+            budget_cfg.budget,
+            static_counts,
+            budget_cfg.uses_raw_g,
         )
         hook, layers = budgeted_moe(shortlist_for, budget_cfg.policy)
 

@@ -21,7 +21,7 @@ from moebudget.draft_tree import build_tree, tree_routing
 from moebudget.moe_core import route_batch
 from moebudget.numerics import Rng
 from moebudget.simulator import SweepCell, SweepSpec, sweep
-from moebudget.toy_model import DraftSpec, ModelConfig, random_tokens
+from moebudget.toy_model import DraftSpec, ModelConfig, TreeDecoder, random_tokens
 
 from conftest import prompt_tokens
 from reference import forward, write_trace_dense, write_trace_topk
@@ -106,6 +106,21 @@ class TestReconstructionError:
         )
         means = [np.mean(out[("router", b)]) for b in budgets]
         assert all(means[i + 1] <= means[i] + 1e-9 for i in range(len(means) - 1))
+
+    def test_wrong_static_counts_shape_rejected_before_any_forward(
+        self, small_target, small_draft, monkeypatch
+    ):
+        # 7 count columns for an 8-expert model used to warn "clamping to 7"
+        # and average errors over shortlists that could never hold expert 7.
+        def no_forward(*args, **kwargs):
+            raise AssertionError("a forward ran before the counts were checked")
+
+        monkeypatch.setattr(TreeDecoder, "run_rows", no_forward)
+        with pytest.raises(ValueError, match=r"shape \(2, 8\).*got \(2, 7\)"):
+            reconstruction_analysis(
+                small_target, small_draft, ["static"], [8], n_trees=1, tree_size=3,
+                static_counts=np.ones((2, 7)),
+            )
 
 
 class TestCoverageCurve:

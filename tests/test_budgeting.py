@@ -230,7 +230,9 @@ class TestShortlistInvariants:
         tree = build_tree(small_draft, ctx, (2, 2))
         counts = calibrate_static(small_target, [ctx])
         for budget in (1, 3):
-            providers = {m: shortlister(m, budget, counts, uses_raw_g) for m in METHODS}
+            providers = {
+                m: shortlister(small_target, m, budget, counts, uses_raw_g) for m in METHODS
+            }
             for li, tr in enumerate(tree_routing(small_target, ctx, tree)):
                 layer = small_target.blocks[li].moe
                 args = (tr.moe_input, tr.probs, tr.selected)
@@ -242,8 +244,8 @@ class TestShortlistInvariants:
                 for method, provider in providers.items():
                     np.testing.assert_array_equal(provider(li, layer, *args), want[method])
 
-    def test_shortlister_rejects_unknown_method_and_static_without_counts(self):
+    def test_shortlister_rejects_unknown_method_and_static_without_counts(self, small_target):
         with pytest.raises(ValueError, match="unknown ranking method"):
-            shortlister("magic", 4)
+            shortlister(small_target, "magic", 4)
         with pytest.raises(ValueError, match="requires calibration counts"):
-            shortlister("static", 4)
+            shortlister(small_target, "static", 4)

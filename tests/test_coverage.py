@@ -185,7 +185,7 @@ class TestModelForwardBudgeted:
     def test_full_shortlists_bit_compatible_with_unbudgeted(self, target, draft):
         ctx = prompt_tokens(target, 20)
         tree = build_tree(draft, ctx, (2, 2, 2))
-        full = shortlister("static", target.config.n_experts, ordered_counts(target))
+        full = shortlister(target, "static", target.config.n_experts, ordered_counts(target))
         ref = TreeDecoder(target, ctx).extend_tree(tree)
         for policy in POLICIES:
             logits, _ = budgeted_tree(target, ctx, tree, full, policy)
@@ -195,8 +195,9 @@ class TestModelForwardBudgeted:
         ctx = prompt_tokens(target, 21)
         tree = build_tree(draft, ctx, (2,) * 5)
         budget = 32
+        sl = shortlister(target, "router", budget)
         for policy in POLICIES:
-            _, record = budgeted_tree(target, ctx, tree, shortlister("router", budget), policy)
+            _, record = budgeted_tree(target, ctx, tree, sl, policy)
             assert len(record) == target.n_layers
             for rec in record:
                 assert rec.executed.size <= budget
@@ -206,7 +207,7 @@ class TestModelForwardBudgeted:
         ctx = prompt_tokens(target, 22)
         tree = build_tree(draft, ctx, (2, 2))
         _, record = budgeted_tree(
-            target, ctx, tree, shortlister("router", target.config.top_k),
+            target, ctx, tree, shortlister(target, "router", target.config.top_k),
             CoveragePolicy.SUBSTITUTION,
         )
         for rec in record:
@@ -217,7 +218,7 @@ class TestModelForwardBudgeted:
         # not the substituted selection.
         ctx = prompt_tokens(target, 23)
         tree = build_tree(draft, ctx, (2, 2))
-        sl = shortlister("static", 8, ordered_counts(target))
+        sl = shortlister(target, "static", 8, ordered_counts(target))
         hook, record = budgeted_moe(sl, CoveragePolicy.SUBSTITUTION)
         captured = []
 
@@ -239,7 +240,7 @@ class TestModelForwardBudgeted:
         ctx = prompt_tokens(target, 24)
         tree = build_tree(draft, ctx, (2, 2))
         counts = ordered_counts(target)
-        sl = shortlister("static", 4, counts)
+        sl = shortlister(target, "static", 4, counts)
         _, record = budgeted_tree(target, ctx, tree, sl, CoveragePolicy.TRUNCATION)
         cfg = BudgetConfig(method="static", policy=CoveragePolicy.TRUNCATION, budget=4)
         _, report = verify_greedy(TreeDecoder(target, ctx), tree, cfg, static_counts=counts)
@@ -256,9 +257,10 @@ class TestModelForwardBudgeted:
         # budgeted forward instead of running with an empty shortlist.
         ctx = prompt_tokens(small_target, 26, 8)
         tree = build_tree(small_draft, ctx, (1,))
+        sl = shortlister(small_target, "router", 0)
         for policy in POLICIES:
             with pytest.raises(ValueError, match="budget must be >= 1"):
-                budgeted_tree(small_target, ctx, tree, shortlister("router", 0), policy)
+                budgeted_tree(small_target, ctx, tree, sl, policy)
 
     def test_wrong_shortlist_count_rejected(self, small_target, small_draft):
         # Static counts must hold one row (one shortlist) per MoE layer and

@@ -132,6 +132,30 @@ class TestBuildTree:
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
             assert got.branching == want.branching
 
+    @pytest.mark.parametrize(
+        "branching",
+        [(2,) * 5, (3, 2, 1), (1, 1, 1), (4,), ()],
+        ids=["binary63", "3-2-1", "chain", "4", "root"],
+    )
+    def test_draft_model_runs_interior_levels_only(self, small_draft, monkeypatch, branching):
+        # The leaves' logits are never read, so they never reach the draft
+        # model: one extend per branching factor, over the interior rows.
+        calls = []
+        real_extend = TreeDecoder.extend
+
+        def counting_extend(decoder, tokens, parent_rows):
+            calls.append(len(tokens))
+            return real_extend(decoder, tokens, parent_rows)
+
+        monkeypatch.setattr(TreeDecoder, "extend", counting_extend)
+        decoder = TreeDecoder(small_draft, prompt_tokens(small_draft, 24, 8))
+        tree = expand_tree(decoder, branching)
+        leaves = np.setdiff1d(np.arange(tree.size), tree.parents).size
+        interior = tree.size - leaves
+        assert len(calls) == len(branching)
+        assert sum(calls) == interior
+        assert decoder.n_rows == decoder.causal_len + interior
+
     def test_branching_wider_than_vocab_rejected(self, small_draft):
         with pytest.raises(ValueError):
             build_tree(small_draft, [1, 2], (small_draft.config.vocab_size + 1,))

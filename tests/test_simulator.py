@@ -5,7 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from moebudget.coverage import CoveragePolicy
+from moebudget import simulator
+from moebudget.coverage import CoveragePolicy, budgeted_moe
 from moebudget.draft_tree import DraftTree, binary_branching, build_tree
 from moebudget.numerics import Rng
 from moebudget.simulator import (
@@ -208,6 +209,109 @@ class TestRunGeneration:
         depth_plus_one = 4 + 1
         assert 1.0 < np.mean(taus) < depth_plus_one + 1
         assert 1.3 < np.mean(taus) < 4.5  # frozen regression band
+
+
+# Discrete outputs of the speculative loop on prompt 0 of the default config,
+# gen_len 12, M=15, B=8, recorded before the drafter stopped running the leaf
+# level. A speed-only change to any layer must leave all of them unchanged.
+STATIC_SHORTLIST = [
+    [45, 54, 63, 13, 11, 44, 32, 33],
+    [17, 35, 51, 14, 10, 60, 31, 26],
+    [62, 29, 8, 27, 32, 13, 20, 36],
+    [35, 15, 5, 11, 63, 22, 33, 2],
+]
+PINNED_RUNS = {
+    "spec_full": {
+        "tokens": [152, 87, 152, 214, 55, 55, 55, 152, 232, 129, 152, 232],
+        "tau": [5, 1, 1, 2, 1, 5],
+        "unique": [
+            [22, 21, 17, 17],
+            [21, 13, 14, 15],
+            [21, 15, 13, 17],
+            [19, 21, 18, 17],
+            [22, 21, 14, 14],
+            [21, 22, 15, 15],
+        ],
+        "shortlists": [],
+    },
+    "static": {
+        "tokens": [152, 214, 55, 55, 55, 55, 55, 55, 55, 55, 55, 55],
+        "tau": [2, 5, 5],
+        "unique": [[8, 7, 6, 8], [8, 7, 7, 7], [7, 6, 6, 6]],
+        "shortlists": [STATIC_SHORTLIST] * 3,
+    },
+    "router": {
+        "tokens": [152, 87, 152, 214, 55, 55, 55, 152, 171, 129, 55, 152],
+        "tau": [5, 1, 1, 2, 5],
+        "unique": [[8, 8, 8, 8]] * 5,
+        "shortlists": [
+            [[45, 54, 6, 11, 44, 32, 13, 33], [17, 35, 10, 51, 26, 7, 52, 62],
+             [8, 29, 13, 52, 32, 27, 62, 40], [15, 35, 33, 9, 5, 13, 11, 22]],
+            [[45, 54, 6, 13, 11, 44, 4, 63], [17, 35, 10, 51, 26, 7, 52, 38],
+             [29, 8, 13, 27, 62, 32, 52, 40], [35, 15, 33, 5, 9, 3, 11, 45]],
+            [[45, 54, 6, 4, 13, 33, 63, 11], [17, 35, 10, 26, 51, 7, 52, 5],
+             [29, 8, 13, 27, 62, 52, 32, 40], [35, 15, 33, 9, 5, 3, 11, 17]],
+            [[45, 54, 13, 11, 33, 6, 4, 63], [35, 17, 10, 51, 26, 52, 7, 38],
+             [8, 29, 13, 27, 62, 52, 40, 32], [35, 15, 9, 33, 5, 3, 11, 17]],
+            [[45, 54, 33, 13, 4, 6, 63, 11], [17, 35, 10, 26, 52, 51, 5, 38],
+             [8, 29, 13, 27, 62, 52, 40, 32], [15, 35, 33, 9, 5, 3, 11, 17]],
+        ],
+    },
+    "oracle": {
+        "tokens": [152, 87, 152, 214, 55, 55, 55, 152, 232, 129, 152, 232],
+        "tau": [5, 1, 1, 2, 1, 4],
+        "unique": [[8, 8, 8, 8], [8, 7, 8, 8], [8, 8, 8, 8], [8, 8, 8, 8], [8, 8, 8, 8],
+                   [8, 8, 8, 8]],
+        "shortlists": [
+            [[45, 54, 6, 13, 11, 44, 32, 30], [17, 35, 10, 26, 51, 52, 7, 40],
+             [8, 29, 13, 32, 52, 62, 48, 39], [35, 15, 33, 9, 11, 13, 47, 5]],
+            [[45, 54, 13, 6, 4, 44, 11, 63], [17, 35, 10, 26, 51, 7, 52, 0],
+             [29, 8, 13, 32, 62, 52, 22, 27], [35, 15, 33, 9, 3, 5, 11, 45]],
+            [[45, 54, 13, 6, 4, 33, 11, 44], [17, 35, 10, 26, 51, 52, 0, 7],
+             [29, 8, 13, 52, 62, 32, 27, 22], [35, 15, 33, 9, 3, 11, 5, 45]],
+            [[45, 54, 13, 6, 11, 33, 4, 39], [17, 35, 10, 51, 26, 52, 63, 0],
+             [29, 8, 13, 52, 62, 27, 22, 32], [35, 15, 33, 9, 11, 3, 5, 52]],
+            [[45, 54, 13, 6, 11, 4, 33, 39], [17, 35, 10, 26, 51, 52, 63, 7],
+             [29, 8, 13, 62, 40, 27, 52, 22], [35, 15, 33, 9, 11, 3, 52, 5]],
+            [[45, 54, 13, 6, 11, 33, 4, 39], [17, 35, 10, 26, 51, 52, 63, 0],
+             [29, 8, 13, 62, 52, 40, 27, 32], [35, 15, 33, 9, 3, 52, 11, 5]],
+        ],
+    },
+}
+PINNED_CONFIGS = {
+    "spec_full": None,
+    "static": BudgetConfig("static", CoveragePolicy.TRUNCATION, 8),
+    "router": BudgetConfig("router", CoveragePolicy.SUBSTITUTION, 8),
+    "oracle": BudgetConfig("oracle", CoveragePolicy.TRUNCATION, 8),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_CONFIGS))
+def test_pinned_discrete_outputs(target, draft, calib, monkeypatch, name):
+    records = []
+
+    def recording_moe(shortlist_for, policy):
+        hook, record = budgeted_moe(shortlist_for, policy)
+        records.append(record)
+        return hook, record
+
+    monkeypatch.setattr(simulator, "budgeted_moe", recording_moe)
+    cfg = PINNED_CONFIGS[name]
+    run = run_generation(
+        target,
+        draft,
+        prompt_tokens(target, 0),
+        12,
+        "spec_full" if cfg is None else "spec_budgeted",
+        budget_cfg=cfg,
+        tree_size=15,
+        static_counts=calib,
+    )
+    want = PINNED_RUNS[name]
+    assert run.tokens == want["tokens"]
+    assert [r.tau for r in run.reports] == want["tau"]
+    assert [r.unique_experts for r in run.reports] == want["unique"]
+    assert [[rec.shortlist.tolist() for rec in step] for step in records] == want["shortlists"]
 
 
 @pytest.fixture(scope="module")
