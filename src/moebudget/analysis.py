@@ -52,6 +52,7 @@ def reconstruction_error(
     shortlist: np.ndarray,
     mode: str = "raw",
     uses_raw_g: bool = True,
+    gold: np.ndarray | None = None,
 ) -> float:
     """Normalized squared distance between the budgeted layer output and the
     unbudgeted output on the same (teacher-forced) hidden states.
@@ -60,13 +61,16 @@ def reconstruction_error(
     shortlisted expert weighted by its routing probability (the quantity the
     greedy oracle minimizes), while "truncation"/"substitution" apply the
     corresponding coverage policy. The normalizer is the summed squared norm
-    of the unbudgeted outputs.
+    of the unbudgeted outputs. ``gold`` is those outputs,
+    ``budgeting.gold_outputs`` of the same inputs, for callers that score
+    many shortlists on one input; it is computed here when not given.
     """
     if mode not in RECONSTRUCTION_MODES:
         raise ValueError(f"mode must be one of {RECONSTRUCTION_MODES}, got {mode!r}")
     states = np.asarray(states, dtype=np.float64)
 
-    gold = gold_outputs(layer, states, probs, selected)
+    if gold is None:
+        gold = gold_outputs(layer, states, probs, selected)
     denom = float(np.sum(gold * gold))
     if denom == 0.0:
         raise ValueError("degenerate input: unbudgeted outputs are identically zero")
@@ -126,6 +130,10 @@ def reconstruction_analysis(
     }
     providers = {key: shortlister(target, *key, static_counts, uses_raw_g) for key in out}
     for layers in tree_captures(target, draft, n_trees, tree_size, context_len, rng):
+        golds = [
+            gold_outputs(target.blocks[li].moe, tr.moe_input, tr.probs, tr.selected)
+            for li, tr in enumerate(layers)
+        ]
         for key, shortlist_for in providers.items():
             errs = []
             for li, tr in enumerate(layers):
@@ -133,7 +141,8 @@ def reconstruction_analysis(
                 sl = shortlist_for(li, moe, tr.moe_input, tr.probs, tr.selected)
                 errs.append(
                     reconstruction_error(
-                        moe, tr.moe_input, tr.probs, tr.selected, sl, mode, uses_raw_g
+                        moe, tr.moe_input, tr.probs, tr.selected, sl, mode, uses_raw_g,
+                        gold=golds[li],
                     )
                 )
             out[key].append(float(np.mean(errs)))

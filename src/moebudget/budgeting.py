@@ -128,24 +128,30 @@ def rank_oracle(
     """Greedy expert selection minimizing summed squared reconstruction
     error against the unbudgeted output; the ids come in pick order.
 
-    Every expert is evaluated on every token once (cached), then each greedy
-    step scans all remaining candidates with incrementally maintained
-    residuals. Ties go to the lower expert index.
+    Every expert is evaluated on every token once, in the blocked dense pass
+    of ``expert_outputs_grouped``. The target is read from that pass: each
+    token's natural top-k outputs weighted by ``selection_weights``. Each
+    greedy step then scans all remaining candidates with incrementally
+    maintained residuals. Ties go to the lower expert index.
     """
     states = np.asarray(states, dtype=np.float64)
     n = layer_weights.n_experts
     b = _clamp_budget(budget, n)
 
-    target = gold_outputs(layer_weights, states, probs, selected)
-    w = oracle_reconstruction_weights(
-        probs, selected, layer_weights.renormalize, uses_raw_g
-    )
-    # contributions[i, t] = w[t, i] * E_i(h_t); grouped (N, M, d) layout so
-    # the Gram matrix below is a single contiguous GEMM.
+    # Grouped (N, M, d) layout so the Gram matrix below is a single
+    # contiguous GEMM.
     contributions = expert_outputs_grouped(
         layer_weights, states, out=scratch("oracle_contrib", n, states.shape[0], states.shape[1])
     )
-    contributions *= w.T[:, :, None]
+    # The target gathers each token's natural top-k outputs, a (M, k, d)
+    # copy, before the in-place scaling below.
+    natural = contributions[selected, np.arange(states.shape[0])[:, None]]
+    weights = selection_weights(probs, selected, layer_weights.renormalize)
+    target = np.einsum("tjd,tj->td", natural, weights)
+    w = oracle_reconstruction_weights(
+        probs, selected, layer_weights.renormalize, uses_raw_g
+    )
+    contributions *= w.T[:, :, None]  # contributions[i, t] = w[t, i] * E_i(h_t)
 
     # The summed squared residual expands over inner products of the
     # per-expert contribution vectors, so the Gram matrix makes every

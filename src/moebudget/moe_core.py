@@ -17,6 +17,10 @@ import numpy as np
 
 from .numerics import scratch, softmax, top_k_indices
 
+# Pre-activations per dense-evaluation block (512 KiB of float64): the block
+# stays in L2 cache between the first projection, silu and the second.
+DENSE_BLOCK_DOUBLES = 1 << 16
+
 __all__ = [
     "Expert",
     "MoELayerWeights",
@@ -31,8 +35,10 @@ __all__ = [
 def silu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Smooth gate nonlinearity used inside every expert.
 
-    x / (1 + e^-x), with the exponent clipped at the float64 overflow edge;
-    below -709 the true value is subnormal-zero anyway. The pipeline runs on
+    x / (1 + e^-x), with the exponent clipped at the float64 overflow edge:
+    below -709 the result is about x * e^-709, a tiny normal number of
+    magnitude |x| * e^-709, where the true value x * e^x is smaller still.
+    The pipeline runs on
     one buffer (``out`` when given) because chained fresh temporaries of
     this size pay more in page faults than the arithmetic costs.
     """
@@ -99,8 +105,8 @@ class MoELayerWeights:
     def d_ff(self) -> int:
         return self.experts[0].w_in.shape[0]
 
-    # Stacked weight tensors, built lazily; layers are immutable after
-    # construction so the cache never goes stale.
+    # Stacked weight tensors for the dense evaluator, built lazily; layers
+    # are immutable after construction so the cache never goes stale.
     @property
     def w_in_stack(self) -> np.ndarray:  # (n_experts, d_ff, d_model)
         if "w_in" not in self._stacks:
@@ -108,20 +114,24 @@ class MoELayerWeights:
         return self._stacks["w_in"]
 
     @property
-    def w_out_stack(self) -> np.ndarray:  # (n_experts, d_model, d_ff)
+    def w_out_stack(self) -> np.ndarray:  # (n_experts, d_ff, d_model), C order
+        """Every expert's ``w_out.T``, contiguous per expert, so the dense
+        evaluator's second projection is a plain (no-transpose) product of
+        each expert block's activations with its slice of this stack."""
         if "w_out" not in self._stacks:
-            self._stacks["w_out"] = np.stack([e.w_out for e in self.experts])
+            self._stacks["w_out"] = np.stack([e.w_out.T for e in self.experts])
         return self._stacks["w_out"]
 
     @property
     def expert_views(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Per-expert transposed views of the stacks, ``(w_in[e].T,
-        w_out[e].T)`` lists indexed by expert id, so the grouped executor's
-        matmuls see the same operands and strides without slicing per call."""
+        """Per-expert transposed views of each ``Expert``'s own weights,
+        ``(w_in.T, w_out.T)`` lists indexed by expert id, so the grouped
+        executor's matmuls see the same operands and strides on every call
+        without slicing per call or copying the weights."""
         if "views" not in self._stacks:
             self._stacks["views"] = (
-                [w.T for w in self.w_in_stack],
-                [w.T for w in self.w_out_stack],
+                [e.w_in.T for e in self.experts],
+                [e.w_out.T for e in self.experts],
             )
         return self._stacks["views"]
 
@@ -226,18 +236,33 @@ def expert_outputs_grouped(
     Dense evaluation used by oracle ranking and reconstruction analysis,
     which need full model access by definition. ``out`` may be a reusable
     buffer; callers that let the result escape must pass a fresh one.
+
+    The experts run in blocks whose (T, block * d_ff) pre-activations hold
+    about ``DENSE_BLOCK_DOUBLES`` values, so they stay in cache from the
+    first projection through ``silu`` to the second: 4 experts at T=255 and
+    d_ff=64, 16 at T=63. Each block takes its columns of the first
+    projection, ``states @ w_in_stack.T``, and multiplies its activations by
+    its slice of the C-order ``w_out_stack``. At T >= 63 the result equals
+    one dgemm over every expert followed by per-expert products with
+    transposed ``w_out`` bit for bit; below that the second projection's
+    BLAS path can move single elements in the last bits.
     """
     states = np.asarray(states, dtype=np.float64)
+    if states.ndim != 2 or states.shape[1] != layer.d_model:
+        raise ValueError(f"states must have shape (T, {layer.d_model}), got {states.shape}")
     n, d_ff, d = layer.w_in_stack.shape
     t = states.shape[0]
-    # One dgemm for every expert's first projection, then a batched second
-    # projection: (T, d) @ (d, N*d_ff) -> (N, T, d_ff) -> (N, T, d).
-    pre = np.matmul(
-        states, layer.w_in_stack.reshape(n * d_ff, d).T, out=scratch("dense_pre", t, n * d_ff)
-    )
-    act = silu(pre, out=scratch("dense_act", t, n * d_ff))
-    hidden = act.reshape(t, n, d_ff).transpose(1, 0, 2)
     if out is None:
         out = np.empty((n, t, d))
-    np.matmul(hidden, layer.w_out_stack.transpose(0, 2, 1), out=out)
+    w_in_rows = layer.w_in_stack.reshape(n * d_ff, d)
+    block = max(1, DENSE_BLOCK_DOUBLES // max(t * d_ff, 1))
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        cols = (hi - lo) * d_ff
+        pre = np.matmul(
+            states, w_in_rows[lo * d_ff:hi * d_ff].T, out=scratch("dense_pre", t, cols)
+        )
+        act = silu(pre, out=scratch("dense_act", t, cols))
+        hidden = act.reshape(t, hi - lo, d_ff).transpose(1, 0, 2)
+        np.matmul(hidden, layer.w_out_stack[lo:hi], out=out[lo:hi])
     return out

@@ -6,6 +6,7 @@ import pytest
 from moebudget import DraftSpec, ModelConfig, build_target, derive_draft
 from moebudget.numerics import Rng
 from moebudget.simulator import DRAFT_STREAM
+from moebudget.toy_model import preset_config
 
 
 @pytest.fixture(scope="session")
@@ -21,6 +22,20 @@ def target(default_config):
 @pytest.fixture(scope="session")
 def draft(target):
     return derive_draft(target, DraftSpec(), Rng(target.config.seed).substream(DRAFT_STREAM))
+
+
+@pytest.fixture(scope="session")
+def wide_target():
+    """qwen3-toy: 128 experts without renormalization, the oracle's widest
+    preset."""
+    return build_target(preset_config("qwen3-toy"))
+
+
+@pytest.fixture(scope="session")
+def wide_draft(wide_target):
+    return derive_draft(
+        wide_target, DraftSpec(), Rng(wide_target.config.seed).substream(DRAFT_STREAM)
+    )
 
 
 @pytest.fixture(scope="session")

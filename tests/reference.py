@@ -1,7 +1,9 @@
 """Test-side references: the one-shot masked forward that ``TreeDecoder`` is
 checked against, the ancestor mask of a drafted tree, the plain loops that
 the grouped expert executor and the batched tree expansion must match bit for
-bit, and writers of the routing-trace fixtures that ``read_trace`` parses."""
+bit, the unblocked dense evaluator and oracle ranking that the blocked ones
+must reproduce, and writers of the routing-trace fixtures that ``read_trace``
+parses."""
 
 from __future__ import annotations
 
@@ -10,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from moebudget.budgeting import gold_outputs, oracle_reconstruction_weights
 from moebudget.draft_tree import DraftTree
 from moebudget.moe_core import MoELayerWeights, moe_forward_full_batch, silu
 from moebudget.numerics import masked_softmax, top_k_indices
@@ -87,8 +90,8 @@ def apply_experts_loop(
     layer: MoELayerWeights, states: np.ndarray, expert_ids: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
     """``moe_core.apply_experts`` as a loop over numpy group bounds that slices
-    the stacked weights per group: the same matmul shapes and operands, so
-    the executor must match it bit for bit."""
+    the weights per group: the same matmul shapes and operands, so the
+    executor must match it bit for bit."""
     states = np.asarray(states, dtype=np.float64)
     n_tokens, n_slots = expert_ids.shape
     out_slots = np.zeros((n_tokens * n_slots, layer.d_model))
@@ -107,10 +110,61 @@ def apply_experts_loop(
         act = silu(pre)
         produced = np.empty((sorted_ids.size, layer.d_model))
         for lo, hi in zip(starts, ends):
-            np.matmul(act[lo:hi], layer.w_out_stack[sorted_ids[lo]].T, out=produced[lo:hi])
+            np.matmul(act[lo:hi], layer.experts[sorted_ids[lo]].w_out.T, out=produced[lo:hi])
         out_slots[sorted_slots] = produced
     slot_w = np.where(expert_ids >= 0, weights, 0.0)
     return np.einsum("tjd,tj->td", out_slots.reshape(n_tokens, n_slots, -1), slot_w)
+
+
+def expert_outputs_one_dgemm(layer: MoELayerWeights, states: np.ndarray) -> np.ndarray:
+    """Dense (n_experts, T, d_model) expert outputs from one dgemm over every
+    expert's first projection, a silu over the whole (T, n_experts * d_ff)
+    pre-activation, and per-expert products with transposed ``w_out``: the
+    unblocked arithmetic ``moe_core.expert_outputs_grouped`` must equal bit
+    for bit at T >= 63."""
+    states = np.asarray(states, dtype=np.float64)
+    n, d_ff, d = layer.w_in_stack.shape
+    t = states.shape[0]
+    act = silu(states @ layer.w_in_stack.reshape(n * d_ff, d).T)
+    hidden = act.reshape(t, n, d_ff).transpose(1, 0, 2)
+    w_out = np.stack([e.w_out for e in layer.experts])
+    return np.matmul(hidden, w_out.transpose(0, 2, 1))
+
+
+def rank_oracle_reference(
+    layer: MoELayerWeights,
+    states: np.ndarray,
+    probs: np.ndarray,
+    selected: np.ndarray,
+    budget: int,
+    uses_raw_g: bool = True,
+) -> np.ndarray:
+    """``budgeting.rank_oracle`` with its target rebuilt by ``apply_experts``
+    and its contributions from ``expert_outputs_one_dgemm``: the pick order
+    the blocked oracle must reproduce."""
+    states = np.asarray(states, dtype=np.float64)
+    n = layer.n_experts
+    b = min(budget, n)
+    target = gold_outputs(layer, states, probs, selected)
+    w = oracle_reconstruction_weights(probs, selected, layer.renormalize, uses_raw_g)
+    contributions = expert_outputs_one_dgemm(layer, states) * w.T[:, :, None]
+    flat = contributions.reshape(n, -1)
+    gram = flat @ flat.T
+    overlap = flat @ target.ravel()
+    diag = np.diag(gram).copy()
+    chosen = np.empty(b, dtype=np.int64)
+    taken = np.zeros(n, dtype=bool)
+    residual = float(np.einsum("td,td->", target, target))
+    g = np.zeros(n)
+    for step in range(b):
+        candidate_residuals = residual - 2.0 * (overlap - g) + diag
+        candidate_residuals[taken] = np.inf
+        pick = int(np.argmin(candidate_residuals))
+        taken[pick] = True
+        chosen[step] = pick
+        residual = float(candidate_residuals[pick])
+        g += gram[:, pick]
+    return chosen
 
 
 def expand_tree_per_node(decoder: TreeDecoder, branching) -> DraftTree:

@@ -14,13 +14,13 @@ from moebudget.budgeting import (
     shortlister,
     static_ranking_report,
 )
-from moebudget.draft_tree import build_tree, tree_routing
+from moebudget.draft_tree import binary_branching, build_tree, tree_routing
 from moebudget.moe_core import route_batch
 from moebudget.numerics import Rng
 from moebudget.toy_model import random_tokens
 
 from conftest import prompt_tokens
-from reference import forward
+from reference import forward, rank_oracle_reference
 from test_moe_core import expert_eval_naive, make_layer
 
 
@@ -190,6 +190,23 @@ class TestRankOracle:
         sl = rank_oracle(layer, states, probs, selected, 6, uses_raw_g=True)
         assert sorted(sl.tolist()) == list(range(6))
         assert exhaustive_residual(layer, states, probs, selected, sl.tolist(), True) > 1e-6
+
+    @pytest.mark.parametrize("tree_size", [15, 63, 255])
+    @pytest.mark.parametrize("models", [("wide_target", "wide_draft"), ("target", "draft")],
+                             ids=["qwen3-toy", "olmoe-toy"])
+    def test_pick_order_matches_unblocked_reference(self, request, models, tree_size):
+        # The target gathered from the blocked dense pass must pick what the
+        # apply_experts target and one-dgemm contributions pick, in order,
+        # with and without renormalized mixing weights.
+        target, draft = (request.getfixturevalue(name) for name in models)
+        ctx = prompt_tokens(target, 15)
+        tree = build_tree(draft, ctx, binary_branching(tree_size))
+        for li, tr in enumerate(tree_routing(target, ctx, tree)):
+            args = (target.blocks[li].moe, tr.moe_input, tr.probs, tr.selected)
+            for budget in (4, 32):
+                np.testing.assert_array_equal(
+                    rank_oracle(*args, budget), rank_oracle_reference(*args, budget)
+                )
 
     def test_gold_outputs_match_forward(self):
         from moebudget.moe_core import moe_forward_full_batch

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import math
+import re
 
 import mpmath
 import numpy as np
 import pytest
 
 from moebudget.moe_core import (
+    DENSE_BLOCK_DOUBLES,
     Expert,
     MoELayerWeights,
     RouterWeights,
@@ -20,7 +22,7 @@ from moebudget.moe_core import (
 from moebudget.numerics import Rng
 from moebudget.toy_model import PRESETS, build_target, preset_config
 
-from reference import apply_experts_loop
+from reference import apply_experts_loop, expert_outputs_one_dgemm
 
 
 def make_layer(n=8, k=2, d=4, d_ff=6, renormalize=True, seed=0, bias=None) -> MoELayerWeights:
@@ -260,6 +262,42 @@ class TestApplyExperts:
                 np.testing.assert_allclose(
                     dense[e, t], expert_eval_naive(layer.experts[e], states[t]), atol=1e-9
                 )
+
+    @pytest.mark.parametrize(
+        "n, t, d, d_ff, blocks",
+        [(5, 1, 4, 6, [5]), (5, 2, 4, 6, [5]), (3, 4, 2, 8192, [2, 1])],
+        ids=["one_token", "two_tokens", "partial_last_block"],
+    )
+    def test_dense_expert_blocks_match_naive(self, n, t, d, d_ff, blocks):
+        layer = make_layer(n=n, k=2, d=d, d_ff=d_ff)
+        block = DENSE_BLOCK_DOUBLES // (t * d_ff)
+        assert [min(block, n - lo) for lo in range(0, n, block)] == blocks
+        states = Rng(2).normal(size=(t, d))
+        dense = expert_outputs_grouped(layer, states)
+        assert dense.shape == (n, t, d)
+        for i in range(t):
+            for e in range(n):
+                np.testing.assert_allclose(
+                    dense[e, i], expert_eval_naive(layer.experts[e], states[i]), atol=1e-9
+                )
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_dense_equals_one_dgemm_bit_for_bit(self, preset):
+        # At T >= 63 the expert blocks reproduce one dgemm over every expert
+        # and transposed second projections exactly: 16 experts per block at
+        # T=63 and 4 at T=255.
+        layer = build_target(preset_config(preset, n_layers=1)).blocks[0].moe
+        for t in (63, 255):
+            states = Rng(41, (t,)).normal(size=(t, layer.d_model))
+            want = expert_outputs_one_dgemm(layer, states)
+            assert np.array_equal(expert_outputs_grouped(layer, states), want), t
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 5)], ids=["one_dim", "wrong_width"])
+    def test_dense_rejects_bad_state_shape(self, shape):
+        layer = make_layer(d=4)
+        message = f"states must have shape (T, 4), got {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            expert_outputs_grouped(layer, np.zeros(shape))
 
 
     @pytest.mark.parametrize("n, t", [(5, 1), (1, 3)], ids=["one_token", "one_expert"])

@@ -286,8 +286,9 @@ PINNED_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("name", list(PINNED_CONFIGS))
-def test_pinned_discrete_outputs(target, draft, calib, monkeypatch, name):
+def discrete_outputs(monkeypatch, target, draft, prompt, gen_len, budget_cfg, tree_size,
+                     static_counts=None):
+    """Tokens, per-step taus, unions and per-layer shortlists of one run."""
     records = []
 
     def recording_moe(shortlist_for, policy):
@@ -296,22 +297,71 @@ def test_pinned_discrete_outputs(target, draft, calib, monkeypatch, name):
         return hook, record
 
     monkeypatch.setattr(simulator, "budgeted_moe", recording_moe)
-    cfg = PINNED_CONFIGS[name]
     run = run_generation(
         target,
         draft,
-        prompt_tokens(target, 0),
-        12,
-        "spec_full" if cfg is None else "spec_budgeted",
-        budget_cfg=cfg,
-        tree_size=15,
-        static_counts=calib,
+        prompt,
+        gen_len,
+        "spec_full" if budget_cfg is None else "spec_budgeted",
+        budget_cfg=budget_cfg,
+        tree_size=tree_size,
+        static_counts=static_counts,
     )
-    want = PINNED_RUNS[name]
-    assert run.tokens == want["tokens"]
-    assert [r.tau for r in run.reports] == want["tau"]
-    assert [r.unique_experts for r in run.reports] == want["unique"]
-    assert [[rec.shortlist.tolist() for rec in step] for step in records] == want["shortlists"]
+    return {
+        "tokens": run.tokens,
+        "tau": [r.tau for r in run.reports],
+        "unique": [r.unique_experts for r in run.reports],
+        "shortlists": [[rec.shortlist.tolist() for rec in step] for step in records],
+    }
+
+
+@pytest.mark.parametrize("name", list(PINNED_CONFIGS))
+def test_pinned_discrete_outputs(target, draft, calib, monkeypatch, name):
+    got = discrete_outputs(
+        monkeypatch, target, draft, prompt_tokens(target, 0), 12, PINNED_CONFIGS[name], 15, calib
+    )
+    assert got == PINNED_RUNS[name]
+
+
+# Discrete outputs of wide oracle ranking: qwen3-toy, oracle truncation at
+# B=32, M=63, gen_len 12, on prompt 3 (prompts 0-2 settle into one repeated
+# token at once). Recorded while the oracle still rebuilt its target with
+# apply_experts from one unblocked dense pass.
+PINNED_WIDE_ORACLE = {
+    "tokens": [137, 69, 137, 69, 137, 69, 137, 166, 137, 166, 137, 214],
+    "tau": [7, 5],
+    "unique": [[16, 12, 10, 10], [16, 15, 10, 10]],
+    "shortlists": [
+        [
+            [64, 69, 100, 68, 102, 43, 72, 28, 96, 118, 117, 57, 47, 14, 70, 89,
+             12, 104, 32, 97, 52, 75, 122, 18, 119, 23, 95, 33, 20, 61, 111, 112],
+            [33, 17, 85, 86, 35, 53, 110, 105, 74, 57, 12, 46, 24, 90, 114, 123,
+             116, 113, 20, 111, 100, 36, 9, 51, 88, 127, 89, 104, 11, 47, 28, 38],
+            [86, 66, 43, 47, 100, 45, 13, 40, 90, 103, 78, 18, 9, 98, 10, 67,
+             51, 72, 0, 12, 81, 105, 37, 7, 2, 59, 64, 14, 125, 104, 60, 26],
+            [87, 75, 55, 12, 122, 109, 17, 29, 117, 11, 67, 81, 104, 26, 99, 30,
+             66, 48, 105, 121, 72, 124, 107, 68, 119, 4, 73, 63, 103, 2, 59, 54],
+        ],
+        [
+            [64, 69, 68, 102, 72, 80, 100, 43, 77, 96, 28, 117, 107, 32, 24, 47,
+             97, 3, 103, 15, 115, 84, 18, 121, 78, 110, 48, 42, 22, 61, 104, 108],
+            [33, 17, 85, 86, 46, 35, 53, 110, 57, 105, 42, 0, 12, 115, 24, 20,
+             116, 108, 96, 31, 83, 68, 74, 27, 36, 111, 1, 71, 38, 113, 49, 91],
+            [86, 66, 44, 47, 100, 43, 67, 40, 103, 56, 102, 57, 18, 85, 19, 74,
+             64, 29, 107, 71, 112, 81, 9, 116, 15, 99, 79, 26, 23, 95, 127, 37],
+            [87, 75, 122, 12, 55, 109, 17, 15, 29, 9, 72, 88, 67, 71, 32, 2,
+             68, 124, 74, 30, 77, 40, 52, 92, 78, 0, 82, 113, 112, 119, 3, 70],
+        ],
+    ],
+}
+
+
+def test_pinned_wide_oracle_outputs(wide_target, wide_draft, monkeypatch):
+    cfg = BudgetConfig("oracle", CoveragePolicy.TRUNCATION, 32)
+    got = discrete_outputs(
+        monkeypatch, wide_target, wide_draft, prompt_tokens(wide_target, 3), 12, cfg, 63
+    )
+    assert got == PINNED_WIDE_ORACLE
 
 
 @pytest.fixture(scope="module")
