@@ -11,6 +11,7 @@ arithmetic whenever they apply identical (expert, weight) assignments.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,44 +174,75 @@ def apply_experts(
 ) -> np.ndarray:
     """Weighted sum of expert outputs per token.
 
-    ``expert_ids`` is (T, j) with -1 marking inactive slots; ``weights`` is
-    (T, j). Tokens whose slots are all inactive produce the zero vector.
-    Slots are sorted by expert so each distinct expert runs exactly one
-    matmul over its contiguous token group; only experts that actually
-    appear are touched.
+    ``expert_ids`` is a (T, j) integer array with -1 marking inactive slots;
+    ``weights`` is (T, j). Tokens whose slots are all inactive produce the
+    zero vector. Ids outside -1..n_experts-1, non-integer ids, ``weights``
+    of another shape and ``states`` that are not (T, d_model) raise
+    ValueError.
+
+    One stable argsort over every slot sorts the inactive slots first and
+    each expert's slots, in slot order, into one contiguous group; the group
+    bounds are found by bisecting the sorted ids as Python ints. Each
+    distinct expert then runs exactly one product per projection over its
+    group, and only experts that appear are touched. The products use
+    ``np.dot(..., out=)``, which issues the same BLAS call on the same
+    operands and shapes as ``np.matmul``, so its result is the same bit for
+    bit (``tests/test_moe_core.py`` checks this at every group shape the
+    presets produce) at less cost per call. When no slot is inactive the
+    scatter writes every row of the slot buffer, so the zero-fill is skipped
+    and the weights go to the final sum unmasked; both run otherwise.
     """
+    if expert_ids.dtype.kind not in "iu":
+        raise ValueError(f"expert ids must be integers, got dtype {expert_ids.dtype}")
+    if expert_ids.ndim != 2 or np.shape(weights) != expert_ids.shape:
+        raise ValueError(
+            f"expert_ids and weights must be (T, j) arrays of one shape, "
+            f"got {expert_ids.shape} and {np.shape(weights)}"
+        )
     states = np.asarray(states, dtype=np.float64)
     n_tokens, n_slots = expert_ids.shape
+    n_total = n_tokens * n_slots
     d = layer.d_model
-    out_slots = scratch("apply_slots", n_tokens * n_slots, d)
-    out_slots[:] = 0.0
+    if states.shape != (n_tokens, d):
+        raise ValueError(f"states must have shape ({n_tokens}, {d}), got {states.shape}")
 
-    flat_ids = expert_ids.ravel()
-    active = np.flatnonzero(flat_ids >= 0)
-    if active.size > 0:
-        order = np.argsort(flat_ids[active], kind="stable")
-        sorted_slots = active[order]
-        sorted_ids = flat_ids[sorted_slots]
-        # Group boundaries on the already-sorted ids, as Python ints: the
-        # loops below pay no numpy-scalar cost per group.
-        n_active = sorted_ids.size
-        steps = (np.flatnonzero(np.diff(sorted_ids)) + 1).tolist()
-        starts = [0] + steps
-        groups = list(zip(starts, steps + [n_active], sorted_ids[starts].tolist()))
+    order = np.argsort(expert_ids, axis=None, kind="stable")
+    ids = expert_ids.ravel()[order].tolist()
+    if ids and (ids[0] < -1 or ids[-1] >= layer.n_experts):
+        bad = ids[0] if ids[0] < -1 else ids[-1]
+        raise ValueError(f"expert id {bad} outside -1..{layer.n_experts - 1}")
+    n_inactive = bisect_left(ids, 0)
+    n_active = n_total - n_inactive
 
-        gathered = np.take(states, sorted_slots // n_slots, axis=0,
-                           out=scratch("apply_gathered", n_active, d))
+    out_slots = scratch("apply_slots", n_total, d)
+    if n_inactive:
+        out_slots[:] = 0.0
+    if n_active:
+        slots = order[n_inactive:]
+        rows = np.take(states, slots // n_slots, axis=0, mode="clip",
+                       out=scratch("apply_rows", n_active, d))
+        groups = []
+        lo = n_inactive
+        while lo < n_total:
+            e = ids[lo]
+            hi = bisect_right(ids, e, lo)
+            groups.append((lo - n_inactive, hi - n_inactive, e))
+            lo = hi
         w_in_t, w_out_t = layer.expert_views
-        pre = scratch("apply_pre", n_active, layer.d_ff)
+        pre, act = scratch("apply_hidden", 2, n_active, layer.d_ff)
         for lo, hi, e in groups:
-            np.matmul(gathered[lo:hi], w_in_t[e], out=pre[lo:hi])
-        act = silu(pre, out=scratch("apply_act", n_active, layer.d_ff))
-        produced = scratch("apply_produced", n_active, d)
+            np.dot(rows[lo:hi], w_in_t[e], out=pre[lo:hi])
+        silu(pre, out=act)
+        # The first projection has consumed the gathered rows, so the second
+        # writes its outputs over them.
         for lo, hi, e in groups:
-            np.matmul(act[lo:hi], w_out_t[e], out=produced[lo:hi])
-        out_slots[sorted_slots] = produced
+            np.dot(act[lo:hi], w_out_t[e], out=rows[lo:hi])
+        out_slots[slots] = rows
 
-    slot_w = np.where(expert_ids >= 0, weights, 0.0)
+    if n_inactive:
+        slot_w = np.where(expert_ids >= 0, weights, 0.0)
+    else:
+        slot_w = np.ascontiguousarray(weights, dtype=np.float64)
     return np.einsum("tjd,tj->td", out_slots.reshape(n_tokens, n_slots, d), slot_w)
 
 

@@ -83,6 +83,11 @@ class CostModelParams:
     larger trees, but one expert unit per unique expert per layer and 2
     units per tree level (root included), which grow with tree size. Where
     the peak falls depends on how many drafted tokens a prompt accepts.
+
+    The draft charge per step equals the draft-model passes the lab runs:
+    one ``extend`` per entry of ``branching`` (the leaf level never runs),
+    plus the ``append_tokens`` of the accepted tokens that produces the next
+    root, so ``len(branching) + 1`` passes.
     """
 
     bytes_expert: float = 1.0
@@ -132,7 +137,9 @@ class StepReport:
     tau: int  # accepted tokens incl. the bonus token
     emitted: list[int]  # tokens actually appended (may be trimmed at gen end)
     unique_experts: list[int]  # per layer, unique experts loaded for the tree
-    tree_depth: int  # tree levels including the root (the draft-cost multiplier)
+    # Tree levels including the root, the draft-cost multiplier: it equals the
+    # draft passes run, len(branching) extends plus the append of the next root.
+    tree_depth: int
     mode: str
     method: str | None
     policy: str | None

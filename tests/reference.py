@@ -91,7 +91,10 @@ def apply_experts_loop(
 ) -> np.ndarray:
     """``moe_core.apply_experts`` as a loop over numpy group bounds that slices
     the weights per group: the same matmul shapes and operands, so the
-    executor must match it bit for bit."""
+    executor must match it bit for bit. It keeps ``np.matmul``, the
+    ``np.zeros`` slot buffer and the ``np.where`` mask on purpose, where the
+    executor uses ``np.dot`` and skips the fill and mask when no slot is
+    inactive, so that it stays an independent reference."""
     states = np.asarray(states, dtype=np.float64)
     n_tokens, n_slots = expert_ids.shape
     out_slots = np.zeros((n_tokens * n_slots, layer.d_model))

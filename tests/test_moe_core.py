@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import functools
 import math
 import re
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from moebudget import numerics
 from moebudget.moe_core import (
     DENSE_BLOCK_DOUBLES,
     Expert,
@@ -39,6 +42,12 @@ def make_layer(n=8, k=2, d=4, d_ff=6, renormalize=True, seed=0, bias=None) -> Mo
         for i in range(n)
     ]
     return MoELayerWeights(router=router, experts=experts, renormalize=renormalize, k=k)
+
+
+@functools.cache
+def preset_layer(preset: str) -> MoELayerWeights:
+    """The MoE layer of a one-layer model of ``preset``."""
+    return build_target(preset_config(preset, n_layers=1)).blocks[0].moe
 
 
 def silu_scalar(x: float) -> float:
@@ -233,7 +242,7 @@ class TestApplyExperts:
         # Python-int group bounds and cached weight views feed BLAS the same
         # operands and shapes as the loop over numpy bounds, so the outputs
         # are equal, not just close; about a quarter of the slots are -1.
-        layer = build_target(preset_config(preset, n_layers=1)).blocks[0].moe
+        layer = preset_layer(preset)
         for t in (1, 2, 8, 63, 271):
             rng = Rng(40, (t,))
             states = rng.normal(size=(t, layer.d_model))
@@ -251,6 +260,92 @@ class TestApplyExperts:
         ids = np.full((3, 2), -1)
         out = apply_experts(layer, states, ids, np.ones((3, 2)))
         np.testing.assert_array_equal(out, np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    @settings(max_examples=25, deadline=None)
+    @given(
+        t=st.integers(1, 300),
+        inactive=st.floats(0.0, 1.0),
+        routed=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_calls_match_group_loop(self, preset, t, inactive, routed, seed):
+        # Any inactive share from none (no zero-fill, no mask) to all, on
+        # routed selections or on uniform ids that may repeat within a row.
+        layer = preset_layer(preset)
+        rng = Rng(seed)
+        states = rng.normal(size=(t, layer.d_model))
+        probs, selected = route_batch(layer, states)
+        if routed:
+            weights = selection_weights(probs, selected, layer.renormalize)
+        else:
+            selected = rng.integers(0, layer.n_experts, size=selected.shape)
+            weights = rng.normal(size=selected.shape)
+        ids = np.where(rng.random(size=selected.shape) < inactive, -1, selected)
+        # Scratch buffers hold whatever the last call left; NaN there must
+        # not reach a result.
+        apply_experts(layer, states, ids, weights)
+        for buf in numerics._scratch_store.bufs.values():
+            buf.fill(np.nan)
+        first = apply_experts(layer, states, ids, weights)
+        assert np.array_equal(first, apply_experts_loop(layer, states, ids, weights))
+        second = apply_experts(layer, states, ids, weights)
+        assert np.array_equal(first, second)
+        assert not np.shares_memory(first, second)
+        for buf in numerics._scratch_store.bufs.values():
+            assert not np.shares_memory(first, buf)
+            assert not np.shares_memory(second, buf)
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            (np.array([[0, -2], [1, -7]]), "expert id -7 outside -1..7"),
+            (np.array([[0, 8], [1, -1]]), "expert id 8 outside -1..7"),
+            (np.array([[0.0, 1.0], [1.0, -1.0]]), "expert ids must be integers, got dtype float64"),
+        ],
+        ids=["below_minus_one", "past_last_expert", "float_ids"],
+    )
+    def test_rejects_bad_expert_ids(self, ids, message):
+        layer = preset_layer("mixtral-toy")
+        states = Rng(3).normal(size=(2, layer.d_model))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            apply_experts(layer, states, ids, np.ones((2, 2)))
+
+    def test_rejects_weights_of_another_shape(self):
+        layer = preset_layer("mixtral-toy")
+        states = Rng(3).normal(size=(2, layer.d_model))
+        message = "expert_ids and weights must be (T, j) arrays of one shape, got (2, 2) and (2, 3)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            apply_experts(layer, states, np.array([[0, 1], [1, 0]]), np.ones((2, 3)))
+
+    def test_rejects_states_of_another_row_count(self):
+        layer = preset_layer("mixtral-toy")
+        states = Rng(3).normal(size=(1, layer.d_model))
+        message = f"states must have shape (2, {layer.d_model}), got (1, {layer.d_model})"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            apply_experts(layer, states, np.array([[0, 1], [1, 0]]), np.ones((2, 2)))
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_dot_equals_matmul_at_executor_group_shapes(self, preset):
+        # apply_experts issues its per-group products with np.dot, the
+        # reference loop with np.matmul; the two are bit-identical only
+        # while both reach the same BLAS call. Routed rows name distinct
+        # experts, so a group has at most T rows: 1 to 271 covers every
+        # group of the calls perfbench makes, up to wide_oracle's 271 rows.
+        layer = preset_layer(preset)
+        w_in_t, w_out_t = layer.expert_views
+        rng = Rng(47)
+        for rows in range(1, 272):
+            e = rows % layer.n_experts
+            for w in (w_in_t[e], w_out_t[e]):
+                # Operand and output are row slices of larger buffers, as
+                # the executor's groups are.
+                a = rng.normal(size=(rows + 3, w.shape[0]))[3:]
+                got = np.dot(a, w, out=np.empty((rows + 2, w.shape[1]))[2:])
+                assert np.array_equal(got, np.matmul(a, w)), (
+                    f"np.dot and np.matmul differ on ({rows}, {w.shape[0]}) @ {w.shape}: "
+                    "moe_core.apply_experts no longer matches its np.matmul reference"
+                )
 
     def test_dense_expert_outputs_match_naive(self):
         layer = make_layer(n=5, k=2, d=4)
@@ -286,7 +381,7 @@ class TestApplyExperts:
         # At T >= 63 the expert blocks reproduce one dgemm over every expert
         # and transposed second projections exactly: 16 experts per block at
         # T=63 and 4 at T=255.
-        layer = build_target(preset_config(preset, n_layers=1)).blocks[0].moe
+        layer = preset_layer(preset)
         for t in (63, 255):
             states = Rng(41, (t,)).normal(size=(t, layer.d_model))
             want = expert_outputs_one_dgemm(layer, states)

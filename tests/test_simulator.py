@@ -213,7 +213,9 @@ class TestRunGeneration:
 
 # Discrete outputs of the speculative loop on prompt 0 of the default config,
 # gen_len 12, M=15, B=8, recorded before the drafter stopped running the leaf
-# level. A speed-only change to any layer must leave all of them unchanged.
+# level, and of AR greedy on the same prompt, recorded before apply_experts
+# moved to np.dot. A speed-only change to any layer must leave all of them
+# unchanged.
 STATIC_SHORTLIST = [
     [45, 54, 63, 13, 11, 44, 32, 33],
     [17, 35, 51, 14, 10, 60, 31, 26],
@@ -221,6 +223,12 @@ STATIC_SHORTLIST = [
     [35, 15, 5, 11, 63, 22, 33, 2],
 ]
 PINNED_RUNS = {
+    "ar": {
+        "tokens": [152, 87, 152, 214, 55, 55, 55, 152, 232, 129, 152, 232],
+        "tau": [1] * 12,
+        "unique": [[8, 8, 8, 8]] * 12,
+        "shortlists": [],
+    },
     "spec_full": {
         "tokens": [152, 87, 152, 214, 55, 55, 55, 152, 232, 129, 152, 232],
         "tau": [5, 1, 1, 2, 1, 5],
@@ -279,6 +287,7 @@ PINNED_RUNS = {
     },
 }
 PINNED_CONFIGS = {
+    "ar": None,
     "spec_full": None,
     "static": BudgetConfig("static", CoveragePolicy.TRUNCATION, 8),
     "router": BudgetConfig("router", CoveragePolicy.SUBSTITUTION, 8),
@@ -287,8 +296,9 @@ PINNED_CONFIGS = {
 
 
 def discrete_outputs(monkeypatch, target, draft, prompt, gen_len, budget_cfg, tree_size,
-                     static_counts=None):
-    """Tokens, per-step taus, unions and per-layer shortlists of one run."""
+                     static_counts=None, mode=None):
+    """Tokens, per-step taus, unions and per-layer shortlists of one run; the
+    mode is spec_full or spec_budgeted, after ``budget_cfg``, unless given."""
     records = []
 
     def recording_moe(shortlist_for, policy):
@@ -302,7 +312,7 @@ def discrete_outputs(monkeypatch, target, draft, prompt, gen_len, budget_cfg, tr
         draft,
         prompt,
         gen_len,
-        "spec_full" if budget_cfg is None else "spec_budgeted",
+        mode or ("spec_full" if budget_cfg is None else "spec_budgeted"),
         budget_cfg=budget_cfg,
         tree_size=tree_size,
         static_counts=static_counts,
@@ -318,7 +328,8 @@ def discrete_outputs(monkeypatch, target, draft, prompt, gen_len, budget_cfg, tr
 @pytest.mark.parametrize("name", list(PINNED_CONFIGS))
 def test_pinned_discrete_outputs(target, draft, calib, monkeypatch, name):
     got = discrete_outputs(
-        monkeypatch, target, draft, prompt_tokens(target, 0), 12, PINNED_CONFIGS[name], 15, calib
+        monkeypatch, target, draft, prompt_tokens(target, 0), 12, PINNED_CONFIGS[name], 15, calib,
+        mode="ar" if name == "ar" else None,
     )
     assert got == PINNED_RUNS[name]
 
