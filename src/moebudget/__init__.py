@@ -8,7 +8,6 @@ memory-cost model.
 """
 
 from .analysis import (
-    CoactivationMatrix,
     coactivation,
     concentration_ratio,
     coverage_curve,

@@ -7,36 +7,34 @@ external trace files (JSON lines, one record per token and layer), so logs
 from real systems can be analyzed with the same code paths the toy lab uses.
 Reconstruction analysis ranks experts through ``budgeting.shortlister``, the
 provider budgeted verification uses; shortlists are arrays of expert ids.
+It makes one dense pass and one ranking per method for each (tree, layer),
+and scores every budget on a prefix of that ranking.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .budgeting import gold_outputs, oracle_reconstruction_weights, shortlister
-from .coverage import CoveragePolicy, policy_assignments
 from .draft_tree import binary_branching, build_tree, tree_routing
-from .moe_core import MoELayerWeights, apply_experts, expert_outputs_grouped
+from .moe_core import expert_outputs_grouped
 from .numerics import Rng, top_k_indices
 from .toy_model import MoEModel, random_tokens
 
 __all__ = [
-    "CoactivationMatrix",
     "cell_summaries",
     "coactivation",
     "coverage_curve",
     "expected_pair_probability",
+    "max_pair_count",
     "pareto_table",
     "read_trace",
     "reconstruction_error",
     "tree_captures",
 ]
-
-RECONSTRUCTION_MODES = ("raw", "truncation", "substitution")
 
 
 # ---------------------------------------------------------------------------
@@ -44,48 +42,21 @@ RECONSTRUCTION_MODES = ("raw", "truncation", "substitution")
 # ---------------------------------------------------------------------------
 
 
-def reconstruction_error(
-    layer: MoELayerWeights,
-    states: np.ndarray,
-    probs: np.ndarray,
-    selected: np.ndarray,
-    shortlist: np.ndarray,
-    mode: str = "raw",
-    uses_raw_g: bool = True,
-    gold: np.ndarray | None = None,
-) -> float:
+def reconstruction_error(weighted: np.ndarray, gold: np.ndarray, shortlist: np.ndarray) -> float:
     """Normalized squared distance between the budgeted layer output and the
-    unbudgeted output on the same (teacher-forced) hidden states.
+    unbudgeted output ``gold`` on the same (teacher-forced) hidden states.
 
-    ``mode`` selects what "budgeted output" means: "raw" sums every
-    shortlisted expert weighted by its routing probability (the quantity the
-    greedy oracle minimizes), while "truncation"/"substitution" apply the
-    corresponding coverage policy. The normalizer is the summed squared norm
-    of the unbudgeted outputs. ``gold`` is those outputs,
-    ``budgeting.gold_outputs`` of the same inputs, for callers that score
-    many shortlists on one input; it is computed here when not given.
+    ``weighted`` is the layer's dense pass scaled by its reconstruction
+    weights: entry (i, t) is ``w[t, i] * E_i(h_t)`` with ``w`` from
+    ``budgeting.oracle_reconstruction_weights``. The budgeted output sums
+    its ``shortlist`` rows, the quantity the greedy oracle minimizes. The
+    normalizer is the summed squared norm of ``gold``
+    (``budgeting.gold_outputs`` of the same inputs).
     """
-    if mode not in RECONSTRUCTION_MODES:
-        raise ValueError(f"mode must be one of {RECONSTRUCTION_MODES}, got {mode!r}")
-    states = np.asarray(states, dtype=np.float64)
-
-    if gold is None:
-        gold = gold_outputs(layer, states, probs, selected)
     denom = float(np.sum(gold * gold))
     if denom == 0.0:
         raise ValueError("degenerate input: unbudgeted outputs are identically zero")
-
-    if mode == "raw":
-        w = oracle_reconstruction_weights(probs, selected, layer.renormalize, uses_raw_g)
-        dense = expert_outputs_grouped(layer, states)[shortlist]
-        approx = (dense * w.T[shortlist, :, None]).sum(axis=0)
-    else:
-        ids, weights, _ = policy_assignments(
-            layer, probs, selected, shortlist, CoveragePolicy(mode)
-        )
-        approx = apply_experts(layer, states, ids, weights)
-
-    diff = approx - gold
+    diff = weighted[shortlist].sum(axis=0) - gold
     return float(np.sum(diff * diff)) / denom
 
 
@@ -115,7 +86,6 @@ def reconstruction_analysis(
     tree_size: int = 63,
     context_len: int = 16,
     rng: Rng | None = None,
-    mode: str = "raw",
     static_counts: np.ndarray | None = None,
     uses_raw_g: bool = True,
 ) -> dict[tuple[str, int], list[float]]:
@@ -123,29 +93,36 @@ def reconstruction_analysis(
 
     Returns {(method, budget): [error per tree]}; callers take means or
     spreads as needed.
+
+    Each (tree, layer) computes its unbudgeted outputs and one weighted
+    dense pass once, and each method ranks once, at the largest budget;
+    budget B scores the first B ids of that ranking. That prefix is the
+    ranking at B: static and router ranking take a stable sort's leading
+    entries, and the oracle's greedy loop makes the same picks in the same
+    order whatever its budget. A budget above ``n_experts`` reads the whole
+    clamped ranking.
     """
     rng = rng if rng is not None else Rng(0)
     out: dict[tuple[str, int], list[float]] = {
         (m, int(b)): [] for m in methods for b in budgets
     }
-    providers = {key: shortlister(target, *key, static_counts, uses_raw_g) for key in out}
+    top = max(int(b) for b in budgets)
+    providers = {m: shortlister(target, m, top, static_counts, uses_raw_g) for m in methods}
     for layers in tree_captures(target, draft, n_trees, tree_size, context_len, rng):
-        golds = [
-            gold_outputs(target.blocks[li].moe, tr.moe_input, tr.probs, tr.selected)
-            for li, tr in enumerate(layers)
-        ]
-        for key, shortlist_for in providers.items():
-            errs = []
-            for li, tr in enumerate(layers):
-                moe = target.blocks[li].moe
-                sl = shortlist_for(li, moe, tr.moe_input, tr.probs, tr.selected)
-                errs.append(
-                    reconstruction_error(
-                        moe, tr.moe_input, tr.probs, tr.selected, sl, mode, uses_raw_g,
-                        gold=golds[li],
-                    )
-                )
-            out[key].append(float(np.mean(errs)))
+        errs: dict[tuple[str, int], list[float]] = {key: [] for key in out}
+        for li, tr in enumerate(layers):
+            moe = target.blocks[li].moe
+            gold = gold_outputs(moe, tr.moe_input, tr.probs, tr.selected)
+            w = oracle_reconstruction_weights(tr.probs, tr.selected, moe.renormalize, uses_raw_g)
+            weighted = expert_outputs_grouped(moe, tr.moe_input) * w.T[:, :, None]
+            ranked = {
+                m: shortlist_for(li, moe, tr.moe_input, tr.probs, tr.selected)
+                for m, shortlist_for in providers.items()
+            }
+            for m, b in out:
+                errs[(m, b)].append(reconstruction_error(weighted, gold, ranked[m][:b]))
+        for key, layer_errs in errs.items():
+            out[key].append(float(np.mean(layer_errs)))
     return out
 
 
@@ -171,18 +148,10 @@ def coverage_curve(tree_probs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CoactivationMatrix:
-    """Symmetric pair-selection counts; entry (i, j) counts tokens whose
+def coactivation(selected: np.ndarray, n_experts: int) -> np.ndarray:
+    """Symmetric pair-selection counts of a (T, k) selection stream, an
+    (n_experts, n_experts) int64 array: entry (i, j) counts tokens whose
     top-k contained both i and j, so the diagonal holds per-expert counts."""
-
-    layer: int
-    counts: np.ndarray  # (n_experts, n_experts) int64
-    tokens_observed: int
-
-
-def coactivation(selected: np.ndarray, n_experts: int, layer: int = 0) -> CoactivationMatrix:
-    """Co-activation matrix of a (T, k) selection stream."""
     selected = np.asarray(selected, dtype=np.int64)
     if selected.ndim != 2 or selected.shape[0] == 0:
         raise ValueError("selected must be a non-empty (tokens, k) array")
@@ -191,7 +160,7 @@ def coactivation(selected: np.ndarray, n_experts: int, layer: int = 0) -> Coacti
     i_idx = np.repeat(selected, k, axis=1).ravel()
     j_idx = np.tile(selected, (1, k)).ravel()
     np.add.at(counts, (i_idx, j_idx), 1)
-    return CoactivationMatrix(layer=layer, counts=counts, tokens_observed=selected.shape[0])
+    return counts
 
 
 def expected_pair_probability(n_experts: int, k: int) -> Fraction:
@@ -200,16 +169,22 @@ def expected_pair_probability(n_experts: int, k: int) -> Fraction:
     return Fraction(k * (k - 1), n_experts * (n_experts - 1))
 
 
-def concentration_ratio(matrix: CoactivationMatrix, k: int) -> float:
-    """Largest off-diagonal pair count relative to its uniform-random
-    expectation."""
-    n = matrix.counts.shape[0]
-    off = matrix.counts.copy()
+def max_pair_count(counts: np.ndarray) -> int:
+    """Largest off-diagonal entry of co-activation ``counts``: how many
+    tokens selected the most frequent pair of distinct experts."""
+    off = counts.copy()
     np.fill_diagonal(off, 0)
-    expected = matrix.tokens_observed * expected_pair_probability(n, k)
+    return int(off.max())
+
+
+def concentration_ratio(counts: np.ndarray, tokens: int, k: int) -> float:
+    """Largest off-diagonal pair count of co-activation ``counts`` over
+    ``tokens`` top-k selections, relative to its uniform-random
+    expectation."""
+    expected = tokens * expected_pair_probability(counts.shape[0], k)
     if expected == 0:
         raise ValueError("expected pair count is zero (k < 2 or no tokens)")
-    return float(off.max() / float(expected))
+    return float(max_pair_count(counts) / float(expected))
 
 
 # ---------------------------------------------------------------------------

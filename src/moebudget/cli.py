@@ -30,6 +30,7 @@ from .analysis import (
     concentration_ratio,
     coverage_curve,
     expected_pair_probability,
+    max_pair_count,
     pareto_table,
     read_trace,
     reconstruction_analysis,
@@ -100,6 +101,8 @@ class ExperimentConfig:
             raise ConfigError("budgets: list must not be empty")
         if any(b < 1 for b in self.budgets):
             raise ConfigError("budgets: every budget must be >= 1")
+        if any(s < 0 for s in self.seeds):
+            raise ConfigError("seeds: every seed must be >= 0")
         if not self.methods:
             raise ConfigError("methods: list must not be empty")
         for m in self.methods:
@@ -298,6 +301,9 @@ COACTIVATION_COLUMNS = (
     "concentration",
 )
 
+# The error is always the raw weighted sum of the shortlisted experts, so
+# ``mode`` always reads "raw"; the column stays so that reconstruct.csv keeps
+# its bytes.
 RECONSTRUCT_COLUMNS = ("method", "budget", "mode", "trees", "error_mean", "error_std")
 
 
@@ -424,28 +430,29 @@ def cmd_coverage(config: ExperimentConfig, trace: str | None = None) -> int:
 def cmd_coactivation(config: ExperimentConfig, trace: str | None = None) -> int:
     """Pairwise expert co-activation counts and the concentration ratio of
     the most frequent pair against uniform-random expectation."""
-    records = _load_records(config, trace)
     n = config.model.n_experts
     k = config.model.top_k
+    if k < 2:
+        raise ConfigError(f"model.top_k: coactivation needs top_k >= 2 to form pairs, got {k}")
+    records = _load_records(config, trace)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary_rows = []
     for li in sorted(records):
-        mat = coactivation(records[li]["selected"], n, layer=li)
-        off = mat.counts.copy()
-        np.fill_diagonal(off, 0)
+        selected = records[li]["selected"]
+        counts = coactivation(selected, n)
         summary_rows.append(
             {
                 "layer": li,
-                "tokens": mat.tokens_observed,
+                "tokens": len(selected),
                 "expected_pair_probability": float(expected_pair_probability(n, k)),
-                "max_pair_count": int(off.max()),
-                "concentration": concentration_ratio(mat, k),
+                "max_pair_count": max_pair_count(counts),
+                "concentration": concentration_ratio(counts, len(selected), k),
             }
         )
         lines = _header_lines("coactivation", config)
         lines.append(f"# layer: {li}")
-        for row in mat.counts:
+        for row in counts:
             lines.append(",".join(str(int(v)) for v in row))
         (out_dir / f"coactivation_layer{li}.csv").write_text("\n".join(lines) + "\n")
     write_csv(
@@ -476,7 +483,6 @@ def cmd_reconstruct(config: ExperimentConfig) -> int:
         tree_size=config.tree_size,
         context_len=config.context_len,
         rng=Rng(config.model.seed).substream(ANALYSIS_STREAM),
-        mode="raw",
         static_counts=static_counts,
         uses_raw_g=config.uses_raw_g,
     )

@@ -69,6 +69,8 @@ class ModelConfig:
             raise ValueError("d_model and d_ff must be >= 1")
         if self.skew < 0:
             raise ValueError("skew must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def preset_config(name: str, **overrides) -> ModelConfig:

@@ -2,8 +2,9 @@
 checked against, the ancestor mask of a drafted tree, the plain loops that
 the grouped expert executor and the batched tree expansion must match bit for
 bit, the unblocked dense evaluator and oracle ranking that the blocked ones
-must reproduce, and writers of the routing-trace fixtures that ``read_trace``
-parses."""
+must reproduce, the per-budget reconstruction loop that the one-pass
+analysis must reproduce, and writers of the routing-trace fixtures that
+``read_trace`` parses."""
 
 from __future__ import annotations
 
@@ -12,10 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from moebudget.budgeting import gold_outputs, oracle_reconstruction_weights
+from moebudget.analysis import tree_captures
+from moebudget.budgeting import gold_outputs, oracle_reconstruction_weights, shortlister
 from moebudget.draft_tree import DraftTree
-from moebudget.moe_core import MoELayerWeights, moe_forward_full_batch, silu
-from moebudget.numerics import masked_softmax, top_k_indices
+from moebudget.moe_core import (
+    MoELayerWeights,
+    expert_outputs_grouped,
+    moe_forward_full_batch,
+    silu,
+)
+from moebudget.numerics import Rng, masked_softmax, top_k_indices
 from moebudget.toy_model import (
     AttentionWeights,
     LayerTrace,
@@ -168,6 +175,46 @@ def rank_oracle_reference(
         residual = float(candidate_residuals[pick])
         g += gram[:, pick]
     return chosen
+
+
+def reconstruction_analysis_per_budget(
+    target: MoEModel,
+    draft: MoEModel,
+    methods,
+    budgets,
+    n_trees: int,
+    tree_size: int,
+    context_len: int = 16,
+    rng: Rng | None = None,
+    static_counts: np.ndarray | None = None,
+    uses_raw_g: bool = True,
+) -> dict[tuple[str, int], list[float]]:
+    """``analysis.reconstruction_analysis`` with a shortlister per (method,
+    budget): every budget ranks on its own and runs its own dense pass over
+    every expert, scoring the raw weighted sum of its shortlist."""
+    rng = rng if rng is not None else Rng(0)
+    out: dict[tuple[str, int], list[float]] = {
+        (m, int(b)): [] for m in methods for b in budgets
+    }
+    providers = {key: shortlister(target, *key, static_counts, uses_raw_g) for key in out}
+    for layers in tree_captures(target, draft, n_trees, tree_size, context_len, rng):
+        golds = [
+            gold_outputs(target.blocks[li].moe, tr.moe_input, tr.probs, tr.selected)
+            for li, tr in enumerate(layers)
+        ]
+        for key, shortlist_for in providers.items():
+            errs = []
+            for li, tr in enumerate(layers):
+                moe = target.blocks[li].moe
+                sl = shortlist_for(li, moe, tr.moe_input, tr.probs, tr.selected)
+                w = oracle_reconstruction_weights(
+                    tr.probs, tr.selected, moe.renormalize, uses_raw_g
+                )
+                dense = expert_outputs_grouped(moe, tr.moe_input)[sl]
+                diff = (dense * w.T[sl, :, None]).sum(axis=0) - golds[li]
+                errs.append(float(np.sum(diff * diff)) / float(np.sum(golds[li] * golds[li])))
+            out[key].append(float(np.mean(errs)))
+    return out
 
 
 def expand_tree_per_node(decoder: TreeDecoder, branching) -> DraftTree:

@@ -1,111 +1,109 @@
 from __future__ import annotations
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from moebudget import analysis, budgeting, moe_core
 from moebudget.analysis import (
-    CoactivationMatrix,
     coactivation,
     concentration_ratio,
     coverage_curve,
     expected_pair_probability,
+    max_pair_count,
     pareto_table,
     read_trace,
     reconstruction_analysis,
     reconstruction_error,
 )
-from moebudget.budgeting import calibrate_static, rank_router
+from moebudget.budgeting import calibrate_static, oracle_reconstruction_weights
 from moebudget.draft_tree import build_tree, tree_routing
-from moebudget.moe_core import route_batch
+from moebudget.moe_core import (
+    apply_experts,
+    expert_outputs_grouped,
+    route_batch,
+    selection_weights,
+)
 from moebudget.numerics import Rng
 from moebudget.simulator import SweepCell, SweepSpec, sweep
 from moebudget.toy_model import DraftSpec, ModelConfig, TreeDecoder, random_tokens
 
 from conftest import prompt_tokens
-from reference import forward, write_trace_dense, write_trace_topk
+from reference import (
+    forward,
+    reconstruction_analysis_per_budget,
+    write_trace_dense,
+    write_trace_topk,
+)
 from test_moe_core import make_layer
 
 
 class TestReconstructionError:
-    @pytest.mark.parametrize("mode", ["truncation", "substitution"])
-    def test_full_shortlist_zero_error(self, mode):
-        layer = make_layer(n=8, k=2)
-        states = Rng(1).normal(size=(5, 4))
-        probs, selected = route_batch(layer, states)
-        err = reconstruction_error(
-            layer, states, probs, selected, np.arange(8), mode
-        )
-        assert err < 1e-12
-
-    def test_fully_skipped_truncation_error_is_one(self):
-        layer = make_layer(n=8, k=2)
-        states = Rng(2).normal(size=(4, 4))
-        probs, selected = route_batch(layer, states)
-        outside = sorted(set(range(8)) - set(np.unique(selected).tolist()))
-        assert outside
-        err = reconstruction_error(
-            layer, states, probs, selected, np.asarray(outside), "truncation"
-        )
-        assert err == pytest.approx(1.0, abs=1e-12)
-
     def test_raw_mode_matches_manual_sum(self):
         layer = make_layer(n=6, k=2, renormalize=False)
         states = Rng(3).normal(size=(3, 4))
         probs, selected = route_batch(layer, states)
-        sl = np.array([0, 2, 5])
-        got = reconstruction_error(layer, states, probs, selected, sl, "raw", True)
-        from moebudget.moe_core import expert_outputs_grouped, selection_weights, apply_experts
-
-        gold = apply_experts(
-            layer, states, selected, selection_weights(probs, selected, False)
-        )
+        gold = apply_experts(layer, states, selected, selection_weights(probs, selected, False))
         dense = expert_outputs_grouped(layer, states)
+        w = oracle_reconstruction_weights(probs, selected, layer.renormalize, True)
+        got = reconstruction_error(dense * w.T[:, :, None], gold, np.array([0, 2, 5]))
         approx = sum(probs[:, j, None] * dense[j] for j in [0, 2, 5])
         want = float(np.sum((approx - gold) ** 2) / np.sum(gold * gold))
         assert got == pytest.approx(want, rel=1e-12)
 
-    def test_unknown_mode_rejected(self):
-        layer = make_layer()
-        states = Rng(1).normal(size=(2, 4))
-        probs, selected = route_batch(layer, states)
-        with pytest.raises(ValueError):
-            reconstruction_error(layer, states, probs, selected, np.array([0]), "magic")
+    def test_zero_gold_rejected(self):
+        weighted = np.ones((4, 3, 2))
+        with pytest.raises(ValueError, match="identically zero"):
+            reconstruction_error(weighted, np.zeros((3, 2)), np.array([0, 1]))
 
-    def test_truncation_monotone_for_nested_shortlists(self, target, draft):
-        # Router shortlists are prefixes of one fixed ordering, so dropping
-        # fewer natural experts cannot increase the truncated residual on
-        # these seeded trees.
-        ctx = prompt_tokens(target, 80)
-        tree = build_tree(draft, ctx, (2,) * 4)
-        for li, tr in enumerate(tree_routing(target, ctx, tree)):
-            states, probs, selected = tr.moe_input, tr.probs, tr.selected
-            full_order = rank_router(probs, target.config.n_experts)
-            errs = []
-            for budget in (8, 16, 32, 48, 64):
-                sl = full_order[:budget]
-                errs.append(
-                    reconstruction_error(
-                        target.blocks[li].moe, states, probs, selected, sl, "truncation"
-                    )
-                )
-            assert all(errs[i + 1] <= errs[i] + 1e-12 for i in range(len(errs) - 1))
-
-    def test_substitution_statistically_monotone_in_budget(self, target, draft):
-        budgets = (8, 16, 32, 64)
-        out = reconstruction_analysis(
-            target,
-            draft,
-            methods=("router",),
-            budgets=budgets,
-            n_trees=20,
-            tree_size=15,
-            rng=Rng(17),
-            mode="substitution",
+    @pytest.mark.parametrize("uses_raw_g", [True, False])
+    @pytest.mark.parametrize("preset", ["olmoe-toy", "qwen3-toy"])
+    def test_one_pass_equals_per_budget_reference(self, request, preset, uses_raw_g):
+        # Unsorted, with a repeat, and one budget above the expert count,
+        # which every method clamps to the whole ranking.
+        target, draft = (
+            (request.getfixturevalue("target"), request.getfixturevalue("draft"))
+            if preset == "olmoe-toy"
+            else (request.getfixturevalue("wide_target"), request.getfixturevalue("wide_draft"))
         )
-        means = [np.mean(out[("router", b)]) for b in budgets]
-        assert all(means[i + 1] <= means[i] + 1e-9 for i in range(len(means) - 1))
+        n = target.config.n_experts
+        kwargs = dict(
+            methods=("static", "router", "oracle"),
+            budgets=(16, 4, 16, n + 2),
+            n_trees=2,
+            tree_size=7,
+            static_counts=calibrate_static(target, [prompt_tokens(target, 90)]),
+            uses_raw_g=uses_raw_g,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # budget n + 2 is clamped
+            got = reconstruction_analysis(target, draft, rng=Rng(5), **kwargs)
+            want = reconstruction_analysis_per_budget(target, draft, rng=Rng(5), **kwargs)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key] == want[key], key
+
+    @pytest.mark.parametrize(
+        "methods, passes", [(("static", "router"), 1), (("static", "router", "oracle"), 2)]
+    )
+    def test_dense_passes_per_tree_and_layer(self, target, draft, monkeypatch, methods, passes):
+        calls = []
+        real = moe_core.expert_outputs_grouped
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        for module in (moe_core, analysis, budgeting):
+            monkeypatch.setattr(module, "expert_outputs_grouped", counted)
+        counts = calibrate_static(target, [prompt_tokens(target, 91)])
+        reconstruction_analysis(
+            target, draft, methods, (4, 8, 16, 32), n_trees=2, tree_size=7,
+            static_counts=counts,
+        )
+        assert 0 < len(calls) <= passes * 2 * target.n_layers
 
     def test_wrong_static_counts_shape_rejected_before_any_forward(
         self, small_target, small_draft, monkeypatch
@@ -152,9 +150,11 @@ class TestCoactivation:
 
     def test_single_token_concentration(self):
         selected = np.array([[0, 1, 2, 3, 4, 5, 6, 7]])
-        mat = coactivation(selected, 64)
-        assert mat.counts[0, 1] == 1 and mat.counts[1, 0] == 1
-        conc = concentration_ratio(mat, 8)
+        counts = coactivation(selected, 64)
+        assert counts.shape == (64, 64) and counts.dtype == np.int64
+        assert counts[0, 1] == 1 and counts[1, 0] == 1
+        assert max_pair_count(counts) == 1
+        conc = concentration_ratio(counts, 1, 8)
         assert conc == pytest.approx(72.0, rel=1e-9)  # 1 / (1/72)
 
     def test_diagonal_equals_selection_counts(self, small_target):
@@ -167,10 +167,10 @@ class TestCoactivation:
                 all_selected[li].append(trace.selected)
         for li in range(small_target.n_layers):
             sel = np.concatenate(all_selected[li])
-            mat = coactivation(sel, small_target.config.n_experts, layer=li)
-            np.testing.assert_array_equal(np.diag(mat.counts), counts[li])
-            np.testing.assert_array_equal(mat.counts, mat.counts.T)
-            assert mat.counts.max() <= mat.tokens_observed
+            pairs = coactivation(sel, small_target.config.n_experts)
+            np.testing.assert_array_equal(np.diag(pairs), counts[li])
+            np.testing.assert_array_equal(pairs, pairs.T)
+            assert pairs.max() <= len(sel)
 
     def test_uniform_random_concentration_in_derived_bound(self):
         # 100k uniform-random k-subsets: the max pair count concentrates
@@ -179,8 +179,7 @@ class TestCoactivation:
         rng = Rng(123)
         scores = rng.random(size=(100_000, 64))
         selected = np.argsort(scores, axis=1)[:, :8]
-        mat = coactivation(selected, 64)
-        conc = concentration_ratio(mat, 8)
+        conc = concentration_ratio(coactivation(selected, 64), len(selected), 8)
         assert 0.8 <= conc <= 1.5, conc
 
     def test_empty_rejected(self):
@@ -255,9 +254,10 @@ class TestTraces:
             # Coverage from sparse trace equals in-process coverage: the
             # aggregate scores only involve the listed (top-k) mass for the
             # experts that would be ranked anyway.
-            mat_in = coactivation(layer.selected, small_target.config.n_experts)
-            mat_tr = coactivation(back[li]["selected"], small_target.config.n_experts)
-            np.testing.assert_array_equal(mat_in.counts, mat_tr.counts)
+            np.testing.assert_array_equal(
+                coactivation(layer.selected, small_target.config.n_experts),
+                coactivation(back[li]["selected"], small_target.config.n_experts),
+            )
 
     def test_dense_requires_k(self, tmp_path):
         path = tmp_path / "t.jsonl"

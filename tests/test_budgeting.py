@@ -246,6 +246,9 @@ class TestShortlistInvariants:
         ctx = prompt_tokens(small_target, 14, 8)
         tree = build_tree(small_draft, ctx, (2, 2))
         counts = calibrate_static(small_target, [ctx])
+        n = small_target.config.n_experts
+        # A ranking at the largest budget, cut to B, is the ranking at B.
+        widest = {m: shortlister(small_target, m, n, counts, uses_raw_g) for m in METHODS}
         for budget in (1, 3):
             providers = {
                 m: shortlister(small_target, m, budget, counts, uses_raw_g) for m in METHODS
@@ -260,6 +263,9 @@ class TestShortlistInvariants:
                 }
                 for method, provider in providers.items():
                     np.testing.assert_array_equal(provider(li, layer, *args), want[method])
+                    np.testing.assert_array_equal(
+                        widest[method](li, layer, *args)[:budget], want[method]
+                    )
 
     def test_shortlister_rejects_unknown_method_and_static_without_counts(self, small_target):
         with pytest.raises(ValueError, match="unknown ranking method"):

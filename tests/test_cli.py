@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from moebudget import __version__
+from moebudget import __version__, cli
 from moebudget.cli import main
 
 TINY = {
@@ -39,26 +39,48 @@ def config_echo(csv_path) -> dict:
 
 
 @pytest.mark.parametrize(
-    "config, field",
+    "config, flags, field",
     [
-        ({"gen_len": "64"}, "gen_len: expected an integer"),
-        ({"budgets": 8}, "budgets: expected a list"),
-        ({"model": [1]}, "model: expected an object"),
-        ([1, 2], "config: top level must be a JSON object"),
-        ({"methods": ["router", 3]}, "methods[1]: expected a string"),
-        ({"model": {"n_layers": "4"}}, "model.n_layers: expected an integer"),
-        ({"draft": {"noise": 0.1}}, "draft.noise: unknown configuration field"),
-        ({"cost": {"bytes_shared": True}}, "cost.bytes_shared: expected a number"),
+        ({"gen_len": "64"}, (), "gen_len: expected an integer"),
+        ({"budgets": 8}, (), "budgets: expected a list"),
+        ({"model": [1]}, (), "model: expected an object"),
+        ([1, 2], (), "config: top level must be a JSON object"),
+        ({"methods": ["router", 3]}, (), "methods[1]: expected a string"),
+        ({"model": {"n_layers": "4"}}, (), "model.n_layers: expected an integer"),
+        ({"draft": {"noise": 0.1}}, (), "draft.noise: unknown configuration field"),
+        ({"cost": {"bytes_shared": True}}, (), "cost.bytes_shared: expected a number"),
+        ({}, ("--seed", "-1"), "model: seed must be >= 0"),
+        ({"model": {"seed": -3}}, (), "model: seed must be >= 0"),
+        ({"seeds": [0, -3]}, (), "seeds: every seed must be >= 0"),
     ],
     ids=["string_int", "scalar_list", "array_model", "top_level_array", "list_item",
-         "nested_string_int", "unknown_nested_key", "bool_number"],
+         "nested_string_int", "unknown_nested_key", "bool_number", "negative_seed_flag",
+         "negative_model_seed", "negative_eval_seed"],
 )
-def test_bad_config_exits_2_naming_the_field(tmp_path, capsys, config, field):
-    code, _ = run(tmp_path, "coverage", config)
+def test_bad_config_exits_2_naming_the_field(tmp_path, capsys, monkeypatch, config, flags, field):
+    def no_model(*args, **kwargs):
+        raise AssertionError("a model was built before the config was checked")
+
+    monkeypatch.setattr(cli, "build_model_pair", no_model)
+    code, _ = run(tmp_path, "coverage", config, *flags)
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: " + field)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "model", [{"n_experts": 4, "top_k": 1}, {"n_experts": 1, "top_k": 1}], ids=["k1", "n1_k1"]
+)
+def test_coactivation_rejects_top_k_below_two(tmp_path, capsys, model):
+    # One expert per token forms no pair, so the uniform-random pair
+    # expectation the concentration divides by is zero (or 0/0 at n = 1).
+    code, out_dir = run(tmp_path, "coactivation", {**TINY, "trees": 1, "model": model})
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: model.top_k: coactivation needs top_k >= 2")
+    assert "Traceback" not in err
+    assert not out_dir.exists()
 
 
 def test_seed_flag_merges_into_config_model_block(tmp_path):
