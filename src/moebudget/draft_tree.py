@@ -100,17 +100,19 @@ def expand_tree(decoder: TreeDecoder, branching) -> DraftTree:
         raise ValueError("branching factors must be >= 1")
     if any(b > decoder.model.config.vocab_size for b in branching):
         raise ValueError("branching factor exceeds vocabulary size")
+    # The tree's node indices are its tree rows, so it must start at row 0.
+    if decoder.n_rows != decoder.causal_len:
+        raise ValueError("expand_tree requires a bare causal prefix")
 
-    base = decoder.causal_len
     root_token = int(np.argmax(decoder.context_logits))
     tokens = [root_token]
     parents = [-1]
     depths = [0]
     frontier = np.zeros(1, dtype=np.int64)
-    level_tokens, level_parent_rows = [root_token], [-1]
+    level_tokens, new_parents = [root_token], [-1]
 
     for depth, b in enumerate(branching):
-        frontier_logits = decoder.extend(level_tokens, level_parent_rows)
+        frontier_logits = decoder.extend(level_tokens, new_parents)
         # Row f of the level's top-k holds frontier node f's children, best first.
         level_tokens = top_k_indices(frontier_logits, b).ravel()
         new_parents = np.repeat(frontier, b)
@@ -119,8 +121,6 @@ def expand_tree(decoder: TreeDecoder, branching) -> DraftTree:
         parents.extend(new_parents.tolist())
         depths.extend([depth + 1] * level_tokens.size)
         frontier = np.arange(start, len(tokens))
-        # Parent rows are absolute: prefix rows occupy 0..base-1.
-        level_parent_rows = base + new_parents
 
     return DraftTree(
         tokens=np.array(tokens),

@@ -14,7 +14,8 @@ Every forward here runs on a ``TreeDecoder``: the draft decoder grows each
 tree, and ``verify_greedy`` appends it to the target decoder -- with each
 MoE layer behind the ``coverage.budgeted_moe`` hook when budgeting, and
 behind ``toy_model.routing_capture`` otherwise, whose traces give each
-layer's expert union -- judges it, and rolls it back.
+layer's expert union -- and judges it. Both decoders then roll the whole
+tree back to their causal prefix, and the accepted tokens grow that prefix.
 
 ``sweep`` runs every (cell, seed) of a grid, each seed's AR baseline
 included, as one task on one path, serially or in a process pool, and
@@ -97,8 +98,9 @@ class CostModelParams:
 
     def validate(self) -> None:
         for name in ("bytes_expert", "bytes_shared", "draft_step_cost", "selection_overhead_frac"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not np.isfinite(value) or value < 0:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
     def ar_step_cost(self, n_layers: int, k: int) -> float:
         return self.bytes_shared + n_layers * k * self.bytes_expert
@@ -266,10 +268,9 @@ def verify_greedy(
         )
         hook, layers = budgeted_moe(shortlist_for, budget_cfg.policy)
 
-    marker = decoder.checkpoint()
     anchor_logits = decoder.context_logits
     tree_logits = decoder.extend_tree(tree, hook)
-    decoder.rollback(marker)
+    decoder.rollback()
 
     missing = fully = None
     if budget_cfg is None:
@@ -358,9 +359,8 @@ def run_generation(
         draft_dec = TreeDecoder(draft, prompt)
         target_dec = TreeDecoder(target, prompt)
         while len(generated) < gen_len:
-            marker = draft_dec.checkpoint()
             tree = expand_tree(draft_dec, branching)
-            draft_dec.rollback(marker)
+            draft_dec.rollback()
             emitted, report = verify_greedy(
                 target_dec, tree, use_budget, cost, static_counts
             )
@@ -468,6 +468,12 @@ class SweepSpec:
             raise ValueError("sweep needs at least one cell")
         if not self.seeds:
             raise ValueError("sweep needs at least one seed")
+        if any(s < 0 for s in self.seeds):
+            raise ValueError(f"seeds must all be >= 0, got {list(self.seeds)}")
+        if self.gen_len < 1:
+            raise ValueError("gen_len must be >= 1")
+        if self.context_len < 1:
+            raise ValueError("context_len must be >= 1")
         for cell in self.cells:
             cell.validate()
 

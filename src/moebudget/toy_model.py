@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 RMS_EPS = 1e-8
+KV_ROWS = 256  # rows a TreeDecoder's K/V store holds before it first doubles
 
 # Expert-count presets mirroring common production shapes at toy width.
 PRESETS: dict[str, dict] = {
@@ -67,8 +68,8 @@ class ModelConfig:
             raise ValueError("n_layers must be >= 1")
         if self.d_model < 1 or self.d_ff < 1:
             raise ValueError("d_model and d_ff must be >= 1")
-        if self.skew < 0:
-            raise ValueError("skew must be >= 0")
+        if not np.isfinite(self.skew) or self.skew < 0:
+            raise ValueError(f"skew must be finite and >= 0, got {self.skew}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -89,8 +90,8 @@ class DraftSpec:
     layers_kept: int | None = None  # None keeps all layers
 
     def validate(self, n_layers: int) -> None:
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
+        if not np.isfinite(self.noise_std) or self.noise_std < 0:
+            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         kept = self.layers_kept if self.layers_kept is not None else n_layers
         if not (1 <= kept <= n_layers):
             raise ValueError("layers_kept must be in 1..n_layers")
@@ -295,26 +296,6 @@ def _check_tokens(model: MoEModel, tokens) -> np.ndarray:
     return tokens.astype(np.int64, copy=False)
 
 
-class _RowCache:
-    """Growable (rows, d) buffer with O(1) truncation."""
-
-    def __init__(self, d: int, capacity: int = 256):
-        self._buf = np.empty((capacity, d))
-        self.length = 0
-
-    def append(self, rows: np.ndarray) -> None:
-        need = self.length + rows.shape[0]
-        if need > self._buf.shape[0]:
-            grown = np.empty((max(need, 2 * self._buf.shape[0]), self._buf.shape[1]))
-            grown[: self.length] = self._buf[: self.length]
-            self._buf = grown
-        self._buf[self.length : need] = rows
-        self.length = need
-
-    def view(self) -> np.ndarray:
-        return self._buf[: self.length]
-
-
 class TreeDecoder:
     """Incremental forward over a causal prefix plus a growing token tree.
 
@@ -327,17 +308,21 @@ class TreeDecoder:
     cached per-layer keys/values. Numerically this matches a one-shot
     forward of the whole masked sequence to floating-point roundoff.
 
+    Every layer's keys and values live in one growable store of shape
+    ``(n_layers, 2, capacity, d_model)``; ``n_rows`` is the one count of
+    valid rows, the causal prefix (``causal_len`` rows) followed by the
+    tree. Rows at or past ``n_rows`` are free space that the next
+    ``run_rows`` overwrites.
+
     Which tree rows a row attends to lives in one boolean ancestor matrix
     over the tree rows: row i is True at i's ancestors and i itself. A new
     node's attention mask is the whole causal prefix plus its parent's row,
     gathered for a level at once; ``extend_tree`` fills the matrix level by
-    level. Rolling back needs no bookkeeping, because the rows past the tree
-    are overwritten whole when rows are appended again.
+    level. Both are overwritten whole when rows are appended again, so
+    ``rollback`` drops the whole tree by resetting ``n_rows`` alone.
 
-    The decoder also supports checkpoint/rollback of the tree rows and
-    appending accepted tokens to the causal prefix, so one decoder can serve
-    a whole generation loop: draft a tree, roll it back, append the accepted
-    tokens, draft the next tree.
+    One decoder serves a whole generation loop: draft a tree, roll it back,
+    append the accepted tokens to the causal prefix, draft the next tree.
     """
 
     def __init__(self, model: MoEModel, context_tokens, moe_hook=None):
@@ -347,9 +332,7 @@ class TreeDecoder:
         context_tokens = _check_tokens(model, context_tokens)
         self.causal_len = self.n_rows = 0
         self._anc = np.zeros((0, 0), dtype=bool)  # tree-row ancestor matrix
-        d = model.config.d_model
-        self._k_cache = [_RowCache(d) for _ in model.blocks]
-        self._v_cache = [_RowCache(d) for _ in model.blocks]
+        self._kv = np.empty((model.n_layers, 2, KV_ROWS, model.config.d_model))
 
         # Prefill: the context is a causal batch of rows over an empty cache.
         n = int(context_tokens.size)
@@ -366,7 +349,7 @@ class TreeDecoder:
         within: np.ndarray | None = None,
         moe_hook=None,
     ) -> np.ndarray:
-        """Compute a batch of new rows against the caches; returns logits.
+        """Compute a batch of new rows against the cached rows; returns logits.
 
         ``tokens`` are int64 ids already checked by the public entry point.
         ``allowed`` is (r, cached) over existing rows. ``within`` is the
@@ -379,63 +362,63 @@ class TreeDecoder:
         r = tokens.size
         cached = self.n_rows
         d = self.model.config.d_model
+        if cached + r > self._kv.shape[2]:
+            grown = np.empty(self._kv.shape[:2] + (max(cached + r, 2 * self._kv.shape[2]), d))
+            grown[:, :, :cached] = self._kv[:, :, :cached]
+            self._kv = grown
+        kv = self._kv
         if within is None:
             within = np.eye(r, dtype=bool)
         mask = np.concatenate([allowed, within], axis=1)
         x = self.model.embedding[tokens]
-        new_kv = []
         for li, block in enumerate(self.model.blocks):
             xn = rms_norm(x)
             q = xn @ block.attention.wq.T
             k_self = xn @ block.attention.wk.T
             v_self = xn @ block.attention.wv.T
-            k_cached = self._k_cache[li].view()
-            v_cached = self._v_cache[li].view()
+            k_cached = kv[li, 0, :cached]
+            v_cached = kv[li, 1, :cached]
             scores = np.concatenate([q @ k_cached.T, q @ k_self.T], axis=1) / np.sqrt(d)
             w = masked_softmax(scores, mask)
             att = w[:, :cached] @ v_cached + w[:, cached:] @ v_self
             x = x + att @ block.attention.wo.T
-            new_kv.append((k_self, v_self))
+            kv[li, 0, cached : cached + r] = k_self
+            kv[li, 1, cached : cached + r] = v_self
             moe_in = rms_norm(x)
             if moe_hook is None:
                 out, _, _ = moe_forward_full_batch(block.moe, moe_in)
             else:
                 out, _, _ = moe_hook(li, block.moe, moe_in)
             x = x + out
-        # The caches grow only once every layer has run, so a hook that
-        # raises leaves the decoder as it was.
-        for li, (k_self, v_self) in enumerate(new_kv):
-            self._k_cache[li].append(k_self)
-            self._v_cache[li].append(v_self)
+        # The new rows count only once every layer has run, so a hook that
+        # raises leaves them as free space and the decoder as it was.
         self.n_rows += r
         return rms_norm(x) @ self.model.head.T
 
-    def extend(self, tokens, parent_rows) -> np.ndarray:
+    def extend(self, tokens, parents) -> np.ndarray:
         """Append one tree level and return its (r, vocab) logits.
 
-        ``parent_rows`` holds, per new node, the absolute row index of its
-        parent (a tree row), or -1 for nodes hanging directly off the causal
-        prefix; anything else raises ValueError before any state changes.
-        Rows within one extension never attend to each other.
+        ``parents`` holds, per new node, the tree-row index of its parent
+        (0 is the first row after the causal prefix), or -1 for nodes
+        hanging directly off the prefix end; anything else raises ValueError
+        before any state changes. Rows within one extension never attend to
+        each other.
         """
         tokens = _check_tokens(self.model, tokens)
-        parent_rows = np.asarray(parent_rows, dtype=np.int64)
-        cached = self.n_rows
-        if parent_rows.shape != tokens.shape or not np.all(
-            (parent_rows == -1) | ((parent_rows >= self.causal_len) & (parent_rows < cached))
-        ):
+        parents = np.asarray(parents, dtype=np.int64)
+        t0 = self.n_rows - self.causal_len
+        if parents.shape != tokens.shape or not np.all((parents >= -1) & (parents < t0)):
             raise ValueError(
-                f"parent_rows must hold one entry per token, each -1 or a tree row in "
-                f"{self.causal_len}..{cached - 1}; got {parent_rows.tolist()}"
+                f"parents must hold one entry per token, each -1 or a tree row in "
+                f"0..{t0 - 1}; got {parents.tolist()}"
             )
         # A node sees the whole prefix and its parent's ancestor row.
-        t0 = cached - self.causal_len
         rows = np.arange(t0, t0 + tokens.size)
         anc = self._ancestors(t0 + tokens.size)
-        allowed = np.zeros((tokens.size, cached), dtype=bool)
+        allowed = np.zeros((tokens.size, self.n_rows), dtype=bool)
         allowed[:, : self.causal_len] = True
-        hung = parent_rows >= 0
-        allowed[hung, self.causal_len :] = anc[parent_rows[hung] - self.causal_len, :t0]
+        hung = parents >= 0
+        allowed[hung, self.causal_len :] = anc[parents[hung], :t0]
         logits = self.run_rows(tokens, allowed)
         anc[rows] = False
         anc[rows, :t0] = allowed[:, self.causal_len :]
@@ -476,18 +459,9 @@ class TreeDecoder:
             self._anc = grown
         return self._anc
 
-    def checkpoint(self) -> int:
-        """Opaque marker for the current tree state."""
-        return self.n_rows
-
-    def rollback(self, marker: int) -> None:
-        """Drop every row appended after ``marker``."""
-        if not self.causal_len <= marker <= self.n_rows:
-            raise ValueError("rollback marker out of range")
-        for li in range(len(self._k_cache)):
-            self._k_cache[li].length = marker
-            self._v_cache[li].length = marker
-        self.n_rows = marker
+    def rollback(self) -> None:
+        """Drop every tree row, leaving the bare causal prefix."""
+        self.n_rows = self.causal_len
 
     def append_tokens(self, tokens) -> np.ndarray:
         """Grow the causal prefix by a run of tokens (causal among

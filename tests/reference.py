@@ -220,7 +220,6 @@ def reconstruction_analysis_per_budget(
 def expand_tree_per_node(decoder: TreeDecoder, branching) -> DraftTree:
     """``draft_tree.expand_tree`` taking each frontier node's children with
     its own top-k call, in frontier order."""
-    base = decoder.causal_len
     tokens = [int(np.argmax(decoder.context_logits))]
     parents, depths, frontier = [-1], [0], [0]
     frontier_logits = decoder.extend(tokens, [-1])
@@ -235,7 +234,7 @@ def expand_tree_per_node(decoder: TreeDecoder, branching) -> DraftTree:
         parents += new_parents
         depths += [depth + 1] * len(new_tokens)
         frontier = list(range(start, len(tokens)))
-        frontier_logits = decoder.extend(new_tokens, [base + p for p in new_parents])
+        frontier_logits = decoder.extend(new_tokens, new_parents)
     return DraftTree(
         tokens=np.array(tokens), parents=np.array(parents), depths=np.array(depths),
         branching=tuple(branching),

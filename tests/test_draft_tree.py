@@ -143,9 +143,9 @@ class TestBuildTree:
         calls = []
         real_extend = TreeDecoder.extend
 
-        def counting_extend(decoder, tokens, parent_rows):
+        def counting_extend(decoder, tokens, parents):
             calls.append(len(tokens))
-            return real_extend(decoder, tokens, parent_rows)
+            return real_extend(decoder, tokens, parents)
 
         monkeypatch.setattr(TreeDecoder, "extend", counting_extend)
         decoder = TreeDecoder(small_draft, prompt_tokens(small_draft, 24, 8))
@@ -159,6 +159,17 @@ class TestBuildTree:
     def test_branching_wider_than_vocab_rejected(self, small_draft):
         with pytest.raises(ValueError):
             build_tree(small_draft, [1, 2], (small_draft.config.vocab_size + 1,))
+
+    def test_decoder_holding_tree_rows_rejected(self, small_draft):
+        # Node indices are passed to extend as tree rows, so a leftover row
+        # would stand in for the root as its children's parent.
+        decoder = TreeDecoder(small_draft, [1, 2])
+        decoder.extend([3], [-1])
+        with pytest.raises(ValueError, match="bare causal prefix"):
+            expand_tree(decoder, (2, 2))
+        decoder.rollback()
+        got = expand_tree(decoder, (2, 2)).tokens
+        np.testing.assert_array_equal(got, build_tree(small_draft, [1, 2], (2, 2)).tokens)
 
 
 class TestExpertUnion:

@@ -480,6 +480,25 @@ class TestSweep:
         with pytest.raises(ValueError):
             SweepCell(mode="spec_full", tree_size=10).validate()
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"seeds": (1, -1)}, "seeds must all be >= 0"),
+            ({"context_len": 0}, "context_len must be >= 1"),
+            ({"gen_len": 0}, "gen_len must be >= 1"),
+        ],
+        ids=["negative_seed", "zero_context_len", "zero_gen_len"],
+    )
+    def test_bad_spec_rejected_before_any_model_is_built(self, monkeypatch, overrides, field):
+        from moebudget import simulator
+
+        def no_model(*args, **kwargs):
+            raise AssertionError("a model was built before the spec was checked")
+
+        monkeypatch.setattr(simulator, "build_model_pair", no_model)
+        with pytest.raises(ValueError, match=field):
+            sweep(small_sweep_spec(**overrides))
+
     def test_failure_keeps_traceback(self, monkeypatch):
         from moebudget import simulator
 

@@ -226,7 +226,7 @@ class TestTreeDecoder:
         root = 7
         l1 = dec.extend([root], [-1])
         kids = [2, 11]
-        l2 = dec.extend(kids, [5, 5])
+        l2 = dec.extend(kids, [0, 0])
 
         all_tokens = np.concatenate([ctx, [root], kids])
         mask = np.zeros((8, 8), dtype=bool)
@@ -247,23 +247,24 @@ class TestTreeDecoder:
         n = len(ctx)
         dec, twin = TreeDecoder(small_target, ctx), TreeDecoder(small_target, ctx)
         rows: list[tuple[int, int]] = []  # (token, parent index into rows)
-        # Row 4 is rolled back while its row holds rows 2 and 3; the new
-        # row 4 must not inherit them.
+        # The first tree leaves row 3 holding rows 0 and 2, and row 4
+        # holding rows 0, 2 and 3; the second tree's rows 3 and 4 must not
+        # inherit them.
         levels = [
             ([1], [-1]), ([2, 4], [0, 0]), ([6], [2]), ([8], [3]), "rollback",
-            ([10, 11], [-1, 1]), ([12, 13], [4, 3]),
+            ([10, 11], [-1, -1]), ([12], [1]), ([13, 14], [2, -1]),
         ]
         for level in levels:
             if level == "rollback":
                 for d in (dec, twin):
-                    d.rollback(n + 3)
-                del rows[3:]
+                    d.rollback()
+                rows.clear()
                 continue
             tokens, parents = level
             start = len(rows)
             rows += list(zip(tokens, parents))
             mask = reference_mask(n, rows)
-            got = dec.extend(tokens, [n + p if p >= 0 else -1 for p in parents])
+            got = dec.extend(tokens, parents)
             want = twin.run_rows(np.array(tokens), mask[n + start :, : n + start])
             assert np.array_equal(got, want), level
 
@@ -281,11 +282,38 @@ class TestTreeDecoder:
         vocab = small_target.config.vocab_size
         ctx = random_tokens(Rng(7), 4, vocab)
         dec = TreeDecoder(small_target, ctx)
-        marker = dec.checkpoint()
-        before = dec.extend([1], [-1]).copy()
-        dec.rollback(marker)
-        again = dec.extend([1], [-1])
-        np.testing.assert_array_equal(before, again)
+        before = [dec.extend([1], [-1]).copy(), dec.extend([2, 9], [0, 0]).copy()]
+        dec.rollback()
+        assert dec.n_rows == dec.causal_len == 4
+        again = [dec.extend([1], [-1]), dec.extend([2, 9], [0, 0])]
+        for b, a in zip(before, again):
+            np.testing.assert_array_equal(b, a)
+
+    def test_store_growth_inside_a_tree_changes_no_bit(self, small_target, monkeypatch):
+        # A K/V store that doubles between the levels of a tree, and again
+        # inside extend_tree, computes the same bits as one that never grows.
+        import moebudget.toy_model as toy_model
+
+        ctx = [3, 5, 7]
+        monkeypatch.setattr(toy_model, "KV_ROWS", 4)
+        grows = TreeDecoder(small_target, ctx)
+        monkeypatch.setattr(toy_model, "KV_ROWS", 64)
+        fixed = TreeDecoder(small_target, ctx)
+        for tokens, parents in [([1], [-1]), ([2, 4], [0, 0]), ([6, 8, 9, 11], [1, 1, 2, 2])]:
+            assert np.array_equal(grows.extend(tokens, parents), fixed.extend(tokens, parents))
+        assert grows._kv.shape[2] == 16  # 4 -> 8 -> 16 rows
+        parents = [-1, 0, 0, 1, 1, 2, 2] + [3, 3, 4, 4, 5, 5, 6, 6]
+        depths = [0, 1, 1, 2, 2, 2, 2] + [3] * 8
+        tree = DraftTree(
+            tokens=list(range(15)), parents=parents, depths=depths, branching=(2, 2, 2)
+        )
+        for d in (grows, fixed):
+            d.rollback()
+        assert np.array_equal(grows.extend_tree(tree), fixed.extend_tree(tree))
+        assert grows._kv.shape[2] == 32 and fixed._kv.shape[2] == 64
+        for d in (grows, fixed):
+            d.rollback()
+        assert np.array_equal(grows.append_tokens([4, 9]), fixed.append_tokens([4, 9]))
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -312,12 +340,12 @@ class TestTreeDecoder:
         for d in (dec, ref):
             d.extend([1], [-1])
         with pytest.raises(ValueError, match=message):
-            dec.extend(bad, [2, -1])
+            dec.extend(bad, [0, -1])
         # A rejected batch leaves no trace: later rows and their ancestors
         # match a decoder that never saw it.
         for d in (dec, ref):
             d.extend([4], [-1])
-        np.testing.assert_array_equal(dec.extend([6], [3]), ref.extend([6], [3]))
+        np.testing.assert_array_equal(dec.extend([6], [1]), ref.extend([6], [1]))
 
     def test_hook_failure_leaves_decoder_unchanged(self, small_target):
         from moebudget.moe_core import moe_forward_full_batch
@@ -329,6 +357,8 @@ class TestTreeDecoder:
 
         tree = DraftTree(tokens=[5, 9], parents=[-1, 0], depths=[0, 1], branching=(1,))
         dec = TreeDecoder(small_target, [1, 2, 3])
+        # Layers 0 and 1 write their K/V rows before the hook raises; those
+        # rows must stay free space.
         with pytest.raises(RuntimeError, match="hook failure"):
             dec.extend_tree(tree, fails_at_layer_1)
         assert dec.n_rows == 3
@@ -359,21 +389,25 @@ class TestTreeDecoder:
             TreeDecoder(small_target, [1, 2, 3], moe_hook=fails)
 
     @pytest.mark.parametrize(
-        "parent", [2, 0, 6, 100, -2], ids=["prefix_row", "first_row", "n_rows", "far", "minus_2"]
+        "parent",
+        [2, 4, 6, 100, -2],
+        ids=["tree_rows", "absolute_first_row", "n_rows", "far", "minus_2"],
     )
     def test_parent_outside_tree_rows_rejected(self, small_target, parent):
+        # Parents are tree rows 0..1 here; an absolute row index (4 is the
+        # first tree row's, 6 is n_rows) names no tree row.
         ctx = random_tokens(Rng(8), 4, small_target.config.vocab_size)
         dec, ref = TreeDecoder(small_target, ctx), TreeDecoder(small_target, ctx)
         for d in (dec, ref):
-            d.extend([3, 7], [-1, -1])  # tree rows 4 and 5
-        with pytest.raises(ValueError, match="parent_rows"):
+            d.extend([3, 7], [-1, -1])  # tree rows 0 and 1
+        with pytest.raises(ValueError, match=r"parents .* tree row in 0\.\.1"):
             dec.extend([9], [parent])
         assert dec.n_rows == 6
-        np.testing.assert_array_equal(dec.extend([9, 2], [4, 5]), ref.extend([9, 2], [4, 5]))
+        np.testing.assert_array_equal(dec.extend([9, 2], [0, 1]), ref.extend([9, 2], [0, 1]))
 
     def test_parent_count_must_match_tokens(self, small_target):
         dec = TreeDecoder(small_target, [1, 2])
-        with pytest.raises(ValueError, match="parent_rows"):
+        with pytest.raises(ValueError, match="parents"):
             dec.extend([3, 4], [-1])
 
     def test_append_with_tree_rows_rejected(self, small_target):
@@ -431,41 +465,31 @@ class TestTreeDecoderProperties:
         prefix = data.draw(st.lists(token, min_size=1, max_size=6), label="context")
         dec = TreeDecoder(small_target, prefix)
         rows: list[tuple[int, int]] = []
-        markers: list[tuple[int, int]] = []  # (decoder marker, tree rows then)
 
         def check(got, want):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
             np.testing.assert_array_equal(np.argmax(got, axis=-1), np.argmax(want, axis=-1))
 
         check(dec.context_logits, masked_reference(small_target, prefix, [])[-1])
-        ops = st.sampled_from(
-            ["extend", "extend", "extend_tree", "checkpoint", "rollback", "rollback", "append"]
-        )
+        ops = st.sampled_from(["extend", "extend", "extend_tree", "rollback", "append"])
         for _ in range(data.draw(st.integers(1, 10), label="n_ops")):
             op = data.draw(ops)
             if op == "extend":
                 r = data.draw(st.integers(1, 3))
                 tokens = data.draw(st.lists(token, min_size=r, max_size=r))
                 parents = [data.draw(st.integers(-1, len(rows) - 1)) for _ in range(r)]
-                got = dec.extend(tokens, [p + len(prefix) if p >= 0 else -1 for p in parents])
+                got = dec.extend(tokens, parents)
                 rows += list(zip(tokens, parents))
                 check(got, masked_reference(small_target, prefix, rows)[-r:])
-            elif op == "checkpoint":
-                markers.append((dec.checkpoint(), len(rows)))
-            elif op == "rollback" and markers:
-                marker, kept = markers.pop(data.draw(st.integers(0, len(markers) - 1)))
-                dec.rollback(marker)
-                del rows[kept:]
-                markers = [m for m in markers if m[1] <= kept]
-            elif op in ("extend_tree", "append"):
-                dec.rollback(len(prefix))  # both need a bare prefix
-                rows, markers = [], []
+            else:
+                dec.rollback()  # extend_tree and append need a bare prefix
+                rows = []
                 if op == "append":
                     extra = data.draw(st.lists(token, min_size=1, max_size=4))
                     got = dec.append_tokens(extra)
                     prefix = prefix + extra
                     check(got, masked_reference(small_target, prefix, [])[-1])
-                else:
+                elif op == "extend_tree":
                     tree = random_tree(data, vocab)
                     got = dec.extend_tree(tree)
                     rows = list(zip(tree.tokens.tolist(), tree.parents.tolist()))
