@@ -35,6 +35,7 @@ from .simulator import (
     SweepCell,
     SweepSpec,
     run_generation,
+    run_generations,
     summarize,
     sweep,
     verify_greedy,

@@ -103,6 +103,8 @@ class ExperimentConfig:
             raise ConfigError("budgets: every budget must be >= 1")
         if any(s < 0 for s in self.seeds):
             raise ConfigError("seeds: every seed must be >= 0")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError("seeds: a seed must not repeat")
         if not self.methods:
             raise ConfigError("methods: list must not be empty")
         for m in self.methods:

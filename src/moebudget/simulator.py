@@ -16,10 +16,15 @@ MoE layer behind the ``coverage.budgeted_moe`` hook when budgeting, and
 behind ``toy_model.routing_capture`` otherwise, whose traces give each
 layer's expert union -- and judges it. Both decoders then roll the whole
 tree back to their causal prefix, and the accepted tokens grow that prefix.
+``run_generations`` is the one speculative loop: it runs several budget
+configs from one prompt in lockstep, drafting each distinct history of
+emitted tokens once and forking the decoders where the configs' tokens part.
 
-``sweep`` runs every (cell, seed) of a grid, each seed's AR baseline
-included, as one task on one path, serially or in a process pool, and
-builds each row from its finished run and the seed's AR tokens.
+``sweep`` runs each seed's AR baseline as one task, and the speculative
+cells of each (seed, tree size) as one lockstep group, cut into contiguous
+chunks so that every pool worker gets a task. With a pool, the static
+calibration runs there as well, in contiguous shards of its sequences.
+Each row is built from its finished run and the seed's AR tokens.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ __all__ = [
     "SweepCell",
     "SweepResult",
     "run_generation",
+    "run_generations",
     "summarize",
     "sweep",
     "verify_greedy",
@@ -285,15 +291,19 @@ def verify_greedy(
     return emitted, _build_report(tree, emitted, unique, budget_cfg, cost, missing, fully)
 
 
+def _calibration_counts(target: MoEModel, rng: Rng, indices) -> np.ndarray:
+    """Selection counts over the calibration sequences at ``indices``."""
+    seqs = [
+        random_tokens(rng.substream(i), CALIBRATION_SEQ_LEN, target.config.vocab_size)
+        for i in indices
+    ]
+    return calibrate_static(target, seqs)
+
+
 def default_calibration(target: MoEModel, rng: Rng) -> np.ndarray:
     """(n_layers, n_experts) selection counts over seeded random sequences,
     disjoint from every evaluation prompt stream."""
-    n_seqs = CALIBRATION_TOKENS // CALIBRATION_SEQ_LEN
-    seqs = [
-        random_tokens(rng.substream(i), CALIBRATION_SEQ_LEN, target.config.vocab_size)
-        for i in range(n_seqs)
-    ]
-    return calibrate_static(target, seqs)
+    return _calibration_counts(target, rng, range(CALIBRATION_TOKENS // CALIBRATION_SEQ_LEN))
 
 
 def run_generation(
@@ -311,7 +321,8 @@ def run_generation(
     """Generate ``gen_len`` tokens from ``prompt`` in one of three modes:
     plain autoregressive greedy, speculative with full verification, or
     speculative with budgeted verification. The decoders check ``prompt``:
-    a non-empty 1-D sequence of integer token ids.
+    a non-empty 1-D sequence of integer token ids. The speculative modes are
+    ``run_generations`` with one config.
     """
     if gen_len < 1:
         raise ValueError("gen_len must be >= 1")
@@ -321,61 +332,135 @@ def run_generation(
         raise ValueError("spec_budgeted requires a BudgetConfig")
     cost.validate()
 
+    if mode != "ar":
+        use_budget = budget_cfg if mode == "spec_budgeted" else None
+        [run] = run_generations(
+            target, draft, prompt, gen_len, cost, [use_budget], tree_size, static_counts,
+            keep_coverage,
+        )
+        return run
+
     started = time.perf_counter()
     cfg = target.config
     generated: list[int] = []
     reports: list[StepReport] = []
-
-    if mode == "ar":
-        ar_cost = cost.ar_step_cost(cfg.n_layers, cfg.top_k)
-        decoder = TreeDecoder(target, prompt)
-        for _ in range(gen_len):
-            nxt = int(np.argmax(decoder.context_logits))
-            decoder.append_tokens([nxt])
-            generated.append(nxt)
-            reports.append(
-                StepReport(
-                    tau=1,
-                    emitted=[nxt],
-                    unique_experts=[cfg.top_k] * cfg.n_layers,
-                    tree_depth=0,
-                    mode="ar",
-                    method=None,
-                    policy=None,
-                    budget=None,
-                    verify_cost=ar_cost,
-                    draft_cost=0.0,
-                )
+    ar_cost = cost.ar_step_cost(cfg.n_layers, cfg.top_k)
+    decoder = TreeDecoder(target, prompt)
+    for _ in range(gen_len):
+        nxt = int(np.argmax(decoder.context_logits))
+        decoder.append_tokens([nxt])
+        generated.append(nxt)
+        reports.append(
+            StepReport(
+                tau=1,
+                emitted=[nxt],
+                unique_experts=[cfg.top_k] * cfg.n_layers,
+                tree_depth=0,
+                mode="ar",
+                method=None,
+                policy=None,
+                budget=None,
+                verify_cost=ar_cost,
+                draft_cost=0.0,
             )
-    else:
-        branching = binary_branching(tree_size)
-        use_budget = budget_cfg if mode == "spec_budgeted" else None
-        # Persistent decoders serve the whole loop: tree rows are rolled
-        # back each step and accepted tokens extend the causal prefix, which
-        # is exact under ancestor masking (appending rows never changes
-        # earlier ones). Modeled costs are computed as if the verify step
-        # re-read the context (charged to the shared term), so the prefix
-        # cache changes wall-clock only, never reported numbers.
-        draft_dec = TreeDecoder(draft, prompt)
-        target_dec = TreeDecoder(target, prompt)
-        while len(generated) < gen_len:
-            tree = expand_tree(draft_dec, branching)
-            draft_dec.rollback()
-            emitted, report = verify_greedy(
-                target_dec, tree, use_budget, cost, static_counts
-            )
-            if not keep_coverage:
-                report.missing_counts = None
-                report.fully_skipped = None
-            emitted = emitted[: gen_len - len(generated)]
-            report.emitted = emitted
-            draft_dec.append_tokens(emitted)
-            target_dec.append_tokens(emitted)
-            generated.extend(emitted)
-            reports.append(report)
-
+        )
     summary = summarize(reports, cost, cfg, wall_clock_s=time.perf_counter() - started)
     return GenerationRun(tokens=generated, summary=summary, reports=reports)
+
+
+def run_generations(
+    target: MoEModel,
+    draft: MoEModel,
+    prompt,
+    gen_len: int,
+    cost: CostModelParams = CostModelParams(),
+    budget_cfgs=(None,),
+    tree_size: int = 63,
+    static_counts: np.ndarray | None = None,
+    keep_coverage: bool = False,
+    failures: dict[int, str] | None = None,
+) -> list[GenerationRun | None]:
+    """Speculative generation of ``gen_len`` tokens from ``prompt`` under
+    each of ``budget_cfgs`` (``None`` verifies at full capacity), in
+    lockstep; returns one run per config, in config order.
+
+    Configs that have emitted the same tokens so far share one *node*: a
+    draft decoder and a target decoder. Each step, every live node drafts
+    one tree, and each of its configs verifies that tree on the node's
+    target decoder, which verification leaves as it found it. The node's
+    configs are then grouped by the tokens they emit. The first group that
+    is still generating keeps the node's decoders, every other such group
+    takes a ``fork`` of both, and each group appends its tokens once to its
+    own pair. So a config's decoders see the same calls, with the same
+    arguments, as a pair of decoders of its own would, and its run is
+    bit-identical to running it alone; a distinct history is drafted and
+    appended once, however many configs reach it. Each run's
+    ``wall_clock_s`` is the time of the whole lockstep.
+
+    When ``failures`` is a dict, a config whose verification raises is
+    dropped: its traceback is stored under its index and its run is None,
+    and the other configs carry on. Otherwise the error propagates.
+    """
+    if gen_len < 1:
+        raise ValueError("gen_len must be >= 1")
+    cost.validate()
+    started = time.perf_counter()
+    branching = binary_branching(tree_size)
+    n = len(budget_cfgs)
+    generated: list[list[int]] = [[] for _ in range(n)]
+    reports: list[list[StepReport]] = [[] for _ in range(n)]
+    # Persistent decoders serve the whole loop: tree rows are rolled back
+    # each step and accepted tokens extend the causal prefix, which is exact
+    # under ancestor masking (appending rows never changes earlier ones).
+    # Modeled costs are computed as if the verify step re-read the context
+    # (charged to the shared term), so the prefix cache changes wall-clock
+    # only, never reported numbers.
+    nodes = [(TreeDecoder(draft, prompt), TreeDecoder(target, prompt), list(range(n)))]
+    while nodes:
+        live = []
+        for draft_dec, target_dec, members in nodes:
+            tree = expand_tree(draft_dec, branching)
+            draft_dec.rollback()
+            done = len(generated[members[0]])
+            groups: dict[tuple[int, ...], list[int]] = {}
+            for i in members:
+                try:
+                    emitted, report = verify_greedy(
+                        target_dec, tree, budget_cfgs[i], cost, static_counts
+                    )
+                except Exception:  # noqa: BLE001 - collected for the caller
+                    if failures is None:
+                        raise
+                    failures[i] = traceback.format_exc()
+                    continue
+                if not keep_coverage:
+                    report.missing_counts = None
+                    report.fully_skipped = None
+                report.emitted = emitted = emitted[: gen_len - done]
+                generated[i].extend(emitted)
+                reports[i].append(report)
+                groups.setdefault(tuple(emitted), []).append(i)
+            going = [(emitted, group) for emitted, group in groups.items()
+                     if done + len(emitted) < gen_len]
+            # Forks are taken before any append, while the prefix is shared.
+            pairs = [(draft_dec, target_dec)] + [
+                (draft_dec.fork(), target_dec.fork()) for _ in going[1:]
+            ]
+            for (emitted, group), (d, t) in zip(going, pairs):
+                d.append_tokens(emitted)
+                t.append_tokens(emitted)
+                live.append((d, t, group))
+        nodes = live
+
+    wall = time.perf_counter() - started
+    return [
+        None if i in (failures or {}) else GenerationRun(
+            tokens=generated[i],
+            summary=summarize(reports[i], cost, target.config, wall_clock_s=wall),
+            reports=reports[i],
+        )
+        for i in range(n)
+    ]
 
 
 def summarize(
@@ -436,6 +521,7 @@ class SweepCell:
         if self.mode == "spec_budgeted":
             if self.method is None or self.policy is None or self.budget is None:
                 raise ValueError("spec_budgeted cells need method, policy and budget")
+            BudgetConfig(self.method, self.policy, self.budget).validate()
         if self.mode != "ar":
             binary_branching(self.tree_size)
 
@@ -470,6 +556,8 @@ class SweepSpec:
             raise ValueError("sweep needs at least one seed")
         if any(s < 0 for s in self.seeds):
             raise ValueError(f"seeds must all be >= 0, got {list(self.seeds)}")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must not repeat, got {list(self.seeds)}")
         if self.gen_len < 1:
             raise ValueError("gen_len must be >= 1")
         if self.context_len < 1:
@@ -526,19 +614,22 @@ def _prompt_for_seed(spec: SweepSpec, seed: int) -> np.ndarray:
     return random_tokens(rng, spec.context_len, spec.model_config.vocab_size)
 
 
+def _budget_config(spec: SweepSpec, cell: SweepCell) -> BudgetConfig | None:
+    if cell.mode != "spec_budgeted":
+        return None
+    return BudgetConfig(
+        method=cell.method,
+        policy=CoveragePolicy(cell.policy),
+        budget=cell.budget,
+        uses_raw_g=spec.uses_raw_g,
+    )
+
+
 def _run_cell(
     spec: SweepSpec, cell: SweepCell, seed: int, static_counts: np.ndarray | None
 ) -> GenerationRun:
-    """Run one (cell, seed) from the seed's prompt."""
+    """Run one (cell, seed) from the seed's prompt, as each AR baseline runs."""
     target, draft = build_model_pair(spec.model_config, spec.draft_spec)
-    budget_cfg = None
-    if cell.mode == "spec_budgeted":
-        budget_cfg = BudgetConfig(
-            method=cell.method,
-            policy=CoveragePolicy(cell.policy),
-            budget=cell.budget,
-            uses_raw_g=spec.uses_raw_g,
-        )
     return run_generation(
         target,
         draft,
@@ -546,7 +637,7 @@ def _run_cell(
         spec.gen_len,
         cell.mode,
         spec.cost,
-        budget_cfg,
+        _budget_config(spec, cell),
         tree_size=cell.tree_size,
         static_counts=static_counts,
     )
@@ -570,17 +661,52 @@ def _sweep_row(cell: SweepCell, seed: int, run: GenerationRun, ar_tokens: list[i
     )
 
 
-def _sweep_task(args) -> tuple[tuple, GenerationRun | None, str | None]:
-    """Worker entry point; rebuilds models from the spec so results depend
-    only on the cell identity, never on scheduling. An AR baseline raises
-    even when ``strict`` is off, since every row of its seed needs it."""
-    spec, cell, seed, static_counts, strict = args
+def _sweep_task(args) -> list[tuple[tuple, GenerationRun | None, str | None]]:
+    """Worker entry point: one seed's AR baseline, or one chunk of a (seed,
+    tree size) group's speculative cells in lockstep. Models are rebuilt
+    from the spec, so results depend only on the cells, never on
+    scheduling. An AR baseline raises even when ``strict`` is off, since
+    every row of its seed needs it."""
+    spec, cells, seed, static_counts, strict = args
+    keys = [(cell.key(), seed) for cell in cells]
+    if cells[0].mode == "ar":
+        return [(keys[0], _run_cell(spec, cells[0], seed, static_counts), None)]
+    failures = None if strict else {}
     try:
-        return (cell.key(), seed), _run_cell(spec, cell, seed, static_counts), None
+        target, draft = build_model_pair(spec.model_config, spec.draft_spec)
+        runs = run_generations(
+            target,
+            draft,
+            _prompt_for_seed(spec, seed),
+            spec.gen_len,
+            spec.cost,
+            [_budget_config(spec, cell) for cell in cells],
+            cells[0].tree_size,
+            static_counts,
+            failures=failures,
+        )
     except Exception:  # noqa: BLE001 - collected for the failure report
-        if strict or cell.mode == "ar":
+        if strict:
             raise
-        return (cell.key(), seed), None, traceback.format_exc()
+        error = traceback.format_exc()
+        return [(key, None, error) for key in keys]
+    return [(key, run, (failures or {}).get(i)) for i, (key, run) in enumerate(zip(keys, runs))]
+
+
+def _calibration_task(args) -> np.ndarray:
+    """Worker entry point: the static calibration counts of one contiguous
+    shard of the calibration sequences."""
+    model_config, draft_spec, indices = args
+    target, _ = build_model_pair(model_config, draft_spec)
+    return _calibration_counts(target, Rng(model_config.seed).substream(CALIB_STREAM), indices)
+
+
+def _chunks(items, n: int) -> list:
+    """``items`` cut into ``n`` contiguous chunks of near-equal length, or
+    into one chunk per item when there are fewer than ``n``."""
+    n = min(n, len(items))
+    bounds = [len(items) * i // n for i in range(n + 1)]
+    return [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def sweep(
@@ -588,37 +714,65 @@ def sweep(
 ) -> SweepResult:
     """Deterministic grid evaluation over cells x seeds.
 
-    Every (cell, seed) is one task, and each seed's autoregressive baseline
-    is one of them even when no AR cell is asked for: it anchors both the
-    speedup normalization and the exact-match quality proxy. Tasks run in a
-    process pool when ``workers > 1``; rows are built once every task is
-    back, so results are byte-identical for any worker count. With
-    ``strict=False`` failing cells are collected instead of raised, except a
-    failing AR baseline.
+    Each seed's autoregressive baseline is one task, even when no AR cell
+    is asked for: it anchors both the speedup normalization and the
+    exact-match quality proxy. The speculative cells of each (seed, tree
+    size) form a group that runs in lockstep on one set of decoders (see
+    ``run_generations``), so a draft tree or prefix that several cells
+    reach is computed once. Each group is cut, in cell-key order, into
+    ceil(``workers`` / groups) contiguous chunks, one task each, so even a
+    one-seed sweep gives every worker a task.
+
+    Tasks run in a process pool when ``workers > 1``. The static ranking's
+    calibration then runs there too, as ``workers`` contiguous shards of
+    its sequences whose integer counts are summed in shard order, so they
+    equal ``default_calibration`` exactly; serially it is that function.
+    Rows are built once every task is back, so results are byte-identical
+    for any worker count. With ``strict=False`` failing cells are collected
+    with their tracebacks instead of raised, and the other cells of their
+    group carry on; a failing AR baseline still raises.
     """
     spec.validate()
     # Built here so that forked pool workers inherit the models.
     target, _ = build_model_pair(spec.model_config, spec.draft_spec)
 
-    static_counts = None
-    if any(c.mode == "spec_budgeted" and c.method == "static" for c in spec.cells):
-        static_counts = default_calibration(
-            target, Rng(spec.model_config.seed).substream(CALIB_STREAM)
-        )
-
     cells = dict(sorted({c.key(): c for c in spec.cells}.items()))
     ar_cell = next((c for c in cells.values() if c.mode == "ar"), SweepCell(mode="ar"))
-    tasks = [
-        (spec, cell, seed, static_counts, strict)
-        for cell in {ar_cell.key(): ar_cell, **cells}.values()
+    groups: dict[int, list[SweepCell]] = {}
+    for cell in cells.values():
+        if cell.mode != "ar":
+            groups.setdefault(cell.tree_size, []).append(cell)
+    n_chunks = -(-workers // max(1, len(groups) * len(spec.seeds)))
+    units = [((ar_cell,), seed) for seed in spec.seeds] + [
+        (tuple(chunk), seed)
+        for group in groups.values()
         for seed in spec.seeds
+        for chunk in _chunks(group, n_chunks)
     ]
-    if workers > 1 and len(tasks) > 1:
+
+    static = any(c.mode == "spec_budgeted" and c.method == "static" for c in cells.values())
+
+    def tasks(static_counts):
+        return [(spec, unit, seed, static_counts, strict) for unit, seed in units]
+
+    if workers > 1 and len(units) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_sweep_task, tasks))
+            static_counts = None
+            if static:
+                shards = _chunks(range(CALIBRATION_TOKENS // CALIBRATION_SEQ_LEN), workers)
+                static_counts = sum(pool.map(
+                    _calibration_task,
+                    [(spec.model_config, spec.draft_spec, shard) for shard in shards],
+                ))
+            done = list(pool.map(_sweep_task, tasks(static_counts)))
     else:
-        done = [_sweep_task(task) for task in tasks]
-    results = {key: (run, error) for key, run, error in done}
+        static_counts = None
+        if static:
+            static_counts = default_calibration(
+                target, Rng(spec.model_config.seed).substream(CALIB_STREAM)
+            )
+        done = [_sweep_task(task) for task in tasks(static_counts)]
+    results = {key: (run, error) for finished in done for key, run, error in finished}
 
     rows: list[SweepRow] = []
     reports: dict[tuple, list[StepReport]] = {}

@@ -323,6 +323,8 @@ class TreeDecoder:
 
     One decoder serves a whole generation loop: draft a tree, roll it back,
     append the accepted tokens to the causal prefix, draft the next tree.
+    ``fork`` copies a bare prefix into a second decoder, so that loops which
+    share a history can part without recomputing it.
     """
 
     def __init__(self, model: MoEModel, context_tokens, moe_hook=None):
@@ -462,6 +464,19 @@ class TreeDecoder:
     def rollback(self) -> None:
         """Drop every tree row, leaving the bare causal prefix."""
         self.n_rows = self.causal_len
+
+    def fork(self) -> "TreeDecoder":
+        """An independent decoder over a copy of this bare prefix: the same
+        K/V store, ``causal_len`` and ``context_logits``, so both give the
+        same results from here on. Valid only on a bare prefix."""
+        if self.n_rows != self.causal_len:
+            raise ValueError("fork requires a bare causal prefix")
+        twin = object.__new__(TreeDecoder)
+        twin.__dict__.update(self.__dict__)
+        twin._kv = np.empty_like(self._kv)
+        twin._kv[:, :, : self.n_rows] = self._kv[:, :, : self.n_rows]
+        twin._anc = self._anc.copy()
+        return twin
 
     def append_tokens(self, tokens) -> np.ndarray:
         """Grow the causal prefix by a run of tokens (causal among

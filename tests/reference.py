@@ -3,7 +3,8 @@ checked against, the ancestor mask of a drafted tree, the plain loops that
 the grouped expert executor and the batched tree expansion must match bit for
 bit, the unblocked dense evaluator and oracle ranking that the blocked ones
 must reproduce, the per-budget reconstruction loop that the one-pass
-analysis must reproduce, and writers of the routing-trace fixtures that
+analysis must reproduce, the per-config speculative loop that the lockstep
+engine must reproduce, and writers of the routing-trace fixtures that
 ``read_trace`` parses."""
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from moebudget.analysis import tree_captures
 from moebudget.budgeting import gold_outputs, oracle_reconstruction_weights, shortlister
-from moebudget.draft_tree import DraftTree
+from moebudget.draft_tree import DraftTree, binary_branching, expand_tree
 from moebudget.moe_core import (
     MoELayerWeights,
     expert_outputs_grouped,
@@ -23,6 +24,7 @@ from moebudget.moe_core import (
     silu,
 )
 from moebudget.numerics import Rng, masked_softmax, top_k_indices
+from moebudget.simulator import CostModelParams, GenerationRun, summarize, verify_greedy
 from moebudget.toy_model import (
     AttentionWeights,
     LayerTrace,
@@ -239,6 +241,39 @@ def expand_tree_per_node(decoder: TreeDecoder, branching) -> DraftTree:
         tokens=np.array(tokens), parents=np.array(parents), depths=np.array(depths),
         branching=tuple(branching),
     )
+
+
+def speculative_run(
+    target: MoEModel,
+    draft: MoEModel,
+    prompt,
+    gen_len: int,
+    cost: CostModelParams,
+    budget_cfg,
+    tree_size: int,
+    static_counts=None,
+    keep_coverage: bool = False,
+) -> GenerationRun:
+    """One config's speculative loop on its own pair of decoders: each step
+    drafts a tree, verifies it, and appends the emitted tokens to both
+    decoders. ``wall_clock_s`` reads 0."""
+    branching = binary_branching(tree_size)
+    draft_dec, target_dec = TreeDecoder(draft, prompt), TreeDecoder(target, prompt)
+    generated, reports = [], []
+    while len(generated) < gen_len:
+        tree = expand_tree(draft_dec, branching)
+        draft_dec.rollback()
+        emitted, report = verify_greedy(target_dec, tree, budget_cfg, cost, static_counts)
+        if not keep_coverage:
+            report.missing_counts = None
+            report.fully_skipped = None
+        emitted = emitted[: gen_len - len(generated)]
+        report.emitted = emitted
+        draft_dec.append_tokens(emitted)
+        target_dec.append_tokens(emitted)
+        generated.extend(emitted)
+        reports.append(report)
+    return GenerationRun(generated, summarize(reports, cost, target.config), reports)
 
 
 def write_trace_dense(path, probs_by_layer: dict[int, np.ndarray]) -> None:

@@ -52,14 +52,15 @@ def config_echo(csv_path) -> dict:
         ({}, ("--seed", "-1"), "model: seed must be >= 0"),
         ({"model": {"seed": -3}}, (), "model: seed must be >= 0"),
         ({"seeds": [0, -3]}, (), "seeds: every seed must be >= 0"),
+        ({"seeds": [2, 0, 2]}, (), "seeds: a seed must not repeat"),
         ({"model": {"skew": float("nan")}}, (), "model: skew must be finite"),
         ({"draft": {"noise_std": float("inf")}}, (), "draft: noise_std must be finite"),
         ({"cost": {"bytes_shared": float("nan")}}, (), "cost: bytes_shared must be finite"),
     ],
     ids=["string_int", "scalar_list", "array_model", "top_level_array", "list_item",
          "nested_string_int", "unknown_nested_key", "bool_number", "negative_seed_flag",
-         "negative_model_seed", "negative_eval_seed", "nan_skew", "infinite_noise_std",
-         "nan_bytes_shared"],
+         "negative_model_seed", "negative_eval_seed", "repeated_eval_seed", "nan_skew",
+         "infinite_noise_std", "nan_bytes_shared"],
 )
 def test_bad_config_exits_2_naming_the_field(tmp_path, capsys, monkeypatch, config, flags, field):
     def no_model(*args, **kwargs):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from moebudget.simulator import (
     SweepSpec,
     default_calibration,
     run_generation,
+    run_generations,
     summarize,
     sweep,
     verify_greedy,
@@ -23,7 +25,7 @@ from moebudget.simulator import (
 from moebudget.toy_model import DraftSpec, ModelConfig, TreeDecoder
 
 from conftest import prompt_tokens
-from reference import forward
+from reference import forward, speculative_run
 
 
 def ar_rollout(model, context, steps):
@@ -382,6 +384,43 @@ def calib(target):
     return default_calibration(target, Rng(target.config.seed).substream(CALIB_STREAM))
 
 
+@pytest.fixture(scope="module")
+def wide_calib(wide_target):
+    from moebudget.simulator import CALIB_STREAM
+
+    return default_calibration(wide_target, Rng(wide_target.config.seed).substream(CALIB_STREAM))
+
+
+@pytest.mark.parametrize("tree_size", [7, 15])
+@pytest.mark.parametrize("preset", ["olmoe-toy", "qwen3-toy"])
+def test_lockstep_engine_equals_per_config_runs(request, preset, tree_size):
+    # Every ranking under both policies, at a budget that binds and one
+    # that cannot, plus full verification; gen_len 10 trims some config's
+    # last step.
+    wide = preset == "qwen3-toy"
+    target, draft, calib = (
+        request.getfixturevalue(name)
+        for name in (("wide_target", "wide_draft", "wide_calib") if wide
+                     else ("target", "draft", "calib"))
+    )
+    n = target.config.n_experts
+    cfgs = [None] + [
+        BudgetConfig(method, policy, budget)
+        for method in ("static", "router", "oracle")
+        for policy in CoveragePolicy
+        for budget in (n // 16, n)
+    ]
+    prompt, cost = prompt_tokens(target, 7), CostModelParams()
+    runs = run_generations(target, draft, prompt, 10, cost, cfgs, tree_size, calib, True)
+    assert any(r.reports[-1].tau > len(r.reports[-1].emitted) for r in runs)
+    assert len({tuple(r.tokens) for r in runs}) > 1  # the configs do part ways
+    for cfg, run in zip(cfgs, runs):
+        ref = speculative_run(target, draft, prompt, 10, cost, cfg, tree_size, calib, True)
+        assert run.tokens == ref.tokens, cfg
+        assert [r.to_json() for r in run.reports] == [r.to_json() for r in ref.reports], cfg
+        assert dataclasses.replace(run.summary, wall_clock_s=0.0) == ref.summary, cfg
+
+
 def small_sweep_spec(**overrides):
     base = dict(
         model_config=ModelConfig(),
@@ -402,6 +441,16 @@ def small_sweep_spec(**overrides):
     )
     base.update(overrides)
     return SweepSpec(**base)
+
+
+def sweep_bytes(result) -> str:
+    """Every row and report of a sweep as one JSON string."""
+    return json.dumps(
+        [
+            [dataclasses.asdict(row) for row in result.rows],
+            [[list(key), [r.to_json() for r in reports]] for key, reports in result.reports.items()],
+        ]
+    )
 
 
 class TestSweep:
@@ -431,6 +480,38 @@ class TestSweep:
             assert ra.speedup == rb.speedup
             assert ra.mean_tau == rb.mean_tau
             assert ra.ar_match_rate == rb.ar_match_rate
+
+    @pytest.mark.parametrize(
+        "sizes, seeds",
+        [((15,), (4,)), ((3, 7), (1, 2))],
+        ids=["one_group", "four_groups"],
+    )
+    def test_scheduling_never_changes_results(self, sizes, seeds):
+        # One group is cut into one, two and three chunks; four groups run
+        # whole at any worker count. Both grids need the static counts.
+        cells = [SweepCell(mode="ar")]
+        for size in sizes:
+            cells += [SweepCell("spec_full", size)] + [
+                SweepCell("spec_budgeted", size, method, policy, budget)
+                for method in ("static", "router")
+                for policy in ("truncation", "substitution")
+                for budget in (4, 16)
+            ]
+        spec = small_sweep_spec(cells=tuple(cells), seeds=seeds, gen_len=8)
+        results = [sweep(spec, workers=w, keep_reports=True) for w in (1, 2, 3)]
+        assert not results[0].failures
+        assert len({sweep_bytes(r) for r in results}) == 1
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_calibration_shards_sum_to_default_calibration(self, target, calib, workers):
+        from moebudget.simulator import CALIBRATION_SEQ_LEN, CALIBRATION_TOKENS
+
+        shards = simulator._chunks(range(CALIBRATION_TOKENS // CALIBRATION_SEQ_LEN), workers)
+        assert len(shards) == workers
+        counts = sum(
+            simulator._calibration_task((target.config, DraftSpec(), shard)) for shard in shards
+        )
+        assert counts.dtype == calib.dtype and np.array_equal(counts, calib)
 
     def test_budget_enforcement_from_reports(self):
         spec = small_sweep_spec()
@@ -477,6 +558,10 @@ class TestSweep:
             small_sweep_spec(seeds=()).validate()
         with pytest.raises(ValueError):
             SweepCell(mode="spec_budgeted", method="router").validate()
+        for method, policy, budget in [("rank", "truncation", 4), ("router", "drop", 4),
+                                       ("router", "truncation", 0)]:
+            with pytest.raises(ValueError):
+                SweepCell("spec_budgeted", 15, method, policy, budget).validate()
         with pytest.raises(ValueError):
             SweepCell(mode="spec_full", tree_size=10).validate()
 
@@ -484,10 +569,11 @@ class TestSweep:
         "overrides, field",
         [
             ({"seeds": (1, -1)}, "seeds must all be >= 0"),
+            ({"seeds": (1, 1)}, "seeds must not repeat"),
             ({"context_len": 0}, "context_len must be >= 1"),
             ({"gen_len": 0}, "gen_len must be >= 1"),
         ],
-        ids=["negative_seed", "zero_context_len", "zero_gen_len"],
+        ids=["negative_seed", "repeated_seed", "zero_context_len", "zero_gen_len"],
     )
     def test_bad_spec_rejected_before_any_model_is_built(self, monkeypatch, overrides, field):
         from moebudget import simulator
@@ -500,24 +586,28 @@ class TestSweep:
             sweep(small_sweep_spec(**overrides))
 
     def test_failure_keeps_traceback(self, monkeypatch):
-        from moebudget import simulator
+        # One budgeted cell of a shared group raises; its siblings carry on
+        # as if it had never been asked for.
+        real = simulator.shortlister
 
-        run_cell = simulator._run_cell
+        def _forced_shortlist_failure(model, method, budget, *args):
+            if budget == 5:
+                raise RuntimeError("forced cell failure")
+            return real(model, method, budget, *args)
 
-        def _forced_cell_failure(spec, cell, *args):
-            if cell.mode == "ar":  # a failing AR baseline raises instead
-                return run_cell(spec, cell, *args)
-            raise RuntimeError("forced cell failure")
-
-        monkeypatch.setattr(simulator, "_run_cell", _forced_cell_failure)
-        spec = small_sweep_spec(cells=(SweepCell(mode="spec_full", tree_size=15),), seeds=(1,))
-        result = sweep(spec, workers=1, strict=False)
-        assert result.rows == []
+        monkeypatch.setattr(simulator, "shortlister", _forced_shortlist_failure)
+        failing = SweepCell("spec_budgeted", 15, "router", "truncation", 5)
+        spec = small_sweep_spec(cells=small_sweep_spec().cells + (failing,), seeds=(1,))
+        result = sweep(spec, workers=1, strict=False, keep_reports=True)
         [(cell, seed, error)] = result.failures
-        assert cell.mode == "spec_full" and seed == 1
+        assert cell == failing and seed == 1
         assert error.startswith("Traceback")
-        assert "in _forced_cell_failure" in error  # the raising frame
+        assert "in _forced_shortlist_failure" in error  # the raising frame
         assert "RuntimeError: forced cell failure" in error
+        without = sweep(small_sweep_spec(seeds=(1,)), workers=1, keep_reports=True)
+        assert sweep_bytes(result) == sweep_bytes(without)
+        with pytest.raises(RuntimeError, match="forced cell failure"):
+            sweep(spec, workers=1)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_ar_baseline_failure_raises_when_not_strict(self, monkeypatch, workers):

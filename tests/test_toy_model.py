@@ -289,6 +289,34 @@ class TestTreeDecoder:
         for b, a in zip(before, again):
             np.testing.assert_array_equal(b, a)
 
+    def test_fork_is_exact_and_independent(self, small_target):
+        # A fork, its original and a decoder that made the same calls compute
+        # the same bits from the fork on; what one appends reaches no other.
+        dec, ref = TreeDecoder(small_target, [3, 5, 7]), TreeDecoder(small_target, [3, 5, 7])
+        for d in (dec, ref):
+            d.append_tokens([1, 4])
+        twin, spare = dec.fork(), dec.fork()
+        assert twin.causal_len == twin.n_rows == 5
+        assert np.array_equal(twin.context_logits, dec.context_logits)
+        for d in (dec, twin, ref):
+            d.append_tokens([6])
+        spare.append_tokens([9, 9, 9])  # would overwrite row 5 of a shared store
+        tree = DraftTree(tokens=[2, 6, 8], parents=[-1, 0, 0], depths=[0, 1, 1], branching=(2,))
+        for step in ([2], [11, 12]):
+            want = ref.extend_tree(tree)
+            assert all(np.array_equal(d.extend_tree(tree), want) for d in (dec, twin))
+            for d in (dec, twin, ref):
+                d.rollback()
+            want = ref.append_tokens(step)
+            assert all(np.array_equal(d.append_tokens(step), want) for d in (dec, twin))
+        assert spare.causal_len == 8 and dec.causal_len == twin.causal_len == 9
+
+    def test_fork_rejects_tree_rows(self, small_target):
+        dec = TreeDecoder(small_target, [3, 5, 7])
+        dec.extend([1], [-1])
+        with pytest.raises(ValueError, match="bare causal prefix"):
+            dec.fork()
+
     def test_store_growth_inside_a_tree_changes_no_bit(self, small_target, monkeypatch):
         # A K/V store that doubles between the levels of a tree, and again
         # inside extend_tree, computes the same bits as one that never grows.
