@@ -22,9 +22,9 @@ emitted tokens once and forking the decoders where the configs' tokens part.
 
 ``sweep`` runs each seed's AR baseline as one task, and the speculative
 cells of each (seed, tree size) as one lockstep group, cut into contiguous
-chunks so that every pool worker gets a task. With a pool, the static
-calibration runs there as well, in contiguous shards of its sequences.
-Each row is built from its finished run and the seed's AR tokens.
+chunks so that every pool worker gets a task. The tasks and the static
+calibration's shards go through one ``map``, a process pool's or the
+builtin. Each row is built from its finished run and the seed's AR tokens.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from __future__ import annotations
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -403,6 +404,8 @@ def run_generations(
     """
     if gen_len < 1:
         raise ValueError("gen_len must be >= 1")
+    if not budget_cfgs:
+        raise ValueError("budget_cfgs must hold at least one config")
     cost.validate()
     started = time.perf_counter()
     branching = binary_branching(tree_size)
@@ -521,9 +524,15 @@ class SweepCell:
         if self.mode == "spec_budgeted":
             if self.method is None or self.policy is None or self.budget is None:
                 raise ValueError("spec_budgeted cells need method, policy and budget")
-            BudgetConfig(self.method, self.policy, self.budget).validate()
+            self.budget_config().validate()
         if self.mode != "ar":
             binary_branching(self.tree_size)
+
+    def budget_config(self, uses_raw_g: bool = True) -> BudgetConfig | None:
+        """How a spec_budgeted cell verifies; None for every other mode."""
+        if self.mode != "spec_budgeted":
+            return None
+        return BudgetConfig(self.method, CoveragePolicy(self.policy), self.budget, uses_raw_g)
 
     def key(self) -> tuple:
         return (
@@ -583,7 +592,6 @@ class SweepRow:
 
 @dataclass
 class SweepResult:
-    spec: SweepSpec
     rows: list[SweepRow]
     reports: dict[tuple, list[StepReport]] = field(default_factory=dict)
     failures: list[tuple[SweepCell, int, str]] = field(default_factory=list)
@@ -614,35 +622,6 @@ def _prompt_for_seed(spec: SweepSpec, seed: int) -> np.ndarray:
     return random_tokens(rng, spec.context_len, spec.model_config.vocab_size)
 
 
-def _budget_config(spec: SweepSpec, cell: SweepCell) -> BudgetConfig | None:
-    if cell.mode != "spec_budgeted":
-        return None
-    return BudgetConfig(
-        method=cell.method,
-        policy=CoveragePolicy(cell.policy),
-        budget=cell.budget,
-        uses_raw_g=spec.uses_raw_g,
-    )
-
-
-def _run_cell(
-    spec: SweepSpec, cell: SweepCell, seed: int, static_counts: np.ndarray | None
-) -> GenerationRun:
-    """Run one (cell, seed) from the seed's prompt, as each AR baseline runs."""
-    target, draft = build_model_pair(spec.model_config, spec.draft_spec)
-    return run_generation(
-        target,
-        draft,
-        _prompt_for_seed(spec, seed),
-        spec.gen_len,
-        cell.mode,
-        spec.cost,
-        _budget_config(spec, cell),
-        tree_size=cell.tree_size,
-        static_counts=static_counts,
-    )
-
-
 def _sweep_row(cell: SweepCell, seed: int, run: GenerationRun, ar_tokens: list[int]) -> SweepRow:
     """A finished run as a sweep row, matched against the seed's AR tokens."""
     s = run.summary
@@ -661,26 +640,26 @@ def _sweep_row(cell: SweepCell, seed: int, run: GenerationRun, ar_tokens: list[i
     )
 
 
-def _sweep_task(args) -> list[tuple[tuple, GenerationRun | None, str | None]]:
+def _sweep_task(args) -> list[tuple[GenerationRun | None, str | None]]:
     """Worker entry point: one seed's AR baseline, or one chunk of a (seed,
-    tree size) group's speculative cells in lockstep. Models are rebuilt
-    from the spec, so results depend only on the cells, never on
-    scheduling. An AR baseline raises even when ``strict`` is off, since
-    every row of its seed needs it."""
+    tree size) group's speculative cells in lockstep; one (run, traceback)
+    per cell. Models are rebuilt from the spec, so results depend only on
+    the cells, never on scheduling. An AR baseline raises even when
+    ``strict`` is off, since every row of its seed needs it."""
     spec, cells, seed, static_counts, strict = args
-    keys = [(cell.key(), seed) for cell in cells]
+    target, draft = build_model_pair(spec.model_config, spec.draft_spec)
+    prompt = _prompt_for_seed(spec, seed)
     if cells[0].mode == "ar":
-        return [(keys[0], _run_cell(spec, cells[0], seed, static_counts), None)]
+        return [(run_generation(target, draft, prompt, spec.gen_len, "ar", spec.cost), None)]
     failures = None if strict else {}
     try:
-        target, draft = build_model_pair(spec.model_config, spec.draft_spec)
         runs = run_generations(
             target,
             draft,
-            _prompt_for_seed(spec, seed),
+            prompt,
             spec.gen_len,
             spec.cost,
-            [_budget_config(spec, cell) for cell in cells],
+            [cell.budget_config(spec.uses_raw_g) for cell in cells],
             cells[0].tree_size,
             static_counts,
             failures=failures,
@@ -688,9 +667,8 @@ def _sweep_task(args) -> list[tuple[tuple, GenerationRun | None, str | None]]:
     except Exception:  # noqa: BLE001 - collected for the failure report
         if strict:
             raise
-        error = traceback.format_exc()
-        return [(key, None, error) for key in keys]
-    return [(key, run, (failures or {}).get(i)) for i, (key, run) in enumerate(zip(keys, runs))]
+        return [(None, traceback.format_exc())] * len(cells)
+    return [(run, (failures or {}).get(i)) for i, run in enumerate(runs)]
 
 
 def _calibration_task(args) -> np.ndarray:
@@ -723,18 +701,21 @@ def sweep(
     ceil(``workers`` / groups) contiguous chunks, one task each, so even a
     one-seed sweep gives every worker a task.
 
-    Tasks run in a process pool when ``workers > 1``. The static ranking's
-    calibration then runs there too, as ``workers`` contiguous shards of
-    its sequences whose integer counts are summed in shard order, so they
-    equal ``default_calibration`` exactly; serially it is that function.
-    Rows are built once every task is back, so results are byte-identical
-    for any worker count. With ``strict=False`` failing cells are collected
-    with their tracebacks instead of raised, and the other cells of their
-    group carry on; a failing AR baseline still raises.
+    Tasks run in a process pool of min(``workers``, tasks) processes when
+    that is above one, else in this process. The static ranking's
+    calibration runs the same way, as one contiguous shard of its sequences
+    per process; the shards' integer counts are summed in shard order, so
+    they equal ``default_calibration`` exactly. Rows are built once every
+    task is back, so results are byte-identical for any worker count. With
+    ``strict=False`` failing cells are collected with their tracebacks
+    instead of raised, and the other cells of their group carry on; a
+    failing AR baseline still raises.
     """
     spec.validate()
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     # Built here so that forked pool workers inherit the models.
-    target, _ = build_model_pair(spec.model_config, spec.draft_spec)
+    build_model_pair(spec.model_config, spec.draft_spec)
 
     cells = dict(sorted({c.key(): c for c in spec.cells}.items()))
     ar_cell = next((c for c in cells.values() if c.mode == "ar"), SweepCell(mode="ar"))
@@ -749,30 +730,17 @@ def sweep(
         for seed in spec.seeds
         for chunk in _chunks(group, n_chunks)
     ]
-
     static = any(c.mode == "spec_budgeted" and c.method == "static" for c in cells.values())
-
-    def tasks(static_counts):
-        return [(spec, unit, seed, static_counts, strict) for unit, seed in units]
-
-    if workers > 1 and len(units) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            static_counts = None
-            if static:
-                shards = _chunks(range(CALIBRATION_TOKENS // CALIBRATION_SEQ_LEN), workers)
-                static_counts = sum(pool.map(
-                    _calibration_task,
-                    [(spec.model_config, spec.draft_spec, shard) for shard in shards],
-                ))
-            done = list(pool.map(_sweep_task, tasks(static_counts)))
-    else:
-        static_counts = None
-        if static:
-            static_counts = default_calibration(
-                target, Rng(spec.model_config.seed).substream(CALIB_STREAM)
-            )
-        done = [_sweep_task(task) for task in tasks(static_counts)]
-    results = {key: (run, error) for finished in done for key, run, error in finished}
+    n = min(workers, len(units))
+    shards = _chunks(range(CALIBRATION_TOKENS // CALIBRATION_SEQ_LEN), n)
+    calibration = [(spec.model_config, spec.draft_spec, shard) for shard in shards]
+    with ProcessPoolExecutor(max_workers=n) if n > 1 else nullcontext() as pool:
+        run_all = map if pool is None else pool.map
+        static_counts = sum(run_all(_calibration_task, calibration)) if static else None
+        tasks = [(spec, unit, seed, static_counts, strict) for unit, seed in units]
+        done = list(run_all(_sweep_task, tasks))
+    results = {(cell.key(), seed): outcome for (unit, seed), outcomes in zip(units, done)
+               for cell, outcome in zip(unit, outcomes)}
 
     rows: list[SweepRow] = []
     reports: dict[tuple, list[StepReport]] = {}
@@ -787,4 +755,4 @@ def sweep(
             rows.append(_sweep_row(cell, seed, run, ar_run.tokens))
             if keep_reports:
                 reports[(key, seed)] = run.reports
-    return SweepResult(spec=spec, rows=rows, reports=reports, failures=failures)
+    return SweepResult(rows=rows, reports=reports, failures=failures)

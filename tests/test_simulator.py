@@ -421,6 +421,11 @@ def test_lockstep_engine_equals_per_config_runs(request, preset, tree_size):
         assert dataclasses.replace(run.summary, wall_clock_s=0.0) == ref.summary, cfg
 
 
+def test_run_generations_rejects_empty_budget_cfgs(target, draft):
+    with pytest.raises(ValueError, match="budget_cfgs"):
+        run_generations(target, draft, prompt_tokens(target, 7), 4, budget_cfgs=[])
+
+
 def small_sweep_spec(**overrides):
     base = dict(
         model_config=ModelConfig(),
@@ -502,7 +507,7 @@ class TestSweep:
         assert not results[0].failures
         assert len({sweep_bytes(r) for r in results}) == 1
 
-    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_calibration_shards_sum_to_default_calibration(self, target, calib, workers):
         from moebudget.simulator import CALIBRATION_SEQ_LEN, CALIBRATION_TOKENS
 
@@ -585,6 +590,43 @@ class TestSweep:
         with pytest.raises(ValueError, match=field):
             sweep(small_sweep_spec(**overrides))
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_bad_workers_rejected_before_any_model_is_built(self, monkeypatch, workers):
+        def no_model(*args, **kwargs):
+            raise AssertionError("a model was built before workers was checked")
+
+        monkeypatch.setattr(simulator, "build_model_pair", no_model)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            sweep(small_sweep_spec(), workers=workers)
+
+    @pytest.mark.parametrize("workers, pool_size", [(1, None), (2, 2), (64, 4)])
+    def test_pool_never_outnumbers_its_tasks(self, monkeypatch, workers, pool_size):
+        # One seed and one group of three cells: an AR task plus at most one
+        # task per cell, so at most four tasks.
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(simulator, "ProcessPoolExecutor", InProcessPool)
+        cells = small_sweep_spec().cells[1:] + (
+            SweepCell("spec_budgeted", 15, "static", "truncation", 4),
+        )
+        spec = small_sweep_spec(cells=cells, seeds=(1,), gen_len=4)
+        result = sweep(spec, workers=workers, keep_reports=True)
+        assert sizes == ([] if pool_size is None else [pool_size])
+        assert sweep_bytes(result) == sweep_bytes(sweep(spec, keep_reports=True))
+
     def test_failure_keeps_traceback(self, monkeypatch):
         # One budgeted cell of a shared group raises; its siblings carry on
         # as if it had never been asked for.
@@ -611,16 +653,14 @@ class TestSweep:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_ar_baseline_failure_raises_when_not_strict(self, monkeypatch, workers):
-        from moebudget import simulator
+        real = simulator.run_generation
 
-        run_cell = simulator._run_cell
-
-        def _forced_ar_failure(spec, cell, *args):
-            if cell.mode == "ar":
+        def _forced_ar_failure(target, draft, prompt, gen_len, mode, *args, **kwargs):
+            if mode == "ar":
                 raise RuntimeError("forced AR failure")
-            return run_cell(spec, cell, *args)
+            return real(target, draft, prompt, gen_len, mode, *args, **kwargs)
 
-        monkeypatch.setattr(simulator, "_run_cell", _forced_ar_failure)
+        monkeypatch.setattr(simulator, "run_generation", _forced_ar_failure)
         cells = (SweepCell(mode="spec_full", tree_size=15),)
         with pytest.raises(RuntimeError, match="forced AR failure"):
             sweep(small_sweep_spec(cells=cells, seeds=(1,)), workers=workers, strict=False)
