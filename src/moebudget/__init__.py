@@ -25,7 +25,7 @@ from .budgeting import (
 )
 from .coverage import CoveragePolicy, budgeted_moe
 from .draft_tree import DraftTree, binary_branching, build_tree, tree_routing
-from .moe_core import Expert, MoELayerWeights, RouterWeights
+from .moe_core import MoELayerWeights, RouterWeights
 from .numerics import Rng, softmax, top_k_indices
 from .simulator import (
     BudgetConfig,

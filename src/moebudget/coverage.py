@@ -52,11 +52,22 @@ def policy_assignments(
 
     Returns (ids, weights, missing): ids is (T, k) expert indices with -1
     marking inactive slots, weights is (T, k) mixing weights, and missing is
-    the per-token count of natural experts absent from the shortlist.
+    the per-token count of natural experts absent from the shortlist. A
+    shortlist that is not a non-empty 1-D array of distinct integer ids in
+    0..n_experts-1 raises ValueError.
     """
     policy = CoveragePolicy(policy)
-    member = np.zeros(layer.n_experts, dtype=bool)
-    member[shortlist] = True
+    n = layer.n_experts
+    sl = np.asarray(shortlist)
+    if sl.ndim != 1 or sl.size == 0 or sl.dtype.kind not in "iu":
+        raise ValueError(f"shortlist must be a non-empty 1-D array of integer ids, got {sl!r}")
+    outside = sl[(sl < 0) | (sl >= n)]
+    if outside.size:
+        raise ValueError(f"shortlist ids {outside.tolist()} outside 0..{n - 1}")
+    counts = np.bincount(sl.astype(np.intp), minlength=n)
+    if counts.max() > 1:
+        raise ValueError(f"shortlist repeats ids {np.flatnonzero(counts > 1).tolist()}")
+    member = counts > 0
     in_list = member[selected]  # (T, k)
     missing = layer.k - in_list.sum(axis=1)
 
@@ -68,7 +79,7 @@ def policy_assignments(
     # Substitution: top-k constrained to the shortlist, ranked by routing
     # probability with ties to the lower expert index. Probabilities are
     # strictly positive, so -1 safely ranks non-members last.
-    k_eff = min(layer.k, len(shortlist))
+    k_eff = min(layer.k, sl.size)
     masked = np.where(member, probs, -1.0)
     ids = top_k_indices(masked, layer.k)
     weights = selection_weights(probs, ids, layer.renormalize)

@@ -1,7 +1,8 @@
 """Single MoE layer: router, expert networks, mixing weights, full forward.
 
 Every function works on a (T, d_model) batch of token states; a single
-token is a batch of one.
+token is a batch of one. A layer stores its expert weights once, as two
+read-only stacks; the executors read views of them.
 
 The full (unbudgeted) forward is the ground truth that budgeted execution is
 measured against. Expert execution is funneled through one grouped executor,
@@ -23,7 +24,6 @@ from .numerics import scratch, softmax, top_k_indices
 DENSE_BLOCK_DOUBLES = 1 << 16
 
 __all__ = [
-    "Expert",
     "MoELayerWeights",
     "RouterWeights",
     "apply_experts",
@@ -71,32 +71,39 @@ class RouterWeights:
             raise ValueError("router bias length must equal expert count")
 
 
-@dataclass
-class Expert:
-    """Two-layer feed-forward network: w_out @ silu(w_in @ h)."""
-
-    w_in: np.ndarray  # (d_ff, d_model)
-    w_out: np.ndarray  # (d_model, d_ff)
-
-
-@dataclass
+@dataclass(frozen=True)
 class MoELayerWeights:
+    """One MoE layer: its router and its two expert weight stacks.
+
+    Expert e computes ``w_out[e] @ silu(w_in[e] @ h)``. The layer is frozen
+    and its stacks read-only C-contiguous float64 (copied when an argument is
+    not, or does not own its data), so nothing derived from them goes stale.
+    """
+
     router: RouterWeights
-    experts: list[Expert]
+    w_in: np.ndarray  # (n_experts, d_ff, d_model)
+    w_out: np.ndarray  # (n_experts, d_model, d_ff)
     renormalize: bool
     k: int
     _stacks: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        n = len(self.experts)
+        n, d = self.router.w.shape
+        for name in ("w_in", "w_out"):
+            w = np.require(getattr(self, name), np.float64, "CO")
+            w.flags.writeable = False
+            object.__setattr__(self, name, w)
+        if self.w_in.ndim != 3 or self.w_in.shape[0] != n or self.w_in.shape[2] != d:
+            raise ValueError(f"w_in must have shape ({n}, d_ff, {d}), got {self.w_in.shape}")
+        want = (n, d, self.w_in.shape[1])
+        if self.w_out.shape != want:
+            raise ValueError(f"w_out must have shape {want}, got {self.w_out.shape}")
         if not (1 <= self.k <= n):
             raise ValueError(f"need 1 <= k <= n_experts, got k={self.k}, n={n}")
-        if self.router.w.shape[0] != n:
-            raise ValueError("router rows must match expert count")
 
     @property
     def n_experts(self) -> int:
-        return len(self.experts)
+        return self.w_in.shape[0]
 
     @property
     def d_model(self) -> int:
@@ -104,36 +111,34 @@ class MoELayerWeights:
 
     @property
     def d_ff(self) -> int:
-        return self.experts[0].w_in.shape[0]
+        return self.w_in.shape[1]
 
-    # Stacked weight tensors for the dense evaluator, built lazily; layers
-    # are immutable after construction so the cache never goes stale.
     @property
     def w_in_stack(self) -> np.ndarray:  # (n_experts, d_ff, d_model)
-        if "w_in" not in self._stacks:
-            self._stacks["w_in"] = np.stack([e.w_in for e in self.experts])
-        return self._stacks["w_in"]
+        """``w_in`` itself: the dense evaluator's first projection."""
+        return self.w_in
 
     @property
     def w_out_stack(self) -> np.ndarray:  # (n_experts, d_ff, d_model), C order
         """Every expert's ``w_out.T``, contiguous per expert, so the dense
         evaluator's second projection is a plain (no-transpose) product of
-        each expert block's activations with its slice of this stack."""
+        each expert block's activations with its slice of this stack. A
+        read-only copy built on first use; the layer is frozen and ``w_out``
+        read-only, so it never goes stale."""
         if "w_out" not in self._stacks:
-            self._stacks["w_out"] = np.stack([e.w_out.T for e in self.experts])
+            stack = np.ascontiguousarray(self.w_out.transpose(0, 2, 1))
+            stack.flags.writeable = False
+            self._stacks["w_out"] = stack
         return self._stacks["w_out"]
 
     @property
     def expert_views(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Per-expert transposed views of each ``Expert``'s own weights,
-        ``(w_in.T, w_out.T)`` lists indexed by expert id, so the grouped
-        executor's matmuls see the same operands and strides on every call
-        without slicing per call or copying the weights."""
+        """Per-expert transposed views ``(w_in[e].T, w_out[e].T)``, lists
+        indexed by expert id, so the grouped executor's matmuls see the same
+        operands and strides on every call without slicing per call or
+        copying the weights."""
         if "views" not in self._stacks:
-            self._stacks["views"] = (
-                [e.w_in.T for e in self.experts],
-                [e.w_out.T for e in self.experts],
-            )
+            self._stacks["views"] = ([w.T for w in self.w_in], [w.T for w in self.w_out])
         return self._stacks["views"]
 
 

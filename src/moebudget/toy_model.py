@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .moe_core import Expert, MoELayerWeights, RouterWeights, moe_forward_full_batch
+from .moe_core import MoELayerWeights, RouterWeights, moe_forward_full_batch
 from .numerics import Rng, masked_softmax
 
 __all__ = [
@@ -153,7 +153,8 @@ def build_target(config: ModelConfig) -> MoEModel:
     """Deterministically build the target model from its config.
 
     All weights are i.i.d. Gaussian scaled by 1/sqrt(fan_in), drawn from
-    substreams keyed by component so the layout is stable under refactoring.
+    substreams keyed by component (each expert's matrix from its own, into
+    its slice of the layer's stack) so the layout is stable under refactoring.
     """
     config.validate()
     root = Rng(config.seed)
@@ -175,24 +176,12 @@ def build_target(config: ModelConfig) -> MoEModel:
             w=_gaussian(lr.substream(4), (n, d), d),
             bias=_router_bias(lr.substream(5), n, config.skew),
         )
-        experts = [
-            Expert(
-                w_in=_gaussian(lr.substream(6, e), (dff, d), d),
-                w_out=_gaussian(lr.substream(7, e), (d, dff), dff),
-            )
-            for e in range(n)
-        ]
-        blocks.append(
-            TransformerBlock(
-                attention=attn,
-                moe=MoELayerWeights(
-                    router=router,
-                    experts=experts,
-                    renormalize=config.renormalize,
-                    k=config.top_k,
-                ),
-            )
-        )
+        w_in, w_out = np.empty((n, dff, d)), np.empty((n, d, dff))
+        for e in range(n):
+            w_in[e] = _gaussian(lr.substream(6, e), (dff, d), d)
+            w_out[e] = _gaussian(lr.substream(7, e), (d, dff), dff)
+        moe = MoELayerWeights(router, w_in, w_out, config.renormalize, config.top_k)
+        blocks.append(TransformerBlock(attention=attn, moe=moe))
     return MoEModel(config=config, embedding=embedding, blocks=blocks, head=head)
 
 
@@ -203,8 +192,8 @@ def _perturb(w: np.ndarray, noise_std: float, rng: Rng) -> np.ndarray:
 
 def derive_draft(target: MoEModel, spec: DraftSpec, rng: Rng) -> MoEModel:
     """Draft model: keep the first ``layers_kept`` blocks of the target and
-    perturb each block weight matrix by Gaussian noise with std equal to
-    ``noise_std`` times that matrix's own weight std.
+    perturb each block weight matrix (each expert's own slice of a stack)
+    by Gaussian noise with std ``noise_std`` times that matrix's weight std.
 
     Embedding and output head are retained unperturbed so draft and target
     share the token interface. noise_std=0 with all layers kept reproduces
@@ -223,21 +212,15 @@ def derive_draft(target: MoEModel, spec: DraftSpec, rng: Rng) -> MoEModel:
             wv=_perturb(src.attention.wv, spec.noise_std, lr.substream(2)),
             wo=_perturb(src.attention.wo, spec.noise_std, lr.substream(3)),
         )
-        moe = MoELayerWeights(
-            router=RouterWeights(
-                w=_perturb(src.moe.router.w, spec.noise_std, lr.substream(4)),
-                bias=src.moe.router.bias.copy(),
-            ),
-            experts=[
-                Expert(
-                    w_in=_perturb(e.w_in, spec.noise_std, lr.substream(5, i)),
-                    w_out=_perturb(e.w_out, spec.noise_std, lr.substream(6, i)),
-                )
-                for i, e in enumerate(src.moe.experts)
-            ],
-            renormalize=src.moe.renormalize,
-            k=src.moe.k,
+        router = RouterWeights(
+            w=_perturb(src.moe.router.w, spec.noise_std, lr.substream(4)),
+            bias=src.moe.router.bias.copy(),
         )
+        w_in, w_out = np.empty_like(src.moe.w_in), np.empty_like(src.moe.w_out)
+        for e in range(src.moe.n_experts):
+            w_in[e] = _perturb(src.moe.w_in[e], spec.noise_std, lr.substream(5, e))
+            w_out[e] = _perturb(src.moe.w_out[e], spec.noise_std, lr.substream(6, e))
+        moe = MoELayerWeights(router, w_in, w_out, src.moe.renormalize, src.moe.k)
         blocks.append(TransformerBlock(attention=attn, moe=moe))
 
     config = replace(target.config, n_layers=kept)

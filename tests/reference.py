@@ -118,11 +118,11 @@ def apply_experts_loop(
         gathered = states[sorted_slots // n_slots]
         pre = np.empty((sorted_ids.size, layer.d_ff))
         for lo, hi in zip(starts, ends):
-            np.matmul(gathered[lo:hi], layer.w_in_stack[sorted_ids[lo]].T, out=pre[lo:hi])
+            np.matmul(gathered[lo:hi], layer.w_in[sorted_ids[lo]].T, out=pre[lo:hi])
         act = silu(pre)
         produced = np.empty((sorted_ids.size, layer.d_model))
         for lo, hi in zip(starts, ends):
-            np.matmul(act[lo:hi], layer.experts[sorted_ids[lo]].w_out.T, out=produced[lo:hi])
+            np.matmul(act[lo:hi], layer.w_out[sorted_ids[lo]].T, out=produced[lo:hi])
         out_slots[sorted_slots] = produced
     slot_w = np.where(expert_ids >= 0, weights, 0.0)
     return np.einsum("tjd,tj->td", out_slots.reshape(n_tokens, n_slots, -1), slot_w)
@@ -135,12 +135,11 @@ def expert_outputs_one_dgemm(layer: MoELayerWeights, states: np.ndarray) -> np.n
     unblocked arithmetic ``moe_core.expert_outputs_grouped`` must equal bit
     for bit at T >= 63."""
     states = np.asarray(states, dtype=np.float64)
-    n, d_ff, d = layer.w_in_stack.shape
+    n, d_ff, d = layer.w_in.shape
     t = states.shape[0]
-    act = silu(states @ layer.w_in_stack.reshape(n * d_ff, d).T)
+    act = silu(states @ layer.w_in.reshape(n * d_ff, d).T)
     hidden = act.reshape(t, n, d_ff).transpose(1, 0, 2)
-    w_out = np.stack([e.w_out for e in layer.experts])
-    return np.matmul(hidden, w_out.transpose(0, 2, 1))
+    return np.matmul(hidden, layer.w_out.transpose(0, 2, 1))
 
 
 def rank_oracle_reference(

@@ -32,10 +32,10 @@ def exhaustive_residual(layer, states, probs, selected, chosen, uses_raw_g):
         gold = np.zeros(layer.d_model)
         weights = probs[t] if not layer.renormalize else probs[t] / probs[t][selected[t]].sum()
         for i in selected[t]:
-            gold += weights[i] * expert_eval_naive(layer.experts[i], states[t])
+            gold += weights[i] * expert_eval_naive(layer, i, states[t])
         approx = np.zeros(layer.d_model)
         for j in chosen:
-            approx += w[t, j] * expert_eval_naive(layer.experts[j], states[t])
+            approx += w[t, j] * expert_eval_naive(layer, j, states[t])
         total += float(np.sum((gold - approx) ** 2))
     return total
 

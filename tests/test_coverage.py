@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from moebudget.budgeting import shortlister
 from moebudget.coverage import CoveragePolicy, budgeted_moe, policy_assignments
@@ -12,7 +15,7 @@ from moebudget.simulator import BudgetConfig, verify_greedy
 from moebudget.toy_model import TreeDecoder
 
 from conftest import prompt_tokens
-from test_moe_core import expert_eval_naive, make_layer, route_one
+from test_moe_core import expert_eval_naive, make_layer, preset_layer, route_one
 
 POLICIES = (CoveragePolicy.TRUNCATION, CoveragePolicy.SUBSTITUTION)
 
@@ -52,7 +55,7 @@ def budgeted_naive(layer, h, shortlist, policy):
             weights = {i: probs[i] for i in chosen}
     out = np.zeros(layer.d_model)
     for i in chosen:
-        out += weights[i] * expert_eval_naive(layer.experts[i], h)
+        out += weights[i] * expert_eval_naive(layer, i, h)
     return out, len([i for i in natural if i not in members])
 
 
@@ -126,7 +129,7 @@ class TestSingleTokenPolicies:
         sl = np.array([int(selected[0])])  # single expert, below k
         out, _ = budgeted_one(layer, h, sl, CoveragePolicy.SUBSTITUTION)
         # Renormalized single expert carries weight 1.
-        want = expert_eval_naive(layer.experts[int(selected[0])], h)
+        want = expert_eval_naive(layer, int(selected[0]), h)
         np.testing.assert_allclose(out, want, atol=1e-9)
 
     def test_policy_agreement_when_fully_covered(self):
@@ -164,6 +167,47 @@ class TestPolicyAssignments:
             layer, probs, selected, sl, CoveragePolicy.TRUNCATION
         )
         assert np.all((ids >= 0).sum(axis=1) == layer.k - missing)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize(
+        "shortlist, message",
+        [
+            ([-1], "shortlist ids [-1] outside 0..7"),
+            ([99], "shortlist ids [99] outside 0..7"),
+            ([0, 0], "shortlist repeats ids [0]"),
+            ([3, 0, 3, 0], "shortlist repeats ids [0, 3]"),
+            ([], "shortlist must be a non-empty 1-D array of integer ids, got array([], dtype="),
+            ([[0, 1]], "1-D array of integer ids, got array([[0, 1]])"),
+            ([0.0, 1.0], "1-D array of integer ids, got array([0., 1.])"),
+        ],
+        ids=["negative", "past_last_expert", "duplicate", "duplicates", "empty", "two_dim",
+             "float"],
+    )
+    def test_rejects_bad_shortlist(self, shortlist, message, policy):
+        # Unchecked, on mixtral-toy (k=2) a -1 marks the last expert a member,
+        # [0, 0] counts twice toward k so substitution runs expert 1, and 99
+        # raises a bare IndexError.
+        layer = preset_layer("mixtral-toy")
+        probs, selected = route_batch(layer, Rng(8).normal(size=(3, layer.d_model)))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            policy_assignments(layer, probs, selected, np.array(shortlist), policy)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 16),
+        k=st.integers(1, 16),
+        size=st.integers(1, 16),
+        policy=st.sampled_from(POLICIES),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_executed_experts_are_shortlist_members(self, n, k, size, policy, seed):
+        layer = make_layer(n=n, k=min(k, n), seed=seed % 7)
+        rng = Rng(seed)
+        sl = rng.permutation(n)[: min(size, n)]
+        probs, selected = route_batch(layer, rng.normal(size=(5, layer.d_model)))
+        ids, _, missing = policy_assignments(layer, probs, selected, sl, policy)
+        assert set(ids[ids >= 0].tolist()) <= set(sl.tolist())
+        assert np.all(missing == layer.k - np.isin(selected, sl).sum(axis=1))
 
 
 def budgeted_tree(model, ctx, tree, shortlist_for, policy):

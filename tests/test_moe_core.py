@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import re
@@ -12,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from moebudget import numerics
 from moebudget.moe_core import (
     DENSE_BLOCK_DOUBLES,
-    Expert,
     MoELayerWeights,
     RouterWeights,
     apply_experts,
@@ -34,14 +34,9 @@ def make_layer(n=8, k=2, d=4, d_ff=6, renormalize=True, seed=0, bias=None) -> Mo
         w=rng.substream(0).normal(size=(n, d)),
         bias=np.zeros(n) if bias is None else np.asarray(bias, dtype=np.float64),
     )
-    experts = [
-        Expert(
-            w_in=rng.substream(1, i).normal(size=(d_ff, d)),
-            w_out=rng.substream(2, i).normal(size=(d, d_ff)),
-        )
-        for i in range(n)
-    ]
-    return MoELayerWeights(router=router, experts=experts, renormalize=renormalize, k=k)
+    w_in = np.stack([rng.substream(1, i).normal(size=(d_ff, d)) for i in range(n)])
+    w_out = np.stack([rng.substream(2, i).normal(size=(d, d_ff)) for i in range(n)])
+    return MoELayerWeights(router=router, w_in=w_in, w_out=w_out, renormalize=renormalize, k=k)
 
 
 @functools.cache
@@ -54,13 +49,13 @@ def silu_scalar(x: float) -> float:
     return x / (1.0 + math.exp(-x)) if x > -700 else 0.0
 
 
-def expert_eval_naive(expert: Expert, h: np.ndarray) -> np.ndarray:
-    """Brute-force two-layer MLP, scalar loops only."""
-    d_ff, d = expert.w_in.shape
-    hidden = [silu_scalar(sum(expert.w_in[f, j] * h[j] for j in range(d))) for f in range(d_ff)]
-    return np.array(
-        [sum(expert.w_out[i, f] * hidden[f] for f in range(d_ff)) for i in range(d)]
-    )
+def expert_eval_naive(layer: MoELayerWeights, e: int, h: np.ndarray) -> np.ndarray:
+    """Expert ``e`` of ``layer`` as a brute-force two-layer MLP, scalar loops
+    only."""
+    w_in, w_out = layer.w_in[e], layer.w_out[e]
+    d_ff, d = w_in.shape
+    hidden = [silu_scalar(sum(w_in[f, j] * h[j] for j in range(d))) for f in range(d_ff)]
+    return np.array([sum(w_out[i, f] * hidden[f] for f in range(d_ff)) for i in range(d)])
 
 
 def route_highprec(layer: MoELayerWeights, h: np.ndarray) -> np.ndarray:
@@ -173,13 +168,65 @@ class TestMixingWeights:
             selection_weights(np.zeros((1, 4)), np.array([[0, 1]]), renormalize=True)
 
 
+class TestLayerStorage:
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_stacks_are_the_storage(self, preset):
+        layer = preset_layer(preset)
+        assert layer.w_in_stack is layer.w_in
+        assert np.shares_memory(layer.w_in_stack, layer.w_in)
+        assert not np.shares_memory(layer.w_out_stack, layer.w_out)
+        np.testing.assert_array_equal(layer.w_out_stack, layer.w_out.transpose(0, 2, 1))
+        assert layer.w_out_stack.flags.c_contiguous
+        w_in_t, w_out_t = layer.expert_views
+        assert len(w_in_t) == len(w_out_t) == layer.n_experts
+        for e in range(layer.n_experts):
+            for view, stack in ((w_in_t[e], layer.w_in), (w_out_t[e], layer.w_out)):
+                assert view.base is stack
+                assert view.flags.f_contiguous
+                assert np.array_equal(view, stack[e].T)
+
+    def test_weights_and_layer_are_read_only(self):
+        layer = make_layer()
+        w_in_t, w_out_t = layer.expert_views
+        for arr in (layer.w_in, layer.w_out, layer.w_out_stack, w_in_t[0], w_out_t[0]):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            layer.w_out = np.zeros_like(layer.w_out)
+
+    def test_arguments_that_are_views_are_copied(self):
+        # A view's base stays writable, so the layer keeps its own copy.
+        ref = make_layer(n=4)
+        w_in = np.concatenate([ref.w_in, ref.w_in])
+        layer = MoELayerWeights(ref.router, w_in[:4], ref.w_out, True, 2)
+        w_in[:] = 0.0
+        np.testing.assert_array_equal(layer.w_in, ref.w_in)
+        assert layer.w_out is ref.w_out
+
+    @pytest.mark.parametrize(
+        "w_in_shape, w_out_shape, message",
+        [
+            ((6, 4), (8, 4, 6), "w_in must have shape (8, d_ff, 4), got (6, 4)"),
+            ((7, 6, 4), (7, 4, 6), "w_in must have shape (8, d_ff, 4), got (7, 6, 4)"),
+            ((8, 6, 5), (8, 5, 6), "w_in must have shape (8, d_ff, 4), got (8, 6, 5)"),
+            ((8, 6, 4), (8, 6, 4), "w_out must have shape (8, 4, 6), got (8, 6, 4)"),
+            ((8, 6, 4), (7, 4, 6), "w_out must have shape (8, 4, 6), got (7, 4, 6)"),
+        ],
+        ids=["w_in_two_dim", "w_in_expert_count", "w_in_width", "w_out_transposed",
+             "w_out_expert_count"],
+    )
+    def test_rejects_stacks_of_wrong_shape(self, w_in_shape, w_out_shape, message):
+        router = make_layer().router
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MoELayerWeights(router, np.zeros(w_in_shape), np.zeros(w_out_shape), True, 2)
+
+
 class TestForwardFull:
     def test_zero_experts_give_zero_output(self):
-        layer = make_layer()
-        for e in layer.experts:
-            e.w_in[:] = 0.0
-            e.w_out[:] = 0.0
-        layer._stacks.clear()
+        ref = make_layer()
+        layer = MoELayerWeights(
+            ref.router, np.zeros_like(ref.w_in), np.zeros_like(ref.w_out), ref.renormalize, ref.k
+        )
         out = forward_one(layer, Rng(1).normal(size=4))
         np.testing.assert_array_equal(out, np.zeros(4))
 
@@ -187,7 +234,7 @@ class TestForwardFull:
         layer = make_layer(n=4, k=4, renormalize=True)
         h = Rng(2).normal(size=4)
         probs, _ = route_one(layer, h)
-        dense = sum(probs[i] * expert_eval_naive(layer.experts[i], h) for i in range(4))
+        dense = sum(probs[i] * expert_eval_naive(layer, i, h) for i in range(4))
         np.testing.assert_allclose(forward_one(layer, h), dense, atol=1e-9)
 
     @pytest.mark.parametrize("renormalize", [True, False])
@@ -199,7 +246,7 @@ class TestForwardFull:
             chosen = [int(i) for i in selected[t]]
             denom = sum(probs[t, i] for i in chosen) if renormalize else 1.0
             want = sum(
-                probs[t, i] / denom * expert_eval_naive(layer.experts[i], states[t])
+                probs[t, i] / denom * expert_eval_naive(layer, i, states[t])
                 for i in chosen
             )
             np.testing.assert_allclose(outs[t], want, atol=1e-9)
@@ -232,9 +279,7 @@ class TestApplyExperts:
         for t in range(6):
             for j in range(3):
                 if ids[t, j] >= 0:
-                    want[t] += weights[t, j] * expert_eval_naive(
-                        layer.experts[ids[t, j]], states[t]
-                    )
+                    want[t] += weights[t, j] * expert_eval_naive(layer, ids[t, j], states[t])
         np.testing.assert_allclose(got, want, atol=1e-9)
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
@@ -355,7 +400,7 @@ class TestApplyExperts:
         for t in range(3):
             for e in range(5):
                 np.testing.assert_allclose(
-                    dense[e, t], expert_eval_naive(layer.experts[e], states[t]), atol=1e-9
+                    dense[e, t], expert_eval_naive(layer, e, states[t]), atol=1e-9
                 )
 
     @pytest.mark.parametrize(
@@ -373,7 +418,7 @@ class TestApplyExperts:
         for i in range(t):
             for e in range(n):
                 np.testing.assert_allclose(
-                    dense[e, i], expert_eval_naive(layer.experts[e], states[i]), atol=1e-9
+                    dense[e, i], expert_eval_naive(layer, e, states[i]), atol=1e-9
                 )
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))

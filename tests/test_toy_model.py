@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from moebudget.analysis import coverage_curve
+from moebudget.coverage import CoveragePolicy
 from moebudget.draft_tree import DraftTree
 from moebudget.moe_core import route_batch
 from moebudget.numerics import Rng
+from moebudget.simulator import BudgetConfig, build_model_pair, run_generation
 from moebudget.toy_model import (
+    PRESETS,
     DraftSpec,
     ModelConfig,
     MoEModel,
@@ -37,9 +42,10 @@ def models_equal(a: MoEModel, b: MoEModel) -> bool:
             return False
         if not np.array_equal(ba.moe.router.bias, bb.moe.router.bias):
             return False
-        for ea, eb in zip(ba.moe.experts, bb.moe.experts):
-            if not np.array_equal(ea.w_in, eb.w_in) or not np.array_equal(ea.w_out, eb.w_out):
-                return False
+        if not np.array_equal(ba.moe.w_in, bb.moe.w_in):
+            return False
+        if not np.array_equal(ba.moe.w_out, bb.moe.w_out):
+            return False
     return True
 
 
@@ -143,6 +149,77 @@ class TestDeriveDraft:
             DraftSpec(noise_std=-0.1).validate(2)
         with pytest.raises(ValueError):
             DraftSpec(layers_kept=3).validate(2)
+
+
+# sha256 of each preset model's expert weights, every layer's stack in order,
+# as C-order float64 bytes: w_in (n_experts, d_ff, d_model), then w_out
+# (n_experts, d_model, d_ff). A change to the per-expert substreams, or to how
+# build_target and derive_draft fill the stacks from them, shows here.
+WEIGHT_PINS = {
+    ("mixtral-toy", "target"): (
+        "64e96cfc9871b0c1a500b5ed1712eefa11cec1489c81d013d76f8eea06379ac8",
+        "878b26c58d2e90bbff4f3a0875c4d66043ba64c30137d9be03c491be90cf3505",
+    ),
+    ("mixtral-toy", "draft"): (
+        "779878fb5baf418ee9c11144952a29933adc1a6de5cc5462292b8ab9abb47b3c",
+        "4b5e8f719fe1a74149035042f2c400f21bd7b9e8c572e1747edb849825decad2",
+    ),
+    ("olmoe-toy", "target"): (
+        "e06603e013251208a49ca810d3f956fcc058cbd26ff7582bf118444cce0c0c51",
+        "b9614a5ed3433939741bc2fcf137a98041ba7ec0a252116b5a7ff23e164e18e9",
+    ),
+    ("olmoe-toy", "draft"): (
+        "7c846517cad08eb4ac057143ae92cd9188ce39a62e1afc6a5399eac7fd314205",
+        "2a845d8c10e8a3451069b28a24ab4ef69525a83a70cd3916d6bc4fc6425c377a",
+    ),
+    ("qwen3-toy", "target"): (
+        "a81cfc093815743e6d32d560748a26a187a24dcfeeecbe4843a41e329de1ef33",
+        "c6dc926a36cb21e36ebece544fc472b4c5572a0821693a1b34d4caca7b5df475",
+    ),
+    ("qwen3-toy", "draft"): (
+        "32f61208f8c5dbb4023441e19a4dcb7274024a04e62560af989eccd9e26615dd",
+        "ea2fe8944d8f615b1afc34be5efb8a5a2028806705df7853aa8bb60dd6e7a546",
+    ),
+}
+
+
+class TestExpertStorage:
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_weights_match_pins(self, preset):
+        target, draft = build_model_pair(preset_config(preset), DraftSpec())
+        for role, model in (("target", target), ("draft", draft)):
+            got = []
+            for name in ("w_in", "w_out"):
+                h = hashlib.sha256()
+                for block in model.blocks:
+                    h.update(getattr(block.moe, name).tobytes())
+                got.append(h.hexdigest())
+            assert tuple(got) == WEIGHT_PINS[preset, role], (preset, role)
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_stacks_perfbench_reads(self, preset):
+        # perfbench's set-up reads both names on every block of both models.
+        cfg = preset_config(preset)
+        for model in build_model_pair(cfg, DraftSpec()):
+            for block in model.blocks:
+                want = (cfg.n_experts, cfg.d_ff, cfg.d_model)
+                assert block.moe.w_in_stack.shape == want
+                assert block.moe.w_out_stack.shape == want
+
+    def test_router_generation_builds_no_w_out_stack(self):
+        # Only the dense evaluator (oracle ranking, reconstruction) needs the
+        # transposed copy of w_out.
+        cfg = preset_config("mixtral-toy", n_layers=2)
+        target = build_target(cfg)
+        draft = derive_draft(target, DraftSpec(), Rng(1))
+        prompt = random_tokens(Rng(2), 8, cfg.vocab_size)
+        for method in ("router", "oracle"):
+            budget = BudgetConfig(method, CoveragePolicy.TRUNCATION, 4)
+            run_generation(
+                target, draft, prompt, 6, "spec_budgeted", budget_cfg=budget, tree_size=7
+            )
+            built = [["w_out" in b.moe._stacks for b in m.blocks] for m in (target, draft)]
+            assert built == [[method == "oracle"] * 2, [False] * 2], method
 
 
 class TestForward:
