@@ -1,14 +1,19 @@
 """Command-line entry point: wires experiment configs to the simulator and
 analysis modules and emits every artifact deterministically.
 
-Configuration precedence is CLI flag > config file > built-in default; each
-flag's destination is the name of the config field it sets, and each
-subcommand carries its ``cmd_*`` function. Every output file starts with a
-header block carrying the tool version, the full config echo, and the master
-seed, so results are self-describing; reruns of the same config produce
-byte-identical files at any worker count. ``simulate`` and ``ablate`` write
-each ``SweepRow``'s fields as one CSV row, and their summary JSON and Pareto
-table both aggregate cells through ``analysis.cell_summaries``.
+Each run coordinate is one ``ExperimentConfig`` field, and its annotation
+is its JSON type: ``tree_sizes`` holds the tree sizes, ``seeds`` the
+evaluation seeds (``--prompts N`` spells seeds 0..N-1). Precedence is CLI
+flag > config file > command default (``ablate``, ``coverage``,
+``coactivation`` and ``reconstruct`` run one tree size, 63 unless set) >
+built-in default. Each flag's destination is the name of the config field
+it sets, and each subcommand carries its ``cmd_*`` function. Every output
+file starts with a header block carrying the tool version, the full config
+echo, and the master seed, so results are self-describing; reruns of the
+same config produce byte-identical files at any worker count. ``simulate``
+and ``ablate`` write each ``SweepRow``'s fields as one CSV row, and their
+summary JSON and Pareto table both aggregate cells through
+``analysis.cell_summaries``.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import dataclasses
 import itertools
 import json
 import sys
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -52,6 +58,7 @@ from .simulator import (
 from .toy_model import DraftSpec, ModelConfig, PRESETS, preset_config
 
 DEFAULT_TREE_SIZES = (3, 7, 15, 31, 63, 127, 255)
+ONE_TREE_SIZE = 63  # the default of the commands that run one tree size
 ANALYSIS_STREAM = 103
 
 
@@ -64,13 +71,11 @@ class ExperimentConfig:
     preset: str | None = None
     model: ModelConfig = field(default_factory=ModelConfig)
     draft: DraftSpec = field(default_factory=DraftSpec)
-    tree_size: int = 63
     tree_sizes: tuple[int, ...] = DEFAULT_TREE_SIZES
     budgets: tuple[int, ...] = (8, 16, 24, 32, 40, 48, 56)
     methods: tuple[str, ...] = ("router",)
     policies: tuple[str, ...] = ("substitution",)
-    seeds: tuple[int, ...] = ()
-    prompts: int = 4
+    seeds: tuple[int, ...] = (0, 1, 2, 3)
     gen_len: int = 64
     context_len: int = 16
     trees: int = 20
@@ -79,12 +84,7 @@ class ExperimentConfig:
     out_dir: str = "out"
     workers: int = 1
 
-    def eval_seeds(self) -> tuple[int, ...]:
-        return self.seeds if self.seeds else tuple(range(self.prompts))
-
     def validate(self) -> None:
-        if self.preset is not None and self.preset not in PRESETS:
-            raise ConfigError(f"preset: unknown preset {self.preset!r}; choose from {sorted(PRESETS)}")
         try:
             self.model.validate()
         except ValueError as exc:
@@ -97,37 +97,32 @@ class ExperimentConfig:
             self.cost.validate()
         except ValueError as exc:
             raise ConfigError(f"cost: {exc}") from exc
-        if not self.budgets:
-            raise ConfigError("budgets: list must not be empty")
+        for name in ("tree_sizes", "budgets", "methods", "policies", "seeds"):
+            values = getattr(self, name)
+            if not values:
+                raise ConfigError(f"{name}: list must not be empty")
+            repeats = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeats:
+                raise ConfigError(f"{name}: {json.dumps(repeats[0])} repeats")
         if any(b < 1 for b in self.budgets):
             raise ConfigError("budgets: every budget must be >= 1")
         if any(s < 0 for s in self.seeds):
             raise ConfigError("seeds: every seed must be >= 0")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError("seeds: a seed must not repeat")
-        if not self.methods:
-            raise ConfigError("methods: list must not be empty")
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"methods: unknown ranking method {m!r}")
-        if not self.policies:
-            raise ConfigError("policies: list must not be empty")
         for p in self.policies:
             try:
                 CoveragePolicy(p)
             except ValueError as exc:
                 raise ConfigError(f"policies: {exc}") from exc
-        if not self.tree_sizes:
-            raise ConfigError("tree_sizes: list must not be empty")
-        for size in (self.tree_size, *self.tree_sizes):
+        for size in self.tree_sizes:
             try:
                 binary_branching(size)
             except ValueError as exc:
-                raise ConfigError(f"tree_size: {exc}") from exc
+                raise ConfigError(f"tree_sizes: {exc}") from exc
         if self.gen_len < 1:
             raise ConfigError("gen_len: must be >= 1")
-        if self.prompts < 1 and not self.seeds:
-            raise ConfigError("prompts: must be >= 1 when seeds is empty")
         if self.context_len < 1:
             raise ConfigError("context_len: must be >= 1")
         if self.trees < 1:
@@ -139,11 +134,6 @@ class ExperimentConfig:
         return dataclasses.asdict(self)
 
 
-# The JSON type of every scalar or list field, and of each list's items.
-_INT_FIELDS = {"tree_size", "prompts", "gen_len", "context_len", "trees", "workers"}
-_LIST_FIELDS = {"tree_sizes": int, "budgets": int, "methods": str, "policies": str, "seeds": int}
-_OTHER_FIELDS = {"preset": str, "uses_raw_g": bool, "out_dir": str}
-_BLOCKS = {"model": ModelConfig(), "draft": DraftSpec(), "cost": CostModelParams()}
 _KINDS = {int: "an integer", float: "a number", bool: "a boolean", str: "a string",
           list: "a list", dict: "an object"}
 
@@ -157,39 +147,42 @@ def _typed(name: str, value, kind: type):
     return value
 
 
-def _field(name: str, value):
-    """A top-level field's value, type-checked; lists become tuples."""
-    if name in _INT_FIELDS:
-        return _typed(name, value, int)
-    if name in _LIST_FIELDS:
-        _typed(name, value, list)
-        return tuple(_typed(f"{name}[{i}]", v, _LIST_FIELDS[name]) for i, v in enumerate(value))
-    if name == "preset" and value is None:
-        return None
-    return _typed(name, value, _OTHER_FIELDS[name])
+def _checked(name: str, value, hint):
+    """``value`` checked against the field annotation ``hint``: ``X | None``
+    also takes null, ``tuple[X, ...]`` takes a list (returned as a tuple),
+    and a config dataclass takes an object (returned as a dict of its
+    checked keys)."""
+    args = typing.get_args(hint)
+    if type(None) in args:
+        if value is None:
+            return None
+        (hint,) = (a for a in args if a is not type(None))
+    if dataclasses.is_dataclass(hint):
+        return _fields(hint, _typed(name, value, dict), f"{name}.")
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        items = _typed(name, value, list)
+        return tuple(_checked(f"{name}[{i}]", v, item) for i, v in enumerate(items))
+    return _typed(name, value, hint)
 
 
-def _block(name: str, value) -> dict:
-    """A model/draft/cost object; each key must name a field and match the
-    type of its default."""
-    if value is None:
-        return {}
-    _typed(name, value, dict)
-    default = _BLOCKS[name]
-    known = {f.name for f in dataclasses.fields(default)}
-    for key, v in value.items():
-        if key not in known:
-            raise ConfigError(f"{name}.{key}: unknown configuration field")
-        want = getattr(default, key)
-        if v is not None or want is not None:
-            _typed(f"{name}.{key}", v, int if want is None else type(want))
-    return value
+def _fields(cls: type, data: dict, prefix: str = "") -> dict:
+    """The keys of the JSON object ``data``, each naming a field of the
+    config dataclass ``cls`` and checked against its annotation."""
+    hints = typing.get_type_hints(cls)
+    for key in data:
+        if key not in hints:
+            raise ConfigError(f"{prefix}{key}: unknown configuration field")
+    return {key: _checked(prefix + key, value, hints[key]) for key, value in data.items()}
 
 
-def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
-    """Merge defaults, an optional JSON config file, and CLI overrides. An
-    override of a model/draft/cost key (--seed sets model.seed) merges into
-    the file's block instead of replacing it."""
+def load_config(
+    path: str | None, overrides: dict, defaults: dict | None = None
+) -> ExperimentConfig:
+    """Merge the built-in defaults, a command's ``defaults``, an optional
+    JSON config file, and CLI overrides, later ones winning. An override of
+    a model/draft/cost key (--seed sets model.seed) merges into the file's
+    block instead of replacing it."""
     data: dict = {}
     if path is not None:
         try:
@@ -199,28 +192,19 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
             raise ConfigError(f"config: cannot read {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config: top level must be a JSON object")
-    overrides = {k: v for k, v in overrides.items() if v is not None}
-    merged = {**data, **overrides}
+    file = _fields(ExperimentConfig, data)
+    flags = _fields(ExperimentConfig, {k: v for k, v in overrides.items() if v is not None})
+    merged = {**(defaults or {}), **file, **flags}
+    blocks = {n: {**file.get(n, {}), **flags.get(n, {})} for n in ("model", "draft", "cost")}
 
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    for key in merged:
-        if key not in known:
-            raise ConfigError(f"{key}: unknown configuration field")
-    if "seed" in merged:  # master seed shortcut folded into the model config
-        raise ConfigError("seed: set model.seed or use the --seed flag")
-
-    blocks = {n: {**_block(n, data.get(n)), **_block(n, overrides.get(n))} for n in _BLOCKS}
-    kwargs = {name: _field(name, merged[name]) for name in merged if name not in _BLOCKS}
-    preset = kwargs.get("preset")
-    base_model = ModelConfig()
-    if preset is not None:
-        if preset not in PRESETS:
-            raise ConfigError(f"preset: unknown preset {preset!r}; choose from {sorted(PRESETS)}")
-        base_model = preset_config(preset)
-    kwargs["model"] = dataclasses.replace(base_model, **blocks["model"])
-    kwargs["draft"] = DraftSpec(**blocks["draft"])
-    kwargs["cost"] = CostModelParams(**blocks["cost"])
-    cfg = ExperimentConfig(**kwargs)
+    preset = merged.get("preset")
+    if preset is not None and preset not in PRESETS:
+        raise ConfigError(f"preset: unknown preset {preset!r}; choose from {sorted(PRESETS)}")
+    base_model = ModelConfig() if preset is None else preset_config(preset)
+    merged["model"] = dataclasses.replace(base_model, **blocks["model"])
+    merged["draft"] = DraftSpec(**blocks["draft"])
+    merged["cost"] = CostModelParams(**blocks["cost"])
+    cfg = ExperimentConfig(**merged)
     cfg.validate()
     return cfg
 
@@ -253,12 +237,17 @@ def _header_lines(command: str, config: ExperimentConfig) -> list[str]:
     ]
 
 
+def _write_lines(path: Path, lines: list[str]) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(lines) + "\n")
+
+
 def write_csv(path: Path, command: str, config: ExperimentConfig, columns, rows) -> None:
     lines = _header_lines(command, config)
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_fmt(row[c]) for c in columns))
-    path.write_text("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def write_json(path: Path, command: str, config: ExperimentConfig, payload: dict) -> None:
@@ -271,7 +260,7 @@ def write_json(path: Path, command: str, config: ExperimentConfig, payload: dict
         },
         **payload,
     }
-    path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    _write_lines(path, [json.dumps(doc, sort_keys=True, indent=1)])
 
 
 SWEEP_COLUMNS = (
@@ -309,12 +298,12 @@ COACTIVATION_COLUMNS = (
 RECONSTRUCT_COLUMNS = ("method", "budget", "mode", "trees", "error_mean", "error_std")
 
 
-def _run_sweep_command(command: str, config: ExperimentConfig, sizes) -> int:
-    """Sweep the AR baseline, full verification at each tree size in
-    ``sizes``, and budgeted verification at each size x method x policy x
+def _run_sweep_command(command: str, config: ExperimentConfig) -> int:
+    """Sweep the AR baseline, full verification at each configured tree
+    size, and budgeted verification at each size x method x policy x
     budget; write the rows, the Pareto table and the cell summaries."""
     cells = [SweepCell(mode="ar")]
-    for size in sizes:
+    for size in config.tree_sizes:
         cells.append(SweepCell(mode="spec_full", tree_size=size))
         for method, policy, budget in itertools.product(
             config.methods, config.policies, config.budgets
@@ -324,7 +313,7 @@ def _run_sweep_command(command: str, config: ExperimentConfig, sizes) -> int:
         model_config=config.model,
         draft_spec=config.draft,
         cells=tuple(cells),
-        seeds=config.eval_seeds(),
+        seeds=config.seeds,
         gen_len=config.gen_len,
         context_len=config.context_len,
         cost=config.cost,
@@ -333,7 +322,6 @@ def _run_sweep_command(command: str, config: ExperimentConfig, sizes) -> int:
     result = sweep(spec, workers=config.workers, strict=False)
 
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(
         out_dir / f"{command}.csv",
         command,
@@ -372,13 +360,13 @@ def _run_sweep_command(command: str, config: ExperimentConfig, sizes) -> int:
 def cmd_simulate(config: ExperimentConfig) -> int:
     """Tree-size sweep: AR baseline, full verification, and budgeted
     verification at each configured method, policy and budget."""
-    return _run_sweep_command("simulate", config, config.tree_sizes)
+    return _run_sweep_command("simulate", config)
 
 
 def cmd_ablate(config: ExperimentConfig) -> int:
-    """Design-space grid at a fixed tree size: every ranking method crossed
+    """Design-space grid at one tree size: every ranking method crossed
     with every coverage policy and budget."""
-    return _run_sweep_command("ablate", config, (config.tree_size,))
+    return _run_sweep_command("ablate", config)
 
 
 def _collect_tree_records(config: ExperimentConfig) -> dict[int, dict]:
@@ -386,7 +374,7 @@ def _collect_tree_records(config: ExperimentConfig) -> dict[int, dict]:
     target, draft = build_model_pair(config.model, config.draft)
     rng = Rng(config.model.seed).substream(ANALYSIS_STREAM)
     trees = list(
-        tree_captures(target, draft, config.trees, config.tree_size, config.context_len, rng)
+        tree_captures(target, draft, config.trees, config.tree_sizes[0], config.context_len, rng)
     )
     return {
         li: {
@@ -423,9 +411,7 @@ def cmd_coverage(config: ExperimentConfig, trace: str | None = None) -> int:
                     "records": curves.shape[0],
                 }
             )
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_csv(out_dir / "coverage.csv", "coverage", config, COVERAGE_COLUMNS, rows)
+    write_csv(Path(config.out_dir, "coverage.csv"), "coverage", config, COVERAGE_COLUMNS, rows)
     return 0
 
 
@@ -438,7 +424,6 @@ def cmd_coactivation(config: ExperimentConfig, trace: str | None = None) -> int:
         raise ConfigError(f"model.top_k: coactivation needs top_k >= 2 to form pairs, got {k}")
     records = _load_records(config, trace)
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     summary_rows = []
     for li in sorted(records):
         selected = records[li]["selected"]
@@ -456,7 +441,7 @@ def cmd_coactivation(config: ExperimentConfig, trace: str | None = None) -> int:
         lines.append(f"# layer: {li}")
         for row in counts:
             lines.append(",".join(str(int(v)) for v in row))
-        (out_dir / f"coactivation_layer{li}.csv").write_text("\n".join(lines) + "\n")
+        _write_lines(out_dir / f"coactivation_layer{li}.csv", lines)
     write_csv(
         out_dir / "coactivation_summary.csv",
         "coactivation",
@@ -482,7 +467,7 @@ def cmd_reconstruct(config: ExperimentConfig) -> int:
         methods=config.methods,
         budgets=config.budgets,
         n_trees=config.trees,
-        tree_size=config.tree_size,
+        tree_size=config.tree_sizes[0],
         context_len=config.context_len,
         rng=Rng(config.model.seed).substream(ANALYSIS_STREAM),
         static_counts=static_counts,
@@ -502,9 +487,8 @@ def cmd_reconstruct(config: ExperimentConfig) -> int:
                     "error_std": float(np.std(errs)),
                 }
             )
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_csv(out_dir / "reconstruct.csv", "reconstruct", config, RECONSTRUCT_COLUMNS, rows)
+    path = Path(config.out_dir, "reconstruct.csv")
+    write_csv(path, "reconstruct", config, RECONSTRUCT_COLUMNS, rows)
     return 0
 
 
@@ -513,10 +497,8 @@ def cmd_calibrate_static(config: ExperimentConfig) -> int:
     induces, written as a JSON report of what static ranking uses."""
     target, _ = build_model_pair(config.model, config.draft)
     counts = default_calibration(target, Rng(config.model.seed).substream(CALIB_STREAM))
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_json(
-        out_dir / "static_ranking.json",
+        Path(config.out_dir, "static_ranking.json"),
         "calibrate-static",
         config,
         static_ranking_report(counts, config.model.top_k),
@@ -540,6 +522,13 @@ def _str_list(text: str) -> tuple[str, ...]:
     return tuple(x.strip() for x in text.split(",") if x.strip())
 
 
+def _seed_range(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(range(int(text)))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="moebudget",
@@ -549,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_command(name: str, run, help: str, trace: bool = False, one_size: bool = False):
-        # ``one_size`` commands run at tree_size, so a list of sizes is an error.
+        # ``one_size`` commands run at tree_sizes[0], so a list of sizes is an error.
         p = sub.add_parser(name, help=help)
         p.set_defaults(run=run, one_size=one_size)
         p.add_argument("--config", help="JSON experiment config file")
@@ -571,7 +560,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--tree-size", dest="tree_sizes", type=_int_list, help="draft tree sizes (2^j - 1)"
         )
         p.add_argument("--gen-len", type=int, help="tokens to generate per run")
-        p.add_argument("--prompts", type=int, help="number of evaluation prompts")
+        p.add_argument(
+            "--prompts", dest="seeds", type=_seed_range, help="N evaluation prompts: seeds 0..N-1"
+        )
         p.add_argument("--trees", type=int, help="trees per analysis")
         if trace:
             p.add_argument("--trace", help="external routing trace (JSON lines)")
@@ -591,18 +582,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # Every flag whose destination names a config field overrides it; --seed
-    # sets model.seed, and a single --tree-size also sets tree_size.
+    # sets model.seed.
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     overrides = {k: v for k, v in vars(args).items() if k in fields}
     if args.seed is not None:
         overrides["model"] = {"seed": args.seed}
-    if args.tree_sizes is not None and len(args.tree_sizes) == 1:
-        overrides["tree_size"] = args.tree_sizes[0]
+    defaults = {"tree_sizes": (ONE_TREE_SIZE,)} if args.one_size else {}
     try:
-        if args.one_size and args.tree_sizes is not None and len(args.tree_sizes) > 1:
-            sizes = ",".join(map(str, args.tree_sizes))
+        config = load_config(args.config, overrides, defaults)
+        if args.one_size and len(config.tree_sizes) > 1:
+            sizes = ",".join(map(str, config.tree_sizes))
             raise ConfigError(f"tree_sizes: {args.command} runs one tree size, got {sizes}")
-        config = load_config(args.config, overrides)
         if "trace" in args:
             return args.run(config, args.trace)
         return args.run(config)

@@ -525,6 +525,8 @@ class SweepCell:
             if self.method is None or self.policy is None or self.budget is None:
                 raise ValueError("spec_budgeted cells need method, policy and budget")
             self.budget_config().validate()
+        elif (self.method, self.policy, self.budget) != (None, None, None):
+            raise ValueError(f"{self.mode} cells take no method, policy or budget")
         if self.mode != "ar":
             binary_branching(self.tree_size)
 
@@ -573,6 +575,9 @@ class SweepSpec:
             raise ValueError("context_len must be >= 1")
         for cell in self.cells:
             cell.validate()
+        n_ar = sum(cell.mode == "ar" for cell in self.cells)
+        if n_ar > 1:
+            raise ValueError(f"cells: a sweep takes at most one ar cell, got {n_ar}")
 
 
 @dataclass

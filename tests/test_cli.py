@@ -15,9 +15,8 @@ TINY = {
     "preset": "mixtral-toy",
     "model": {"n_layers": 2, "d_model": 8, "d_ff": 12, "vocab_size": 32},
     "gen_len": 6,
-    "prompts": 2,
+    "seeds": [0, 1],
     "trees": 2,
-    "tree_size": 7,
     "tree_sizes": [7],
     "budgets": [2, 4],
     "methods": ["static", "router", "oracle"],
@@ -52,15 +51,30 @@ def config_echo(csv_path) -> dict:
         ({}, ("--seed", "-1"), "model: seed must be >= 0"),
         ({"model": {"seed": -3}}, (), "model: seed must be >= 0"),
         ({"seeds": [0, -3]}, (), "seeds: every seed must be >= 0"),
-        ({"seeds": [2, 0, 2]}, (), "seeds: a seed must not repeat"),
+        ({"seeds": [2, 0, 2]}, (), "seeds: 2 repeats"),
         ({"model": {"skew": float("nan")}}, (), "model: skew must be finite"),
         ({"draft": {"noise_std": float("inf")}}, (), "draft: noise_std must be finite"),
         ({"cost": {"bytes_shared": float("nan")}}, (), "cost: bytes_shared must be finite"),
+        ({"tree_size": 3}, (), "tree_size: unknown configuration field"),
+        ({"prompts": 3}, (), "prompts: unknown configuration field"),
+        ({"seeds": []}, (), "seeds: list must not be empty"),
+        ({}, ("--prompts", "0"), "seeds: list must not be empty"),
+        ({"tree_sizes": [7, 7]}, (), "tree_sizes: 7 repeats"),
+        ({"budgets": [2, 2]}, (), "budgets: 2 repeats"),
+        ({"methods": ["router", "router"]}, (), 'methods: "router" repeats'),
+        ({"policies": ["truncation", "truncation"]}, (), 'policies: "truncation" repeats'),
+        ({"tree_sizes": [10]}, (), "tree_sizes: "),
+        ({"preset": "gpt-toy"}, (), "preset: unknown preset 'gpt-toy'"),
+        ({"draft": {"layers_kept": "2"}}, (), "draft.layers_kept: expected an integer"),
+        ({"uses_raw_g": 1}, (), "uses_raw_g: expected a boolean"),
     ],
     ids=["string_int", "scalar_list", "array_model", "top_level_array", "list_item",
          "nested_string_int", "unknown_nested_key", "bool_number", "negative_seed_flag",
          "negative_model_seed", "negative_eval_seed", "repeated_eval_seed", "nan_skew",
-         "infinite_noise_std", "nan_bytes_shared"],
+         "infinite_noise_std", "nan_bytes_shared", "old_tree_size_field", "old_prompts_field",
+         "empty_seeds", "zero_prompts_flag", "repeated_tree_size", "repeated_budget",
+         "repeated_method", "repeated_policy", "non_binary_tree_size", "unknown_preset",
+         "optional_nested_int", "int_bool"],
 )
 def test_bad_config_exits_2_naming_the_field(tmp_path, capsys, monkeypatch, config, flags, field):
     def no_model(*args, **kwargs):
@@ -102,10 +116,10 @@ def test_seed_flag_merges_into_config_model_block(tmp_path):
         (["--budget", "3,5"], "budgets", [3, 5]),
         (["--method", "oracle,static"], "methods", ["oracle", "static"]),
         (["--policy", "substitution"], "policies", ["substitution"]),
-        (["--tree-size", "3"], "tree_size", 3),
+        pytest.param(["--tree-size", "3"], "tree_sizes", [3], id="--tree-size-tree_sizes-single"),
         (["--tree-size", "3,15"], "tree_sizes", [3, 15]),
         (["--gen-len", "9"], "gen_len", 9),
-        (["--prompts", "3"], "prompts", 3),
+        (["--prompts", "3"], "seeds", [0, 1, 2]),
         (["--trees", "2"], "trees", 2),
         (["--workers", "2"], "workers", 2),
         (["--preset", "olmoe-toy"], "preset", "olmoe-toy"),
@@ -115,7 +129,7 @@ def test_seed_flag_merges_into_config_model_block(tmp_path):
 def test_every_flag_reaches_its_config_field(tmp_path, flags, field, value):
     config = {**TINY, "trees": 1}
     # coverage runs one tree size; a list of sizes is for simulate.
-    command = "simulate" if field == "tree_sizes" else "coverage"
+    command = "simulate" if value == [3, 15] else "coverage"
     code, out_dir = run(tmp_path, command, config, *flags)
     assert code == 0
     echo = config_echo(out_dir / f"{command}.csv")
@@ -126,17 +140,43 @@ def test_every_flag_reaches_its_config_field(tmp_path, flags, field, value):
 
 @pytest.mark.parametrize("command", ["ablate", "coverage", "coactivation", "reconstruct"])
 def test_tree_size_list_rejected_where_one_size_runs(tmp_path, capsys, command):
-    config = {**TINY, "trees": 1, "budgets": [2]}
-    code, out_dir = run(tmp_path, command, config, "--tree-size", "7,15", out="list")
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith(f"error: tree_sizes: {command} runs one tree size, got 7,15")
-    assert not out_dir.exists()
-    # A multi-size tree_sizes from the config, the default included, is fine.
+    config = {**TINY, "trees": 1, "budgets": [2], "gen_len": 2, "seeds": [0]}
+    # A list of sizes is an error whether it comes from the flag or the file.
+    for out, file_sizes, flags in [("flag", [7], ("--tree-size", "7,15")),
+                                   ("file", [7, 15], ())]:
+        code, out_dir = run(tmp_path, command, {**config, "tree_sizes": file_sizes}, *flags,
+                            out=out)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: tree_sizes: {command} runs one tree size, got 7,15")
+        assert not out_dir.exists()
+    # Unset, the command runs, and echoes, its own one-size default.
     default_sizes = {k: v for k, v in config.items() if k != "tree_sizes"}
     code, out_dir = run(tmp_path, command, default_sizes, out="default")
     assert code == 0
-    assert config_echo(next(out_dir.glob("*.csv")))["tree_sizes"] == [3, 7, 15, 31, 63, 127, 255]
+    assert config_echo(next(out_dir.glob("*.csv")))["tree_sizes"] == [63]
+
+
+def csv_rows(path) -> list[dict]:
+    lines = [l for l in path.read_text().splitlines() if l[0] != "#"]
+    return [dict(zip(lines[0].split(","), l.split(","))) for l in lines[1:]]
+
+
+def test_file_tree_size_reaches_ablate(tmp_path):
+    config = {**TINY, "tree_sizes": [3], "methods": ["router"], "budgets": [2], "gen_len": 2}
+    code, out_dir = run(tmp_path, "ablate", config)
+    assert code == 0
+    sizes = {(r["mode"], r["tree_size"]) for r in csv_rows(out_dir / "ablate.csv")}
+    # The AR baseline's cell keeps its default size label.
+    assert sizes == {("ar", "63"), ("spec_full", "3"), ("spec_budgeted", "3")}
+
+
+def test_prompts_flag_overrides_file_seeds(tmp_path):
+    config = {**TINY, "seeds": [5], "methods": ["router"], "budgets": [2], "gen_len": 2}
+    code, out_dir = run(tmp_path, "simulate", config, "--prompts", "2")
+    assert code == 0
+    assert config_echo(out_dir / "simulate.csv")["seeds"] == [0, 1]
+    assert {r["seed"] for r in csv_rows(out_dir / "simulate.csv")} == {"0", "1"}
 
 
 def test_export_model_is_an_unknown_command(capsys):
@@ -178,11 +218,9 @@ def test_simulate_runs_every_method_and_policy(tmp_path):
              "--budget", "2", "--tree-size", "3", "--gen-len", "4", "--prompts", "1")
     code, out_dir = run(tmp_path, "simulate", TINY, *flags)
     assert code == 0
-    lines = [l for l in (out_dir / "simulate.csv").read_text().splitlines() if l[0] != "#"]
-    rows = [dict(zip(lines[0].split(","), l.split(","))) for l in lines[1:]]
     budgeted = sorted(
         (r["method"], r["policy"], r["budget"], r["tree_size"])
-        for r in rows if r["mode"] == "spec_budgeted"
+        for r in csv_rows(out_dir / "simulate.csv") if r["mode"] == "spec_budgeted"
     )
     assert budgeted == [
         (m, p, "2", "3") for m in ("router", "static") for p in ("substitution", "truncation")
@@ -213,7 +251,7 @@ def header_of(path) -> dict:
     "command", ["simulate", "ablate", "coverage", "coactivation", "reconstruct", "calibrate-static"]
 )
 def test_every_output_file_starts_with_the_header_block(tmp_path, command):
-    config = {**TINY, "methods": ["static"], "budgets": [2], "gen_len": 2, "prompts": 1}
+    config = {**TINY, "methods": ["static"], "budgets": [2], "gen_len": 2, "seeds": [0]}
     code, out_dir = run(tmp_path, command, config, "--seed", "3")
     assert code == 0
     files = sorted(out_dir.iterdir())
@@ -225,3 +263,19 @@ def test_every_output_file_starts_with_the_header_block(tmp_path, command):
         assert header["master_seed"] == 3
         assert header["config"]["model"]["seed"] == 3
         assert header["config"]["out_dir"] == str(out_dir)
+
+
+@pytest.mark.parametrize(
+    "command", ["simulate", "ablate", "coverage", "coactivation", "reconstruct", "calibrate-static"]
+)
+def test_config_echo_loads_back_to_the_config_that_ran(tmp_path, monkeypatch, command):
+    ran = []
+    load_config = cli.load_config
+    monkeypatch.setattr(cli, "load_config", lambda *args: ran.append(load_config(*args)) or ran[-1])
+    config = {**TINY, "methods": ["static"], "budgets": [2], "gen_len": 2, "seeds": [0]}
+    code, out_dir = run(tmp_path, command, config, "--seed", "3", "--prompts", "1")
+    assert code == 0
+    for path in sorted(out_dir.iterdir()):
+        echo = tmp_path / "echo.json"
+        echo.write_text(json.dumps(header_of(path)["config"]))
+        assert load_config(str(echo), {}) == ran[0]

@@ -570,6 +570,18 @@ class TestSweep:
         with pytest.raises(ValueError):
             SweepCell(mode="spec_full", tree_size=10).validate()
 
+    @pytest.mark.parametrize("mode", ["ar", "spec_full"])
+    @pytest.mark.parametrize(
+        "labels",
+        [{"method": "router"}, {"policy": "truncation"}, {"budget": 2}],
+        ids=["method", "policy", "budget"],
+    )
+    def test_unbudgeted_cells_reject_budget_labels(self, mode, labels):
+        # The run would ignore them, but the row, summary and Pareto table
+        # would carry them as if the cell were budgeted.
+        with pytest.raises(ValueError, match=f"{mode} cells take no method, policy or budget"):
+            SweepCell(mode, 3, **labels).validate()
+
     @pytest.mark.parametrize(
         "overrides, field",
         [
@@ -577,8 +589,13 @@ class TestSweep:
             ({"seeds": (1, 1)}, "seeds must not repeat"),
             ({"context_len": 0}, "context_len must be >= 1"),
             ({"gen_len": 0}, "gen_len must be >= 1"),
+            (
+                {"cells": (SweepCell("ar"), SweepCell("ar", tree_size=15))},
+                "cells: a sweep takes at most one ar cell, got 2",
+            ),
         ],
-        ids=["negative_seed", "repeated_seed", "zero_context_len", "zero_gen_len"],
+        ids=["negative_seed", "repeated_seed", "zero_context_len", "zero_gen_len",
+             "two_ar_cells"],
     )
     def test_bad_spec_rejected_before_any_model_is_built(self, monkeypatch, overrides, field):
         from moebudget import simulator
