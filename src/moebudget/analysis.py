@@ -1,14 +1,15 @@
 """Offline analytics over routing records and step reports: reconstruction
 error, coverage curves, co-activation concentration, and Pareto tables.
 
-Computations accept either in-process routing (the per-layer captures of
-``draft_tree.tree_routing`` over the seeded trees of ``tree_captures``) or
-external trace files (JSON lines, one record per token and layer), so logs
-from real systems can be analyzed with the same code paths the toy lab uses.
-Reconstruction analysis ranks experts through ``budgeting.shortlister``, the
-provider budgeted verification uses; shortlists are arrays of expert ids.
-It makes one dense pass and one ranking per method for each (tree, layer),
-and scores every budget on a prefix of that ranking.
+Computations accept either in-process routing (the per-layer
+``coverage.LayerBudget`` records of ``draft_tree.tree_routing`` over the
+seeded trees of ``tree_captures``) or external trace files (JSON lines, one
+record per token and layer), so logs from real systems can be analyzed with
+the same code paths the toy lab uses. Reconstruction analysis ranks experts
+through ``budgeting.shortlister``, the provider budgeted verification uses;
+shortlists are arrays of expert ids. Its gold is each record's full-capacity
+``out``. It makes one dense pass and one ranking per method for each (tree,
+layer), and scores every budget on a prefix of that ranking.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .budgeting import gold_outputs, oracle_reconstruction_weights, shortlister
+from .budgeting import oracle_reconstruction_weights, shortlister
 from .draft_tree import binary_branching, build_tree, tree_routing
 from .moe_core import expert_outputs_grouped
 from .numerics import Rng, top_k_indices
@@ -50,8 +51,8 @@ def reconstruction_error(weighted: np.ndarray, gold: np.ndarray, shortlist: np.n
     weights: entry (i, t) is ``w[t, i] * E_i(h_t)`` with ``w`` from
     ``budgeting.oracle_reconstruction_weights``. The budgeted output sums
     its ``shortlist`` rows, the quantity the greedy oracle minimizes. The
-    normalizer is the summed squared norm of ``gold``
-    (``budgeting.gold_outputs`` of the same inputs).
+    normalizer is the summed squared norm of ``gold`` (the ``out`` of a
+    full-capacity capture of the same inputs).
     """
     denom = float(np.sum(gold * gold))
     if denom == 0.0:
@@ -68,9 +69,9 @@ def tree_captures(
     context_len: int,
     rng: Rng,
 ):
-    """Teacher-forced per-layer routing captures of ``n_trees`` seeded draft
-    trees, one list per tree: tree ``t`` grows from a random context drawn
-    from ``rng.substream(t)``."""
+    """Teacher-forced per-layer captures of ``n_trees`` seeded draft trees,
+    one list of full-capacity LayerBudget records per tree: tree ``t`` grows
+    from a random context drawn from ``rng.substream(t)``."""
     branching = binary_branching(tree_size)
     for t in range(n_trees):
         context = random_tokens(rng.substream(t), context_len, target.config.vocab_size)
@@ -94,13 +95,13 @@ def reconstruction_analysis(
     Returns {(method, budget): [error per tree]}; callers take means or
     spreads as needed.
 
-    Each (tree, layer) computes its unbudgeted outputs and one weighted
-    dense pass once, and each method ranks once, at the largest budget;
-    budget B scores the first B ids of that ranking. That prefix is the
-    ranking at B: static and router ranking take a stable sort's leading
-    entries, and the oracle's greedy loop makes the same picks in the same
-    order whatever its budget. A budget above ``n_experts`` reads the whole
-    clamped ranking.
+    Each (tree, layer) reads its unbudgeted outputs from the capture and
+    computes one weighted dense pass, and each method ranks once, at the
+    largest budget; budget B scores the first B ids of that ranking. That
+    prefix is the ranking at B: static and router ranking take a stable
+    sort's leading entries, and the oracle's greedy loop makes the same
+    picks in the same order whatever its budget. A budget above
+    ``n_experts`` reads the whole clamped ranking.
     """
     rng = rng if rng is not None else Rng(0)
     out: dict[tuple[str, int], list[float]] = {
@@ -112,7 +113,6 @@ def reconstruction_analysis(
         errs: dict[tuple[str, int], list[float]] = {key: [] for key in out}
         for li, tr in enumerate(layers):
             moe = target.blocks[li].moe
-            gold = gold_outputs(moe, tr.moe_input, tr.probs, tr.selected)
             w = oracle_reconstruction_weights(tr.probs, tr.selected, moe.renormalize, uses_raw_g)
             weighted = expert_outputs_grouped(moe, tr.moe_input) * w.T[:, :, None]
             ranked = {
@@ -120,7 +120,7 @@ def reconstruction_analysis(
                 for m, shortlist_for in providers.items()
             }
             for m, b in out:
-                errs[(m, b)].append(reconstruction_error(weighted, gold, ranked[m][:b]))
+                errs[(m, b)].append(reconstruction_error(weighted, tr.out, ranked[m][:b]))
         for key, layer_errs in errs.items():
             out[key].append(float(np.mean(layer_errs)))
     return out
@@ -258,8 +258,8 @@ def _probability(value) -> float:
     return float(value)
 
 
-def _trace_record(line: str, n_experts: int, k: int | None) -> tuple[int, np.ndarray, int]:
-    """One trace line as (layer, probability vector, selection width)."""
+def _trace_record(line: str, n_experts: int, k: int) -> tuple[int, np.ndarray]:
+    """One trace line as (layer, probability vector)."""
     try:
         rec = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -275,9 +275,6 @@ def _trace_record(line: str, n_experts: int, k: int | None) -> tuple[int, np.nda
         vec = np.array([_probability(p) for p in rec["probs"]], dtype=np.float64)
         if vec.shape != (n_experts,):
             raise ValueError(f"probs length {vec.size} != n_experts {n_experts}")
-        if k is None:
-            raise ValueError("k is required to derive selections from dense trace records")
-        kk = k
     elif "topk" in rec:
         pairs = [(i, _probability(p)) for i, p in rec["topk"]]
         ids = [i for i, _ in pairs]
@@ -288,19 +285,18 @@ def _trace_record(line: str, n_experts: int, k: int | None) -> tuple[int, np.nda
                 raise ValueError(f"expert index {i} outside 0..{n_experts - 1}")
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate expert index in topk")
-        kk = k if k is not None else len(pairs)
-        if len(pairs) < kk:
-            raise ValueError(f"{len(pairs)} topk pairs, need k={kk}")
+        if len(pairs) < k:
+            raise ValueError(f"{len(pairs)} topk pairs, need k={k}")
         vec = np.zeros(n_experts, dtype=np.float64)
         vec[ids] = [p for _, p in pairs]
     else:
         raise ValueError("record needs 'probs' or 'topk'")
     if not np.all((vec >= 0.0) & (vec <= 1.0)):
         raise ValueError("probabilities must lie in [0, 1]")
-    return layer, vec, kk
+    return layer, vec
 
 
-def read_trace(path, n_experts: int, k: int | None = None) -> dict[int, dict[str, np.ndarray]]:
+def read_trace(path, n_experts: int, k: int) -> dict[int, dict[str, np.ndarray]]:
     """Parse an external routing trace into per-layer arrays.
 
     Each record is a JSON object with a non-negative integer "layer". Dense
@@ -309,9 +305,8 @@ def read_trace(path, n_experts: int, k: int | None = None) -> dict[int, dict[str
     indices in 0..n_experts-1; unlisted experts count as probability 0.
     Probabilities are numbers (not booleans) in [0, 1]. A malformed record
     raises ValueError naming its line.
-    Returns {layer: {"probs": (T, n_experts), "selected": (T, k)}}; for
-    dense records the selection is the top-k by probability, so ``k`` is
-    required when any dense record appears.
+    Returns {layer: {"probs": (T, n_experts), "selected": (T, k)}}; every
+    record's selection is its top-k by probability.
     """
     probs_rows: dict[int, list[np.ndarray]] = {}
     sel_rows: dict[int, list[np.ndarray]] = {}
@@ -321,20 +316,12 @@ def read_trace(path, n_experts: int, k: int | None = None) -> dict[int, dict[str
             if not line:
                 continue
             try:
-                layer, vec, kk = _trace_record(line, n_experts, k)
+                layer, vec = _trace_record(line, n_experts, k)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"line {line_no}: {exc}") from exc
             probs_rows.setdefault(layer, []).append(vec)
-            sel_rows.setdefault(layer, []).append(top_k_indices(vec, kk))
-
-    out = {}
-    for layer in sorted(probs_rows):
-        sels = sel_rows[layer]
-        widths = {s.size for s in sels}
-        if len(widths) != 1:
-            raise ValueError(f"layer {layer}: inconsistent top-k widths {sorted(widths)}")
-        out[layer] = {
-            "probs": np.stack(probs_rows[layer]),
-            "selected": np.stack(sels),
-        }
-    return out
+            sel_rows.setdefault(layer, []).append(top_k_indices(vec, k))
+    return {
+        layer: {"probs": np.stack(probs_rows[layer]), "selected": np.stack(sel_rows[layer])}
+        for layer in sorted(probs_rows)
+    }

@@ -11,7 +11,9 @@ a production method.
 
 ``shortlister`` is the one place a method name becomes a ranking: budgeted
 verification and the offline reconstruction analysis both ask it for the
-per-layer shortlist provider.
+per-layer shortlist provider. Oracle ranking reads its unbudgeted target
+from its own dense pass; the reconstruction analysis reads it from the
+``out`` of a full-capacity ``coverage.budgeted_moe`` record.
 """
 
 from __future__ import annotations
@@ -20,14 +22,10 @@ import warnings
 
 import numpy as np
 
-from .moe_core import (
-    MoELayerWeights,
-    apply_experts,
-    expert_outputs_grouped,
-    selection_weights,
-)
+from .coverage import budgeted_moe
+from .moe_core import MoELayerWeights, expert_outputs_grouped, selection_weights
 from .numerics import scratch, top_k_indices
-from .toy_model import MoEModel, TreeDecoder, routing_capture
+from .toy_model import MoEModel, TreeDecoder
 
 __all__ = [
     "calibrate_static",
@@ -45,18 +43,18 @@ def calibrate_static(model: MoEModel, sequences) -> np.ndarray:
     (n_layers, n_experts) int64 array whose rows each sum to k * tokens.
 
     ``sequences`` is an iterable of token sequences, each prefilled causally
-    at full capacity on a ``TreeDecoder`` whose MoE hook captures the
-    routing; empty sequences are skipped.
+    on a ``TreeDecoder`` behind a full-capacity ``coverage.budgeted_moe``
+    hook, whose records give the routing; empty sequences are skipped.
     """
     counts = np.zeros((model.n_layers, model.config.n_experts), dtype=np.int64)
     for seq in sequences:
         seq = np.asarray(seq)
         if seq.size == 0:
             continue
-        hook, traces = routing_capture()
+        hook, layers = budgeted_moe()
         TreeDecoder(model, seq, moe_hook=hook)
-        for li, trace in enumerate(traces):
-            np.add.at(counts[li], trace.selected.ravel(), 1)
+        for li, rec in enumerate(layers):
+            np.add.at(counts[li], rec.selected.ravel(), 1)
     if not counts.any():
         raise ValueError("calibration stream must contain at least one token")
     return counts
@@ -107,14 +105,6 @@ def oracle_reconstruction_weights(
         return w
     top_mass = np.take_along_axis(w, selected, axis=-1).sum(axis=-1, keepdims=True)
     return w / top_mass
-
-
-def gold_outputs(
-    layer: MoELayerWeights, states: np.ndarray, probs: np.ndarray, selected: np.ndarray
-) -> np.ndarray:
-    """Unbudgeted layer outputs (the reconstruction target) on given states."""
-    weights = selection_weights(probs, selected, layer.renormalize)
-    return apply_experts(layer, states, selected, weights)
 
 
 def rank_oracle(

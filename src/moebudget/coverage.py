@@ -13,9 +13,12 @@ the shortlist when it is smaller than k).
 Both policies reduce to per-token (expert, weight) slot assignments fed to
 the same grouped executor the unbudgeted forward uses, so a full-capacity
 shortlist reproduces the unbudgeted forward bit for bit. ``budgeted_moe``
-is the one place the budget enters a forward: it wraps route -> shortlist ->
-assignments -> execution into a hook for the decoder's MoE sublayer, taking
-its shortlists from the provider ``budgeting.shortlister`` builds.
+is the lab's one MoE hook: it wraps route -> shortlist -> assignments ->
+execution into a hook for the decoder's MoE sublayer, taking its shortlists
+from the provider ``budgeting.shortlister`` builds, or runs the unbudgeted
+sublayer when it has no provider. Either way it records one ``LayerBudget``
+per layer, the one per-layer record that verification, calibration and the
+offline analyses read.
 """
 
 from __future__ import annotations
@@ -25,7 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moe_core import MoELayerWeights, apply_experts, route_batch, selection_weights
+from .moe_core import (
+    MoELayerWeights,
+    apply_experts,
+    moe_forward_full_batch,
+    route_batch,
+    selection_weights,
+)
 from .numerics import top_k_indices
 
 __all__ = [
@@ -95,10 +104,17 @@ def policy_assignments(
 
 @dataclass
 class LayerBudget:
-    """What one budgeted MoE layer ran: the shortlist it used, the per-token
-    slot assignments, and the per-token count of missing natural experts."""
+    """What one MoE layer ran: the states it consumed, their natural routing
+    and the output it returned; and, when budgeted, the shortlist it used.
+    ``ids`` and ``missing`` are the per-token slot assignments and the
+    per-token count of missing natural experts (the natural top-k and zero
+    at full capacity)."""
 
-    shortlist: np.ndarray  # expert ids in ranking order
+    moe_input: np.ndarray  # (T, d_model)
+    probs: np.ndarray  # (T, n_experts) natural routing
+    selected: np.ndarray  # (T, k) natural top-k
+    out: np.ndarray  # (T, d_model) the layer output the hook returned
+    shortlist: np.ndarray | None  # expert ids in ranking order; None at full capacity
     ids: np.ndarray  # (T, k) assigned expert ids, -1 for inactive slots
     missing: np.ndarray  # (T,) |top_k \ shortlist|, in 0..k
 
@@ -108,28 +124,36 @@ class LayerBudget:
         return np.unique(self.ids[self.ids >= 0])
 
 
-def budgeted_moe(shortlist_for, policy: CoveragePolicy):
-    """The budgeted MoE sublayer, as a ``TreeDecoder.run_rows`` hook.
+def budgeted_moe(shortlist_for=None, policy: CoveragePolicy | None = None):
+    """The MoE sublayer, as a ``TreeDecoder.run_rows`` hook.
 
     ``shortlist_for(layer_index, layer, states, probs, selected) -> expert
     ids`` is the provider ``budgeting.shortlister`` builds; it is asked
     mid-forward because router and oracle ranking need the budgeted stream's
     own states. Routing is computed from those states, so approximation
     compounds across layers exactly as in a real budgeted verification pass,
-    and the returned probs/selected are the natural routing, recorded before
-    budgeting.
+    and the recorded probs/selected are the natural routing, taken before
+    budgeting. Without a provider the hook runs ``moe_forward_full_batch``
+    and ``policy`` is not read: full capacity, with no shortlist.
 
-    Returns ``(hook, record)``; the hook appends one LayerBudget per layer it
-    runs to ``record``.
+    Returns ``(hook, record)``; the hook returns the layer output and
+    appends one LayerBudget per layer it runs to ``record``, so a fresh hook
+    per forward gives ``record[l]`` for layer ``l``.
     """
-    policy = CoveragePolicy(policy)
+    if shortlist_for is not None:
+        policy = CoveragePolicy(policy)
     record: list[LayerBudget] = []
 
-    def hook(li: int, layer: MoELayerWeights, states: np.ndarray):
-        probs, selected = route_batch(layer, states)
-        sl = shortlist_for(li, layer, states, probs, selected)
-        ids, weights, missing = policy_assignments(layer, probs, selected, sl, policy)
-        record.append(LayerBudget(shortlist=sl, ids=ids, missing=missing))
-        return apply_experts(layer, states, ids, weights), probs, selected
+    def hook(li: int, layer: MoELayerWeights, states: np.ndarray) -> np.ndarray:
+        if shortlist_for is None:
+            out, probs, selected = moe_forward_full_batch(layer, states)
+            sl, ids, missing = None, selected, np.zeros(len(states), dtype=np.int64)
+        else:
+            probs, selected = route_batch(layer, states)
+            sl = shortlist_for(li, layer, states, probs, selected)
+            ids, weights, missing = policy_assignments(layer, probs, selected, sl, policy)
+            out = apply_experts(layer, states, ids, weights)
+        record.append(LayerBudget(states, probs, selected, out, sl, ids, missing))
+        return out
 
     return hook, record

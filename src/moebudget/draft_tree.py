@@ -10,8 +10,9 @@ binary trees of different depths nest, which keeps the union of selected
 experts monotone in tree size per prompt, not just on average.
 
 ``tree_routing`` is the one teacher-forced capture of a tree under the full
-target: the per-layer MoE inputs and natural routing of the tree rows that
-the reconstruction analysis and the CLI's coverage and co-activation records
+target: one full-capacity ``coverage.budgeted_moe`` record per layer, whose
+MoE inputs, natural routing and outputs over the tree rows the
+reconstruction analysis and the CLI's coverage and co-activation records
 all read.
 """
 
@@ -21,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coverage import LayerBudget, budgeted_moe
 from .numerics import top_k_indices
-from .toy_model import LayerTrace, MoEModel, TreeDecoder, routing_capture
+from .toy_model import MoEModel, TreeDecoder
 
 __all__ = [
     "DraftTree",
@@ -138,10 +140,10 @@ def build_tree(draft: MoEModel, context_tokens, branching) -> DraftTree:
     return expand_tree(TreeDecoder(draft, context_tokens), branching)
 
 
-def tree_routing(target: MoEModel, context_tokens, tree: DraftTree) -> list[LayerTrace]:
+def tree_routing(target: MoEModel, context_tokens, tree: DraftTree) -> list[LayerBudget]:
     """Teacher-forced capture of the tree rows under the full target, one
-    LayerTrace per MoE layer: the states each MoE sublayer consumed and the
-    natural routing they induced (no budgeting)."""
-    hook, traces = routing_capture()
+    full-capacity LayerBudget per MoE layer: the states each MoE sublayer
+    consumed, the natural routing they induced and the unbudgeted output."""
+    hook, layers = budgeted_moe()
     TreeDecoder(target, context_tokens).extend_tree(tree, hook)
-    return traces
+    return layers

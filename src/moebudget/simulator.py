@@ -12,10 +12,10 @@ for information only and never written into result files.
 
 Every forward here runs on a ``TreeDecoder``: the draft decoder grows each
 tree, and ``verify_greedy`` appends it to the target decoder -- with each
-MoE layer behind the ``coverage.budgeted_moe`` hook when budgeting, and
-behind ``toy_model.routing_capture`` otherwise, whose traces give each
-layer's expert union -- and judges it. Both decoders then roll the whole
-tree back to their causal prefix, and the accepted tokens grow that prefix.
+MoE layer behind the one ``coverage.budgeted_moe`` hook, at full capacity
+or budgeted, whose records give each layer's executed experts -- and
+judges it. Both decoders then roll the whole tree back to their causal
+prefix, and the accepted tokens grow that prefix.
 ``run_generations`` is the one speculative loop: it runs several budget
 configs from one prompt in lockstep, drafting each distinct history of
 emitted tokens once and forking the decoders where the configs' tokens part.
@@ -49,7 +49,6 @@ from .toy_model import (
     build_target,
     derive_draft,
     random_tokens,
-    routing_capture,
 )
 
 __all__ = [
@@ -262,9 +261,8 @@ def verify_greedy(
     this matches a one-shot ancestor-masked forward over context + tree to
     roundoff. Returns the emitted tokens and the step report.
     """
-    if budget_cfg is None:
-        hook, traces = routing_capture()
-    else:
+    shortlist_for = policy = None
+    if budget_cfg is not None:
         budget_cfg.validate()
         shortlist_for = shortlister(
             decoder.model,
@@ -273,18 +271,17 @@ def verify_greedy(
             static_counts,
             budget_cfg.uses_raw_g,
         )
-        hook, layers = budgeted_moe(shortlist_for, budget_cfg.policy)
+        policy = budget_cfg.policy
+    hook, layers = budgeted_moe(shortlist_for, policy)
 
     anchor_logits = decoder.context_logits
     tree_logits = decoder.extend_tree(tree, hook)
     decoder.rollback()
 
+    unique = [int(rec.executed.size) for rec in layers]
     missing = fully = None
-    if budget_cfg is None:
-        unique = [int(np.unique(trace.selected).size) for trace in traces]
-    else:
+    if budget_cfg is not None:
         k = decoder.model.config.top_k
-        unique = [int(rec.executed.size) for rec in layers]
         missing = [rec.missing.tolist() for rec in layers]
         fully = [(rec.missing == k).tolist() for rec in layers]
     path, bonus = _greedy_accept(tree, tree_logits, anchor_logits)
@@ -573,8 +570,12 @@ class SweepSpec:
             raise ValueError("gen_len must be >= 1")
         if self.context_len < 1:
             raise ValueError("context_len must be >= 1")
+        seen = set()
         for cell in self.cells:
             cell.validate()
+            if cell.key() in seen:
+                raise ValueError(f"cells: {cell} repeats")
+            seen.add(cell.key())
         n_ar = sum(cell.mode == "ar" for cell in self.cells)
         if n_ar > 1:
             raise ValueError(f"cells: a sweep takes at most one ar cell, got {n_ar}")

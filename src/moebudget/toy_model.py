@@ -1,7 +1,7 @@
 """Small L-layer causal MoE transformer: target model, derived draft model,
 and ``TreeDecoder``, the one engine every forward runs on (causal prefill,
-tree drafting, verification, prefix growth, and the routing captures of the
-offline analyses).
+tree drafting, verification, prefix growth, and the full-capacity captures
+of calibration and the offline analyses, through ``coverage.budgeted_moe``).
 
 The architecture is deliberately minimal: single-head attention, RMS-style
 scale-only normalization, no positional encoding beyond the mask. Because
@@ -21,7 +21,6 @@ from .numerics import Rng, masked_softmax
 
 __all__ = [
     "DraftSpec",
-    "LayerTrace",
     "ModelConfig",
     "MoEModel",
     "PRESETS",
@@ -31,7 +30,6 @@ __all__ = [
     "derive_draft",
     "preset_config",
     "random_tokens",
-    "routing_capture",
 ]
 
 RMS_EPS = 1e-8
@@ -237,30 +235,6 @@ def derive_draft(target: MoEModel, spec: DraftSpec, rng: Rng) -> MoEModel:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LayerTrace:
-    """Per-layer capture from a forward pass: the normalized states the MoE
-    sublayer consumed, and the natural routing they induced."""
-
-    moe_input: np.ndarray  # (T, d_model)
-    probs: np.ndarray  # (T, n_experts)
-    selected: np.ndarray  # (T, k)
-
-
-def routing_capture():
-    """A full-capacity MoE hook that records its layers: ``(hook, traces)``,
-    where ``traces`` gains one LayerTrace per hooked layer, in call order.
-    A fresh capture per forward gives ``traces[l]`` for layer ``l``."""
-    traces: list[LayerTrace] = []
-
-    def hook(li, layer, states):
-        out, probs, selected = moe_forward_full_batch(layer, states)
-        traces.append(LayerTrace(moe_input=states, probs=probs, selected=selected))
-        return out, probs, selected
-
-    return hook, traces
-
-
 def causal_mask(n: int) -> np.ndarray:
     """Lower-triangular attention mask: position i attends to 0..i."""
     return np.tril(np.ones((n, n), dtype=bool))
@@ -285,7 +259,8 @@ class TreeDecoder:
     This is the lab's one execution engine: prefill, drafting, verification
     and prefix growth all run through ``run_rows``. A ``moe_hook`` on the
     prefill or on ``extend_tree`` replaces the full-capacity MoE sublayers;
-    budgeted verification and the offline routing captures run that way.
+    verification, calibration and the offline captures run that way, each
+    through ``coverage.budgeted_moe``.
     Under ancestor masking, already-computed rows never change when new rows
     are appended, so each extension only computes the new rows against
     cached per-layer keys/values. Numerically this matches a one-shot
@@ -340,9 +315,9 @@ class TreeDecoder:
         ``allowed`` is (r, cached) over existing rows. ``within`` is the
         (r, r) attention mask among the new rows themselves; by default each
         row attends only to itself. ``moe_hook(layer_index, layer, states)
-        -> (out, probs, selected)`` overrides the full-capacity MoE sublayer
-        for the new rows (budgeted verification and routing captures hook in
-        here).
+        -> out``, the (r, d_model) layer output, overrides the full-capacity
+        MoE sublayer for the new rows (``coverage.budgeted_moe`` builds the
+        hooks that verification, calibration and the captures pass here).
         """
         r = tokens.size
         cached = self.n_rows
@@ -373,7 +348,7 @@ class TreeDecoder:
             if moe_hook is None:
                 out, _, _ = moe_forward_full_batch(block.moe, moe_in)
             else:
-                out, _, _ = moe_hook(li, block.moe, moe_in)
+                out = moe_hook(li, block.moe, moe_in)
             x = x + out
         # The new rows count only once every layer has run, so a hook that
         # raises leaves them as free space and the decoder as it was.

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from moebudget.analysis import tree_captures
-from moebudget.budgeting import gold_outputs, oracle_reconstruction_weights, shortlister
+from moebudget.budgeting import oracle_reconstruction_weights, shortlister
+from moebudget.coverage import LayerBudget
 from moebudget.draft_tree import DraftTree, binary_branching, expand_tree
 from moebudget.moe_core import (
     MoELayerWeights,
@@ -27,7 +28,6 @@ from moebudget.numerics import Rng, masked_softmax, top_k_indices
 from moebudget.simulator import CostModelParams, GenerationRun, summarize, verify_greedy
 from moebudget.toy_model import (
     AttentionWeights,
-    LayerTrace,
     MoEModel,
     TreeDecoder,
     _check_tokens,
@@ -39,7 +39,7 @@ from moebudget.toy_model import (
 @dataclass
 class ForwardResult:
     logits: np.ndarray  # (T, vocab_size)
-    layers: list[LayerTrace]
+    layers: list[LayerBudget]
 
 
 def _attend(attn: AttentionWeights, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -57,7 +57,7 @@ def forward(model: MoEModel, tokens, mask: np.ndarray | None = None) -> ForwardR
     ``mask`` is a (T, T) boolean matrix where entry (i, j) allows position i
     to attend to position j; ``None`` means plain causal attention. Each
     block is pre-norm residual: x += attn(norm(x)); x += moe(norm(x)), every
-    MoE layer at full capacity.
+    MoE layer at full capacity and recorded as a full-capacity LayerBudget.
     """
     tokens = _check_tokens(model, tokens)
     n = tokens.size
@@ -67,15 +67,17 @@ def forward(model: MoEModel, tokens, mask: np.ndarray | None = None) -> ForwardR
         raise ValueError(f"mask must have shape ({n}, {n})")
 
     x = model.embedding[tokens]
-    traces = []
+    layers = []
     for block in model.blocks:
         x = x + _attend(block.attention, x, mask)
         moe_in = rms_norm(x)
         out, probs, selected = moe_forward_full_batch(block.moe, moe_in)
-        traces.append(LayerTrace(moe_input=moe_in, probs=probs, selected=selected))
+        layers.append(
+            LayerBudget(moe_in, probs, selected, out, None, selected, np.zeros(n, dtype=np.int64))
+        )
         x = x + out
     logits = rms_norm(x) @ model.head.T
-    return ForwardResult(logits=logits, layers=traces)
+    return ForwardResult(logits=logits, layers=layers)
 
 
 def tree_mask(n_context: int, tree: DraftTree) -> np.ndarray:
@@ -150,13 +152,13 @@ def rank_oracle_reference(
     budget: int,
     uses_raw_g: bool = True,
 ) -> np.ndarray:
-    """``budgeting.rank_oracle`` with its target rebuilt by ``apply_experts``
-    and its contributions from ``expert_outputs_one_dgemm``: the pick order
+    """``budgeting.rank_oracle`` with its target rebuilt by
+    ``moe_forward_full_batch`` and its contributions from ``expert_outputs_one_dgemm``: the pick order
     the blocked oracle must reproduce."""
     states = np.asarray(states, dtype=np.float64)
     n = layer.n_experts
     b = min(budget, n)
-    target = gold_outputs(layer, states, probs, selected)
+    target, _, _ = moe_forward_full_batch(layer, states)
     w = oracle_reconstruction_weights(probs, selected, layer.renormalize, uses_raw_g)
     contributions = expert_outputs_one_dgemm(layer, states) * w.T[:, :, None]
     flat = contributions.reshape(n, -1)
@@ -200,7 +202,7 @@ def reconstruction_analysis_per_budget(
     providers = {key: shortlister(target, *key, static_counts, uses_raw_g) for key in out}
     for layers in tree_captures(target, draft, n_trees, tree_size, context_len, rng):
         golds = [
-            gold_outputs(target.blocks[li].moe, tr.moe_input, tr.probs, tr.selected)
+            moe_forward_full_batch(target.blocks[li].moe, tr.moe_input)[0]
             for li, tr in enumerate(layers)
         ]
         for key, shortlist_for in providers.items():

@@ -248,7 +248,7 @@ class TestTraces:
             {li: layer.probs for li, layer in enumerate(routing)},
             {li: layer.selected for li, layer in enumerate(routing)},
         )
-        back = read_trace(path, small_target.config.n_experts)
+        back = read_trace(path, small_target.config.n_experts, k=small_target.config.top_k)
         for li, layer in enumerate(routing):
             np.testing.assert_array_equal(back[li]["selected"], layer.selected)
             # Coverage from sparse trace equals in-process coverage: the
@@ -258,12 +258,6 @@ class TestTraces:
                 coactivation(layer.selected, small_target.config.n_experts),
                 coactivation(back[li]["selected"], small_target.config.n_experts),
             )
-
-    def test_dense_requires_k(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        write_trace_dense(path, {0: np.full((2, 4), 0.25)})
-        with pytest.raises(ValueError, match="line 1: k is required"):
-            read_trace(path, 4)
 
     def test_bad_record_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -6,7 +6,6 @@ import pytest
 from moebudget.budgeting import (
     METHODS,
     calibrate_static,
-    gold_outputs,
     oracle_reconstruction_weights,
     rank_oracle,
     rank_router,
@@ -14,6 +13,7 @@ from moebudget.budgeting import (
     shortlister,
     static_ranking_report,
 )
+from moebudget.coverage import budgeted_moe
 from moebudget.draft_tree import binary_branching, build_tree, tree_routing
 from moebudget.moe_core import route_batch
 from moebudget.numerics import Rng
@@ -209,13 +209,21 @@ class TestRankOracle:
                 )
 
     def test_gold_outputs_match_forward(self):
+        # The reconstruction analysis reads its gold from a full-capacity
+        # capture's ``out``.
         from moebudget.moe_core import moe_forward_full_batch
 
         layer = make_layer(n=8, k=2)
         states = Rng(3).normal(size=(5, 4))
-        probs, selected = route_batch(layer, states)
-        want, _, _ = moe_forward_full_batch(layer, states)
-        np.testing.assert_array_equal(gold_outputs(layer, states, probs, selected), want)
+        hook, record = budgeted_moe()
+        out = hook(0, layer, states)
+        want, probs, selected = moe_forward_full_batch(layer, states)
+        [rec] = record
+        assert rec.out is out and rec.shortlist is None
+        assert np.array_equal(rec.out, want)
+        np.testing.assert_array_equal(rec.probs, probs)
+        np.testing.assert_array_equal(rec.ids, selected)
+        np.testing.assert_array_equal(rec.missing, np.zeros(5))
 
 
 class TestShortlistInvariants:

@@ -1,9 +1,11 @@
 """End-to-end checks of the command-line entry point on a tiny model: bad
 configs fail cleanly, flags merge over the config file, and outputs are
-deterministic across reruns and worker counts."""
+deterministic across reruns and worker counts, with their data bytes
+pinned."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -279,3 +281,47 @@ def test_config_echo_loads_back_to_the_config_that_ran(tmp_path, monkeypatch, co
         echo = tmp_path / "echo.json"
         echo.write_text(json.dumps(header_of(path)["config"]))
         assert load_config(str(echo), {}) == ran[0]
+
+
+# sha256 of the data of each CLI output below, its header lines left out (the
+# payload of a JSON file, without its "header", as sorted-key JSON), from TINY
+# with each command's flags. They pin the bytes across changes to the code:
+# a change that is meant to move no number must leave every one of them.
+DATA_PINS = {
+    "reconstruct.csv": (
+        "reconstruct", ("--method", "static,router,oracle"),
+        "3fd57d146acaeddba52292d4e7c0cb3e35f0ccef6d0bcefd7223e1314db730e7",
+    ),
+    "coverage.csv": (
+        "coverage", (), "e11c4f285fc2ba3c7876583c2dfd1b4c28e86feb9ef367cfc2b82bc06a6968fd",
+    ),
+    "coactivation_summary.csv": (
+        "coactivation", (), "35208d0fd29afe0ec12ee3718384bcaabcd523d951b1f53bf01693e57f6b20f8",
+    ),
+    "static_ranking.json": (
+        "calibrate-static", (), "a707e5a8e0238bb0c8276990c89fb76b73e3faf36af7dd41760ddb8ef8b52ec2",
+    ),
+    "simulate.csv": (
+        "simulate", ("--tree-size", "7,15", "--prompts", "2", "--gen-len", "8"),
+        "d5ccc401f44820b6af1c51f76bebb87e536f7aa37e858f0cb9a9b28e136b446f",
+    ),
+}
+
+
+def data_sha256(path) -> str:
+    text = path.read_text()
+    if path.suffix == ".json":
+        doc = json.loads(text)
+        del doc["header"]
+        data = json.dumps(doc, sort_keys=True)
+    else:
+        data = "\n".join(l for l in text.splitlines() if not l.startswith("#"))
+    return hashlib.sha256(data.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", list(DATA_PINS))
+def test_output_data_matches_pin(tmp_path, name):
+    command, flags, want = DATA_PINS[name]
+    code, out_dir = run(tmp_path, command, TINY, *flags)
+    assert code == 0
+    assert data_sha256(out_dir / name) == want

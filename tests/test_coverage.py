@@ -258,8 +258,8 @@ class TestModelForwardBudgeted:
             assert set(rec.executed.tolist()) == set(rec.shortlist.tolist())
 
     def test_routing_captured_is_natural_routing(self, target, draft):
-        # The hook hands back the natural routing of the budgeted stream,
-        # not the substituted selection.
+        # The hook records the natural routing of the budgeted stream, not
+        # the substituted selection, and returns the output it records.
         ctx = prompt_tokens(target, 23)
         tree = build_tree(draft, ctx, (2, 2))
         sl = shortlister(target, "static", 8, ordered_counts(target))
@@ -267,18 +267,22 @@ class TestModelForwardBudgeted:
         captured = []
 
         def capture(li, layer, states):
-            out, probs, selected = hook(li, layer, states)
-            captured.append((layer, states.copy(), probs, selected))
-            return out, probs, selected
+            out = hook(li, layer, states)
+            captured.append((layer, states.copy(), out))
+            return out
 
         TreeDecoder(target, ctx).extend_tree(tree, capture)
         assert len(captured) == target.n_layers
-        for (layer, states, probs, selected), rec in zip(captured, record):
+        for (layer, states, out), rec in zip(captured, record):
             want_probs, want_selected = route_batch(layer, states)
-            np.testing.assert_array_equal(probs, want_probs)
-            np.testing.assert_array_equal(selected, want_selected)
-            np.testing.assert_array_equal(selected, top_k_indices(probs, target.config.top_k))
-            assert not np.array_equal(rec.ids, selected)  # substitution did act
+            np.testing.assert_array_equal(rec.moe_input, states)
+            np.testing.assert_array_equal(rec.probs, want_probs)
+            np.testing.assert_array_equal(rec.selected, want_selected)
+            np.testing.assert_array_equal(
+                rec.selected, top_k_indices(rec.probs, target.config.top_k)
+            )
+            assert rec.out is out
+            assert not np.array_equal(rec.ids, rec.selected)  # substitution did act
 
     def test_coverage_stats_shapes_and_consistency(self, target, draft):
         ctx = prompt_tokens(target, 24)

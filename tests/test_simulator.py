@@ -300,12 +300,14 @@ PINNED_CONFIGS = {
 def discrete_outputs(monkeypatch, target, draft, prompt, gen_len, budget_cfg, tree_size,
                      static_counts=None, mode=None):
     """Tokens, per-step taus, unions and per-layer shortlists of one run; the
-    mode is spec_full or spec_budgeted, after ``budget_cfg``, unless given."""
+    mode is spec_full or spec_budgeted, after ``budget_cfg``, unless given.
+    Full-capacity records carry no shortlist and are skipped."""
     records = []
 
-    def recording_moe(shortlist_for, policy):
+    def recording_moe(shortlist_for=None, policy=None):
         hook, record = budgeted_moe(shortlist_for, policy)
-        records.append(record)
+        if shortlist_for is not None:
+            records.append(record)
         return hook, record
 
     monkeypatch.setattr(simulator, "budgeted_moe", recording_moe)
@@ -593,9 +595,13 @@ class TestSweep:
                 {"cells": (SweepCell("ar"), SweepCell("ar", tree_size=15))},
                 "cells: a sweep takes at most one ar cell, got 2",
             ),
+            (
+                {"cells": (SweepCell("spec_full", 3), SweepCell("spec_full", 3))},
+                r"cells: SweepCell\(mode='spec_full', tree_size=3, .*\) repeats",
+            ),
         ],
         ids=["negative_seed", "repeated_seed", "zero_context_len", "zero_gen_len",
-             "two_ar_cells"],
+             "two_ar_cells", "repeated_cell"],
     )
     def test_bad_spec_rejected_before_any_model_is_built(self, monkeypatch, overrides, field):
         from moebudget import simulator

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from moebudget.analysis import coverage_curve
-from moebudget.coverage import CoveragePolicy
+from moebudget.coverage import CoveragePolicy, budgeted_moe
 from moebudget.draft_tree import DraftTree
 from moebudget.moe_core import route_batch
 from moebudget.numerics import Rng
@@ -23,7 +23,6 @@ from moebudget.toy_model import (
     derive_draft,
     preset_config,
     random_tokens,
-    routing_capture,
 )
 
 from reference import forward
@@ -458,7 +457,7 @@ class TestTreeDecoder:
         def fails_at_layer_1(li, layer, states):
             if li == 1:
                 raise RuntimeError("hook failure")
-            return moe_forward_full_batch(layer, states)
+            return moe_forward_full_batch(layer, states)[0]
 
         tree = DraftTree(tokens=[5, 9], parents=[-1, 0], depths=[0, 1], branching=(1,))
         dec = TreeDecoder(small_target, [1, 2, 3])
@@ -472,7 +471,7 @@ class TestTreeDecoder:
 
     def test_prefill_hook_sees_each_layer_once_and_changes_nothing(self, small_target):
         ctx = random_tokens(Rng(9), 6, small_target.config.vocab_size)
-        hook, traces = routing_capture()
+        hook, record = budgeted_moe()
         seen = []
 
         def recording(li, layer, states):
@@ -484,7 +483,7 @@ class TestTreeDecoder:
         np.testing.assert_array_equal(hooked.context_logits, plain.context_logits)
         d = small_target.config.d_model
         assert seen == [(li, (6, d)) for li in range(small_target.n_layers)]
-        assert len(traces) == small_target.n_layers
+        assert len(record) == small_target.n_layers
 
     def test_prefill_hook_failure_propagates(self, small_target):
         def fails(li, layer, states):
