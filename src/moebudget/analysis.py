@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .budgeting import oracle_reconstruction_weights, shortlister
+from .budgeting import shortlister
 from .draft_tree import binary_branching, build_tree, tree_routing
 from .moe_core import expert_outputs_grouped
 from .numerics import Rng, top_k_indices
@@ -47,12 +47,12 @@ def reconstruction_error(weighted: np.ndarray, gold: np.ndarray, shortlist: np.n
     """Normalized squared distance between the budgeted layer output and the
     unbudgeted output ``gold`` on the same (teacher-forced) hidden states.
 
-    ``weighted`` is the layer's dense pass scaled by its reconstruction
-    weights: entry (i, t) is ``w[t, i] * E_i(h_t)`` with ``w`` from
-    ``budgeting.oracle_reconstruction_weights``. The budgeted output sums
-    its ``shortlist`` rows, the quantity the greedy oracle minimizes. The
-    normalizer is the summed squared norm of ``gold`` (the ``out`` of a
-    full-capacity capture of the same inputs).
+    ``weighted`` is the layer's dense pass scaled by each expert's raw
+    router probability: entry (i, t) is ``probs[t, i] * E_i(h_t)``. The
+    budgeted output sums its ``shortlist`` rows, the quantity the greedy
+    oracle minimizes. ``gold`` is the selection-weighted natural output,
+    the ``out`` of a full-capacity capture of the same inputs; the
+    normalizer is its summed squared norm.
     """
     denom = float(np.sum(gold * gold))
     if denom == 0.0:
@@ -88,7 +88,6 @@ def reconstruction_analysis(
     context_len: int = 16,
     rng: Rng | None = None,
     static_counts: np.ndarray | None = None,
-    uses_raw_g: bool = True,
 ) -> dict[tuple[str, int], list[float]]:
     """Layer-averaged teacher-forced reconstruction error per seeded tree.
 
@@ -108,13 +107,12 @@ def reconstruction_analysis(
         (m, int(b)): [] for m in methods for b in budgets
     }
     top = max(int(b) for b in budgets)
-    providers = {m: shortlister(target, m, top, static_counts, uses_raw_g) for m in methods}
+    providers = {m: shortlister(target, m, top, static_counts) for m in methods}
     for layers in tree_captures(target, draft, n_trees, tree_size, context_len, rng):
         errs: dict[tuple[str, int], list[float]] = {key: [] for key in out}
         for li, tr in enumerate(layers):
             moe = target.blocks[li].moe
-            w = oracle_reconstruction_weights(tr.probs, tr.selected, moe.renormalize, uses_raw_g)
-            weighted = expert_outputs_grouped(moe, tr.moe_input) * w.T[:, :, None]
+            weighted = expert_outputs_grouped(moe, tr.moe_input) * tr.probs.T[:, :, None]
             ranked = {
                 m: shortlist_for(li, moe, tr.moe_input, tr.probs, tr.selected)
                 for m, shortlist_for in providers.items()

@@ -90,39 +90,23 @@ def rank_router(tree_probs: np.ndarray, budget: int) -> np.ndarray:
     return top_k_indices(scores, _clamp_budget(budget, scores.size))
 
 
-def oracle_reconstruction_weights(
-    probs: np.ndarray, selected: np.ndarray, renormalize: bool, uses_raw_g: bool
-) -> np.ndarray:
-    """Per-(token, expert) weights used in the greedy reconstruction sum.
-
-    With ``uses_raw_g`` the weights are the raw router probabilities for
-    every expert. Otherwise each token's probabilities are rescaled by the
-    same normalizer its natural top-k mixing weights use, extended to all
-    experts (a no-op when the model does not renormalize).
-    """
-    w = np.asarray(probs, dtype=np.float64)
-    if uses_raw_g or not renormalize:
-        return w
-    top_mass = np.take_along_axis(w, selected, axis=-1).sum(axis=-1, keepdims=True)
-    return w / top_mass
-
-
 def rank_oracle(
     layer_weights: MoELayerWeights,
     states: np.ndarray,
     probs: np.ndarray,
     selected: np.ndarray,
     budget: int,
-    uses_raw_g: bool = True,
 ) -> np.ndarray:
     """Greedy expert selection minimizing summed squared reconstruction
     error against the unbudgeted output; the ids come in pick order.
 
     Every expert is evaluated on every token once, in the blocked dense pass
     of ``expert_outputs_grouped``. The target is read from that pass: each
-    token's natural top-k outputs weighted by ``selection_weights``. Each
-    greedy step then scans all remaining candidates with incrementally
-    maintained residuals. Ties go to the lower expert index.
+    token's natural top-k outputs weighted by ``selection_weights``. A
+    shortlist S reconstructs token t as the sum over i in S of
+    ``probs[t, i] * E_i(h_t)``, each expert weighted by its raw router
+    probability. Each greedy step then scans all remaining candidates with
+    incrementally maintained residuals. Ties go to the lower expert index.
     """
     states = np.asarray(states, dtype=np.float64)
     n = layer_weights.n_experts
@@ -138,10 +122,8 @@ def rank_oracle(
     natural = contributions[selected, np.arange(states.shape[0])[:, None]]
     weights = selection_weights(probs, selected, layer_weights.renormalize)
     target = np.einsum("tjd,tj->td", natural, weights)
-    w = oracle_reconstruction_weights(
-        probs, selected, layer_weights.renormalize, uses_raw_g
-    )
-    contributions *= w.T[:, :, None]  # contributions[i, t] = w[t, i] * E_i(h_t)
+    w = np.asarray(probs, dtype=np.float64)
+    contributions *= w.T[:, :, None]  # contributions[i, t] = probs[t, i] * E_i(h_t)
 
     # The summed squared residual expands over inner products of the
     # per-expert contribution vectors, so the Gram matrix makes every
@@ -172,7 +154,6 @@ def shortlister(
     method: str,
     budget: int,
     static_counts: np.ndarray | None = None,
-    uses_raw_g: bool = True,
 ):
     """The shortlist provider of a ranking method at budget B on ``model``:
     ``(layer_index, layer, states, probs, selected) -> expert ids``.
@@ -197,7 +178,7 @@ def shortlister(
         return lambda li, layer, states, probs, selected: rank_router(probs, budget)
     if method == "oracle":
         return lambda li, layer, states, probs, selected: rank_oracle(
-            layer, states, probs, selected, budget, uses_raw_g
+            layer, states, probs, selected, budget
         )
     raise ValueError(f"unknown ranking method {method!r}")
 

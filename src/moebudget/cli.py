@@ -7,13 +7,14 @@ evaluation seeds (``--prompts N`` spells seeds 0..N-1). Precedence is CLI
 flag > config file > command default (``ablate``, ``coverage``,
 ``coactivation`` and ``reconstruct`` run one tree size, 63 unless set) >
 built-in default. Each flag's destination is the name of the config field
-it sets, and each subcommand carries its ``cmd_*`` function. Every output
-file starts with a header block carrying the tool version, the full config
-echo, and the master seed, so results are self-describing; reruns of the
-same config produce byte-identical files at any worker count. ``simulate``
-and ``ablate`` write each ``SweepRow``'s fields as one CSV row, and their
-summary JSON and Pareto table both aggregate cells through
-``analysis.cell_summaries``.
+it sets, and each subcommand carries its ``cmd_*`` function (``simulate``
+and ``ablate`` share ``cmd_sweep``, which names its files after the
+command). Every output file starts with a header block carrying the tool
+version, the full config echo, and the master seed, so results are
+self-describing; reruns of the same config produce byte-identical files
+at any worker count. ``cmd_sweep`` writes each ``SweepRow``'s fields as one
+CSV row, and its summary JSON and Pareto table both aggregate cells
+through ``analysis.cell_summaries``.
 """
 
 from __future__ import annotations
@@ -80,7 +81,6 @@ class ExperimentConfig:
     context_len: int = 16
     trees: int = 20
     cost: CostModelParams = field(default_factory=CostModelParams)
-    uses_raw_g: bool = True
     out_dir: str = "out"
     workers: int = 1
 
@@ -90,7 +90,7 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"model: {exc}") from exc
         try:
-            self.draft.validate(self.model.n_layers)
+            self.draft.validate()
         except ValueError as exc:
             raise ConfigError(f"draft: {exc}") from exc
         try:
@@ -292,16 +292,15 @@ COACTIVATION_COLUMNS = (
     "concentration",
 )
 
-# The error is always the raw weighted sum of the shortlisted experts, so
-# ``mode`` always reads "raw"; the column stays so that reconstruct.csv keeps
-# its bytes.
-RECONSTRUCT_COLUMNS = ("method", "budget", "mode", "trees", "error_mean", "error_std")
+RECONSTRUCT_COLUMNS = ("method", "budget", "trees", "error_mean", "error_std")
 
 
-def _run_sweep_command(command: str, config: ExperimentConfig) -> int:
+def cmd_sweep(config: ExperimentConfig, command: str) -> int:
     """Sweep the AR baseline, full verification at each configured tree
     size, and budgeted verification at each size x method x policy x
-    budget; write the rows, the Pareto table and the cell summaries."""
+    budget; write the rows, the Pareto table and the cell summaries, each
+    file named after ``command`` (``simulate`` sweeps every configured tree
+    size, ``ablate`` one)."""
     cells = [SweepCell(mode="ar")]
     for size in config.tree_sizes:
         cells.append(SweepCell(mode="spec_full", tree_size=size))
@@ -317,7 +316,6 @@ def _run_sweep_command(command: str, config: ExperimentConfig) -> int:
         gen_len=config.gen_len,
         context_len=config.context_len,
         cost=config.cost,
-        uses_raw_g=config.uses_raw_g,
     )
     result = sweep(spec, workers=config.workers, strict=False)
 
@@ -355,18 +353,6 @@ def _run_sweep_command(command: str, config: ExperimentConfig) -> int:
             print(f"FAILED cell {cell} seed {seed}: {err}", file=sys.stderr)
         return 1
     return 0
-
-
-def cmd_simulate(config: ExperimentConfig) -> int:
-    """Tree-size sweep: AR baseline, full verification, and budgeted
-    verification at each configured method, policy and budget."""
-    return _run_sweep_command("simulate", config)
-
-
-def cmd_ablate(config: ExperimentConfig) -> int:
-    """Design-space grid at one tree size: every ranking method crossed
-    with every coverage policy and budget."""
-    return _run_sweep_command("ablate", config)
 
 
 def _collect_tree_records(config: ExperimentConfig) -> dict[int, dict]:
@@ -471,7 +457,6 @@ def cmd_reconstruct(config: ExperimentConfig) -> int:
         context_len=config.context_len,
         rng=Rng(config.model.seed).substream(ANALYSIS_STREAM),
         static_counts=static_counts,
-        uses_raw_g=config.uses_raw_g,
     )
     rows = []
     for method in config.methods:
@@ -481,7 +466,6 @@ def cmd_reconstruct(config: ExperimentConfig) -> int:
                 {
                     "method": method,
                     "budget": int(budget),
-                    "mode": "raw",
                     "trees": len(errs),
                     "error_mean": float(np.mean(errs)),
                     "error_std": float(np.std(errs)),
@@ -567,8 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
         if trace:
             p.add_argument("--trace", help="external routing trace (JSON lines)")
 
-    add_command("simulate", cmd_simulate, "tree-size sweep with budgeted verification")
-    add_command("ablate", cmd_ablate, "method x policy x budget grid", one_size=True)
+    add_command("simulate", cmd_sweep, "tree-size sweep with budgeted verification")
+    add_command("ablate", cmd_sweep, "method x policy x budget grid", one_size=True)
     add_command("coverage", cmd_coverage, "routing-probability coverage curves",
                 trace=True, one_size=True)
     add_command("coactivation", cmd_coactivation, "expert co-activation analysis",
@@ -595,6 +579,8 @@ def main(argv=None) -> int:
             raise ConfigError(f"tree_sizes: {args.command} runs one tree size, got {sizes}")
         if "trace" in args:
             return args.run(config, args.trace)
+        if args.run is cmd_sweep:
+            return cmd_sweep(config, args.command)
         return args.run(config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

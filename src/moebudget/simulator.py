@@ -128,7 +128,6 @@ class BudgetConfig:
     method: str  # static | router | oracle
     policy: CoveragePolicy
     budget: int
-    uses_raw_g: bool = True
 
     def validate(self) -> None:
         if self.method not in METHODS:
@@ -265,11 +264,7 @@ def verify_greedy(
     if budget_cfg is not None:
         budget_cfg.validate()
         shortlist_for = shortlister(
-            decoder.model,
-            budget_cfg.method,
-            budget_cfg.budget,
-            static_counts,
-            budget_cfg.uses_raw_g,
+            decoder.model, budget_cfg.method, budget_cfg.budget, static_counts
         )
         policy = budget_cfg.policy
     hook, layers = budgeted_moe(shortlist_for, policy)
@@ -527,11 +522,11 @@ class SweepCell:
         if self.mode != "ar":
             binary_branching(self.tree_size)
 
-    def budget_config(self, uses_raw_g: bool = True) -> BudgetConfig | None:
+    def budget_config(self) -> BudgetConfig | None:
         """How a spec_budgeted cell verifies; None for every other mode."""
         if self.mode != "spec_budgeted":
             return None
-        return BudgetConfig(self.method, CoveragePolicy(self.policy), self.budget, uses_raw_g)
+        return BudgetConfig(self.method, CoveragePolicy(self.policy), self.budget)
 
     def key(self) -> tuple:
         return (
@@ -552,11 +547,10 @@ class SweepSpec:
     gen_len: int = 64
     context_len: int = DEFAULT_CONTEXT_LEN
     cost: CostModelParams = CostModelParams()
-    uses_raw_g: bool = True
 
     def validate(self) -> None:
         self.model_config.validate()
-        self.draft_spec.validate(self.model_config.n_layers)
+        self.draft_spec.validate()
         self.cost.validate()
         if not self.cells:
             raise ValueError("sweep needs at least one cell")
@@ -665,7 +659,7 @@ def _sweep_task(args) -> list[tuple[GenerationRun | None, str | None]]:
             prompt,
             spec.gen_len,
             spec.cost,
-            [cell.budget_config(spec.uses_raw_g) for cell in cells],
+            [cell.budget_config() for cell in cells],
             cells[0].tree_size,
             static_counts,
             failures=failures,

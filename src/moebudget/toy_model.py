@@ -81,18 +81,14 @@ def preset_config(name: str, **overrides) -> ModelConfig:
 
 @dataclass(frozen=True)
 class DraftSpec:
-    """How the draft model is derived from the target: relative Gaussian
-    weight perturbation plus optional truncation to the first blocks."""
+    """How the draft model is derived from the target: a relative Gaussian
+    perturbation of every block weight."""
 
     noise_std: float = 0.05
-    layers_kept: int | None = None  # None keeps all layers
 
-    def validate(self, n_layers: int) -> None:
+    def validate(self) -> None:
         if not np.isfinite(self.noise_std) or self.noise_std < 0:
             raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
-        kept = self.layers_kept if self.layers_kept is not None else n_layers
-        if not (1 <= kept <= n_layers):
-            raise ValueError("layers_kept must be in 1..n_layers")
 
 
 @dataclass
@@ -189,20 +185,17 @@ def _perturb(w: np.ndarray, noise_std: float, rng: Rng) -> np.ndarray:
 
 
 def derive_draft(target: MoEModel, spec: DraftSpec, rng: Rng) -> MoEModel:
-    """Draft model: keep the first ``layers_kept`` blocks of the target and
-    perturb each block weight matrix (each expert's own slice of a stack)
-    by Gaussian noise with std ``noise_std`` times that matrix's weight std.
+    """Draft model: the target with every block weight matrix (each
+    expert's own slice of a stack) perturbed by Gaussian noise with std
+    ``noise_std`` times that matrix's weight std.
 
     Embedding and output head are retained unperturbed so draft and target
-    share the token interface. noise_std=0 with all layers kept reproduces
-    the target exactly.
+    share the token interface. noise_std=0 reproduces the target exactly.
     """
-    spec.validate(target.n_layers)
-    kept = spec.layers_kept if spec.layers_kept is not None else target.n_layers
+    spec.validate()
 
     blocks = []
-    for layer in range(kept):
-        src = target.blocks[layer]
+    for layer, src in enumerate(target.blocks):
         lr = rng.substream(layer)
         attn = AttentionWeights(
             wq=_perturb(src.attention.wq, spec.noise_std, lr.substream(0)),
@@ -221,9 +214,8 @@ def derive_draft(target: MoEModel, spec: DraftSpec, rng: Rng) -> MoEModel:
         moe = MoELayerWeights(router, w_in, w_out, src.moe.renormalize, src.moe.k)
         blocks.append(TransformerBlock(attention=attn, moe=moe))
 
-    config = replace(target.config, n_layers=kept)
     return MoEModel(
-        config=config,
+        config=target.config,
         embedding=target.embedding.copy(),
         blocks=blocks,
         head=target.head.copy(),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from moebudget.analysis import tree_captures
-from moebudget.budgeting import oracle_reconstruction_weights, shortlister
+from moebudget.budgeting import shortlister
 from moebudget.coverage import LayerBudget
 from moebudget.draft_tree import DraftTree, binary_branching, expand_tree
 from moebudget.moe_core import (
@@ -150,7 +150,6 @@ def rank_oracle_reference(
     probs: np.ndarray,
     selected: np.ndarray,
     budget: int,
-    uses_raw_g: bool = True,
 ) -> np.ndarray:
     """``budgeting.rank_oracle`` with its target rebuilt by
     ``moe_forward_full_batch`` and its contributions from ``expert_outputs_one_dgemm``: the pick order
@@ -159,8 +158,7 @@ def rank_oracle_reference(
     n = layer.n_experts
     b = min(budget, n)
     target, _, _ = moe_forward_full_batch(layer, states)
-    w = oracle_reconstruction_weights(probs, selected, layer.renormalize, uses_raw_g)
-    contributions = expert_outputs_one_dgemm(layer, states) * w.T[:, :, None]
+    contributions = expert_outputs_one_dgemm(layer, states) * probs.T[:, :, None]
     flat = contributions.reshape(n, -1)
     gram = flat @ flat.T
     overlap = flat @ target.ravel()
@@ -190,7 +188,6 @@ def reconstruction_analysis_per_budget(
     context_len: int = 16,
     rng: Rng | None = None,
     static_counts: np.ndarray | None = None,
-    uses_raw_g: bool = True,
 ) -> dict[tuple[str, int], list[float]]:
     """``analysis.reconstruction_analysis`` with a shortlister per (method,
     budget): every budget ranks on its own and runs its own dense pass over
@@ -199,7 +196,7 @@ def reconstruction_analysis_per_budget(
     out: dict[tuple[str, int], list[float]] = {
         (m, int(b)): [] for m in methods for b in budgets
     }
-    providers = {key: shortlister(target, *key, static_counts, uses_raw_g) for key in out}
+    providers = {key: shortlister(target, *key, static_counts) for key in out}
     for layers in tree_captures(target, draft, n_trees, tree_size, context_len, rng):
         golds = [
             moe_forward_full_batch(target.blocks[li].moe, tr.moe_input)[0]
@@ -210,11 +207,8 @@ def reconstruction_analysis_per_budget(
             for li, tr in enumerate(layers):
                 moe = target.blocks[li].moe
                 sl = shortlist_for(li, moe, tr.moe_input, tr.probs, tr.selected)
-                w = oracle_reconstruction_weights(
-                    tr.probs, tr.selected, moe.renormalize, uses_raw_g
-                )
                 dense = expert_outputs_grouped(moe, tr.moe_input)[sl]
-                diff = (dense * w.T[sl, :, None]).sum(axis=0) - golds[li]
+                diff = (dense * tr.probs.T[sl, :, None]).sum(axis=0) - golds[li]
                 errs.append(float(np.sum(diff * diff)) / float(np.sum(golds[li] * golds[li])))
             out[key].append(float(np.mean(errs)))
     return out

@@ -6,7 +6,6 @@ import pytest
 from moebudget.budgeting import (
     METHODS,
     calibrate_static,
-    oracle_reconstruction_weights,
     rank_oracle,
     rank_router,
     rank_static,
@@ -24,9 +23,9 @@ from reference import forward, rank_oracle_reference
 from test_moe_core import expert_eval_naive, make_layer
 
 
-def exhaustive_residual(layer, states, probs, selected, chosen, uses_raw_g):
-    """Brute-force reconstruction residual for an explicit expert set."""
-    w = oracle_reconstruction_weights(probs, selected, layer.renormalize, uses_raw_g)
+def exhaustive_residual(layer, states, probs, selected, chosen):
+    """Brute-force reconstruction residual for an explicit expert set, each
+    expert weighted by its raw router probability."""
     total = 0.0
     for t in range(states.shape[0]):
         gold = np.zeros(layer.d_model)
@@ -35,7 +34,7 @@ def exhaustive_residual(layer, states, probs, selected, chosen, uses_raw_g):
             gold += weights[i] * expert_eval_naive(layer, i, states[t])
         approx = np.zeros(layer.d_model)
         for j in chosen:
-            approx += w[t, j] * expert_eval_naive(layer, j, states[t])
+            approx += probs[t, j] * expert_eval_naive(layer, j, states[t])
         total += float(np.sum((gold - approx) ** 2))
     return total
 
@@ -142,15 +141,14 @@ class TestRankOracle:
         layer = make_layer(n=1, k=1)
         states = Rng(1).normal(size=(3, 4))
         probs, selected = route_batch(layer, states)
-        sl = rank_oracle(layer, states, probs, selected, 1, uses_raw_g=True)
+        sl = rank_oracle(layer, states, probs, selected, 1)
         assert sl.dtype == np.int64
         assert sl.tolist() == [0]
-        residual = exhaustive_residual(layer, states, probs, selected, sl.tolist(), True)
+        residual = exhaustive_residual(layer, states, probs, selected, sl.tolist())
         assert abs(residual) < 1e-9
 
-    @pytest.mark.parametrize("uses_raw_g", [True, False])
     @pytest.mark.parametrize("renormalize", [True, False])
-    def test_greedy_step_optimality_exhaustive(self, uses_raw_g, renormalize):
+    def test_greedy_step_optimality_exhaustive(self, renormalize):
         # Every greedy pick must attain the exhaustive one-step minimum,
         # ties to the lower index, on small instances.
         for trial in range(6):
@@ -158,16 +156,14 @@ class TestRankOracle:
             states = Rng(70 + trial).normal(size=(4, 4))
             probs, selected = route_batch(layer, states)
             budget = 4
-            sl = rank_oracle(layer, states, probs, selected, budget, uses_raw_g)
+            sl = rank_oracle(layer, states, probs, selected, budget)
             chosen: list[int] = []
             for step in range(budget):
                 cands = {}
                 for i in range(6):
                     if i in chosen:
                         continue
-                    cands[i] = exhaustive_residual(
-                        layer, states, probs, selected, chosen + [i], uses_raw_g
-                    )
+                    cands[i] = exhaustive_residual(layer, states, probs, selected, chosen + [i])
                 best = min(cands.values())
                 want = min(i for i, v in cands.items() if abs(v - best) < 1e-9)
                 assert sl[step] == want, (trial, step, cands, sl)
@@ -187,9 +183,9 @@ class TestRankOracle:
         layer = make_layer(n=6, k=2, renormalize=False)
         states = Rng(2).normal(size=(3, 4))
         probs, selected = route_batch(layer, states)
-        sl = rank_oracle(layer, states, probs, selected, 6, uses_raw_g=True)
+        sl = rank_oracle(layer, states, probs, selected, 6)
         assert sorted(sl.tolist()) == list(range(6))
-        assert exhaustive_residual(layer, states, probs, selected, sl.tolist(), True) > 1e-6
+        assert exhaustive_residual(layer, states, probs, selected, sl.tolist()) > 1e-6
 
     @pytest.mark.parametrize("tree_size", [15, 63, 255])
     @pytest.mark.parametrize("models", [("wide_target", "wide_draft"), ("target", "draft")],
@@ -249,25 +245,22 @@ class TestShortlistInvariants:
                     if budget == n:
                         assert sorted(sl.tolist()) == list(range(n))
 
-    @pytest.mark.parametrize("uses_raw_g", [True, False])
-    def test_shortlister_equals_direct_ranking(self, small_target, small_draft, uses_raw_g):
+    def test_shortlister_equals_direct_ranking(self, small_target, small_draft):
         ctx = prompt_tokens(small_target, 14, 8)
         tree = build_tree(small_draft, ctx, (2, 2))
         counts = calibrate_static(small_target, [ctx])
         n = small_target.config.n_experts
         # A ranking at the largest budget, cut to B, is the ranking at B.
-        widest = {m: shortlister(small_target, m, n, counts, uses_raw_g) for m in METHODS}
+        widest = {m: shortlister(small_target, m, n, counts) for m in METHODS}
         for budget in (1, 3):
-            providers = {
-                m: shortlister(small_target, m, budget, counts, uses_raw_g) for m in METHODS
-            }
+            providers = {m: shortlister(small_target, m, budget, counts) for m in METHODS}
             for li, tr in enumerate(tree_routing(small_target, ctx, tree)):
                 layer = small_target.blocks[li].moe
                 args = (tr.moe_input, tr.probs, tr.selected)
                 want = {
                     "static": rank_static(counts[li], budget),
                     "router": rank_router(tr.probs, budget),
-                    "oracle": rank_oracle(layer, *args, budget, uses_raw_g),
+                    "oracle": rank_oracle(layer, *args, budget),
                 }
                 for method, provider in providers.items():
                     np.testing.assert_array_equal(provider(li, layer, *args), want[method])

@@ -67,8 +67,10 @@ def config_echo(csv_path) -> dict:
         ({"policies": ["truncation", "truncation"]}, (), 'policies: "truncation" repeats'),
         ({"tree_sizes": [10]}, (), "tree_sizes: "),
         ({"preset": "gpt-toy"}, (), "preset: unknown preset 'gpt-toy'"),
-        ({"draft": {"layers_kept": "2"}}, (), "draft.layers_kept: expected an integer"),
-        ({"uses_raw_g": 1}, (), "uses_raw_g: expected a boolean"),
+        ({"preset": 3}, (), "preset: expected a string"),
+        ({"model": {"renormalize": 1}}, (), "model.renormalize: expected a boolean"),
+        ({"uses_raw_g": True}, (), "uses_raw_g: unknown configuration field"),
+        ({"draft": {"layers_kept": 2}}, (), "draft.layers_kept: unknown configuration field"),
     ],
     ids=["string_int", "scalar_list", "array_model", "top_level_array", "list_item",
          "nested_string_int", "unknown_nested_key", "bool_number", "negative_seed_flag",
@@ -76,7 +78,7 @@ def config_echo(csv_path) -> dict:
          "infinite_noise_std", "nan_bytes_shared", "old_tree_size_field", "old_prompts_field",
          "empty_seeds", "zero_prompts_flag", "repeated_tree_size", "repeated_budget",
          "repeated_method", "repeated_policy", "non_binary_tree_size", "unknown_preset",
-         "optional_nested_int", "int_bool"],
+         "optional_nested_int", "int_bool", "old_uses_raw_g_field", "old_layers_kept_field"],
 )
 def test_bad_config_exits_2_naming_the_field(tmp_path, capsys, monkeypatch, config, flags, field):
     def no_model(*args, **kwargs):
@@ -287,10 +289,11 @@ def test_config_echo_loads_back_to_the_config_that_ran(tmp_path, monkeypatch, co
 # payload of a JSON file, without its "header", as sorted-key JSON), from TINY
 # with each command's flags. They pin the bytes across changes to the code:
 # a change that is meant to move no number must leave every one of them.
+SIMULATE_FLAGS = ("--tree-size", "7,15", "--prompts", "2", "--gen-len", "8")
 DATA_PINS = {
     "reconstruct.csv": (
         "reconstruct", ("--method", "static,router,oracle"),
-        "3fd57d146acaeddba52292d4e7c0cb3e35f0ccef6d0bcefd7223e1314db730e7",
+        "883bb99a965bc30e7c5f14d8e68c899517b2251801780ab6a5a38a7991936ff2",
     ),
     "coverage.csv": (
         "coverage", (), "e11c4f285fc2ba3c7876583c2dfd1b4c28e86feb9ef367cfc2b82bc06a6968fd",
@@ -302,8 +305,19 @@ DATA_PINS = {
         "calibrate-static", (), "a707e5a8e0238bb0c8276990c89fb76b73e3faf36af7dd41760ddb8ef8b52ec2",
     ),
     "simulate.csv": (
-        "simulate", ("--tree-size", "7,15", "--prompts", "2", "--gen-len", "8"),
+        "simulate", SIMULATE_FLAGS,
         "d5ccc401f44820b6af1c51f76bebb87e536f7aa37e858f0cb9a9b28e136b446f",
+    ),
+    "simulate_pareto.csv": (
+        "simulate", SIMULATE_FLAGS,
+        "32f35f3ffc6a1392265548bbd3153fa12f4908f7639edd02b2ffa7f32bd47ea5",
+    ),
+    "simulate_summary.json": (
+        "simulate", SIMULATE_FLAGS,
+        "37e95ea5118631e0511515e910d3f5d88a8dbc31149d030dcbc6ba3c41f403e4",
+    ),
+    "ablate.csv": (
+        "ablate", (), "20324c8ee6e6d12f99d7effae02b2d3bfd4900bb3bbccebd61be76a2537d5edd",
     ),
 }
 

@@ -129,12 +129,6 @@ class TestDeriveDraft:
         draft = derive_draft(small_target, DraftSpec(noise_std=0.0), Rng(1))
         assert models_equal(draft, small_target)
 
-    def test_layers_kept_truncates(self, small_target):
-        draft = derive_draft(small_target, DraftSpec(noise_std=0.0, layers_kept=1), Rng(1))
-        assert draft.n_layers == 1
-        assert np.array_equal(draft.blocks[0].attention.wq, small_target.blocks[0].attention.wq)
-        assert np.array_equal(draft.head, small_target.head)
-
     def test_noise_perturbs_blocks_not_embeddings(self, small_target):
         draft = derive_draft(small_target, DraftSpec(noise_std=0.1), Rng(1))
         assert np.array_equal(draft.embedding, small_target.embedding)
@@ -145,9 +139,7 @@ class TestDeriveDraft:
 
     def test_invalid_spec_rejected(self, small_target):
         with pytest.raises(ValueError):
-            DraftSpec(noise_std=-0.1).validate(2)
-        with pytest.raises(ValueError):
-            DraftSpec(layers_kept=3).validate(2)
+            DraftSpec(noise_std=-0.1).validate()
 
 
 # sha256 of each preset model's expert weights, every layer's stack in order,
