@@ -23,6 +23,7 @@ from .budgeting import shortlister
 from .draft_tree import binary_branching, build_tree, tree_routing
 from .moe_core import expert_outputs_grouped
 from .numerics import Rng, top_k_indices
+from .simulator import CELL_COORDS
 from .toy_model import MoEModel, random_tokens
 
 __all__ = [
@@ -201,14 +202,9 @@ def cell_summaries(rows) -> list[dict]:
     out = []
     for key in sorted(by_cell):
         group = by_cell[key]
-        cell = group[0].cell
         out.append(
             {
-                "mode": cell.mode,
-                "method": cell.method,
-                "policy": cell.policy,
-                "budget": cell.budget,
-                "tree_size": cell.tree_size,
+                **{name: getattr(group[0].cell, name) for name in CELL_COORDS},
                 "seeds": len(group),
                 "speedup_mean": float(np.mean([r.speedup for r in group])),
                 "speedup_std": float(np.std([r.speedup for r in group])),
@@ -231,10 +227,9 @@ def pareto_table(rows) -> list[dict]:
     rows = list(rows)
     if not any(r.cell.mode == "ar" for r in rows):
         raise ValueError("pareto table requires AR baseline cells in the sweep")
-    coords = ("mode", "method", "policy", "budget", "tree_size")
     table = [
         {
-            **{name: cell[name] for name in coords},
+            **{name: cell[name] for name in CELL_COORDS},
             "speedup": cell["speedup_mean"],
             "quality_pct": cell["ar_match_rate_mean"] * 100.0,
         }

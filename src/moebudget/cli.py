@@ -12,9 +12,10 @@ and ``ablate`` share ``cmd_sweep``, which names its files after the
 command). Every output file starts with a header block carrying the tool
 version, the full config echo, and the master seed, so results are
 self-describing; reruns of the same config produce byte-identical files
-at any worker count. ``cmd_sweep`` writes each ``SweepRow``'s fields as one
-CSV row, and its summary JSON and Pareto table both aggregate cells
-through ``analysis.cell_summaries``.
+at any worker count. ``cmd_sweep`` writes each ``SweepRow`` as one CSV
+row: its columns are the cell coordinates ``CELL_COORDS``, then the
+row's scalar fields in their declared order. Its summary JSON and Pareto
+table both aggregate cells through ``analysis.cell_summaries``.
 """
 
 from __future__ import annotations
@@ -49,8 +50,10 @@ from .draft_tree import binary_branching
 from .numerics import Rng
 from .simulator import (
     CALIB_STREAM,
+    CELL_COORDS,
     CostModelParams,
     SweepCell,
+    SweepRow,
     SweepSpec,
     build_model_pair,
     default_calibration,
@@ -263,24 +266,11 @@ def write_json(path: Path, command: str, config: ExperimentConfig, payload: dict
     _write_lines(path, [json.dumps(doc, sort_keys=True, indent=1)])
 
 
-SWEEP_COLUMNS = (
-    "mode",
-    "method",
-    "policy",
-    "budget",
-    "tree_size",
-    "seed",
-    "tokens",
-    "steps",
-    "mean_tau",
-    "mean_unique_experts",
-    "max_unique_experts",
-    "total_cost",
-    "speedup",
-    "ar_match_rate",
+SWEEP_COLUMNS = CELL_COORDS + tuple(
+    f.name for f in dataclasses.fields(SweepRow) if f.type in ("int", "float")
 )
 
-PARETO_COLUMNS = ("mode", "method", "policy", "budget", "tree_size", "speedup", "quality_pct")
+PARETO_COLUMNS = CELL_COORDS + ("speedup", "quality_pct")
 
 COVERAGE_COLUMNS = ("layer", "budget", "coverage_mean", "coverage_std", "records")
 

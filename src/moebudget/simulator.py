@@ -95,6 +95,10 @@ class CostModelParams:
     one ``extend`` per entry of ``branching`` (the leaf level never runs),
     plus the ``append_tokens`` of the accepted tokens that produces the next
     root, so ``len(branching) + 1`` passes.
+
+    Prices follow from each step's measurements alone: its unique experts
+    per layer, its tree depth and whether it was budgeted. So ``summarize``
+    prices a run's step reports at any params, not only the run's own.
     """
 
     bytes_expert: float = 1.0
@@ -112,7 +116,7 @@ class CostModelParams:
         return self.bytes_shared + n_layers * k * self.bytes_expert
 
     def verify_step_cost(self, unique_experts, budgeted: bool) -> float:
-        base = self.bytes_shared + self.bytes_expert * float(np.sum(unique_experts))
+        base = self.bytes_shared + self.bytes_expert * float(sum(unique_experts))
         if budgeted:
             base *= 1.0 + self.selection_overhead_frac
         return base
@@ -147,10 +151,9 @@ class StepReport:
     # Tree levels including the root, the draft-cost multiplier: it equals the
     # draft passes run, len(branching) extends plus the append of the next root.
     tree_depth: int
-    mode: str
-    method: str | None
-    policy: str | None
-    budget: int | None
+    # Whether verification was budgeted, the one run fact that pricing needs:
+    # a budgeted step pays the selection overhead.
+    budgeted: bool
     verify_cost: float
     draft_cost: float
     missing_counts: list[list[int]] | None = None  # per layer, per tree token
@@ -166,16 +169,11 @@ class StepReport:
 
 @dataclass
 class RunSummary:
-    mode: str
-    method: str | None
-    policy: str | None
-    budget: int | None
     tokens: int
     steps: int
     mean_tau: float
     mean_unique_experts: list[float]  # per layer
     total_cost: float
-    cost_per_token: float
     speedup: float
     wall_clock_s: float  # informational only; never serialized into outputs
 
@@ -216,27 +214,25 @@ def _greedy_accept(
     return path, int(node_argmax[best_node])
 
 
-def _build_report(
-    tree: DraftTree,
+def _step_report(
     emitted: list[int],
     unique: list[int],
-    budget_cfg: BudgetConfig | None,
+    tree_depth: int,
+    budgeted: bool,
     cost: CostModelParams,
-    missing: list[list[int]] | None,
-    fully: list[list[bool]] | None,
+    missing: list[list[int]] | None = None,
+    fully: list[list[bool]] | None = None,
 ) -> StepReport:
-    budgeted = budget_cfg is not None
+    """One step's measurements, priced at ``cost``. An AR step is one
+    emitted token at ``[k] * n_layers`` experts, depth 0, unbudgeted."""
     return StepReport(
         tau=len(emitted),
         emitted=emitted,
         unique_experts=unique,
-        tree_depth=len(tree.branching) + 1,
-        mode="spec_budgeted" if budgeted else "spec_full",
-        method=budget_cfg.method if budgeted else None,
-        policy=CoveragePolicy(budget_cfg.policy).value if budgeted else None,
-        budget=budget_cfg.budget if budgeted else None,
+        tree_depth=tree_depth,
+        budgeted=budgeted,
         verify_cost=cost.verify_step_cost(unique, budgeted),
-        draft_cost=cost.draft_cost(len(tree.branching) + 1),
+        draft_cost=cost.draft_cost(tree_depth),
         missing_counts=missing,
         fully_skipped=fully,
     )
@@ -248,7 +244,7 @@ def verify_greedy(
     budget_cfg: BudgetConfig | None = None,
     cost: CostModelParams = CostModelParams(),
     static_counts: np.ndarray | None = None,
-) -> tuple[list[int], StepReport]:
+) -> StepReport:
     """One verification step over a drafted tree on a target decoder.
 
     The tree rows are appended to the decoder's causal prefix in one batch
@@ -258,7 +254,8 @@ def verify_greedy(
     verifier's greedy choices is accepted and the bonus token appended. The
     prefix rows of a causal model never change when rows are appended, so
     this matches a one-shot ancestor-masked forward over context + tree to
-    roundoff. Returns the emitted tokens and the step report.
+    roundoff. Returns the step report; its ``emitted`` holds the accepted
+    tokens and the bonus token.
     """
     shortlist_for = policy = None
     if budget_cfg is not None:
@@ -281,7 +278,9 @@ def verify_greedy(
         fully = [(rec.missing == k).tolist() for rec in layers]
     path, bonus = _greedy_accept(tree, tree_logits, anchor_logits)
     emitted = [int(tree.tokens[i]) for i in path] + [bonus]
-    return emitted, _build_report(tree, emitted, unique, budget_cfg, cost, missing, fully)
+    return _step_report(
+        emitted, unique, len(tree.branching) + 1, budget_cfg is not None, cost, missing, fully
+    )
 
 
 def _calibration_counts(target: MoEModel, rng: Rng, indices) -> np.ndarray:
@@ -337,26 +336,12 @@ def run_generation(
     cfg = target.config
     generated: list[int] = []
     reports: list[StepReport] = []
-    ar_cost = cost.ar_step_cost(cfg.n_layers, cfg.top_k)
     decoder = TreeDecoder(target, prompt)
     for _ in range(gen_len):
         nxt = int(np.argmax(decoder.context_logits))
         decoder.append_tokens([nxt])
         generated.append(nxt)
-        reports.append(
-            StepReport(
-                tau=1,
-                emitted=[nxt],
-                unique_experts=[cfg.top_k] * cfg.n_layers,
-                tree_depth=0,
-                mode="ar",
-                method=None,
-                policy=None,
-                budget=None,
-                verify_cost=ar_cost,
-                draft_cost=0.0,
-            )
-        )
+        reports.append(_step_report([nxt], [cfg.top_k] * cfg.n_layers, 0, False, cost))
     summary = summarize(reports, cost, cfg, wall_clock_s=time.perf_counter() - started)
     return GenerationRun(tokens=generated, summary=summary, reports=reports)
 
@@ -420,9 +405,7 @@ def run_generations(
             groups: dict[tuple[int, ...], list[int]] = {}
             for i in members:
                 try:
-                    emitted, report = verify_greedy(
-                        target_dec, tree, budget_cfgs[i], cost, static_counts
-                    )
+                    report = verify_greedy(target_dec, tree, budget_cfgs[i], cost, static_counts)
                 except Exception:  # noqa: BLE001 - collected for the caller
                     if failures is None:
                         raise
@@ -431,7 +414,7 @@ def run_generations(
                 if not keep_coverage:
                     report.missing_counts = None
                     report.fully_skipped = None
-                report.emitted = emitted = emitted[: gen_len - done]
+                report.emitted = emitted = report.emitted[: gen_len - done]
                 generated[i].extend(emitted)
                 reports[i].append(report)
                 groups.setdefault(tuple(emitted), []).append(i)
@@ -464,24 +447,22 @@ def summarize(
     cfg: ModelConfig,
     wall_clock_s: float = 0.0,
 ) -> RunSummary:
-    """Aggregate step reports into a run summary.
+    """Aggregate step reports into a run summary priced at ``cost``.
 
-    This is a pure function of the tau/unique-expert/emitted sequences and
-    the cost parameters, so summaries can be recomputed from stored reports
-    with zero drift.
+    Every step is priced here from its measured fields (unique experts,
+    tree depth, whether it was budgeted), never from the costs stored in
+    the reports, so this is a pure function of the measurements and
+    ``cost``: a run's reports summarized at any cost equal the summary of
+    the same run made at that cost.
     """
     if not reports:
         raise ValueError("cannot summarize an empty run")
     tokens = sum(len(r.emitted) for r in reports)
-    total_cost = sum(r.step_cost for r in reports)
-    ar_per_token = cost.ar_step_cost(cfg.n_layers, cfg.top_k)
-    per_token = total_cost / tokens
-    first = reports[0]
+    total_cost = sum(
+        cost.verify_step_cost(r.unique_experts, r.budgeted) + cost.draft_cost(r.tree_depth)
+        for r in reports
+    )
     return RunSummary(
-        mode=first.mode,
-        method=first.method,
-        policy=first.policy,
-        budget=first.budget,
         tokens=tokens,
         steps=len(reports),
         mean_tau=float(np.mean([r.tau for r in reports])),
@@ -489,8 +470,7 @@ def summarize(
             [r.unique_experts for r in reports], axis=0
         ).tolist(),
         total_cost=total_cost,
-        cost_per_token=per_token,
-        speedup=ar_per_token / per_token,
+        speedup=cost.ar_step_cost(cfg.n_layers, cfg.top_k) / (total_cost / tokens),
         wall_clock_s=wall_clock_s,
     )
 
@@ -498,6 +478,10 @@ def summarize(
 # ---------------------------------------------------------------------------
 # Sweep harness
 # ---------------------------------------------------------------------------
+
+
+# A cell's coordinates in the order every sweep table writes them.
+CELL_COORDS = ("mode", "method", "policy", "budget", "tree_size")
 
 
 @dataclass(frozen=True)

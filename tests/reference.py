@@ -258,12 +258,11 @@ def speculative_run(
     while len(generated) < gen_len:
         tree = expand_tree(draft_dec, branching)
         draft_dec.rollback()
-        emitted, report = verify_greedy(target_dec, tree, budget_cfg, cost, static_counts)
+        report = verify_greedy(target_dec, tree, budget_cfg, cost, static_counts)
         if not keep_coverage:
             report.missing_counts = None
             report.fully_skipped = None
-        emitted = emitted[: gen_len - len(generated)]
-        report.emitted = emitted
+        report.emitted = emitted = report.emitted[: gen_len - len(generated)]
         draft_dec.append_tokens(emitted)
         target_dec.append_tokens(emitted)
         generated.extend(emitted)

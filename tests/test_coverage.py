@@ -291,7 +291,7 @@ class TestModelForwardBudgeted:
         sl = shortlister(target, "static", 4, counts)
         _, record = budgeted_tree(target, ctx, tree, sl, CoveragePolicy.TRUNCATION)
         cfg = BudgetConfig(method="static", policy=CoveragePolicy.TRUNCATION, budget=4)
-        _, report = verify_greedy(TreeDecoder(target, ctx), tree, cfg, static_counts=counts)
+        report = verify_greedy(TreeDecoder(target, ctx), tree, cfg, static_counts=counts)
         k = target.config.top_k
         assert [rec.shortlist.tolist() for rec in record] == [[0, 1, 2, 3]] * len(record)
         assert report.unique_experts == [rec.executed.size for rec in record]

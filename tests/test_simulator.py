@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from moebudget import simulator
 from moebudget.coverage import CoveragePolicy, budgeted_moe
@@ -50,6 +51,20 @@ class TestCostModel:
         assert p.verify_step_cost(unique, budgeted=False) == pytest.approx(8.0 + 40.0)
         assert p.verify_step_cost(unique, budgeted=True) == pytest.approx(48.0 * 1.1)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.tuples(*[st.floats(0.0, allow_infinity=False)] * 4),
+        st.integers(1, 64),
+        st.integers(1, 64),
+    )
+    def test_ar_step_priced_as_a_verify_step(self, params, n_layers, k):
+        # An AR step is priced by the same formulas as a speculative one: k
+        # experts per layer, unbudgeted, at depth 0, bit for bit.
+        p = CostModelParams(*params)
+        assert p.verify_step_cost([k] * n_layers, False) + p.draft_cost(0) == p.ar_step_cost(
+            n_layers, k
+        )
+
     def test_negative_params_rejected(self):
         with pytest.raises(ValueError):
             CostModelParams(bytes_expert=-1.0).validate()
@@ -61,18 +76,18 @@ class TestVerifyGreedy:
         ctx = prompt_tokens(small_target, 30, 8)
         for m in (1, 3, 5):
             tree = build_tree(small_target, ctx, (1,) * (m - 1))
-            emitted, report = verify_greedy(TreeDecoder(small_target, ctx), tree)
+            report = verify_greedy(TreeDecoder(small_target, ctx), tree)
             assert report.tau == m + 1
-            assert emitted[:-1] == tree.tokens.tolist()
+            assert report.emitted[:-1] == tree.tokens.tolist()
 
     def test_wrong_root_gives_bonus_only(self, small_target):
         ctx = prompt_tokens(small_target, 31, 8)
         truth = ar_rollout(small_target, ctx, 1)[0]
         wrong = (truth + 1) % small_target.config.vocab_size
         tree = DraftTree(tokens=[wrong], parents=[-1], depths=[0], branching=())
-        emitted, report = verify_greedy(TreeDecoder(small_target, ctx), tree)
+        report = verify_greedy(TreeDecoder(small_target, ctx), tree)
         assert report.tau == 1
-        assert emitted == [truth]
+        assert report.emitted == [truth]
 
     def test_accepted_path_matches_ar_replay_oracle(self, target, draft):
         # The accepted chain must equal the longest root path matching the
@@ -80,7 +95,7 @@ class TestVerifyGreedy:
         for seed in (40, 41, 42):
             ctx = prompt_tokens(target, seed)
             tree = build_tree(draft, ctx, binary_branching(15))
-            emitted, report = verify_greedy(TreeDecoder(target, ctx), tree)
+            emitted = verify_greedy(TreeDecoder(target, ctx), tree).emitted
             truth = ar_rollout(target, ctx, tree.depth + 2)
             match_len = 0
             for tok, want in zip(emitted[:-1], truth):
@@ -95,7 +110,7 @@ class TestVerifyGreedy:
 
         ctx = prompt_tokens(target, 43)
         tree = build_tree(draft, ctx, binary_branching(31))
-        _, report = verify_greedy(TreeDecoder(target, ctx), tree)
+        report = verify_greedy(TreeDecoder(target, ctx), tree)
         routing = tree_routing(target, ctx, tree)
         assert report.unique_experts == [
             np.unique(routing[l].selected).size for l in range(target.n_layers)
@@ -164,6 +179,22 @@ class TestRunGeneration:
         assert again.speedup == run.summary.speedup
         assert again.total_cost == run.summary.total_cost
         assert again.mean_tau == run.summary.mean_tau
+
+    @pytest.mark.parametrize("mode", ["ar", "spec_full", "spec_budgeted"])
+    def test_summary_at_other_cost_equals_a_run_at_that_cost(self, target, draft, mode):
+        # Step reports carry measurements, not prices: summarizing them at
+        # other cost params gives the summary of a run made at those params.
+        prompt = prompt_tokens(target, 58)
+        budget_cfg = BudgetConfig("router", CoveragePolicy.SUBSTITUTION, 8)
+        other = CostModelParams(bytes_shared=18.8, draft_step_cost=3.0, selection_overhead_frac=0.1)
+        first, second = (
+            run_generation(target, draft, prompt, 16, mode, cost, budget_cfg, tree_size=15)
+            for cost in (CostModelParams(), other)
+        )
+        assert second.tokens == first.tokens
+        assert summarize(first.reports, other, target.config) == dataclasses.replace(
+            second.summary, wall_clock_s=0.0
+        )
 
     def test_emitted_trimmed_to_gen_len(self, target, draft):
         prompt = prompt_tokens(target, 55)
@@ -703,5 +734,9 @@ class TestSweep:
             target, draft, prompt_tokens(target, 70), 8, "spec_full", tree_size=15
         )
         payload = run.reports[0].to_json()
+        assert set(payload) == {
+            "tau", "emitted", "unique_experts", "tree_depth", "budgeted", "verify_cost",
+            "draft_cost", "missing_counts", "fully_skipped",
+        }
         assert payload["tau"] == run.reports[0].tau
         assert payload["unique_experts"] == run.reports[0].unique_experts
