@@ -251,8 +251,8 @@ def _probability(value) -> float:
     return float(value)
 
 
-def _trace_record(line: str, n_experts: int, k: int) -> tuple[int, np.ndarray]:
-    """One trace line as (layer, probability vector)."""
+def _trace_record(line: str, n_experts: int, k: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """One trace line as (layer, probability vector, selected experts)."""
     try:
         rec = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -268,6 +268,7 @@ def _trace_record(line: str, n_experts: int, k: int) -> tuple[int, np.ndarray]:
         vec = np.array([_probability(p) for p in rec["probs"]], dtype=np.float64)
         if vec.shape != (n_experts,):
             raise ValueError(f"probs length {vec.size} != n_experts {n_experts}")
+        listed = np.arange(n_experts)
     elif "topk" in rec:
         pairs = [(i, _probability(p)) for i, p in rec["topk"]]
         ids = [i for i, _ in pairs]
@@ -282,11 +283,14 @@ def _trace_record(line: str, n_experts: int, k: int) -> tuple[int, np.ndarray]:
             raise ValueError(f"{len(pairs)} topk pairs, need k={k}")
         vec = np.zeros(n_experts, dtype=np.float64)
         vec[ids] = [p for _, p in pairs]
+        listed = np.array(sorted(ids))
     else:
         raise ValueError("record needs 'probs' or 'topk'")
     if not np.all((vec >= 0.0) & (vec <= 1.0)):
         raise ValueError("probabilities must lie in [0, 1]")
-    return layer, vec
+    if not vec.any():
+        raise ValueError("probabilities sum to 0")
+    return layer, vec, listed[top_k_indices(vec[listed], k)]
 
 
 def read_trace(path, n_experts: int, k: int) -> dict[int, dict[str, np.ndarray]]:
@@ -296,10 +300,11 @@ def read_trace(path, n_experts: int, k: int) -> dict[int, dict[str, np.ndarray]]
     records carry the full probability vector; sparse records list
     (index, probability) pairs, at least k of them, with distinct integer
     indices in 0..n_experts-1; unlisted experts count as probability 0.
-    Probabilities are numbers (not booleans) in [0, 1]. A malformed record
-    raises ValueError naming its line.
+    Probabilities are numbers (not booleans) in [0, 1], not all 0. A
+    malformed record raises ValueError naming its line.
     Returns {layer: {"probs": (T, n_experts), "selected": (T, k)}}; every
-    record's selection is its top-k by probability.
+    record's selection is the top-k of the experts it lists, by probability
+    with ties to the lower id.
     """
     probs_rows: dict[int, list[np.ndarray]] = {}
     sel_rows: dict[int, list[np.ndarray]] = {}
@@ -309,11 +314,11 @@ def read_trace(path, n_experts: int, k: int) -> dict[int, dict[str, np.ndarray]]
             if not line:
                 continue
             try:
-                layer, vec = _trace_record(line, n_experts, k)
+                layer, vec, selected = _trace_record(line, n_experts, k)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"line {line_no}: {exc}") from exc
             probs_rows.setdefault(layer, []).append(vec)
-            sel_rows.setdefault(layer, []).append(top_k_indices(vec, k))
+            sel_rows.setdefault(layer, []).append(selected)
     return {
         layer: {"probs": np.stack(probs_rows[layer]), "selected": np.stack(sel_rows[layer])}
         for layer in sorted(probs_rows)

@@ -64,6 +64,9 @@ from .toy_model import DraftSpec, ModelConfig, PRESETS, preset_config
 DEFAULT_TREE_SIZES = (3, 7, 15, 31, 63, 127, 255)
 ONE_TREE_SIZE = 63  # the default of the commands that run one tree size
 ANALYSIS_STREAM = 103
+# The fields a command reads, where it reads fewer than all: it runs with the
+# others at their defaults and echoes only these.
+_READS = {"calibrate-static": ("preset", "model", "draft", "out_dir")}
 
 
 class ConfigError(Exception):
@@ -180,12 +183,13 @@ def _fields(cls: type, data: dict, prefix: str = "") -> dict:
 
 
 def load_config(
-    path: str | None, overrides: dict, defaults: dict | None = None
+    path: str | None, overrides: dict, defaults: dict | None = None, reads: tuple | None = None
 ) -> ExperimentConfig:
     """Merge the built-in defaults, a command's ``defaults``, an optional
     JSON config file, and CLI overrides, later ones winning. An override of
     a model/draft/cost key (--seed sets model.seed) merges into the file's
-    block instead of replacing it."""
+    block instead of replacing it. Fields outside ``reads``, when given,
+    are checked and then left at their built-in defaults."""
     data: dict = {}
     if path is not None:
         try:
@@ -199,6 +203,9 @@ def load_config(
     flags = _fields(ExperimentConfig, {k: v for k, v in overrides.items() if v is not None})
     merged = {**(defaults or {}), **file, **flags}
     blocks = {n: {**file.get(n, {}), **flags.get(n, {})} for n in ("model", "draft", "cost")}
+    if reads is not None:
+        merged = {k: v for k, v in merged.items() if k in reads}
+        blocks = {n: block if n in reads else {} for n, block in blocks.items()}
 
     preset = merged.get("preset")
     if preset is not None and preset not in PRESETS:
@@ -227,8 +234,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _config_echo(config: ExperimentConfig) -> str:
-    return json.dumps(config.to_json(), sort_keys=True)
+def _config_echo(command: str, config: ExperimentConfig) -> dict:
+    """The config fields ``command`` reads, as JSON."""
+    data = config.to_json()
+    return {key: data[key] for key in _READS.get(command, data)}
 
 
 def _header_lines(command: str, config: ExperimentConfig) -> list[str]:
@@ -236,7 +245,7 @@ def _header_lines(command: str, config: ExperimentConfig) -> list[str]:
         f"# moebudget {__version__}",
         f"# command: {command}",
         f"# master_seed: {config.model.seed}",
-        f"# config: {_config_echo(config)}",
+        f"# config: {json.dumps(_config_echo(command, config), sort_keys=True)}",
     ]
 
 
@@ -259,7 +268,7 @@ def write_json(path: Path, command: str, config: ExperimentConfig, payload: dict
             "tool": f"moebudget {__version__}",
             "command": command,
             "master_seed": config.model.seed,
-            "config": config.to_json(),
+            "config": _config_echo(command, config),
         },
         **payload,
     }
@@ -563,7 +572,7 @@ def main(argv=None) -> int:
         overrides["model"] = {"seed": args.seed}
     defaults = {"tree_sizes": (ONE_TREE_SIZE,)} if args.one_size else {}
     try:
-        config = load_config(args.config, overrides, defaults)
+        config = load_config(args.config, overrides, defaults, _READS.get(args.command))
         if args.one_size and len(config.tree_sizes) > 1:
             sizes = ",".join(map(str, config.tree_sizes))
             raise ConfigError(f"tree_sizes: {args.command} runs one tree size, got {sizes}")

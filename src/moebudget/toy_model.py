@@ -1,7 +1,7 @@
 """Small L-layer causal MoE transformer: target model, derived draft model,
-and ``TreeDecoder``, the one engine every forward runs on (causal prefill,
-tree drafting, verification, prefix growth, and the full-capacity captures
-of calibration and the offline analyses, through ``coverage.budgeted_moe``).
+and ``TreeDecoder``, the one engine every forward runs on: one causal-row
+path (prefill, prefix growth, calibration) and one tree-row path (drafting,
+verification, the tree captures), each handing ``run_rows`` one mask.
 
 The architecture is deliberately minimal: single-head attention, RMS-style
 scale-only normalization, no positional encoding beyond the mask. Because
@@ -248,11 +248,13 @@ def _check_tokens(model: MoEModel, tokens) -> np.ndarray:
 class TreeDecoder:
     """Incremental forward over a causal prefix plus a growing token tree.
 
-    This is the lab's one execution engine: prefill, drafting, verification
-    and prefix growth all run through ``run_rows``. A ``moe_hook`` on the
-    prefill or on ``extend_tree`` replaces the full-capacity MoE sublayers;
-    verification, calibration and the offline captures run that way, each
-    through ``coverage.budgeted_moe``.
+    This is the lab's one execution engine: every forward runs through
+    ``run_rows`` by one of two paths. Causal rows (the prefill and
+    ``append_tokens``) grow the prefix; tree rows (``extend`` and
+    ``extend_tree``) each attend to the prefix, their ancestors and
+    themselves. A ``moe_hook`` on the prefill or on ``extend_tree`` replaces
+    the full-capacity MoE sublayers; verification, calibration and the
+    offline captures run that way, each through ``coverage.budgeted_moe``.
     Under ancestor masking, already-computed rows never change when new rows
     are appended, so each extension only computes the new rows against
     cached per-layer keys/values. Numerically this matches a one-shot
@@ -265,10 +267,10 @@ class TreeDecoder:
     ``run_rows`` overwrites.
 
     Which tree rows a row attends to lives in one boolean ancestor matrix
-    over the tree rows: row i is True at i's ancestors and i itself. A new
-    node's attention mask is the whole causal prefix plus its parent's row,
-    gathered for a level at once; ``extend_tree`` fills the matrix level by
-    level. Both are overwritten whole when rows are appended again, so
+    over the tree rows: row i is True at i's ancestors and i itself. The
+    tree-row path is its one writer: each new row is its parent's row plus
+    itself, filled batch level by batch level, so a parent may be a row of
+    the same batch. Rows are overwritten whole when appended again, so
     ``rollback`` drops the whole tree by resetting ``n_rows`` alone.
 
     One decoder serves a whole generation loop: draft a tree, roll it back,
@@ -285,31 +287,19 @@ class TreeDecoder:
         self.causal_len = self.n_rows = 0
         self._anc = np.zeros((0, 0), dtype=bool)  # tree-row ancestor matrix
         self._kv = np.empty((model.n_layers, 2, KV_ROWS, model.config.d_model))
+        self._causal_rows(context_tokens, moe_hook)
 
-        # Prefill: the context is a causal batch of rows over an empty cache.
-        n = int(context_tokens.size)
-        logits = self.run_rows(
-            context_tokens, np.ones((n, 0), dtype=bool), causal_mask(n), moe_hook
-        )
-        self.causal_len = n
-        self.context_logits = logits[-1]
-
-    def run_rows(
-        self,
-        tokens: np.ndarray,
-        allowed: np.ndarray,
-        within: np.ndarray | None = None,
-        moe_hook=None,
-    ) -> np.ndarray:
+    def run_rows(self, tokens: np.ndarray, mask: np.ndarray, moe_hook=None) -> np.ndarray:
         """Compute a batch of new rows against the cached rows; returns logits.
 
         ``tokens`` are int64 ids already checked by the public entry point.
-        ``allowed`` is (r, cached) over existing rows. ``within`` is the
-        (r, r) attention mask among the new rows themselves; by default each
-        row attends only to itself. ``moe_hook(layer_index, layer, states)
-        -> out``, the (r, d_model) layer output, overrides the full-capacity
-        MoE sublayer for the new rows (``coverage.budgeted_moe`` builds the
-        hooks that verification, calibration and the captures pass here).
+        Every new row attends to the whole causal prefix; ``mask`` is the
+        (r, n_rows - causal_len + r) attention mask over the rows after it:
+        the cached tree rows, then the new rows themselves. ``moe_hook(
+        layer_index, layer, states) -> out``, the (r, d_model) layer output,
+        overrides the full-capacity MoE sublayer for the new rows
+        (``coverage.budgeted_moe`` builds the hooks that verification,
+        calibration and the captures pass here).
         """
         r = tokens.size
         cached = self.n_rows
@@ -319,9 +309,7 @@ class TreeDecoder:
             grown[:, :, :cached] = self._kv[:, :, :cached]
             self._kv = grown
         kv = self._kv
-        if within is None:
-            within = np.eye(r, dtype=bool)
-        mask = np.concatenate([allowed, within], axis=1)
+        mask = np.concatenate([np.ones((r, self.causal_len), dtype=bool), mask], axis=1)
         x = self.model.embedding[tokens]
         for li, block in enumerate(self.model.blocks):
             xn = rms_norm(x)
@@ -364,18 +352,7 @@ class TreeDecoder:
                 f"parents must hold one entry per token, each -1 or a tree row in "
                 f"0..{t0 - 1}; got {parents.tolist()}"
             )
-        # A node sees the whole prefix and its parent's ancestor row.
-        rows = np.arange(t0, t0 + tokens.size)
-        anc = self._ancestors(t0 + tokens.size)
-        allowed = np.zeros((tokens.size, self.n_rows), dtype=bool)
-        allowed[:, : self.causal_len] = True
-        hung = parents >= 0
-        allowed[hung, self.causal_len :] = anc[parents[hung], :t0]
-        logits = self.run_rows(tokens, allowed)
-        anc[rows] = False
-        anc[rows, :t0] = allowed[:, self.causal_len :]
-        anc[rows, rows] = True
-        return logits
+        return self._tree_rows(tokens, parents)
 
     def extend_tree(self, tree, moe_hook=None) -> np.ndarray:
         """Append a whole drafted tree in one batch and return its logits.
@@ -385,31 +362,38 @@ class TreeDecoder:
         """
         if self.n_rows != self.causal_len:
             raise ValueError("extend_tree requires a bare causal prefix")
-        tokens = _check_tokens(self.model, tree.tokens)
-        m = tree.size
-        anc = self._ancestors(m)
-        anc[:m] = False
-        anc[np.arange(m), np.arange(m)] = True
-        # Level by level, each node takes its parent's finished row.
-        for depth in range(1, tree.depth + 1):
-            level = np.flatnonzero(tree.depths == depth)
-            anc[level] |= anc[tree.parents[level]]
-        within = anc[:m, :m]
-        allowed = np.ones((m, self.n_rows), dtype=bool)
-        return self.run_rows(tokens, allowed, within, moe_hook)
+        return self._tree_rows(_check_tokens(self.model, tree.tokens), tree.parents, moe_hook)
 
-    def _ancestors(self, m: int) -> np.ndarray:
-        """The ancestor matrix, grown to hold at least ``m`` tree rows.
+    def _tree_rows(self, tokens: np.ndarray, parents: np.ndarray, moe_hook=None) -> np.ndarray:
+        """Append tree rows and return their logits; ``parents`` holds each
+        row's parent tree row, earlier or in this batch, or -1."""
+        t0 = self.n_rows - self.causal_len
+        end = t0 + tokens.size
+        rows = np.arange(t0, end)
+        anc = self._anc
+        if end > anc.shape[0]:
+            grown = np.zeros((max(end, 2 * anc.shape[0]),) * 2, dtype=bool)
+            grown[: anc.shape[0], : anc.shape[0]] = anc
+            self._anc = anc = grown
+        anc[rows] = False
+        anc[rows, rows] = True
+        # Level by level, each row adds its parent's finished row.
+        inside = parents >= t0
+        at = np.where(inside, parents - t0, 0)  # an inside parent's batch index
+        level = ~inside
+        while level.any():
+            hung = level & (parents >= 0)
+            anc[rows[hung]] |= anc[parents[hung]]
+            level = inside & level[at]
+        return self.run_rows(tokens, anc[t0:end, :end], moe_hook)
 
-        Row i holds True at tree row i's ancestors and i itself, and False
-        everywhere else; rows at or past the current tree are free space that
-        ``extend`` and ``extend_tree`` overwrite whole."""
-        cap = self._anc.shape[0]
-        if m > cap:
-            grown = np.zeros((max(m, 2 * cap),) * 2, dtype=bool)
-            grown[:cap, :cap] = self._anc
-            self._anc = grown
-        return self._anc
+    def _causal_rows(self, tokens: np.ndarray, moe_hook=None) -> np.ndarray:
+        """Grow the causal prefix by ``tokens``, causal among themselves;
+        returns the last token's logits. Valid only on a bare prefix."""
+        logits = self.run_rows(tokens, causal_mask(tokens.size), moe_hook)
+        self.causal_len += tokens.size
+        self.context_logits = logits[-1]
+        return logits[-1]
 
     def rollback(self) -> None:
         """Drop every tree row, leaving the bare causal prefix."""
@@ -436,10 +420,4 @@ class TreeDecoder:
         """
         if self.n_rows != self.causal_len:
             raise ValueError("cannot append to the prefix while tree rows exist")
-        tokens = _check_tokens(self.model, tokens)
-        r = tokens.size
-        allowed = np.ones((r, self.n_rows), dtype=bool)
-        logits = self.run_rows(tokens, allowed, within=causal_mask(r))
-        self.causal_len += r
-        self.context_logits = logits[-1]
-        return logits[-1]
+        return self._causal_rows(_check_tokens(self.model, tokens))

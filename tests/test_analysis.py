@@ -286,14 +286,29 @@ class TestTraces:
             ('{"layer": 0, "topk": [[1, true], [2, 0.3]]}', "probability must be a number, got true"),
             ('{"layer": 0, "probs": [true, false, 0, 0, 0, 0, 0, 0]}', "probability must be a number, got true"),
             ('{"layer": 0, "probs": [0.5, null, 0, 0, 0, 0, 0, 0]}', "probability must be a number, got null"),
+            ('{"layer": 0, "topk": [[5, 0.0], [6, 0.0]]}', "probabilities sum to 0"),
+            ('{"layer": 0, "probs": [0, 0, 0, 0, 0, 0, 0, 0]}', "probabilities sum to 0"),
         ],
         ids=["negative_index", "index_out_of_range", "duplicate_index", "prob_above_one",
              "shorter_than_k", "dense_negative_prob", "missing_layer", "non_integer_layer",
              "malformed_json", "fractional_index", "boolean_index", "string_prob",
-             "boolean_topk_prob", "boolean_dense_probs", "null_dense_prob"],
+             "boolean_topk_prob", "boolean_dense_probs", "null_dense_prob",
+             "all_zero_topk", "all_zero_dense"],
     )
     def test_malformed_record_names_line(self, tmp_path, bad_record, message):
         path = tmp_path / "t.jsonl"
         path.write_text('{"layer": 0, "topk": [[1, 0.5], [2, 0.3]]}\n' + bad_record + "\n")
         with pytest.raises(ValueError, match="line 2: " + message):
             read_trace(path, 8, k=2)
+
+    def test_selection_is_listed_experts_ties_to_lower_id(self, tmp_path):
+        # A listed expert at probability 0 outranks every unlisted one, and
+        # equal probabilities rank by id, not by place in the record.
+        path = tmp_path / "t.jsonl"
+        path.write_text(
+            '{"layer": 0, "topk": [[5, 0.5], [7, 0.0]]}\n'
+            '{"layer": 0, "topk": [[6, 0.2], [3, 0.2], [1, 0.1]]}\n'
+            '{"layer": 0, "probs": [0, 0.3, 0, 0.3, 0, 0, 0, 0.4]}\n'
+        )
+        selected = read_trace(path, 8, k=2)[0]["selected"]
+        assert selected.tolist() == [[5, 7], [3, 6], [7, 1]]

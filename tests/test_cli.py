@@ -285,6 +285,15 @@ def test_config_echo_loads_back_to_the_config_that_ran(tmp_path, monkeypatch, co
         assert load_config(str(echo), {}) == ran[0]
 
 
+def test_calibrate_static_echoes_only_what_it_reads(tmp_path):
+    # TINY sets tree sizes, budgets, methods and seeds, none of which
+    # calibration reads, so none of them may appear in its echo.
+    code, out_dir = run(tmp_path, "calibrate-static", TINY, "--workers", "2")
+    assert code == 0
+    echo = header_of(out_dir / "static_ranking.json")["config"]
+    assert set(echo) == {"preset", "model", "draft", "out_dir"}
+
+
 # sha256 of the data of each CLI output below, its header lines left out (the
 # payload of a JSON file, without its "header", as sorted-key JSON), from TINY
 # with each command's flags. They pin the bytes across changes to the code:

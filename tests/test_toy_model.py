@@ -333,8 +333,60 @@ class TestTreeDecoder:
             rows += list(zip(tokens, parents))
             mask = reference_mask(n, rows)
             got = dec.extend(tokens, parents)
-            want = twin.run_rows(np.array(tokens), mask[n + start :, : n + start])
+            want = twin.run_rows(np.array(tokens), mask[n + start :, n:])
             assert np.array_equal(got, want), level
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_extend_tree_attends_exactly_the_tree_mask(self, small_target, data):
+        # The twin of the test above for whole trees: extend_tree equals
+        # run_rows under the one-shot tree mask bit for bit, also over
+        # ancestor rows a rollback left stale. A chain of extends leaves each
+        # row holding every row before it; the second tree runs over the
+        # first's rows.
+        ctx = [3, 5, 7]
+        n = len(ctx)
+        dec, twin = TreeDecoder(small_target, ctx), TreeDecoder(small_target, ctx)
+        for row in range(data.draw(st.integers(0, 9), label="chain")):
+            dec.extend([1], [row - 1])
+        for _ in range(2):
+            dec.rollback()
+            tree = random_tree(data, small_target.config.vocab_size)
+            mask = reference_mask(n, list(zip(tree.tokens.tolist(), tree.parents.tolist())))
+            got = dec.extend_tree(tree)
+            want = twin.run_rows(tree.tokens, mask[n:, n:])
+            twin.rollback()
+            assert np.array_equal(got, want)
+
+    def test_traced_methods_make_no_nested_public_calls(self, small_target, monkeypatch):
+        # perfbench's tracer wraps these methods on the class by name and
+        # reads a run_rows call's token batch as its first argument after
+        # self. Each span covers what it names only while the public
+        # methods call run_rows once each and never one another.
+        import inspect
+
+        traced = ("__init__", "run_rows", "extend", "extend_tree", "append_tokens")
+        assert all(name in vars(TreeDecoder) for name in traced)
+        assert list(inspect.signature(TreeDecoder.run_rows).parameters)[:2] == ["self", "tokens"]
+        calls = []
+        for name in traced[1:]:
+            def counted(self, *args, _name=name, _method=getattr(TreeDecoder, name), **kwargs):
+                calls.append(_name)
+                return _method(self, *args, **kwargs)
+
+            monkeypatch.setattr(TreeDecoder, name, counted)
+        tree = DraftTree(tokens=[2, 6, 8], parents=[-1, 0, 1], depths=[0, 1, 2], branching=(1, 1))
+        dec = TreeDecoder(small_target, [3, 5, 7])
+        assert calls == ["run_rows"]  # the prefill makes no append_tokens call
+        for step, want in [
+            (lambda: dec.extend([1], [-1]), ["extend", "run_rows"]),
+            (lambda: dec.extend_tree(tree), ["extend_tree", "run_rows"]),
+            (lambda: dec.append_tokens([4, 9]), ["append_tokens", "run_rows"]),
+        ]:
+            dec.rollback()
+            calls.clear()
+            step()
+            assert calls == want
 
     def test_append_tokens_matches_causal_forward(self, small_target):
         vocab = small_target.config.vocab_size
