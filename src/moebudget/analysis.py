@@ -23,7 +23,7 @@ from .budgeting import shortlister
 from .draft_tree import binary_branching, build_tree, tree_routing
 from .moe_core import expert_outputs_grouped
 from .numerics import Rng, top_k_indices
-from .simulator import CELL_COORDS
+from .simulator import CELL_COORDS, CONTEXT_LEN
 from .toy_model import MoEModel, random_tokens
 
 __all__ = [
@@ -62,20 +62,14 @@ def reconstruction_error(weighted: np.ndarray, gold: np.ndarray, shortlist: np.n
     return float(np.sum(diff * diff)) / denom
 
 
-def tree_captures(
-    target: MoEModel,
-    draft: MoEModel,
-    n_trees: int,
-    tree_size: int,
-    context_len: int,
-    rng: Rng,
-):
+def tree_captures(target: MoEModel, draft: MoEModel, n_trees: int, tree_size: int, rng: Rng):
     """Teacher-forced per-layer captures of ``n_trees`` seeded draft trees,
     one list of full-capacity LayerBudget records per tree: tree ``t`` grows
-    from a random context drawn from ``rng.substream(t)``."""
+    from a random context of ``CONTEXT_LEN`` tokens drawn from
+    ``rng.substream(t)``."""
     branching = binary_branching(tree_size)
     for t in range(n_trees):
-        context = random_tokens(rng.substream(t), context_len, target.config.vocab_size)
+        context = random_tokens(rng.substream(t), CONTEXT_LEN, target.config.vocab_size)
         yield tree_routing(target, context, build_tree(draft, context, branching))
 
 
@@ -86,7 +80,6 @@ def reconstruction_analysis(
     budgets,
     n_trees: int = 20,
     tree_size: int = 63,
-    context_len: int = 16,
     rng: Rng | None = None,
     static_counts: np.ndarray | None = None,
 ) -> dict[tuple[str, int], list[float]]:
@@ -109,7 +102,7 @@ def reconstruction_analysis(
     }
     top = max(int(b) for b in budgets)
     providers = {m: shortlister(target, m, top, static_counts) for m in methods}
-    for layers in tree_captures(target, draft, n_trees, tree_size, context_len, rng):
+    for layers in tree_captures(target, draft, n_trees, tree_size, rng):
         errs: dict[tuple[str, int], list[float]] = {key: [] for key in out}
         for li, tr in enumerate(layers):
             moe = target.blocks[li].moe

@@ -84,7 +84,6 @@ class ExperimentConfig:
     policies: tuple[str, ...] = ("substitution",)
     seeds: tuple[int, ...] = (0, 1, 2, 3)
     gen_len: int = 64
-    context_len: int = 16
     trees: int = 20
     cost: CostModelParams = field(default_factory=CostModelParams)
     out_dir: str = "out"
@@ -129,8 +128,6 @@ class ExperimentConfig:
                 raise ConfigError(f"tree_sizes: {exc}") from exc
         if self.gen_len < 1:
             raise ConfigError("gen_len: must be >= 1")
-        if self.context_len < 1:
-            raise ConfigError("context_len: must be >= 1")
         if self.trees < 1:
             raise ConfigError("trees: must be >= 1")
         if self.workers < 1:
@@ -313,7 +310,6 @@ def cmd_sweep(config: ExperimentConfig, command: str) -> int:
         cells=tuple(cells),
         seeds=config.seeds,
         gen_len=config.gen_len,
-        context_len=config.context_len,
         cost=config.cost,
     )
     result = sweep(spec, workers=config.workers, strict=False)
@@ -358,9 +354,7 @@ def _collect_tree_records(config: ExperimentConfig) -> dict[int, dict]:
     """Routing records of `trees` seeded draft trees under the full target."""
     target, draft = build_model_pair(config.model, config.draft)
     rng = Rng(config.model.seed).substream(ANALYSIS_STREAM)
-    trees = list(
-        tree_captures(target, draft, config.trees, config.tree_sizes[0], config.context_len, rng)
-    )
+    trees = list(tree_captures(target, draft, config.trees, config.tree_sizes[0], rng))
     return {
         li: {
             "probs_per_tree": [layers[li].probs for layers in trees],
@@ -372,7 +366,10 @@ def _collect_tree_records(config: ExperimentConfig) -> dict[int, dict]:
 
 def _load_records(config: ExperimentConfig, trace: str | None):
     if trace is not None:
-        parsed = read_trace(trace, config.model.n_experts, k=config.model.top_k)
+        try:
+            parsed = read_trace(trace, config.model.n_experts, k=config.model.top_k)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"trace: {exc}") from exc
         return {
             li: {"probs_per_tree": [rec["probs"]], "selected": rec["selected"]}
             for li, rec in parsed.items()
@@ -453,7 +450,6 @@ def cmd_reconstruct(config: ExperimentConfig) -> int:
         budgets=config.budgets,
         n_trees=config.trees,
         tree_size=config.tree_sizes[0],
-        context_len=config.context_len,
         rng=Rng(config.model.seed).substream(ANALYSIS_STREAM),
         static_counts=static_counts,
     )
@@ -520,10 +516,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"moebudget {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name: str, run, help: str, trace: bool = False, one_size: bool = False):
-        # ``one_size`` commands run at tree_sizes[0], so a list of sizes is an error.
+    def add_command(
+        name: str, run, help: str, trace: bool = False, one_size: bool = False,
+        budgeted: bool = False,
+    ):
+        # ``one_size`` commands run at tree_sizes[0], so a list of sizes is an
+        # error. ``budgeted`` commands run every budget, so one above the
+        # model's expert count is an error: it would run clamped to n_experts
+        # under its own label.
         p = sub.add_parser(name, help=help)
-        p.set_defaults(run=run, one_size=one_size)
+        p.set_defaults(run=run, one_size=one_size, budgeted=budgeted)
         p.add_argument("--config", help="JSON experiment config file")
         p.add_argument("--seed", type=int, help="master seed (model weights and streams)")
         p.add_argument("--workers", type=int, help="parallel sweep workers")
@@ -550,14 +552,16 @@ def build_parser() -> argparse.ArgumentParser:
         if trace:
             p.add_argument("--trace", help="external routing trace (JSON lines)")
 
-    add_command("simulate", cmd_sweep, "tree-size sweep with budgeted verification")
-    add_command("ablate", cmd_sweep, "method x policy x budget grid", one_size=True)
+    add_command("simulate", cmd_sweep, "tree-size sweep with budgeted verification",
+                budgeted=True)
+    add_command("ablate", cmd_sweep, "method x policy x budget grid", one_size=True,
+                budgeted=True)
     add_command("coverage", cmd_coverage, "routing-probability coverage curves",
                 trace=True, one_size=True)
     add_command("coactivation", cmd_coactivation, "expert co-activation analysis",
                 trace=True, one_size=True)
     add_command("reconstruct", cmd_reconstruct, "teacher-forced reconstruction error",
-                one_size=True)
+                one_size=True, budgeted=True)
     add_command("calibrate-static", cmd_calibrate_static, "static ranking calibration")
     return parser
 
@@ -576,6 +580,10 @@ def main(argv=None) -> int:
         if args.one_size and len(config.tree_sizes) > 1:
             sizes = ",".join(map(str, config.tree_sizes))
             raise ConfigError(f"tree_sizes: {args.command} runs one tree size, got {sizes}")
+        n_experts = config.model.n_experts
+        over = [b for b in config.budgets if b > n_experts]
+        if args.budgeted and over:
+            raise ConfigError(f"budgets: {over[0]} exceeds model.n_experts {n_experts}")
         if "trace" in args:
             return args.run(config, args.trace)
         if args.run is cmd_sweep:

@@ -1,10 +1,10 @@
 """Draft-tree construction and the teacher-forced routing capture of a tree.
 
-Trees use a static multiplicative topology: a single root drafted at the
-context end, then every node at depth j receives ``branching[j]`` children,
-each chosen greedily from the draft model's logits under tree attention.
-Drafting runs the draft model once per level that gets children; the
-leaves' logits would never be read, so the leaves are never run.
+A tree is its tokens and parents, in topological order. ``expand_tree``
+drafts a root at the context end, then gives every node at depth j
+``branching[j]`` children, chosen greedily from the draft model's logits
+under tree attention. It runs the draft model once per level that gets
+children; the leaves' logits would never be read, so they never run.
 The sweep sizes 1, 3, 7, ..., 255 are the binary-branching family, and
 binary trees of different depths nest, which keeps the union of selected
 experts monotone in tree size per prompt, not just on average.
@@ -18,7 +18,7 @@ all read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,8 +33,6 @@ __all__ = [
     "tree_routing",
 ]
 
-DEFAULT_CONTEXT_LEN = 16
-
 
 @dataclass
 class DraftTree:
@@ -42,26 +40,30 @@ class DraftTree:
 
     tokens: np.ndarray  # (M,) vocab ids
     parents: np.ndarray  # (M,) index of parent node, -1 for the root
-    depths: np.ndarray  # (M,) root depth 0
-    branching: tuple[int, ...]
+    depths: np.ndarray = field(init=False)  # (M,) root depth 0, derived from parents
 
     def __post_init__(self):
-        for name in ("tokens", "parents", "depths"):
+        for name in ("tokens", "parents"):
             values = np.asarray(getattr(self, name))
             # Checked before the int64 coercion, which would truncate 1.7 to 1.
             if values.size and not np.issubdtype(values.dtype, np.integer):
                 raise ValueError(f"{name} must be integers, got dtype {values.dtype}")
             setattr(self, name, values.astype(np.int64, copy=False))
+        if self.tokens.ndim != 1 or self.parents.shape != self.tokens.shape:
+            raise ValueError("tokens and parents must be 1-D and of one length")
         m = self.tokens.size
         if m == 0:
             raise ValueError("tree must have at least the root node")
         if np.count_nonzero(self.parents == -1) != 1 or self.parents[0] != -1:
             raise ValueError("tree must have exactly one root at index 0")
-        if np.any(self.parents >= np.arange(m)):
+        rest = self.parents[1:]
+        if np.any((rest < 0) | (rest >= np.arange(1, m))):
             raise ValueError("parents must precede children (topological order)")
-        expected = np.where(self.parents == -1, 0, self.depths[self.parents] + 1)
-        if np.any(self.depths != expected):
-            raise ValueError("depth(child) must equal depth(parent) + 1")
+        parents = self.parents.tolist()
+        depths = [0] * m
+        for i in range(1, m):
+            depths[i] = depths[parents[i]] + 1
+        self.depths = np.array(depths, dtype=np.int64)
 
     @property
     def size(self) -> int:
@@ -109,11 +111,10 @@ def expand_tree(decoder: TreeDecoder, branching) -> DraftTree:
     root_token = int(np.argmax(decoder.context_logits))
     tokens = [root_token]
     parents = [-1]
-    depths = [0]
     frontier = np.zeros(1, dtype=np.int64)
     level_tokens, new_parents = [root_token], [-1]
 
-    for depth, b in enumerate(branching):
+    for b in branching:
         frontier_logits = decoder.extend(level_tokens, new_parents)
         # Row f of the level's top-k holds frontier node f's children, best first.
         level_tokens = top_k_indices(frontier_logits, b).ravel()
@@ -121,15 +122,9 @@ def expand_tree(decoder: TreeDecoder, branching) -> DraftTree:
         start = len(tokens)
         tokens.extend(level_tokens.tolist())
         parents.extend(new_parents.tolist())
-        depths.extend([depth + 1] * level_tokens.size)
         frontier = np.arange(start, len(tokens))
 
-    return DraftTree(
-        tokens=np.array(tokens),
-        parents=np.array(parents),
-        depths=np.array(depths),
-        branching=branching,
-    )
+    return DraftTree(tokens=np.array(tokens), parents=np.array(parents))
 
 
 def build_tree(draft: MoEModel, context_tokens, branching) -> DraftTree:

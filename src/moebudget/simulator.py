@@ -39,7 +39,7 @@ import numpy as np
 
 from .budgeting import METHODS, calibrate_static, shortlister
 from .coverage import CoveragePolicy, budgeted_moe
-from .draft_tree import DEFAULT_CONTEXT_LEN, DraftTree, binary_branching, expand_tree
+from .draft_tree import DraftTree, binary_branching, expand_tree
 from .numerics import Rng
 from .toy_model import (
     DraftSpec,
@@ -72,6 +72,8 @@ DRAFT_STREAM = 100
 PROMPT_STREAM = 101
 CALIB_STREAM = 102
 
+CONTEXT_LEN = 16  # tokens in every seeded prompt and analysis context
+
 CALIBRATION_TOKENS = 2048
 CALIBRATION_SEQ_LEN = 128
 
@@ -92,9 +94,9 @@ class CostModelParams:
     the peak falls depends on how many drafted tokens a prompt accepts.
 
     The draft charge per step equals the draft-model passes the lab runs:
-    one ``extend`` per entry of ``branching`` (the leaf level never runs),
-    plus the ``append_tokens`` of the accepted tokens that produces the next
-    root, so ``len(branching) + 1`` passes.
+    one ``extend`` per tree level that has children (the leaf level never
+    runs), plus the ``append_tokens`` of the accepted tokens that produces
+    the next root, so one pass per level of the drafted tree, root included.
 
     Prices follow from each step's measurements alone: its unique experts
     per layer, its tree depth and whether it was budgeted. So ``summarize``
@@ -149,7 +151,8 @@ class StepReport:
     emitted: list[int]  # tokens actually appended (may be trimmed at gen end)
     unique_experts: list[int]  # per layer, unique experts loaded for the tree
     # Tree levels including the root, the draft-cost multiplier: it equals the
-    # draft passes run, len(branching) extends plus the append of the next root.
+    # draft passes run, one extend per level with children plus the append of
+    # the next root.
     tree_depth: int
     # Whether verification was budgeted, the one run fact that pricing needs:
     # a budgeted step pays the selection overhead.
@@ -279,7 +282,7 @@ def verify_greedy(
     path, bonus = _greedy_accept(tree, tree_logits, anchor_logits)
     emitted = [int(tree.tokens[i]) for i in path] + [bonus]
     return _step_report(
-        emitted, unique, len(tree.branching) + 1, budget_cfg is not None, cost, missing, fully
+        emitted, unique, tree.depth + 1, budget_cfg is not None, cost, missing, fully
     )
 
 
@@ -529,7 +532,6 @@ class SweepSpec:
     cells: tuple[SweepCell, ...]
     seeds: tuple[int, ...]
     gen_len: int = 64
-    context_len: int = DEFAULT_CONTEXT_LEN
     cost: CostModelParams = CostModelParams()
 
     def validate(self) -> None:
@@ -546,14 +548,18 @@ class SweepSpec:
             raise ValueError(f"seeds must not repeat, got {list(self.seeds)}")
         if self.gen_len < 1:
             raise ValueError("gen_len must be >= 1")
-        if self.context_len < 1:
-            raise ValueError("context_len must be >= 1")
         seen = set()
+        n_experts = self.model_config.n_experts
         for cell in self.cells:
             cell.validate()
             if cell.key() in seen:
                 raise ValueError(f"cells: {cell} repeats")
             seen.add(cell.key())
+            if cell.budget is not None and cell.budget > n_experts:
+                raise ValueError(
+                    f"cells: {cell} budget {cell.budget} exceeds "
+                    f"model_config.n_experts {n_experts}"
+                )
         n_ar = sum(cell.mode == "ar" for cell in self.cells)
         if n_ar > 1:
             raise ValueError(f"cells: a sweep takes at most one ar cell, got {n_ar}")
@@ -603,7 +609,7 @@ def build_model_pair(
 
 def _prompt_for_seed(spec: SweepSpec, seed: int) -> np.ndarray:
     rng = Rng(spec.model_config.seed).substream(PROMPT_STREAM, seed)
-    return random_tokens(rng, spec.context_len, spec.model_config.vocab_size)
+    return random_tokens(rng, CONTEXT_LEN, spec.model_config.vocab_size)
 
 
 def _sweep_row(cell: SweepCell, seed: int, run: GenerationRun, ar_tokens: list[int]) -> SweepRow:
@@ -677,13 +683,14 @@ def sweep(
     """Deterministic grid evaluation over cells x seeds.
 
     Each seed's autoregressive baseline is one task, even when no AR cell
-    is asked for: it anchors both the speedup normalization and the
-    exact-match quality proxy. The speculative cells of each (seed, tree
-    size) form a group that runs in lockstep on one set of decoders (see
-    ``run_generations``), so a draft tree or prefix that several cells
-    reach is computed once. Each group is cut, in cell-key order, into
-    ceil(``workers`` / groups) contiguous chunks, one task each, so even a
-    one-seed sweep gives every worker a task.
+    is asked for: every row's ``ar_match_rate`` is matched against its
+    tokens (speedups are priced from ``cost.ar_step_cost`` alone). The
+    speculative cells of each (seed, tree size) form a group that runs in
+    lockstep on one set of decoders (see ``run_generations``), so a draft
+    tree or prefix that several cells reach is computed once. Each group is
+    cut, in cell-key order, into ceil(``workers`` / groups) contiguous
+    chunks, one task each, so even a one-seed sweep gives every worker a
+    task.
 
     Tasks run in a process pool of min(``workers``, tasks) processes when
     that is above one, else in this process. The static ranking's

@@ -185,7 +185,6 @@ def reconstruction_analysis_per_budget(
     budgets,
     n_trees: int,
     tree_size: int,
-    context_len: int = 16,
     rng: Rng | None = None,
     static_counts: np.ndarray | None = None,
 ) -> dict[tuple[str, int], list[float]]:
@@ -197,7 +196,7 @@ def reconstruction_analysis_per_budget(
         (m, int(b)): [] for m in methods for b in budgets
     }
     providers = {key: shortlister(target, *key, static_counts) for key in out}
-    for layers in tree_captures(target, draft, n_trees, tree_size, context_len, rng):
+    for layers in tree_captures(target, draft, n_trees, tree_size, rng):
         golds = [
             moe_forward_full_batch(target.blocks[li].moe, tr.moe_input)[0]
             for li, tr in enumerate(layers)
@@ -218,9 +217,9 @@ def expand_tree_per_node(decoder: TreeDecoder, branching) -> DraftTree:
     """``draft_tree.expand_tree`` taking each frontier node's children with
     its own top-k call, in frontier order."""
     tokens = [int(np.argmax(decoder.context_logits))]
-    parents, depths, frontier = [-1], [0], [0]
+    parents, frontier = [-1], [0]
     frontier_logits = decoder.extend(tokens, [-1])
-    for depth, b in enumerate(branching):
+    for b in branching:
         new_tokens, new_parents = [], []
         for node, logits in zip(frontier, frontier_logits):
             for tok in top_k_indices(logits, b):
@@ -229,13 +228,9 @@ def expand_tree_per_node(decoder: TreeDecoder, branching) -> DraftTree:
         start = len(tokens)
         tokens += new_tokens
         parents += new_parents
-        depths += [depth + 1] * len(new_tokens)
         frontier = list(range(start, len(tokens)))
         frontier_logits = decoder.extend(new_tokens, new_parents)
-    return DraftTree(
-        tokens=np.array(tokens), parents=np.array(parents), depths=np.array(depths),
-        branching=tuple(branching),
-    )
+    return DraftTree(tokens=np.array(tokens), parents=np.array(parents))
 
 
 def speculative_run(

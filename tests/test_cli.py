@@ -71,6 +71,7 @@ def config_echo(csv_path) -> dict:
         ({"model": {"renormalize": 1}}, (), "model.renormalize: expected a boolean"),
         ({"uses_raw_g": True}, (), "uses_raw_g: unknown configuration field"),
         ({"draft": {"layers_kept": 2}}, (), "draft.layers_kept: unknown configuration field"),
+        ({"context_len": 16}, (), "context_len: unknown configuration field"),
     ],
     ids=["string_int", "scalar_list", "array_model", "top_level_array", "list_item",
          "nested_string_int", "unknown_nested_key", "bool_number", "negative_seed_flag",
@@ -78,7 +79,8 @@ def config_echo(csv_path) -> dict:
          "infinite_noise_std", "nan_bytes_shared", "old_tree_size_field", "old_prompts_field",
          "empty_seeds", "zero_prompts_flag", "repeated_tree_size", "repeated_budget",
          "repeated_method", "repeated_policy", "non_binary_tree_size", "unknown_preset",
-         "optional_nested_int", "int_bool", "old_uses_raw_g_field", "old_layers_kept_field"],
+         "optional_nested_int", "int_bool", "old_uses_raw_g_field", "old_layers_kept_field",
+         "old_context_len_field"],
 )
 def test_bad_config_exits_2_naming_the_field(tmp_path, capsys, monkeypatch, config, flags, field):
     def no_model(*args, **kwargs):
@@ -92,6 +94,34 @@ def test_bad_config_exits_2_naming_the_field(tmp_path, capsys, monkeypatch, conf
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "ablate", "reconstruct"])
+def test_budget_above_n_experts_refused_before_any_model_is_built(
+    tmp_path, capsys, monkeypatch, command
+):
+    # Run clamped to the model's 8 experts, B=16 would repeat B=8's numbers
+    # under its own label.
+    def no_model(*args, **kwargs):
+        raise AssertionError("a model was built before the budgets were checked")
+
+    monkeypatch.setattr(cli, "build_model_pair", no_model)
+    code, out_dir = run(tmp_path, command, TINY, "--budget", "4,16,32")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: budgets: 16 exceeds model.n_experts 8")
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["coverage", "coactivation", "calibrate-static"])
+def test_commands_that_run_no_budget_ignore_its_size(tmp_path, command):
+    # The default budget ladder reaches 56, past mixtral-toy's 8 experts,
+    # and none of these commands runs a budget.
+    config = {key: value for key, value in TINY.items() if key != "budgets"}
+    code, out_dir = run(tmp_path, command, {**config, "trees": 1})
+    assert code == 0
+    assert any(out_dir.iterdir())
+
+
 @pytest.mark.parametrize(
     "model", [{"n_experts": 4, "top_k": 1}, {"n_experts": 1, "top_k": 1}], ids=["k1", "n1_k1"]
 )
@@ -102,6 +132,28 @@ def test_coactivation_rejects_top_k_below_two(tmp_path, capsys, model):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: model.top_k: coactivation needs top_k >= 2")
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["coverage", "coactivation"])
+@pytest.mark.parametrize(
+    "trace, message",
+    [
+        ('{"layer": 0, "probs": [0, 0, 0, 0, 0, 0, 0, 0]}\n', "line 1: probabilities sum to 0"),
+        (None, "No such file or directory"),
+    ],
+    ids=["all_zero_dense", "missing"],
+)
+def test_bad_trace_exits_2_naming_the_trace(tmp_path, capsys, command, trace, message):
+    path = tmp_path / "trace.jsonl"
+    if trace is not None:
+        path.write_text(trace)
+    code, out_dir = run(tmp_path, command, TINY, "--trace", str(path))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: trace: ")
+    assert message in err
     assert "Traceback" not in err
     assert not out_dir.exists()
 

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from moebudget.draft_tree import (
     DraftTree,
@@ -29,16 +32,46 @@ class TestBinaryBranching:
                 binary_branching(bad)
 
 
+@st.composite
+def topological_parents(draw) -> list[int]:
+    """Parents of a random tree in topological order: node i > 0 hangs
+    under any earlier node."""
+    m = draw(st.integers(1, 40))
+    return [-1] + [draw(st.integers(0, i - 1)) for i in range(1, m)]
+
+
 class TestDraftTreeType:
+    def test_only_tokens_and_parents_are_inputs(self):
+        fields = dataclasses.fields(DraftTree)
+        assert [f.name for f in fields if f.init] == ["tokens", "parents"]
+        with pytest.raises(TypeError):
+            DraftTree(tokens=[1, 2], parents=[-1, 0], depths=[0, 1])
+
     def test_invariants_checked(self):
-        with pytest.raises(ValueError):  # two roots
-            DraftTree(tokens=[1, 2], parents=[-1, -1], depths=[0, 0], branching=())
-        with pytest.raises(ValueError):  # parent after child
-            DraftTree(tokens=[1, 2], parents=[1, -1], depths=[1, 0], branching=())
-        with pytest.raises(ValueError):  # bad depth
-            DraftTree(tokens=[1, 2], parents=[-1, 0], depths=[0, 2], branching=())
-        with pytest.raises(ValueError):  # empty
-            DraftTree(tokens=[], parents=[], depths=[], branching=())
+        with pytest.raises(ValueError, match="exactly one root"):  # two roots
+            DraftTree(tokens=[1, 2], parents=[-1, -1])
+        with pytest.raises(ValueError, match="exactly one root"):  # root not first
+            DraftTree(tokens=[1, 2], parents=[1, -1])
+        with pytest.raises(ValueError, match="topological"):  # parent after child
+            DraftTree(tokens=[1, 2, 3], parents=[-1, 2, 0])
+        with pytest.raises(ValueError, match="topological"):  # would index from the end
+            DraftTree(tokens=[1, 2, 3], parents=[-1, 0, -2])
+        with pytest.raises(ValueError, match="one length"):
+            DraftTree(tokens=[1, 2], parents=[-1])
+        with pytest.raises(ValueError, match="one length"):
+            DraftTree(tokens=[[1, 2]], parents=[[-1, 0]])
+        with pytest.raises(ValueError, match="at least the root"):
+            DraftTree(tokens=[], parents=[])
+
+    @settings(max_examples=60, deadline=None)
+    @given(parents=topological_parents())
+    def test_depths_follow_parents(self, parents):
+        tree = DraftTree(tokens=list(range(len(parents))), parents=parents)
+        assert tree.depths.dtype == np.int64
+        assert tree.depths[0] == 0
+        for i in range(1, tree.size):
+            assert tree.depths[i] == tree.depths[parents[i]] + 1
+        assert tree.depth == max(len(tree.path_to(i)) - 1 for i in range(tree.size))
 
     @pytest.mark.parametrize(
         "fields, named",
@@ -46,23 +79,18 @@ class TestDraftTreeType:
             # 1.7 and 0.9 used to be truncated to token 1 and parent 0.
             ({"tokens": [1.7, 2.2], "parents": [-1, 0.9]}, "tokens"),
             ({"parents": [-1.0, 0.0]}, "parents"),
-            ({"depths": [0.0, 1.0]}, "depths"),
             ({"tokens": [True, False]}, "tokens"),
             ({"parents": [True, False]}, "parents"),
-            ({"depths": [False, True]}, "depths"),
         ],
-        ids=["fractional", "float_parents", "float_depths", "bool_tokens", "bool_parents",
-             "bool_depths"],
+        ids=["fractional", "float_parents", "bool_tokens", "bool_parents"],
     )
     def test_non_integer_field_named(self, fields, named):
-        valid = {"tokens": [1, 2], "parents": [-1, 0], "depths": [0, 1]}
+        valid = {"tokens": [1, 2], "parents": [-1, 0]}
         with pytest.raises(ValueError, match=f"{named} must be integers, got dtype"):
-            DraftTree(**{**valid, **fields}, branching=(1,))
+            DraftTree(**{**valid, **fields})
 
     def test_path_to(self):
-        tree = DraftTree(
-            tokens=[1, 2, 3, 4], parents=[-1, 0, 0, 2], depths=[0, 1, 1, 2], branching=(2, 1)
-        )
+        tree = DraftTree(tokens=[1, 2, 3, 4], parents=[-1, 0, 0, 2])
         assert tree.path_to(3) == [0, 2, 3]
         assert tree.path_to(0) == [0]
         assert tree.depth == 2
@@ -128,9 +156,9 @@ class TestBuildTree:
             ctx = prompt_tokens(draft, 20 + seed)
             got = expand_tree(TreeDecoder(draft, ctx), branching)
             want = expand_tree_per_node(TreeDecoder(draft, ctx), branching)
-            for name in ("tokens", "parents", "depths"):
+            for name in ("tokens", "parents"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
-            assert got.branching == want.branching
+            assert got.depth == len(branching)
 
     @pytest.mark.parametrize(
         "branching",
@@ -219,9 +247,7 @@ class TestExpertUnion:
 
 class TestTreeMask:
     def test_rows_attend_context_ancestors_self(self):
-        tree = DraftTree(
-            tokens=[1, 2, 3], parents=[-1, 0, 1], depths=[0, 1, 2], branching=(1, 1)
-        )
+        tree = DraftTree(tokens=[1, 2, 3], parents=[-1, 0, 1])
         mask = tree_mask(2, tree)
         assert mask[2].tolist() == [True, True, True, False, False]
         assert mask[4].tolist() == [True, True, True, True, True]

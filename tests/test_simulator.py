@@ -84,10 +84,28 @@ class TestVerifyGreedy:
         ctx = prompt_tokens(small_target, 31, 8)
         truth = ar_rollout(small_target, ctx, 1)[0]
         wrong = (truth + 1) % small_target.config.vocab_size
-        tree = DraftTree(tokens=[wrong], parents=[-1], depths=[0], branching=())
+        tree = DraftTree(tokens=[wrong], parents=[-1])
         report = verify_greedy(TreeDecoder(small_target, ctx), tree)
         assert report.tau == 1
         assert report.emitted == [truth]
+
+    @pytest.mark.parametrize(
+        "parents, levels",
+        [
+            ([-1, 0, 1, 2, 3], 5),
+            ([-1, 0, 0, 0, 1, 1, 2, 2, 3, 3, 4, 5, 6, 7, 8, 9], 4),
+            ([-1, 0, 0, 1, 3, 3], 4),
+        ],
+        ids=["chain", "3-2-1", "lopsided"],
+    )
+    def test_draft_charge_counts_the_tree_levels(self, small_target, parents, levels):
+        # One draft pass per level, root included, on shapes no branching
+        # tuple describes as well as on ones it does.
+        tree = DraftTree(tokens=list(range(len(parents))), parents=parents)
+        cost = CostModelParams()
+        report = verify_greedy(TreeDecoder(small_target, prompt_tokens(small_target, 32, 8)), tree)
+        assert report.tree_depth == tree.depth + 1 == levels
+        assert report.draft_cost == cost.draft_cost(levels)
 
     def test_accepted_path_matches_ar_replay_oracle(self, target, draft):
         # The accepted chain must equal the longest root path matching the
@@ -620,7 +638,6 @@ class TestSweep:
         [
             ({"seeds": (1, -1)}, "seeds must all be >= 0"),
             ({"seeds": (1, 1)}, "seeds must not repeat"),
-            ({"context_len": 0}, "context_len must be >= 1"),
             ({"gen_len": 0}, "gen_len must be >= 1"),
             (
                 {"cells": (SweepCell("ar"), SweepCell("ar", tree_size=15))},
@@ -630,9 +647,14 @@ class TestSweep:
                 {"cells": (SweepCell("spec_full", 3), SweepCell("spec_full", 3))},
                 r"cells: SweepCell\(mode='spec_full', tree_size=3, .*\) repeats",
             ),
+            (
+                {"cells": (SweepCell("spec_budgeted", 3, "router", "truncation", 65),)},
+                r"cells: SweepCell\(mode='spec_budgeted', .*budget=65\) budget 65 exceeds "
+                r"model_config.n_experts 64",
+            ),
         ],
-        ids=["negative_seed", "repeated_seed", "zero_context_len", "zero_gen_len",
-             "two_ar_cells", "repeated_cell"],
+        ids=["negative_seed", "repeated_seed", "zero_gen_len", "two_ar_cells", "repeated_cell",
+             "budget_above_n_experts"],
     )
     def test_bad_spec_rejected_before_any_model_is_built(self, monkeypatch, overrides, field):
         from moebudget import simulator

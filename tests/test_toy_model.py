@@ -375,7 +375,7 @@ class TestTreeDecoder:
                 return _method(self, *args, **kwargs)
 
             monkeypatch.setattr(TreeDecoder, name, counted)
-        tree = DraftTree(tokens=[2, 6, 8], parents=[-1, 0, 1], depths=[0, 1, 2], branching=(1, 1))
+        tree = DraftTree(tokens=[2, 6, 8], parents=[-1, 0, 1])
         dec = TreeDecoder(small_target, [3, 5, 7])
         assert calls == ["run_rows"]  # the prefill makes no append_tokens call
         for step, want in [
@@ -421,7 +421,7 @@ class TestTreeDecoder:
         for d in (dec, twin, ref):
             d.append_tokens([6])
         spare.append_tokens([9, 9, 9])  # would overwrite row 5 of a shared store
-        tree = DraftTree(tokens=[2, 6, 8], parents=[-1, 0, 0], depths=[0, 1, 1], branching=(2,))
+        tree = DraftTree(tokens=[2, 6, 8], parents=[-1, 0, 0])
         for step in ([2], [11, 12]):
             want = ref.extend_tree(tree)
             assert all(np.array_equal(d.extend_tree(tree), want) for d in (dec, twin))
@@ -451,10 +451,7 @@ class TestTreeDecoder:
             assert np.array_equal(grows.extend(tokens, parents), fixed.extend(tokens, parents))
         assert grows._kv.shape[2] == 16  # 4 -> 8 -> 16 rows
         parents = [-1, 0, 0, 1, 1, 2, 2] + [3, 3, 4, 4, 5, 5, 6, 6]
-        depths = [0, 1, 1, 2, 2, 2, 2] + [3] * 8
-        tree = DraftTree(
-            tokens=list(range(15)), parents=parents, depths=depths, branching=(2, 2, 2)
-        )
+        tree = DraftTree(tokens=list(range(15)), parents=parents)
         for d in (grows, fixed):
             d.rollback()
         assert np.array_equal(grows.extend_tree(tree), fixed.extend_tree(tree))
@@ -503,7 +500,7 @@ class TestTreeDecoder:
                 raise RuntimeError("hook failure")
             return moe_forward_full_batch(layer, states)[0]
 
-        tree = DraftTree(tokens=[5, 9], parents=[-1, 0], depths=[0, 1], branching=(1,))
+        tree = DraftTree(tokens=[5, 9], parents=[-1, 0])
         dec = TreeDecoder(small_target, [1, 2, 3])
         # Layers 0 and 1 write their K/V rows before the hook raises; those
         # rows must stay free space.
@@ -589,19 +586,18 @@ def masked_reference(model, prefix, rows) -> np.ndarray:
 
 def random_tree(data, vocab: int) -> DraftTree:
     branching = data.draw(st.lists(st.integers(1, 3), max_size=3), label="branching")
-    parents, depths, frontier = [-1], [0], [0]
-    for depth, b in enumerate(branching):
+    parents, frontier = [-1], [0]
+    for b in branching:
         level = []
         for node in frontier:
             for _ in range(b):
                 parents.append(node)
-                depths.append(depth + 1)
                 level.append(len(parents) - 1)
         frontier = level
     tokens = data.draw(
         st.lists(st.integers(0, vocab - 1), min_size=len(parents), max_size=len(parents))
     )
-    return DraftTree(tokens=tokens, parents=parents, depths=depths, branching=tuple(branching))
+    return DraftTree(tokens=tokens, parents=parents)
 
 
 class TestTreeDecoderProperties:
