@@ -75,34 +75,31 @@ def tree_captures(target: MoEModel, draft: MoEModel, n_trees: int, tree_size: in
 
 def reconstruction_analysis(
     target: MoEModel,
-    draft: MoEModel,
+    captures,
     methods,
     budgets,
-    n_trees: int = 20,
-    tree_size: int = 63,
-    rng: Rng | None = None,
     static_counts: np.ndarray | None = None,
 ) -> dict[tuple[str, int], list[float]]:
-    """Layer-averaged teacher-forced reconstruction error per seeded tree.
+    """Layer-averaged teacher-forced reconstruction error per captured tree.
 
-    Returns {(method, budget): [error per tree]}; callers take means or
-    spreads as needed.
+    ``captures`` holds one list of full-capacity LayerBudget records of
+    ``target`` per tree, as ``tree_captures`` yields them. Returns
+    {(method, budget): [error per tree]}; callers take means or spreads as
+    needed.
 
     Each (tree, layer) reads its unbudgeted outputs from the capture and
     computes one weighted dense pass, and each method ranks once, at the
     largest budget; budget B scores the first B ids of that ranking. That
     prefix is the ranking at B: static and router ranking take a stable
     sort's leading entries, and the oracle's greedy loop makes the same
-    picks in the same order whatever its budget. A budget above
-    ``n_experts`` reads the whole clamped ranking.
+    picks in the same order whatever its budget.
     """
-    rng = rng if rng is not None else Rng(0)
     out: dict[tuple[str, int], list[float]] = {
         (m, int(b)): [] for m in methods for b in budgets
     }
     top = max(int(b) for b in budgets)
     providers = {m: shortlister(target, m, top, static_counts) for m in methods}
-    for layers in tree_captures(target, draft, n_trees, tree_size, rng):
+    for layers in captures:
         errs: dict[tuple[str, int], list[float]] = {key: [] for key in out}
         for li, tr in enumerate(layers):
             moe = target.blocks[li].moe
@@ -294,7 +291,8 @@ def read_trace(path, n_experts: int, k: int) -> dict[int, dict[str, np.ndarray]]
     (index, probability) pairs, at least k of them, with distinct integer
     indices in 0..n_experts-1; unlisted experts count as probability 0.
     Probabilities are numbers (not booleans) in [0, 1], not all 0. A
-    malformed record raises ValueError naming its line.
+    malformed record raises ValueError naming its line, and so does a file
+    with no record (empty or all blank lines), naming the file.
     Returns {layer: {"probs": (T, n_experts), "selected": (T, k)}}; every
     record's selection is the top-k of the experts it lists, by probability
     with ties to the lower id.
@@ -312,6 +310,8 @@ def read_trace(path, n_experts: int, k: int) -> dict[int, dict[str, np.ndarray]]
                 raise ValueError(f"line {line_no}: {exc}") from exc
             probs_rows.setdefault(layer, []).append(vec)
             sel_rows.setdefault(layer, []).append(selected)
+    if not probs_rows:
+        raise ValueError(f"{path} holds no records")
     return {
         layer: {"probs": np.stack(probs_rows[layer]), "selected": np.stack(sel_rows[layer])}
         for layer in sorted(probs_rows)

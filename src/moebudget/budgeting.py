@@ -2,12 +2,12 @@
 ranking.
 
 A shortlist is a plain int64 array of distinct expert ids in ranking order,
-at least one and at most ``n_experts`` of them. Static ranking orders
-experts once from calibration selection counts and never looks at the tree.
-Router ranking sums each tree's routing probabilities. Oracle ranking
-greedily minimizes squared reconstruction error against the unbudgeted
-layer output; it needs every expert's output and is a quality ceiling, not
-a production method.
+at least one and at most ``n_experts`` of them; a budget outside that range
+is refused. Static ranking orders experts once from calibration selection
+counts and never looks at the tree. Router ranking sums each tree's routing
+probabilities. Oracle ranking greedily minimizes squared reconstruction
+error against the unbudgeted layer output; it needs every expert's output
+and is a quality ceiling, not a production method.
 
 ``shortlister`` is the one place a method name becomes a ranking: budgeted
 verification and the offline reconstruction analysis both ask it for the
@@ -17,8 +17,6 @@ from its own dense pass; the reconstruction analysis reads it from the
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
@@ -60,15 +58,11 @@ def calibrate_static(model: MoEModel, sequences) -> np.ndarray:
     return counts
 
 
-def _clamp_budget(budget: int, n_experts: int) -> int:
+def _checked_budget(budget: int, n_experts: int) -> int:
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if budget > n_experts:
-        warnings.warn(
-            f"budget {budget} exceeds expert count {n_experts}; clamping to {n_experts}",
-            stacklevel=3,
-        )
-        return n_experts
+        raise ValueError(f"budget {budget} exceeds expert count {n_experts}")
     return budget
 
 
@@ -76,7 +70,7 @@ def rank_static(counts: np.ndarray, budget: int) -> np.ndarray:
     """Top-B experts by one layer's (n_experts,) calibration selection
     counts, descending, ties to the lower index; no runtime dependence on
     the current tree."""
-    return top_k_indices(counts, _clamp_budget(budget, len(counts)))
+    return top_k_indices(counts, _checked_budget(budget, len(counts)))
 
 
 def rank_router(tree_probs: np.ndarray, budget: int) -> np.ndarray:
@@ -87,7 +81,7 @@ def rank_router(tree_probs: np.ndarray, budget: int) -> np.ndarray:
     node at this layer.
     """
     scores = np.asarray(tree_probs, dtype=np.float64).sum(axis=0)
-    return top_k_indices(scores, _clamp_budget(budget, scores.size))
+    return top_k_indices(scores, _checked_budget(budget, scores.size))
 
 
 def rank_oracle(
@@ -110,7 +104,7 @@ def rank_oracle(
     """
     states = np.asarray(states, dtype=np.float64)
     n = layer_weights.n_experts
-    b = _clamp_budget(budget, n)
+    b = _checked_budget(budget, n)
 
     # Grouped (N, M, d) layout so the Gram matrix below is a single
     # contiguous GEMM.

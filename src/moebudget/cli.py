@@ -3,19 +3,24 @@ analysis modules and emits every artifact deterministically.
 
 Each run coordinate is one ``ExperimentConfig`` field, and its annotation
 is its JSON type: ``tree_sizes`` holds the tree sizes, ``seeds`` the
-evaluation seeds (``--prompts N`` spells seeds 0..N-1). Precedence is CLI
-flag > config file > command default (``ablate``, ``coverage``,
-``coactivation`` and ``reconstruct`` run one tree size, 63 unless set) >
-built-in default. Each flag's destination is the name of the config field
-it sets, and each subcommand carries its ``cmd_*`` function (``simulate``
-and ``ablate`` share ``cmd_sweep``, which names its files after the
-command). Every output file starts with a header block carrying the tool
-version, the full config echo, and the master seed, so results are
-self-describing; reruns of the same config produce byte-identical files
-at any worker count. ``cmd_sweep`` writes each ``SweepRow`` as one CSV
-row: its columns are the cell coordinates ``CELL_COORDS``, then the
-row's scalar fields in their declared order. Its summary JSON and Pareto
-table both aggregate cells through ``analysis.cell_summaries``.
+evaluation seeds (``--prompts N`` spells seeds 0..N-1). ``READS`` names
+the fields each command reads. A command takes a flag only for a field it
+reads, besides ``--config``, ``--seed`` (which sets ``model.seed``) and, on
+the two routing analyses, ``--trace``. Precedence is CLI flag > config file
+> command default (``ablate``, ``coverage``, ``coactivation`` and
+``reconstruct`` run one tree size, 63 unless set) > built-in default. The
+whole merged config is checked; then every field the command does not read
+goes back to its built-in default. Each flag's destination is the name of
+the config field it sets, and each subcommand carries its ``cmd_*``
+function (``simulate`` and ``ablate`` share ``cmd_sweep``, which names its
+files after the command). Every output file starts with a header block
+carrying the tool version, the echo of exactly the fields the command
+reads, and the master seed, so results are self-describing; reruns of the
+same config produce byte-identical files at any worker count.
+``cmd_sweep`` writes each ``SweepRow`` as one CSV row: its columns are the
+cell coordinates ``CELL_COORDS``, then the row's scalar fields in their
+declared order. Its summary JSON and Pareto table both aggregate cells
+through ``analysis.cell_summaries``.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from .analysis import (
     tree_captures,
 )
 from .budgeting import METHODS, static_ranking_report
-from .coverage import CoveragePolicy
+from .coverage import CoveragePolicy, LayerBudget
 from .draft_tree import binary_branching
 from .numerics import Rng
 from .simulator import (
@@ -59,14 +64,11 @@ from .simulator import (
     default_calibration,
     sweep,
 )
-from .toy_model import DraftSpec, ModelConfig, PRESETS, preset_config
+from .toy_model import DraftSpec, ModelConfig, MoEModel, PRESETS, preset_config
 
 DEFAULT_TREE_SIZES = (3, 7, 15, 31, 63, 127, 255)
 ONE_TREE_SIZE = 63  # the default of the commands that run one tree size
 ANALYSIS_STREAM = 103
-# The fields a command reads, where it reads fewer than all: it runs with the
-# others at their defaults and echoes only these.
-_READS = {"calibrate-static": ("preset", "model", "draft", "out_dir")}
 
 
 class ConfigError(Exception):
@@ -133,8 +135,20 @@ class ExperimentConfig:
         if self.workers < 1:
             raise ConfigError("workers: must be >= 1")
 
-    def to_json(self) -> dict:
-        return dataclasses.asdict(self)
+
+# The config fields each command reads: the flags it takes, the fields it
+# echoes, and whether its budgets are checked all follow from this table.
+_MODEL_READS = ("preset", "model", "draft", "out_dir")
+_ANALYSIS_READS = _MODEL_READS + ("tree_sizes", "trees")
+_SWEEP_READS = tuple(f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "trees")
+READS = {
+    "simulate": _SWEEP_READS,
+    "ablate": _SWEEP_READS,
+    "coverage": _ANALYSIS_READS,
+    "coactivation": _ANALYSIS_READS,
+    "reconstruct": _ANALYSIS_READS + ("budgets", "methods"),
+    "calibrate-static": _MODEL_READS,
+}
 
 
 _KINDS = {int: "an integer", float: "a number", bool: "a boolean", str: "a string",
@@ -180,13 +194,13 @@ def _fields(cls: type, data: dict, prefix: str = "") -> dict:
 
 
 def load_config(
-    path: str | None, overrides: dict, defaults: dict | None = None, reads: tuple | None = None
+    path: str | None, overrides: dict, defaults: dict, reads: tuple[str, ...]
 ) -> ExperimentConfig:
     """Merge the built-in defaults, a command's ``defaults``, an optional
     JSON config file, and CLI overrides, later ones winning. An override of
     a model/draft/cost key (--seed sets model.seed) merges into the file's
-    block instead of replacing it. Fields outside ``reads``, when given,
-    are checked and then left at their built-in defaults."""
+    block instead of replacing it. The whole merge is checked; then the
+    fields outside ``reads`` go back to their built-in defaults."""
     data: dict = {}
     if path is not None:
         try:
@@ -198,11 +212,8 @@ def load_config(
             raise ConfigError("config: top level must be a JSON object")
     file = _fields(ExperimentConfig, data)
     flags = _fields(ExperimentConfig, {k: v for k, v in overrides.items() if v is not None})
-    merged = {**(defaults or {}), **file, **flags}
+    merged = {**defaults, **file, **flags}
     blocks = {n: {**file.get(n, {}), **flags.get(n, {})} for n in ("model", "draft", "cost")}
-    if reads is not None:
-        merged = {k: v for k, v in merged.items() if k in reads}
-        blocks = {n: block if n in reads else {} for n, block in blocks.items()}
 
     preset = merged.get("preset")
     if preset is not None and preset not in PRESETS:
@@ -213,7 +224,7 @@ def load_config(
     merged["cost"] = CostModelParams(**blocks["cost"])
     cfg = ExperimentConfig(**merged)
     cfg.validate()
-    return cfg
+    return ExperimentConfig(**{name: getattr(cfg, name) for name in reads})
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +244,8 @@ def _fmt(value) -> str:
 
 def _config_echo(command: str, config: ExperimentConfig) -> dict:
     """The config fields ``command`` reads, as JSON."""
-    data = config.to_json()
-    return {key: data[key] for key in _READS.get(command, data)}
+    data = dataclasses.asdict(config)
+    return {key: data[key] for key in READS[command]}
 
 
 def _header_lines(command: str, config: ExperimentConfig) -> list[str]:
@@ -350,18 +361,13 @@ def cmd_sweep(config: ExperimentConfig, command: str) -> int:
     return 0
 
 
-def _collect_tree_records(config: ExperimentConfig) -> dict[int, dict]:
-    """Routing records of `trees` seeded draft trees under the full target."""
+def _captures(config: ExperimentConfig) -> tuple[MoEModel, list[list[LayerBudget]]]:
+    """The config's target model, and the full-capacity per-layer records
+    of its ``trees`` seeded draft trees of size ``tree_sizes[0]``: the one
+    tree population of ``coverage``, ``coactivation`` and ``reconstruct``."""
     target, draft = build_model_pair(config.model, config.draft)
     rng = Rng(config.model.seed).substream(ANALYSIS_STREAM)
-    trees = list(tree_captures(target, draft, config.trees, config.tree_sizes[0], rng))
-    return {
-        li: {
-            "probs_per_tree": [layers[li].probs for layers in trees],
-            "selected": np.concatenate([layers[li].selected for layers in trees]),
-        }
-        for li in range(target.n_layers)
-    }
+    return target, list(tree_captures(target, draft, config.trees, config.tree_sizes[0], rng))
 
 
 def _load_records(config: ExperimentConfig, trace: str | None):
@@ -374,7 +380,14 @@ def _load_records(config: ExperimentConfig, trace: str | None):
             li: {"probs_per_tree": [rec["probs"]], "selected": rec["selected"]}
             for li, rec in parsed.items()
         }
-    return _collect_tree_records(config)
+    _, trees = _captures(config)
+    return {
+        li: {
+            "probs_per_tree": [layers[li].probs for layers in trees],
+            "selected": np.concatenate([layers[li].selected for layers in trees]),
+        }
+        for li in range(config.model.n_layers)
+    }
 
 
 def cmd_coverage(config: ExperimentConfig, trace: str | None = None) -> int:
@@ -437,21 +450,14 @@ def cmd_coactivation(config: ExperimentConfig, trace: str | None = None) -> int:
 def cmd_reconstruct(config: ExperimentConfig) -> int:
     """Teacher-forced reconstruction error per ranking method and budget,
     averaged over layers and seeded trees."""
-    target, draft = build_model_pair(config.model, config.draft)
+    target, captures = _captures(config)
     static_counts = None
     if "static" in config.methods:
         static_counts = default_calibration(
             target, Rng(config.model.seed).substream(CALIB_STREAM)
         )
     errors = reconstruction_analysis(
-        target,
-        draft,
-        methods=config.methods,
-        budgets=config.budgets,
-        n_trees=config.trees,
-        tree_size=config.tree_sizes[0],
-        rng=Rng(config.model.seed).substream(ANALYSIS_STREAM),
-        static_counts=static_counts,
+        target, captures, config.methods, config.budgets, static_counts
     )
     rows = []
     for method in config.methods:
@@ -508,6 +514,24 @@ def _seed_range(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
 
 
+# Each config field that has a flag: the flag and its argparse settings.
+# The flag's destination is the field.
+_FLAGS = {
+    "workers": ("--workers", dict(type=int, help="parallel sweep workers")),
+    "out_dir": ("--out-dir", dict(help="output directory")),
+    "preset": ("--preset", dict(choices=sorted(PRESETS), help="model shape preset")),
+    "budgets": ("--budget", dict(type=_int_list, help="comma-separated expert budgets")),
+    "methods": ("--method", dict(type=_str_list, help="ranking methods (static,router,oracle)")),
+    "policies": (
+        "--policy", dict(type=_str_list, help="coverage policies (truncation,substitution)")
+    ),
+    "tree_sizes": ("--tree-size", dict(type=_int_list, help="draft tree sizes (2^j - 1)")),
+    "gen_len": ("--gen-len", dict(type=int, help="tokens to generate per run")),
+    "seeds": ("--prompts", dict(type=_seed_range, help="N evaluation prompts: seeds 0..N-1")),
+    "trees": ("--trees", dict(type=int, help="trees per analysis")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="moebudget",
@@ -516,52 +540,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"moebudget {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(
-        name: str, run, help: str, trace: bool = False, one_size: bool = False,
-        budgeted: bool = False,
-    ):
+    def add_command(name: str, run, help: str, trace: bool = False, one_size: bool = False):
         # ``one_size`` commands run at tree_sizes[0], so a list of sizes is an
-        # error. ``budgeted`` commands run every budget, so one above the
-        # model's expert count is an error: it would run clamped to n_experts
-        # under its own label.
+        # error.
         p = sub.add_parser(name, help=help)
-        p.set_defaults(run=run, one_size=one_size, budgeted=budgeted)
+        p.set_defaults(run=run, one_size=one_size)
         p.add_argument("--config", help="JSON experiment config file")
         p.add_argument("--seed", type=int, help="master seed (model weights and streams)")
-        p.add_argument("--workers", type=int, help="parallel sweep workers")
-        p.add_argument("--out-dir", help="output directory")
-        p.add_argument("--preset", choices=sorted(PRESETS), help="model shape preset")
-        p.add_argument(
-            "--budget", dest="budgets", type=_int_list, help="comma-separated expert budgets"
-        )
-        p.add_argument(
-            "--method", dest="methods", type=_str_list, help="ranking methods (static,router,oracle)"
-        )
-        p.add_argument(
-            "--policy", dest="policies", type=_str_list,
-            help="coverage policies (truncation,substitution)",
-        )
-        p.add_argument(
-            "--tree-size", dest="tree_sizes", type=_int_list, help="draft tree sizes (2^j - 1)"
-        )
-        p.add_argument("--gen-len", type=int, help="tokens to generate per run")
-        p.add_argument(
-            "--prompts", dest="seeds", type=_seed_range, help="N evaluation prompts: seeds 0..N-1"
-        )
-        p.add_argument("--trees", type=int, help="trees per analysis")
+        for field_name, (flag, settings) in _FLAGS.items():
+            if field_name in READS[name]:
+                p.add_argument(flag, dest=field_name, **settings)
         if trace:
             p.add_argument("--trace", help="external routing trace (JSON lines)")
 
-    add_command("simulate", cmd_sweep, "tree-size sweep with budgeted verification",
-                budgeted=True)
-    add_command("ablate", cmd_sweep, "method x policy x budget grid", one_size=True,
-                budgeted=True)
+    add_command("simulate", cmd_sweep, "tree-size sweep with budgeted verification")
+    add_command("ablate", cmd_sweep, "method x policy x budget grid", one_size=True)
     add_command("coverage", cmd_coverage, "routing-probability coverage curves",
                 trace=True, one_size=True)
     add_command("coactivation", cmd_coactivation, "expert co-activation analysis",
                 trace=True, one_size=True)
     add_command("reconstruct", cmd_reconstruct, "teacher-forced reconstruction error",
-                one_size=True, budgeted=True)
+                one_size=True)
     add_command("calibrate-static", cmd_calibrate_static, "static ranking calibration")
     return parser
 
@@ -576,13 +575,15 @@ def main(argv=None) -> int:
         overrides["model"] = {"seed": args.seed}
     defaults = {"tree_sizes": (ONE_TREE_SIZE,)} if args.one_size else {}
     try:
-        config = load_config(args.config, overrides, defaults, _READS.get(args.command))
+        config = load_config(args.config, overrides, defaults, READS[args.command])
         if args.one_size and len(config.tree_sizes) > 1:
             sizes = ",".join(map(str, config.tree_sizes))
             raise ConfigError(f"tree_sizes: {args.command} runs one tree size, got {sizes}")
+        # A budget above the expert count is refused wherever budgets run, as
+        # the rankers refuse it.
         n_experts = config.model.n_experts
         over = [b for b in config.budgets if b > n_experts]
-        if args.budgeted and over:
+        if "budgets" in READS[args.command] and over:
             raise ConfigError(f"budgets: {over[0]} exceeds model.n_experts {n_experts}")
         if "trace" in args:
             return args.run(config, args.trace)

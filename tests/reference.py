@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from moebudget.analysis import tree_captures
 from moebudget.budgeting import shortlister
 from moebudget.coverage import LayerBudget
 from moebudget.draft_tree import DraftTree, binary_branching, expand_tree
@@ -24,7 +23,7 @@ from moebudget.moe_core import (
     moe_forward_full_batch,
     silu,
 )
-from moebudget.numerics import Rng, masked_softmax, top_k_indices
+from moebudget.numerics import masked_softmax, top_k_indices
 from moebudget.simulator import CostModelParams, GenerationRun, summarize, verify_greedy
 from moebudget.toy_model import (
     AttentionWeights,
@@ -180,23 +179,19 @@ def rank_oracle_reference(
 
 def reconstruction_analysis_per_budget(
     target: MoEModel,
-    draft: MoEModel,
+    captures,
     methods,
     budgets,
-    n_trees: int,
-    tree_size: int,
-    rng: Rng | None = None,
     static_counts: np.ndarray | None = None,
 ) -> dict[tuple[str, int], list[float]]:
     """``analysis.reconstruction_analysis`` with a shortlister per (method,
     budget): every budget ranks on its own and runs its own dense pass over
     every expert, scoring the raw weighted sum of its shortlist."""
-    rng = rng if rng is not None else Rng(0)
     out: dict[tuple[str, int], list[float]] = {
         (m, int(b)): [] for m in methods for b in budgets
     }
     providers = {key: shortlister(target, *key, static_counts) for key in out}
-    for layers in tree_captures(target, draft, n_trees, tree_size, rng):
+    for layers in captures:
         golds = [
             moe_forward_full_batch(target.blocks[li].moe, tr.moe_input)[0]
             for li, tr in enumerate(layers)

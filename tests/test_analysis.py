@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +16,7 @@ from moebudget.analysis import (
     read_trace,
     reconstruction_analysis,
     reconstruction_error,
+    tree_captures,
 )
 from moebudget.budgeting import calibrate_static
 from moebudget.draft_tree import build_tree, tree_routing
@@ -28,7 +28,7 @@ from moebudget.moe_core import (
 )
 from moebudget.numerics import Rng
 from moebudget.simulator import SweepCell, SweepSpec, sweep
-from moebudget.toy_model import DraftSpec, ModelConfig, TreeDecoder, random_tokens
+from moebudget.toy_model import DraftSpec, ModelConfig, random_tokens
 
 from conftest import prompt_tokens
 from reference import (
@@ -59,25 +59,20 @@ class TestReconstructionError:
 
     @pytest.mark.parametrize("preset", ["olmoe-toy", "qwen3-toy"])
     def test_one_pass_equals_per_budget_reference(self, request, preset):
-        # Unsorted, with a repeat, and one budget above the expert count,
-        # which every method clamps to the whole ranking.
         target, draft = (
             (request.getfixturevalue("target"), request.getfixturevalue("draft"))
             if preset == "olmoe-toy"
             else (request.getfixturevalue("wide_target"), request.getfixturevalue("wide_draft"))
         )
-        n = target.config.n_experts
-        kwargs = dict(
-            methods=("static", "router", "oracle"),
-            budgets=(16, 4, 16, n + 2),
-            n_trees=2,
-            tree_size=7,
-            static_counts=calibrate_static(target, [prompt_tokens(target, 90)]),
+        args = (
+            target,
+            list(tree_captures(target, draft, 2, 7, Rng(5))),
+            ("static", "router", "oracle"),
+            (16, 4, 16, target.config.n_experts),  # unsorted, with a repeat, up to every expert
+            calibrate_static(target, [prompt_tokens(target, 90)]),
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # budget n + 2 is clamped
-            got = reconstruction_analysis(target, draft, rng=Rng(5), **kwargs)
-            want = reconstruction_analysis_per_budget(target, draft, rng=Rng(5), **kwargs)
+        got = reconstruction_analysis(*args)
+        want = reconstruction_analysis_per_budget(*args)
         assert got.keys() == want.keys()
         for key in want:
             assert got[key] == want[key], key
@@ -93,13 +88,11 @@ class TestReconstructionError:
             calls.append(1)
             return real(*args, **kwargs)
 
+        captures = list(tree_captures(target, draft, 2, 7, Rng(0)))
         for module in (moe_core, analysis, budgeting):
             monkeypatch.setattr(module, "expert_outputs_grouped", counted)
         counts = calibrate_static(target, [prompt_tokens(target, 91)])
-        reconstruction_analysis(
-            target, draft, methods, (4, 8, 16, 32), n_trees=2, tree_size=7,
-            static_counts=counts,
-        )
+        reconstruction_analysis(target, captures, methods, (4, 8, 16, 32), counts)
         assert 0 < len(calls) <= passes * 2 * target.n_layers
 
     def test_wrong_static_counts_shape_rejected_before_any_forward(
@@ -107,15 +100,14 @@ class TestReconstructionError:
     ):
         # 7 count columns for an 8-expert model used to warn "clamping to 7"
         # and average errors over shortlists that could never hold expert 7.
-        def no_forward(*args, **kwargs):
-            raise AssertionError("a forward ran before the counts were checked")
+        def no_dense_pass(*args, **kwargs):
+            raise AssertionError("a dense pass ran before the counts were checked")
 
-        monkeypatch.setattr(TreeDecoder, "run_rows", no_forward)
+        captures = list(tree_captures(small_target, small_draft, 1, 3, Rng(0)))
+        for module in (moe_core, analysis, budgeting):
+            monkeypatch.setattr(module, "expert_outputs_grouped", no_dense_pass)
         with pytest.raises(ValueError, match=r"shape \(2, 8\).*got \(2, 7\)"):
-            reconstruction_analysis(
-                small_target, small_draft, ["static"], [8], n_trees=1, tree_size=3,
-                static_counts=np.ones((2, 7)),
-            )
+            reconstruction_analysis(small_target, captures, ["static"], [8], np.ones((2, 7)))
 
 
 class TestCoverageCurve:

@@ -169,13 +169,19 @@ class TestRankOracle:
                 assert sl[step] == want, (trial, step, cands, sl)
                 chosen.append(int(sl[step]))
 
-    def test_budget_clamped_with_warning(self):
+    def test_budget_above_expert_count_refused(self):
+        # Clamped, budget 9 would repeat budget 4's shortlist under its own
+        # label; every ranking refuses it, naming both numbers.
         layer = make_layer(n=4, k=2)
         states = Rng(1).normal(size=(2, 4))
         probs, selected = route_batch(layer, states)
-        with pytest.warns(UserWarning):
-            sl = rank_oracle(layer, states, probs, selected, 9)
-        assert sorted(sl.tolist()) == [0, 1, 2, 3]
+        message = "budget 9 exceeds expert count 4"
+        with pytest.raises(ValueError, match=message):
+            rank_oracle(layer, states, probs, selected, 9)
+        with pytest.raises(ValueError, match=message):
+            rank_router(probs, 9)
+        with pytest.raises(ValueError, match=message):
+            rank_static(np.array([3, 5, 5, 1]), 9)
 
     def test_nonrenormalized_full_budget_residual_nonzero(self):
         # With raw-g reconstruction over all experts, non-top-k experts add

@@ -5,6 +5,8 @@ pinned."""
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import hashlib
 import json
 
@@ -87,14 +89,19 @@ def test_bad_config_exits_2_naming_the_field(tmp_path, capsys, monkeypatch, conf
         raise AssertionError("a model was built before the config was checked")
 
     monkeypatch.setattr(cli, "build_model_pair", no_model)
-    code, _ = run(tmp_path, "coverage", config, *flags)
+    monkeypatch.setattr(cli, "sweep", no_model)
+    # Each case runs on a command that reads the field it names: coverage
+    # where it does, else simulate, which reads every field but trees.
+    name = field.split(":")[0].split(".")[0].split("[")[0]
+    command = "coverage" if name in cli.READS["coverage"] else "simulate"
+    code, _ = run(tmp_path, command, config, *flags)
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: " + field)
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", ["simulate", "ablate", "reconstruct"])
+@pytest.mark.parametrize("command", [c for c, reads in cli.READS.items() if "budgets" in reads])
 def test_budget_above_n_experts_refused_before_any_model_is_built(
     tmp_path, capsys, monkeypatch, command
 ):
@@ -112,7 +119,9 @@ def test_budget_above_n_experts_refused_before_any_model_is_built(
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("command", ["coverage", "coactivation", "calibrate-static"])
+@pytest.mark.parametrize(
+    "command", [c for c, reads in cli.READS.items() if "budgets" not in reads]
+)
 def test_commands_that_run_no_budget_ignore_its_size(tmp_path, command):
     # The default budget ladder reaches 56, past mixtral-toy's 8 experts,
     # and none of these commands runs a budget.
@@ -142,8 +151,10 @@ def test_coactivation_rejects_top_k_below_two(tmp_path, capsys, model):
     [
         ('{"layer": 0, "probs": [0, 0, 0, 0, 0, 0, 0, 0]}\n', "line 1: probabilities sum to 0"),
         (None, "No such file or directory"),
+        ("", "trace.jsonl holds no records"),
+        ("\n  \n\t\n", "trace.jsonl holds no records"),
     ],
-    ids=["all_zero_dense", "missing"],
+    ids=["all_zero_dense", "missing", "empty", "all_blank"],
 )
 def test_bad_trace_exits_2_naming_the_trace(tmp_path, capsys, command, trace, message):
     path = tmp_path / "trace.jsonl"
@@ -182,16 +193,72 @@ def test_seed_flag_merges_into_config_model_block(tmp_path):
     ],
     ids=lambda v: v[0] if isinstance(v, list) else None,
 )
-def test_every_flag_reaches_its_config_field(tmp_path, flags, field, value):
-    config = {**TINY, "trees": 1}
-    # coverage runs one tree size; a list of sizes is for simulate.
-    command = "simulate" if value == [3, 15] else "coverage"
-    code, out_dir = run(tmp_path, command, config, *flags)
-    assert code == 0
-    echo = config_echo(out_dir / f"{command}.csv")
-    assert echo[field] == value
-    assert echo[field] != config.get(field)
-    assert echo["out_dir"] == str(out_dir)
+def test_every_flag_reaches_its_config_field(tmp_path, capsys, flags, field, value):
+    # Every command that reads the field takes the flag and echoes its value;
+    # every other command refuses the flag.
+    config = {**TINY, "trees": 1, "seeds": [0], "gen_len": 2}
+    for command, reads in cli.READS.items():
+        if field not in reads:
+            with pytest.raises(SystemExit) as exc:
+                main([command, *flags])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+            continue
+        code, out_dir = run(tmp_path, command, config, *flags, out=command)
+        if value == [3, 15] and cli.build_parser().parse_args([command]).one_size:
+            assert code == 2  # test_tree_size_list_rejected_where_one_size_runs
+            continue
+        assert code == 0, command
+        echo = header_of(sorted(out_dir.iterdir())[0])["config"]
+        assert echo[field] == value
+        assert echo[field] != config.get(field)
+        assert echo["out_dir"] == str(out_dir)
+
+
+# A file value of each field that fails its check, with the error's start.
+BAD_VALUES = {
+    "tree_sizes": ([10], "tree_sizes: "),
+    "budgets": ([0], "budgets: every budget must be >= 1"),
+    "methods": (["beam"], "methods: unknown ranking method 'beam'"),
+    "policies": (["beam"], "policies: "),
+    "seeds": ([0, -3], "seeds: every seed must be >= 0"),
+    "gen_len": (0, "gen_len: must be >= 1"),
+    "trees": (0, "trees: must be >= 1"),
+    "cost": ({"bytes_shared": float("nan")}, "cost: bytes_shared must be finite"),
+    "workers": (0, "workers: must be >= 1"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        (command, f.name)
+        for command, reads in cli.READS.items()
+        for f in dataclasses.fields(cli.ExperimentConfig)
+        if f.name not in reads
+    ],
+)
+def test_unread_field_is_still_checked(tmp_path, capsys, command, name):
+    # A command leaves the fields it does not read at their defaults, but
+    # checks them first, so one config file is valid or invalid for every
+    # command alike.
+    value, message = BAD_VALUES[name]
+    code, out_dir = run(tmp_path, command, {**TINY, name: value})
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: " + message)
+    assert not out_dir.exists()
+
+
+def test_every_field_is_read_and_every_command_has_reads():
+    fields = {f.name for f in dataclasses.fields(cli.ExperimentConfig)}
+    [commands] = [
+        a.choices for a in cli.build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    assert set(commands) == set(cli.READS)
+    assert set().union(*cli.READS.values()) == fields
+    assert set(cli._FLAGS) <= fields
 
 
 @pytest.mark.parametrize("command", ["ablate", "coverage", "coactivation", "reconstruct"])
@@ -319,6 +386,7 @@ def test_every_output_file_starts_with_the_header_block(tmp_path, command):
         assert header["master_seed"] == 3
         assert header["config"]["model"]["seed"] == 3
         assert header["config"]["out_dir"] == str(out_dir)
+        assert set(header["config"]) == set(cli.READS[command])
 
 
 @pytest.mark.parametrize(
@@ -329,18 +397,19 @@ def test_config_echo_loads_back_to_the_config_that_ran(tmp_path, monkeypatch, co
     load_config = cli.load_config
     monkeypatch.setattr(cli, "load_config", lambda *args: ran.append(load_config(*args)) or ran[-1])
     config = {**TINY, "methods": ["static"], "budgets": [2], "gen_len": 2, "seeds": [0]}
-    code, out_dir = run(tmp_path, command, config, "--seed", "3", "--prompts", "1")
+    prompts = ("--prompts", "1") if "seeds" in cli.READS[command] else ()
+    code, out_dir = run(tmp_path, command, config, "--seed", "3", *prompts)
     assert code == 0
     for path in sorted(out_dir.iterdir()):
         echo = tmp_path / "echo.json"
         echo.write_text(json.dumps(header_of(path)["config"]))
-        assert load_config(str(echo), {}) == ran[0]
+        assert load_config(str(echo), {}, {}, cli.READS[command]) == ran[0]
 
 
 def test_calibrate_static_echoes_only_what_it_reads(tmp_path):
     # TINY sets tree sizes, budgets, methods and seeds, none of which
     # calibration reads, so none of them may appear in its echo.
-    code, out_dir = run(tmp_path, "calibrate-static", TINY, "--workers", "2")
+    code, out_dir = run(tmp_path, "calibrate-static", TINY)
     assert code == 0
     echo = header_of(out_dir / "static_ranking.json")["config"]
     assert set(echo) == {"preset", "model", "draft", "out_dir"}
