@@ -6,11 +6,12 @@ is its JSON type: ``tree_sizes`` holds the tree sizes, ``seeds`` the
 evaluation seeds (``--prompts N`` spells seeds 0..N-1). ``READS`` names
 the fields each command reads. A command takes a flag only for a field it
 reads, besides ``--config``, ``--seed`` (which sets ``model.seed``) and, on
-the two routing analyses, ``--trace``. Precedence is CLI flag > config file
-> command default (``ablate``, ``coverage``, ``coactivation`` and
-``reconstruct`` run one tree size, 63 unless set) > built-in default. The
-whole merged config is checked; then every field the command does not read
-goes back to its built-in default. Each flag's destination is the name of
+the two routing analyses, ``--trace``. A run on a trace reads only
+``TRACE_READS`` and refuses the flags of the other fields. Precedence is
+CLI flag > config file > command default (``ablate``, ``coverage``,
+``coactivation`` and ``reconstruct`` run one tree size, 63 unless set) >
+built-in default. The whole merged config is checked; then every field the
+command does not read goes back to its built-in default. Each flag's destination is the name of
 the config field it sets, and each subcommand carries its ``cmd_*``
 function (``simulate`` and ``ablate`` share ``cmd_sweep``, which names its
 files after the command). Every output file starts with a header block
@@ -149,6 +150,14 @@ READS = {
     "reconstruct": _ANALYSIS_READS + ("budgets", "methods"),
     "calibrate-static": _MODEL_READS,
 }
+# A coverage or coactivation run on an external routing trace builds no
+# model and draws no trees: it reads only these.
+TRACE_READS = ("preset", "model", "out_dir")
+
+
+def reads_of(command: str, trace: str | None = None) -> tuple[str, ...]:
+    """The config fields ``command`` reads, given its ``--trace`` path."""
+    return READS[command] if trace is None else TRACE_READS
 
 
 _KINDS = {int: "an integer", float: "a number", bool: "a boolean", str: "a string",
@@ -242,18 +251,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _config_echo(command: str, config: ExperimentConfig) -> dict:
+def _config_echo(command: str, config: ExperimentConfig, trace: str | None = None) -> dict:
     """The config fields ``command`` reads, as JSON."""
     data = dataclasses.asdict(config)
-    return {key: data[key] for key in READS[command]}
+    return {key: data[key] for key in reads_of(command, trace)}
 
 
-def _header_lines(command: str, config: ExperimentConfig) -> list[str]:
+def _header_lines(command: str, config: ExperimentConfig, trace: str | None = None) -> list[str]:
     return [
         f"# moebudget {__version__}",
         f"# command: {command}",
         f"# master_seed: {config.model.seed}",
-        f"# config: {json.dumps(_config_echo(command, config), sort_keys=True)}",
+        f"# config: {json.dumps(_config_echo(command, config, trace), sort_keys=True)}",
     ]
 
 
@@ -262,8 +271,10 @@ def _write_lines(path: Path, lines: list[str]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def write_csv(path: Path, command: str, config: ExperimentConfig, columns, rows) -> None:
-    lines = _header_lines(command, config)
+def write_csv(
+    path: Path, command: str, config: ExperimentConfig, columns, rows, trace: str | None = None
+) -> None:
+    lines = _header_lines(command, config, trace)
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_fmt(row[c]) for c in columns))
@@ -406,7 +417,9 @@ def cmd_coverage(config: ExperimentConfig, trace: str | None = None) -> int:
                     "records": curves.shape[0],
                 }
             )
-    write_csv(Path(config.out_dir, "coverage.csv"), "coverage", config, COVERAGE_COLUMNS, rows)
+    write_csv(
+        Path(config.out_dir, "coverage.csv"), "coverage", config, COVERAGE_COLUMNS, rows, trace
+    )
     return 0
 
 
@@ -432,7 +445,7 @@ def cmd_coactivation(config: ExperimentConfig, trace: str | None = None) -> int:
                 "concentration": concentration_ratio(counts, len(selected), k),
             }
         )
-        lines = _header_lines("coactivation", config)
+        lines = _header_lines("coactivation", config, trace)
         lines.append(f"# layer: {li}")
         for row in counts:
             lines.append(",".join(str(int(v)) for v in row))
@@ -443,6 +456,7 @@ def cmd_coactivation(config: ExperimentConfig, trace: str | None = None) -> int:
         config,
         COACTIVATION_COLUMNS,
         summary_rows,
+        trace,
     )
     return 0
 
@@ -574,16 +588,21 @@ def main(argv=None) -> int:
     if args.seed is not None:
         overrides["model"] = {"seed": args.seed}
     defaults = {"tree_sizes": (ONE_TREE_SIZE,)} if args.one_size else {}
+    reads = reads_of(args.command, getattr(args, "trace", None))
     try:
-        config = load_config(args.config, overrides, defaults, READS[args.command])
-        if args.one_size and len(config.tree_sizes) > 1:
+        # A --trace run refuses the flags of the fields it does not read.
+        for name, value in overrides.items():
+            if value is not None and name not in reads:
+                raise ConfigError(f"{name}: {args.command} --trace does not read this field")
+        config = load_config(args.config, overrides, defaults, reads)
+        if "tree_sizes" in reads and args.one_size and len(config.tree_sizes) > 1:
             sizes = ",".join(map(str, config.tree_sizes))
             raise ConfigError(f"tree_sizes: {args.command} runs one tree size, got {sizes}")
         # A budget above the expert count is refused wherever budgets run, as
         # the rankers refuse it.
         n_experts = config.model.n_experts
         over = [b for b in config.budgets if b > n_experts]
-        if "budgets" in READS[args.command] and over:
+        if "budgets" in reads and over:
             raise ConfigError(f"budgets: {over[0]} exceeds model.n_experts {n_experts}")
         if "trace" in args:
             return args.run(config, args.trace)

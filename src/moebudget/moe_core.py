@@ -165,9 +165,9 @@ def selection_weights(
     w = probs[np.arange(selected.shape[0])[:, None], selected]
     if renormalize:
         totals = w.sum(axis=-1, keepdims=True)
-        if np.any(totals <= 0.0):
+        if (totals <= 0.0).any():
             raise ValueError("cannot renormalize: selected probabilities sum to zero")
-        w = w / totals
+        w /= totals
     return w
 
 

@@ -15,6 +15,13 @@ __all__ = ["Rng", "softmax", "top_k_indices"]
 
 _scratch_store = threading.local()
 
+# The size, in entries, from which ``top_k_indices`` sorts with numpy's
+# default argsort plus a tie check. The two timing curves cross here: both
+# take about 14.5 us at (16, 64); the check path takes 9.1 us against the
+# stable sort's 2.8 at (1, 64), and 32 us against 104 at (63, 64) (one core
+# of a shared 2-vCPU Xeon, numpy 2.4).
+SORT_CHECK_ENTRIES = 1024
+
 
 def scratch(name: str, *shape: int) -> np.ndarray:
     """Reusable uninitialized buffer for hot-path intermediates.
@@ -40,33 +47,51 @@ def scratch(name: str, *shape: int) -> np.ndarray:
 def softmax(logits, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax (max-subtraction) along ``axis``.
 
-    Raises ``ValueError`` on empty or non-finite input.
+    Raises ``ValueError`` on empty or non-finite input. The shift, the
+    exponential and the normalization run in place on one fresh array.
     """
     x = np.asarray(logits, dtype=np.float64)
     if x.size == 0:
         raise ValueError("softmax requires at least one logit")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("softmax input must be finite")
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    e = np.subtract(x, np.maximum.reduce(x, axis=axis, keepdims=True))
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=axis, keepdims=True)
+    return e
 
 
-def masked_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Row-wise softmax over the entries where ``mask`` is True; masked
-    entries get probability 0. Every row must have at least one allowed entry.
+def masked_softmax(scores: np.ndarray, blocked: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of ``scores`` over the entries where ``blocked`` is
+    False; blocked entries get probability 0. Every row must have at least
+    one unblocked entry.
+
+    Works in place: ``scores`` (a float64 array) is overwritten with the
+    probabilities and returned. The steps are those of the allocating form,
+    in the same order, so the result is the same bit for bit.
     """
-    neg = np.where(mask, scores, -np.inf)
-    shifted = neg - neg.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    np.copyto(scores, -np.inf, where=blocked)
+    scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= np.add.reduce(scores, axis=-1, keepdims=True)
+    return scores
 
 
 def top_k_indices(scores, k: int) -> np.ndarray:
     """Indices of the ``k`` largest entries along the last axis, ordered by
     descending score; equal scores rank by ascending index.
 
-    Works on 1-D score vectors and on row batches alike.
+    Works on 1-D score vectors and on row batches alike. The result is
+    always that of a stable argsort of the negated scores, whose stability
+    keeps ties in ascending index order, the fixed tie rule. Arrays below
+    ``SORT_CHECK_ENTRIES`` entries take that sort directly. Larger ones take
+    numpy's default (vectorized, unstable) argsort, then re-sort stably only
+    the rows whose first k + 1 sorted (negated) scores are not strictly
+    increasing. In every other row the k largest scores are distinct and
+    each exceeds every score left out, so any correct sort puts the same k
+    indices first, in the same order. Ties, -0.0 against 0.0, and NaN (which
+    never compares greater, and which every numpy sort puts last) in the
+    first k + 1 all fail the check.
     """
     s = np.asarray(scores, dtype=np.float64)
     n = s.shape[-1]
@@ -74,10 +99,16 @@ def top_k_indices(scores, k: int) -> np.ndarray:
         raise ValueError(f"k must be >= 1, got {k}")
     if k > n:
         raise ValueError(f"k={k} exceeds number of scores {n}")
-    # Stable sort of the negated scores keeps original (ascending) index
-    # order among ties, which is exactly the fixed tie rule.
-    order = np.argsort(-s, axis=-1, kind="stable")
-    return order[..., :k]
+    if s.size < SORT_CHECK_ENTRIES:
+        return np.argsort(-s, axis=-1, kind="stable")[..., :k]
+    rows = np.negative(s).reshape(-1, n)
+    order = rows.argsort(axis=-1)
+    head = rows.take(order[:, : k + 1] + np.arange(0, rows.size, n)[:, None])
+    increasing = np.logical_and.reduce(head[:, 1:] > head[:, :-1], axis=-1)
+    if not increasing.all():
+        tied = ~increasing
+        order[tied] = rows[tied].argsort(axis=-1, kind="stable")
+    return order.reshape(s.shape)[..., :k]
 
 
 class Rng:

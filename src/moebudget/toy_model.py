@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .moe_core import MoELayerWeights, RouterWeights, moe_forward_full_batch
-from .numerics import Rng, masked_softmax
+from .numerics import Rng, masked_softmax, scratch
 
 __all__ = [
     "DraftSpec",
@@ -119,9 +119,14 @@ class MoEModel:
 
 def rms_norm(x: np.ndarray) -> np.ndarray:
     """Scale-only normalization: x / sqrt(mean(x^2) + eps)."""
-    # add.reduce / d is np.mean's own arithmetic without its wrapper cost.
-    ms = np.add.reduce(np.square(x), axis=-1, keepdims=True) / x.shape[-1]
-    return x / np.sqrt(ms + RMS_EPS)
+    # add.reduce / d is np.mean's own arithmetic without its wrapper cost;
+    # the steps after the square run in place, the last into its array.
+    sq = np.square(x)
+    ms = np.add.reduce(sq, axis=-1, keepdims=True)
+    ms /= x.shape[-1]
+    ms += RMS_EPS
+    np.sqrt(ms, out=ms)
+    return np.divide(x, ms, out=sq)
 
 
 def random_tokens(rng: Rng, length: int, vocab_size: int) -> np.ndarray:
@@ -240,7 +245,7 @@ def _check_tokens(model: MoEModel, tokens) -> np.ndarray:
         raise ValueError("tokens must be a non-empty 1-D sequence")
     if not np.issubdtype(tokens.dtype, np.integer):
         raise ValueError(f"tokens must be integer ids, got dtype {tokens.dtype}")
-    if np.any(tokens < 0) or np.any(tokens >= model.config.vocab_size):
+    if tokens.min() < 0 or tokens.max() >= model.config.vocab_size:
         raise ValueError("token id out of vocabulary range")
     return tokens.astype(np.int64, copy=False)
 
@@ -300,36 +305,53 @@ class TreeDecoder:
         overrides the full-capacity MoE sublayer for the new rows
         (``coverage.budgeted_moe`` builds the hooks that verification,
         calibration and the captures pass here).
+
+        Each layer writes its two score products, against the cached keys
+        and against the new rows' own keys, into the two column blocks of
+        one (r, n_rows + r) buffer with ``np.matmul(out=)``; scaling and
+        ``masked_softmax`` then work on that buffer in place, under a
+        blocked-entry mask built once per call. The two score products, and
+        the two value products, keep their own shapes: a BLAS result can
+        depend on the operand shape, and one merged score product changes
+        bits at most (rows, cached) shapes. The projections use
+        ``np.dot``, keys and values straight into the K/V store; like the
+        ``out=`` products, they equal a plain ``@`` bit for bit at every
+        decoder shape (``tests/test_toy_model.py`` checks them).
         """
         r = tokens.size
         cached = self.n_rows
+        n = cached + r
         d = self.model.config.d_model
-        if cached + r > self._kv.shape[2]:
-            grown = np.empty(self._kv.shape[:2] + (max(cached + r, 2 * self._kv.shape[2]), d))
+        if n > self._kv.shape[2]:
+            grown = np.empty(self._kv.shape[:2] + (max(n, 2 * self._kv.shape[2]), d))
             grown[:, :, :cached] = self._kv[:, :, :cached]
             self._kv = grown
         kv = self._kv
-        mask = np.concatenate([np.ones((r, self.causal_len), dtype=bool), mask], axis=1)
+        blocked = np.zeros((r, n), dtype=bool)
+        np.logical_not(mask, out=blocked[:, self.causal_len:])
+        scores = scratch("scores", r, n)
+        scale = np.sqrt(d)
         x = self.model.embedding[tokens]
         for li, block in enumerate(self.model.blocks):
+            attn = block.attention
+            keys, values = kv[li, 0, :n], kv[li, 1, :n]
             xn = rms_norm(x)
-            q = xn @ block.attention.wq.T
-            k_self = xn @ block.attention.wk.T
-            v_self = xn @ block.attention.wv.T
-            k_cached = kv[li, 0, :cached]
-            v_cached = kv[li, 1, :cached]
-            scores = np.concatenate([q @ k_cached.T, q @ k_self.T], axis=1) / np.sqrt(d)
-            w = masked_softmax(scores, mask)
-            att = w[:, :cached] @ v_cached + w[:, cached:] @ v_self
-            x = x + att @ block.attention.wo.T
-            kv[li, 0, cached : cached + r] = k_self
-            kv[li, 1, cached : cached + r] = v_self
+            q = np.dot(xn, attn.wq.T)
+            np.dot(xn, attn.wk.T, out=keys[cached:])
+            np.dot(xn, attn.wv.T, out=values[cached:])
+            np.matmul(q, keys[:cached].T, out=scores[:, :cached])
+            np.matmul(q, keys[cached:].T, out=scores[:, cached:])
+            scores /= scale
+            w = masked_softmax(scores, blocked)
+            att = np.matmul(w[:, :cached], values[:cached])
+            att += np.matmul(w[:, cached:], values[cached:])
+            x += np.dot(att, attn.wo.T)
             moe_in = rms_norm(x)
             if moe_hook is None:
                 out, _, _ = moe_forward_full_batch(block.moe, moe_in)
             else:
                 out = moe_hook(li, block.moe, moe_in)
-            x = x + out
+            x += out
         # The new rows count only once every layer has run, so a hook that
         # raises leaves them as free space and the decoder as it was.
         self.n_rows += r

@@ -1,4 +1,6 @@
-"""Test-side references: the one-shot masked forward that ``TreeDecoder`` is
+"""Test-side references: the stable-sort top-k and the allocating masked
+softmax that ``numerics`` must match, and that the references below use in
+its place; the one-shot masked forward that ``TreeDecoder`` is
 checked against, the ancestor mask of a drafted tree, the plain loops that
 the grouped expert executor and the batched tree expansion must match bit for
 bit, the unblocked dense evaluator and oracle ranking that the blocked ones
@@ -19,11 +21,13 @@ from moebudget.coverage import LayerBudget
 from moebudget.draft_tree import DraftTree, binary_branching, expand_tree
 from moebudget.moe_core import (
     MoELayerWeights,
+    apply_experts,
     expert_outputs_grouped,
     moe_forward_full_batch,
+    selection_weights,
     silu,
 )
-from moebudget.numerics import masked_softmax, top_k_indices
+from moebudget.numerics import softmax
 from moebudget.simulator import CostModelParams, GenerationRun, summarize, verify_greedy
 from moebudget.toy_model import (
     AttentionWeights,
@@ -41,13 +45,39 @@ class ForwardResult:
     layers: list[LayerBudget]
 
 
+def stable_top_k(scores, k: int) -> np.ndarray:
+    """Indices of the ``k`` largest scores along the last axis from one
+    stable argsort of the negated scores: descending, ties to the lower
+    index. What ``numerics.top_k_indices`` must return on any input."""
+    return np.argsort(-np.asarray(scores, dtype=np.float64), axis=-1, kind="stable")[..., :k]
+
+
+def allocating_masked_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Row-wise softmax over the entries where ``mask`` is True, each step
+    into a fresh array: what the in-place ``numerics.masked_softmax`` must
+    equal bit for bit."""
+    neg = np.where(mask, scores, -np.inf)
+    shifted = neg - neg.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def _attend(attn: AttentionWeights, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
     xn = rms_norm(x)
     q = xn @ attn.wq.T
     k = xn @ attn.wk.T
     v = xn @ attn.wv.T
     scores = (q @ k.T) / np.sqrt(x.shape[-1])
-    return masked_softmax(scores, mask) @ v @ attn.wo.T
+    return allocating_masked_softmax(scores, mask) @ v @ attn.wo.T
+
+
+def _full_moe(layer: MoELayerWeights, states: np.ndarray):
+    """``moe_core.moe_forward_full_batch`` with its routing top-k taken by
+    ``stable_top_k``: (outputs, probs, selected)."""
+    probs = softmax(states @ layer.router.w.T + layer.router.bias)
+    selected = stable_top_k(probs, layer.k)
+    weights = selection_weights(probs, selected, layer.renormalize)
+    return apply_experts(layer, states, selected, weights), probs, selected
 
 
 def forward(model: MoEModel, tokens, mask: np.ndarray | None = None) -> ForwardResult:
@@ -70,7 +100,7 @@ def forward(model: MoEModel, tokens, mask: np.ndarray | None = None) -> ForwardR
     for block in model.blocks:
         x = x + _attend(block.attention, x, mask)
         moe_in = rms_norm(x)
-        out, probs, selected = moe_forward_full_batch(block.moe, moe_in)
+        out, probs, selected = _full_moe(block.moe, moe_in)
         layers.append(
             LayerBudget(moe_in, probs, selected, out, None, selected, np.zeros(n, dtype=np.int64))
         )
@@ -217,7 +247,7 @@ def expand_tree_per_node(decoder: TreeDecoder, branching) -> DraftTree:
     for b in branching:
         new_tokens, new_parents = [], []
         for node, logits in zip(frontier, frontier_logits):
-            for tok in top_k_indices(logits, b):
+            for tok in stable_top_k(logits, b):
                 new_tokens.append(int(tok))
                 new_parents.append(node)
         start = len(tokens)

@@ -10,10 +10,12 @@ import dataclasses
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from moebudget import __version__, cli
 from moebudget.cli import main
+from reference import write_trace_dense
 
 TINY = {
     "preset": "mixtral-toy",
@@ -167,6 +169,43 @@ def test_bad_trace_exits_2_naming_the_trace(tmp_path, capsys, command, trace, me
     assert message in err
     assert "Traceback" not in err
     assert not out_dir.exists()
+
+
+def write_tiny_trace(tmp_path):
+    """A dense routing trace for TINY's 8 experts: 3 tokens on each of 2 layers."""
+    probs = np.random.default_rng(4).dirichlet(np.ones(8), size=3)
+    path = tmp_path / "trace.jsonl"
+    write_trace_dense(path, {0: probs, 1: probs[::-1]})
+    return path
+
+
+@pytest.mark.parametrize("command", ["coverage", "coactivation"])
+@pytest.mark.parametrize(
+    "flags, field", [(("--trees", "5"), "trees"), (("--tree-size", "7"), "tree_sizes")]
+)
+def test_trace_run_refuses_flags_it_does_not_read(tmp_path, capsys, command, flags, field):
+    # A trace run draws no trees, so a tree count or size would only be echoed.
+    code, out_dir = run(tmp_path, command, TINY, "--trace", str(write_tiny_trace(tmp_path)),
+                        *flags)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {field}: {command} --trace does not read this field")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["coverage", "coactivation"])
+def test_trace_run_echoes_only_what_it_reads(tmp_path, command):
+    # TINY's file sets trees and tree_sizes; a trace run reads neither, nor
+    # the draft, so none of them may appear in its echo.
+    code, out_dir = run(tmp_path, command, TINY, "--trace", str(write_tiny_trace(tmp_path)),
+                        "--seed", "3")
+    assert code == 0
+    files = sorted(out_dir.iterdir())
+    assert files
+    for path in files:
+        echo = header_of(path)["config"]
+        assert set(echo) == set(cli.TRACE_READS) == {"preset", "model", "out_dir"}
+        assert echo["model"]["seed"] == 3
 
 
 def test_seed_flag_merges_into_config_model_block(tmp_path):

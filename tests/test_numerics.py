@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moebudget.numerics import Rng, softmax, top_k_indices
+from moebudget import numerics
+from moebudget.numerics import Rng, masked_softmax, softmax, top_k_indices
+from reference import allocating_masked_softmax, stable_top_k
 
 
 def softmax_highprec(logits) -> np.ndarray:
@@ -61,6 +63,20 @@ class TestSoftmax:
         np.testing.assert_allclose(direct, permuted, atol=1e-12)
 
 
+class TestMaskedSoftmax:
+    @pytest.mark.parametrize("rows, n", [(1, 1), (1, 40), (8, 68), (63, 103), (271, 287)])
+    def test_in_place_equals_the_allocating_form(self, rows, n):
+        rng = Rng(rows)
+        scores = rng.normal(size=(rows, n)) * 4
+        blocked = rng.random(size=(rows, n)) < 0.5
+        blocked[:, 0] = False  # every row keeps an entry
+        want = allocating_masked_softmax(scores, ~blocked)
+        got = masked_softmax(scores, blocked)
+        assert got is scores
+        assert np.array_equal(got, want)
+        assert np.all(got[blocked] == 0.0)
+
+
 class TestTopK:
     def test_tie_breaks_to_lower_index(self):
         assert top_k_indices([0.1, 0.9, 0.9, 0.2], 2).tolist() == [1, 2]
@@ -102,6 +118,62 @@ class TestTopK:
         smaller = set(top_k_indices(scores, k).tolist())
         larger = set(top_k_indices(scores, k + 1).tolist())
         assert smaller <= larger
+
+
+# Score shapes on both sides of the size from which top_k_indices sorts
+# with the default argsort and a tie check: the routing, substitution and
+# draft-vocabulary shapes of the benchmark workloads, and a few edge ones.
+BELOW_CHECK = [(1, 64), (64,), (8, 64), (13, 64), (4, 128), (1, 256), (2, 2)]
+ABOVE_CHECK = [(16, 64), (63, 64), (16, 256), (271, 128), (2048,), (512, 2), (1024, 1)]
+
+
+def injected_scores(case: str, shape: tuple[int, ...], k: int, rng) -> np.ndarray:
+    """Scores of ``shape`` carrying the ties or special values of ``case``."""
+    n = shape[-1]
+    s = rng.normal(size=shape)
+    rows = s.reshape(-1, n)
+    if case == "boundary_tie":
+        # The k-th and (k+1)-th largest scores tie in every other row.
+        if k < n:
+            order = np.argsort(-rows, axis=-1, kind="stable")
+            picked = np.arange(0, rows.shape[0], 2)
+            rows[picked, order[picked, k]] = rows[picked, order[picked, k - 1]]
+    elif case == "equal_values":
+        # Static selection counts: small integers, whole rows of one value.
+        rows[:] = rng.integers(0, 3, size=rows.shape)
+        rows[::3] = 5.0
+    elif case == "fill":
+        # Substitution's input: probabilities at shortlist members, -1.0
+        # at every non-member, sometimes fewer members than k.
+        members = rng.random(size=rows.shape) < 0.25
+        rows[:] = np.where(members, rng.random(size=rows.shape), -1.0)
+    elif case == "nan_zero":
+        rows[rng.random(size=rows.shape) < 0.1] = np.nan
+        zeros = rng.random(size=rows.shape) < 0.2
+        rows[zeros] = np.where(rng.random(size=rows.shape) < 0.5, -0.0, 0.0)[zeros]
+    return s
+
+
+TIE_CASES = ["distinct", "boundary_tie", "equal_values", "fill", "nan_zero"]
+
+
+class TestTopKAcrossTheSortCheck:
+    @pytest.mark.parametrize("shape", BELOW_CHECK + ABOVE_CHECK, ids=str)
+    @pytest.mark.parametrize("case", TIE_CASES)
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k_at=st.floats(0.0, 1.0), k_is_n=st.booleans())
+    def test_equals_the_stable_sort(self, shape, case, seed, k_at, k_is_n):
+        n = shape[-1]
+        k = n if k_is_n else 1 + int(k_at * (n - 1))
+        scores = injected_scores(case, shape, k, np.random.default_rng(seed))
+        got = top_k_indices(scores, k)
+        assert got.shape == shape[:-1] + (k,)
+        assert np.array_equal(got, stable_top_k(scores, k))
+
+    def test_shapes_reach_both_sort_paths(self):
+        # Guards the two lists above against a change of the size constant.
+        assert all(np.prod(s) < numerics.SORT_CHECK_ENTRIES for s in BELOW_CHECK)
+        assert all(np.prod(s) >= numerics.SORT_CHECK_ENTRIES for s in ABOVE_CHECK)
 
 
 class TestRng:

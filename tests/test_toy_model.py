@@ -460,6 +460,34 @@ class TestTreeDecoder:
             d.rollback()
         assert np.array_equal(grows.append_tokens([4, 9]), fixed.append_tokens([4, 9]))
 
+    def test_attention_products_equal_matmul_at_decoder_shapes(self, target):
+        # run_rows projects with np.dot, writing keys and values straight
+        # into a row block of the K/V store, and writes its two score
+        # products into column blocks of one (r, n) buffer with
+        # np.matmul(out=). Each must equal a plain `@` bit for bit at every
+        # row count up to wide_oracle's 271 and cached counts up to 300
+        # (every 37th here; a one-off run over all 301 found no difference).
+        attn = target.blocks[0].attention
+        d = target.config.d_model
+        assert d == 32
+        rng = Rng(53)
+        all_keys = rng.normal(size=(300, d))
+        for rows in range(1, 272):
+            xn = rng.normal(size=(rows, d))
+            store = np.empty((rows + 9, d))
+            for w in (attn.wq, attn.wk, attn.wo):
+                want = xn @ w.T
+                assert np.array_equal(np.dot(xn, w.T), want), rows
+                assert np.array_equal(np.dot(xn, w.T, out=store[5 : 5 + rows]), want), rows
+            q, k_self = xn @ attn.wq.T, xn @ attn.wk.T
+            for cached in range(rows % 37, 301, 37):
+                keys = all_keys[:cached]
+                scores = np.empty((rows, cached + rows))
+                np.matmul(q, keys.T, out=scores[:, :cached])
+                np.matmul(q, k_self.T, out=scores[:, cached:])
+                assert np.array_equal(scores[:, :cached], q @ keys.T), (rows, cached)
+                assert np.array_equal(scores[:, cached:], q @ k_self.T), (rows, cached)
+
     @pytest.mark.parametrize(
         "bad, message",
         [
