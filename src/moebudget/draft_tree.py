@@ -98,7 +98,13 @@ def expand_tree(decoder: TreeDecoder, branching) -> DraftTree:
     top-scoring tokens of the draft logits at that node. Only levels that
     get children run through the draft model, one ``extend`` each, so the
     decoder is left holding the interior rows only; callers roll it back.
+    Branching factors must be integers, not booleans, from 1 to the
+    vocabulary size; anything else raises ValueError.
     """
+    for b in branching:
+        # Checked before the int coercion, which would truncate 2.7 to 2.
+        if isinstance(b, (bool, np.bool_)) or not isinstance(b, (int, np.integer)):
+            raise ValueError(f"branching factors must be integers, got {b!r}")
     branching = tuple(int(b) for b in branching)
     if any(b < 1 for b in branching):
         raise ValueError("branching factors must be >= 1")

@@ -152,7 +152,8 @@ def route_batch(layer: MoELayerWeights, states: np.ndarray) -> tuple[np.ndarray,
     states = np.asarray(states, dtype=np.float64)
     if states.ndim != 2 or states.shape[1] != layer.d_model:
         raise ValueError(f"states must have shape (T, {layer.d_model}), got {states.shape}")
-    logits = states @ layer.router.w.T + layer.router.bias
+    logits = states @ layer.router.w.T
+    logits += layer.router.bias
     probs = softmax(logits, axis=-1)
     return probs, top_k_indices(probs, layer.k)
 
@@ -196,6 +197,16 @@ def apply_experts(
     presets produce) at less cost per call. When no slot is inactive the
     scatter writes every row of the slot buffer, so the zero-fill is skipped
     and the weights go to the final sum unmasked; both run otherwise.
+
+    A call of one token whose active ids are distinct (every routed
+    selection is) skips the sort, the gather and the scatter: each active
+    slot runs its two products straight from the token's row into its own
+    row of the slot buffer. Every
+    group would hold that one slot, so each product is the same M=1
+    ``np.dot`` on the same operands and shapes as the grouped path's, and
+    the result is the same bit for bit. Repeated ids take the grouped path:
+    one M=2 product over a group can differ in the last bits from two M=1
+    products on the same rows.
     """
     if expert_ids.dtype.kind not in "iu":
         raise ValueError(f"expert ids must be integers, got dtype {expert_ids.dtype}")
@@ -211,18 +222,36 @@ def apply_experts(
     if states.shape != (n_tokens, d):
         raise ValueError(f"states must have shape ({n_tokens}, {d}), got {states.shape}")
 
-    order = np.argsort(expert_ids, axis=None, kind="stable")
-    ids = expert_ids.ravel()[order].tolist()
-    if ids and (ids[0] < -1 or ids[-1] >= layer.n_experts):
-        bad = ids[0] if ids[0] < -1 else ids[-1]
+    # A lone token's active ids are usually distinct; then every group would
+    # be one slot, and each slot runs its products directly.
+    direct = False
+    if n_tokens == 1:
+        ids = expert_ids[0].tolist()
+        active = [(slot, e) for slot, e in enumerate(ids) if e >= 0]
+        direct = len({e for _, e in active}) == len(active)
+        low, high = min(ids, default=0), max(ids, default=0)
+    if not direct:
+        order = np.argsort(expert_ids, axis=None, kind="stable")
+        ids = expert_ids.ravel()[order].tolist()
+        low, high = (ids[0], ids[-1]) if ids else (0, 0)
+    if low < -1 or high >= layer.n_experts:
+        bad = low if low < -1 else high
         raise ValueError(f"expert id {bad} outside -1..{layer.n_experts - 1}")
-    n_inactive = bisect_left(ids, 0)
+    n_inactive = n_slots - len(active) if direct else bisect_left(ids, 0)
     n_active = n_total - n_inactive
 
+    w_in_t, w_out_t = layer.expert_views
     out_slots = scratch("apply_slots", n_total, d)
     if n_inactive:
         out_slots[:] = 0.0
-    if n_active:
+    if direct:
+        pre, act = scratch("apply_hidden", 2, n_active, layer.d_ff)
+        for i, (_, e) in enumerate(active):
+            np.dot(states, w_in_t[e], out=pre[i:i + 1])
+        silu(pre, out=act)
+        for i, (slot, e) in enumerate(active):
+            np.dot(act[i:i + 1], w_out_t[e], out=out_slots[slot:slot + 1])
+    elif n_active:
         slots = order[n_inactive:]
         rows = np.take(states, slots // n_slots, axis=0, mode="clip",
                        out=scratch("apply_rows", n_active, d))
@@ -233,7 +262,6 @@ def apply_experts(
             hi = bisect_right(ids, e, lo)
             groups.append((lo - n_inactive, hi - n_inactive, e))
             lo = hi
-        w_in_t, w_out_t = layer.expert_views
         pre, act = scratch("apply_hidden", 2, n_active, layer.d_ff)
         for lo, hi, e in groups:
             np.dot(rows[lo:hi], w_in_t[e], out=pre[lo:hi])

@@ -234,7 +234,7 @@ def derive_draft(target: MoEModel, spec: DraftSpec, rng: Rng) -> MoEModel:
 
 def causal_mask(n: int) -> np.ndarray:
     """Lower-triangular attention mask: position i attends to 0..i."""
-    return np.tril(np.ones((n, n), dtype=bool))
+    return np.tri(n, dtype=bool)
 
 
 def _check_tokens(model: MoEModel, tokens) -> np.ndarray:
@@ -243,9 +243,10 @@ def _check_tokens(model: MoEModel, tokens) -> np.ndarray:
     tokens = np.asarray(tokens)
     if tokens.ndim != 1 or tokens.size == 0:
         raise ValueError("tokens must be a non-empty 1-D sequence")
-    if not np.issubdtype(tokens.dtype, np.integer):
+    if tokens.dtype.kind not in "iu":
         raise ValueError(f"tokens must be integer ids, got dtype {tokens.dtype}")
-    if tokens.min() < 0 or tokens.max() >= model.config.vocab_size:
+    ids = tokens.tolist()
+    if min(ids) < 0 or max(ids) >= model.config.vocab_size:
         raise ValueError("token id out of vocabulary range")
     return tokens.astype(np.int64, copy=False)
 
@@ -362,12 +363,16 @@ class TreeDecoder:
 
         ``parents`` holds, per new node, the tree-row index of its parent
         (0 is the first row after the causal prefix), or -1 for nodes
-        hanging directly off the prefix end; anything else raises ValueError
-        before any state changes. Rows within one extension never attend to
-        each other.
+        hanging directly off the prefix end; anything else, non-integer and
+        boolean parents included, raises ValueError before any state changes.
+        Rows within one extension never attend to each other.
         """
         tokens = _check_tokens(self.model, tokens)
-        parents = np.asarray(parents, dtype=np.int64)
+        parents = np.asarray(parents)
+        # Checked before the int64 coercion, which would truncate 0.9 to 0.
+        if parents.size and parents.dtype.kind not in "iu":
+            raise ValueError(f"parents must be integers, got dtype {parents.dtype}")
+        parents = parents.astype(np.int64, copy=False)
         t0 = self.n_rows - self.causal_len
         if parents.shape != tokens.shape or not np.all((parents >= -1) & (parents < t0)):
             raise ValueError(

@@ -1,6 +1,6 @@
 """Test-side references: the stable-sort top-k and the allocating masked
 softmax that ``numerics`` must match, and that the references below use in
-its place; the one-shot masked forward that ``TreeDecoder`` is
+its place; the causal mask and token check that ``toy_model``'s must match; the one-shot masked forward that ``TreeDecoder`` is
 checked against, the ancestor mask of a drafted tree, the plain loops that
 the grouped expert executor and the batched tree expansion must match bit for
 bit, the unblocked dense evaluator and oracle ranking that the blocked ones
@@ -33,8 +33,6 @@ from moebudget.toy_model import (
     AttentionWeights,
     MoEModel,
     TreeDecoder,
-    _check_tokens,
-    causal_mask,
     rms_norm,
 )
 
@@ -60,6 +58,25 @@ def allocating_masked_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarra
     shifted = neg - neg.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def tril_causal_mask(n: int) -> np.ndarray:
+    """Lower-triangular (n, n) attention mask from ``np.tril`` of ones:
+    what ``toy_model.causal_mask`` must equal."""
+    return np.tril(np.ones((n, n), dtype=bool))
+
+
+def check_tokens(model: MoEModel, tokens) -> np.ndarray:
+    """``tokens`` as int64 ids, or ValueError with ``toy_model._check_tokens``'
+    messages, checked with numpy reductions."""
+    tokens = np.asarray(tokens)
+    if tokens.ndim != 1 or tokens.size == 0:
+        raise ValueError("tokens must be a non-empty 1-D sequence")
+    if not np.issubdtype(tokens.dtype, np.integer):
+        raise ValueError(f"tokens must be integer ids, got dtype {tokens.dtype}")
+    if tokens.min() < 0 or tokens.max() >= model.config.vocab_size:
+        raise ValueError("token id out of vocabulary range")
+    return tokens.astype(np.int64, copy=False)
 
 
 def _attend(attn: AttentionWeights, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -88,10 +105,10 @@ def forward(model: MoEModel, tokens, mask: np.ndarray | None = None) -> ForwardR
     block is pre-norm residual: x += attn(norm(x)); x += moe(norm(x)), every
     MoE layer at full capacity and recorded as a full-capacity LayerBudget.
     """
-    tokens = _check_tokens(model, tokens)
+    tokens = check_tokens(model, tokens)
     n = tokens.size
     if mask is None:
-        mask = causal_mask(n)
+        mask = tril_causal_mask(n)
     if mask.shape != (n, n):
         raise ValueError(f"mask must have shape ({n}, {n})")
 
@@ -117,7 +134,7 @@ def tree_mask(n_context: int, tree: DraftTree) -> np.ndarray:
     """
     n = n_context + tree.size
     mask = np.zeros((n, n), dtype=bool)
-    mask[:n_context, :n_context] = causal_mask(n_context)
+    mask[:n_context, :n_context] = tril_causal_mask(n_context)
     for i in range(tree.size):
         row = n_context + i
         mask[row, :n_context] = True

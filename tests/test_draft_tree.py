@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -187,6 +188,27 @@ class TestBuildTree:
     def test_branching_wider_than_vocab_rejected(self, small_draft):
         with pytest.raises(ValueError):
             build_tree(small_draft, [1, 2], (small_draft.config.vocab_size + 1,))
+
+    @pytest.mark.parametrize(
+        "branching, bad",
+        [
+            ((2.7, True), "2.7"),
+            ((2, True), "True"),
+            ((2, np.True_), "np.True_"),
+            ((np.float64(2.0),), "np.float64(2.0)"),
+            (("2",), "'2'"),
+        ],
+        ids=["fractional", "boolean", "numpy_boolean", "integral_float", "string"],
+    )
+    def test_non_integer_branching_rejected(self, small_draft, branching, bad):
+        # int() would turn (2.7, True) into a (2, 1) tree of 5 nodes.
+        message = re.escape(f"branching factors must be integers, got {bad}")
+        with pytest.raises(ValueError, match=message):
+            build_tree(small_draft, [1, 2], branching)
+        decoder = TreeDecoder(small_draft, [1, 2])
+        with pytest.raises(ValueError, match=message):
+            expand_tree(decoder, branching)
+        assert decoder.n_rows == decoder.causal_len
 
     def test_decoder_holding_tree_rows_rejected(self, small_draft):
         # Node indices are passed to extend as tree rows, so a leftover row

@@ -267,6 +267,34 @@ class TestForwardFull:
             assert np.all(np.isfinite(forward_one(layer, scale * h)))
 
 
+def assert_random_call_matches_group_loop(layer, states, rng, inactive, routed):
+    """Draw expert ids for ``states`` and check ``apply_experts`` on them.
+
+    The ids are the routed selection (distinct per row) or uniform ids that
+    may repeat within a row, each slot made inactive with probability
+    ``inactive``. The result must equal the group loop bit for bit even
+    when every scratch buffer starts out NaN, and must not alias a scratch
+    buffer or a second call's result."""
+    probs, selected = route_batch(layer, states)
+    if routed:
+        weights = selection_weights(probs, selected, layer.renormalize)
+    else:
+        selected = rng.integers(0, layer.n_experts, size=selected.shape)
+        weights = rng.normal(size=selected.shape)
+    ids = np.where(rng.random(size=selected.shape) < inactive, -1, selected)
+    apply_experts(layer, states, ids, weights)
+    for buf in numerics._scratch_store.bufs.values():
+        buf.fill(np.nan)
+    first = apply_experts(layer, states, ids, weights)
+    assert np.array_equal(first, apply_experts_loop(layer, states, ids, weights))
+    second = apply_experts(layer, states, ids, weights)
+    assert np.array_equal(first, second)
+    assert not np.shares_memory(first, second)
+    for buf in numerics._scratch_store.bufs.values():
+        assert not np.shares_memory(first, buf)
+        assert not np.shares_memory(second, buf)
+
+
 class TestApplyExperts:
     def test_matches_naive_slot_loop(self):
         layer = make_layer(n=8, k=2, d=4)
@@ -320,26 +348,27 @@ class TestApplyExperts:
         layer = preset_layer(preset)
         rng = Rng(seed)
         states = rng.normal(size=(t, layer.d_model))
-        probs, selected = route_batch(layer, states)
-        if routed:
-            weights = selection_weights(probs, selected, layer.renormalize)
-        else:
-            selected = rng.integers(0, layer.n_experts, size=selected.shape)
-            weights = rng.normal(size=selected.shape)
-        ids = np.where(rng.random(size=selected.shape) < inactive, -1, selected)
-        # Scratch buffers hold whatever the last call left; NaN there must
-        # not reach a result.
-        apply_experts(layer, states, ids, weights)
-        for buf in numerics._scratch_store.bufs.values():
-            buf.fill(np.nan)
-        first = apply_experts(layer, states, ids, weights)
-        assert np.array_equal(first, apply_experts_loop(layer, states, ids, weights))
-        second = apply_experts(layer, states, ids, weights)
-        assert np.array_equal(first, second)
-        assert not np.shares_memory(first, second)
-        for buf in numerics._scratch_store.bufs.values():
-            assert not np.shares_memory(first, buf)
-            assert not np.shares_memory(second, buf)
+        assert_random_call_matches_group_loop(layer, states, rng, inactive, routed)
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    @settings(max_examples=40, deadline=None)
+    @given(
+        inactive=st.floats(0.0, 1.0),
+        routed=st.booleans(),
+        strided=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_token_calls_match_group_loop(self, preset, inactive, routed, strided, seed):
+        # A lone token runs each active slot's products directly when its
+        # active ids are distinct (always, on routed selections) and takes
+        # the grouped path when uniform ids repeat; both must equal the
+        # group loop bit for bit, also from a strided row of states.
+        layer = preset_layer(preset)
+        rng = Rng(seed)
+        wide = rng.normal(size=(3, 2 * layer.d_model))
+        states = wide[1:2, ::2] if strided else wide[1:2, : layer.d_model]
+        assert states.flags.c_contiguous != strided
+        assert_random_call_matches_group_loop(layer, states, rng, inactive, routed)
 
     @pytest.mark.parametrize(
         "ids, message",
@@ -347,14 +376,30 @@ class TestApplyExperts:
             (np.array([[0, -2], [1, -7]]), "expert id -7 outside -1..7"),
             (np.array([[0, 8], [1, -1]]), "expert id 8 outside -1..7"),
             (np.array([[0.0, 1.0], [1.0, -1.0]]), "expert ids must be integers, got dtype float64"),
+            # One token, with distinct and with repeated ids: the lowest id
+            # below -1 is named first, else the highest past the last expert.
+            (np.array([[0, -2, -7]]), "expert id -7 outside -1..7"),
+            (np.array([[8, 0, -1]]), "expert id 8 outside -1..7"),
+            (np.array([[-2, 9, 1]]), "expert id -2 outside -1..7"),
+            (np.array([[3, 3, 8]]), "expert id 8 outside -1..7"),
+            (np.array([[3, 3, -3]]), "expert id -3 outside -1..7"),
         ],
-        ids=["below_minus_one", "past_last_expert", "float_ids"],
+        ids=[
+            "below_minus_one",
+            "past_last_expert",
+            "float_ids",
+            "one_token_below_minus_one",
+            "one_token_past_last_expert",
+            "one_token_both_ends",
+            "one_token_repeated_past",
+            "one_token_repeated_below",
+        ],
     )
     def test_rejects_bad_expert_ids(self, ids, message):
         layer = preset_layer("mixtral-toy")
-        states = Rng(3).normal(size=(2, layer.d_model))
+        states = Rng(3).normal(size=(ids.shape[0], layer.d_model))
         with pytest.raises(ValueError, match=re.escape(message)):
-            apply_experts(layer, states, ids, np.ones((2, 2)))
+            apply_experts(layer, states, ids, np.ones(ids.shape))
 
     def test_rejects_weights_of_another_shape(self):
         layer = preset_layer("mixtral-toy")

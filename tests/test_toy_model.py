@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -19,13 +20,14 @@ from moebudget.toy_model import (
     MoEModel,
     TreeDecoder,
     build_target,
+    _check_tokens,
     causal_mask,
     derive_draft,
     preset_config,
     random_tokens,
 )
 
-from reference import forward
+from reference import check_tokens, forward, tril_causal_mask
 
 
 def models_equal(a: MoEModel, b: MoEModel) -> bool:
@@ -211,6 +213,46 @@ class TestExpertStorage:
             )
             built = [["w_out" in b.moe._stacks for b in m.blocks] for m in (target, draft)]
             assert built == [[method == "oracle"] * 2, [False] * 2], method
+
+
+class TestAppendChecks:
+    def test_causal_mask_equals_tril_of_ones(self):
+        for n in range(1, 301):
+            mask = causal_mask(n)
+            assert mask.dtype == bool
+            assert np.array_equal(mask, tril_causal_mask(n)), n
+
+    @pytest.mark.parametrize(
+        "tokens",
+        [
+            [0, 31, 7],
+            np.array([4], dtype=np.uint8),
+            np.array([2, 30], dtype=np.int32),
+            np.array([31, 0], dtype=np.uint64),
+            [-1, 3],
+            [32],
+            np.array([40], dtype=np.uint8),
+            np.array([2**63], dtype=np.uint64),
+            [[1, 2]],
+            [],
+            [1.0, 2.0],
+            [True],
+            np.array([1], dtype=object),
+        ],
+    )
+    def test_token_check_matches_reduction_reference(self, small_target, tokens):
+        # The same ids back, or the same message, as the check that takes
+        # min and max with numpy reductions.
+        assert small_target.config.vocab_size == 32
+        try:
+            want = check_tokens(small_target, tokens)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=re.escape(str(err))):
+                _check_tokens(small_target, tokens)
+        else:
+            got = _check_tokens(small_target, tokens)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
 
 
 class TestForward:
@@ -583,6 +625,23 @@ class TestTreeDecoder:
         with pytest.raises(ValueError, match="parents"):
             dec.extend([3, 4], [-1])
 
+    @pytest.mark.parametrize(
+        "parents, dtype",
+        [([0.9], "float64"), ([True], "bool"), ([False, True], "bool")],
+        ids=["fractional", "boolean", "boolean_pair"],
+    )
+    def test_non_integer_parents_rejected(self, small_target, parents, dtype):
+        # Coerced to int64, 0.9 would hang its node off tree row 0 and the
+        # booleans would pass as rows 0 and 1.
+        ctx = random_tokens(Rng(8), 4, small_target.config.vocab_size)
+        dec, ref = TreeDecoder(small_target, ctx), TreeDecoder(small_target, ctx)
+        for d in (dec, ref):
+            d.extend([3, 7], [-1, -1])  # tree rows 0 and 1
+        with pytest.raises(ValueError, match=f"parents must be integers, got dtype {dtype}"):
+            dec.extend([5] * len(parents), parents)
+        assert dec.n_rows == 6
+        np.testing.assert_array_equal(dec.extend([9, 2], [0, 1]), ref.extend([9, 2], [0, 1]))
+
     def test_append_with_tree_rows_rejected(self, small_target):
         dec = TreeDecoder(small_target, [1, 2])
         dec.extend([3], [-1])
@@ -596,7 +655,7 @@ def reference_mask(n: int, rows) -> np.ndarray:
     or -1."""
     m = len(rows)
     mask = np.zeros((n + m, n + m), dtype=bool)
-    mask[:n, :n] = causal_mask(n)
+    mask[:n, :n] = tril_causal_mask(n)
     for i, (_, parent) in enumerate(rows):
         if parent >= 0:
             mask[n + i] = mask[n + parent]
