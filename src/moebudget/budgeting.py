@@ -80,7 +80,7 @@ def rank_router(tree_probs: np.ndarray, budget: int) -> np.ndarray:
     ``tree_probs`` is the (M, n_experts) router distribution of every tree
     node at this layer.
     """
-    scores = np.asarray(tree_probs, dtype=np.float64).sum(axis=0)
+    scores = np.add.reduce(np.asarray(tree_probs, dtype=np.float64), axis=0)
     return top_k_indices(scores, _checked_budget(budget, scores.size))
 
 
@@ -126,7 +126,7 @@ def rank_oracle(
     flat = contributions.reshape(n, -1)  # (N, M*d)
     gram = flat @ flat.T
     overlap = flat @ target.ravel()  # b_i
-    diag = np.diag(gram).copy()
+    diag = gram.diagonal().copy()
 
     chosen = np.empty(b, dtype=np.int64)
     taken = np.zeros(n, dtype=bool)
@@ -135,7 +135,7 @@ def rank_oracle(
     for step in range(b):
         candidate_residuals = residual - 2.0 * (overlap - g) + diag
         candidate_residuals[taken] = np.inf
-        pick = int(np.argmin(candidate_residuals))  # first minimum = lower index
+        pick = int(candidate_residuals.argmin())  # first minimum = lower index
         taken[pick] = True
         chosen[step] = pick
         residual = float(candidate_residuals[pick])
@@ -162,10 +162,11 @@ def shortlister(
         if static_counts is None:
             raise ValueError("static ranking requires calibration counts")
         want = (model.n_layers, model.config.n_experts)
-        if np.shape(static_counts) != want:
+        got = np.asarray(static_counts).shape
+        if got != want:
             raise ValueError(
                 f"static counts must have shape {want}, one shortlist per MoE layer "
-                f"over every expert; got {np.shape(static_counts)}"
+                f"over every expert; got {got}"
             )
         return lambda li, layer, states, probs, selected: rank_static(static_counts[li], budget)
     if method == "router":

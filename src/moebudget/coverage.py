@@ -64,6 +64,13 @@ def policy_assignments(
     the per-token count of natural experts absent from the shortlist. A
     shortlist that is not a non-empty 1-D array of distinct integer ids in
     0..n_experts-1 raises ValueError.
+
+    Substitution re-ranks only the tokens that miss a natural expert; a
+    token that misses none keeps ``selected``. A shortlist below k fills
+    each token's first ``min(k, B)`` slots, weighted by ``selection_weights``
+    over those members alone, and leaves the rest inactive at weight 0. A
+    renormalizing layer raises ValueError when those members' probabilities
+    sum to zero, as it does at any budget.
     """
     policy = CoveragePolicy(policy)
     n = layer.n_experts
@@ -74,11 +81,11 @@ def policy_assignments(
     if outside.size:
         raise ValueError(f"shortlist ids {outside.tolist()} outside 0..{n - 1}")
     counts = np.bincount(sl.astype(np.intp), minlength=n)
-    if counts.max() > 1:
+    if np.maximum.reduce(counts) > 1:
         raise ValueError(f"shortlist repeats ids {np.flatnonzero(counts > 1).tolist()}")
     member = counts > 0
     in_list = member[selected]  # (T, k)
-    missing = layer.k - in_list.sum(axis=1)
+    missing = layer.k - np.add.reduce(in_list, axis=1)
 
     if policy is CoveragePolicy.TRUNCATION:
         weights = selection_weights(probs, selected, layer.renormalize)
@@ -87,18 +94,19 @@ def policy_assignments(
 
     # Substitution: top-k constrained to the shortlist, ranked by routing
     # probability with ties to the lower expert index. Probabilities are
-    # strictly positive, so -1 safely ranks non-members last.
+    # never negative, so -1 ranks non-members last. A token whose natural
+    # top-k are all members keeps them: they outrank every other member, in
+    # the same order, ties included. So only the other tokens are re-ranked.
+    ids = selected.copy()
+    miss = missing.nonzero()[0]
+    if miss.size:
+        ids[miss] = top_k_indices(np.where(member, probs[miss], -1.0), layer.k)
     k_eff = min(layer.k, sl.size)
-    masked = np.where(member, probs, -1.0)
-    ids = top_k_indices(masked, layer.k)
-    weights = selection_weights(probs, ids, layer.renormalize)
-    if k_eff < layer.k:
-        # Renormalize over the members only, then deactivate the overflow.
-        if layer.renormalize:
-            w_eff = np.take_along_axis(probs, ids[:, :k_eff], axis=-1)
-            weights = np.zeros_like(weights)
-            weights[:, :k_eff] = w_eff / w_eff.sum(axis=-1, keepdims=True)
-        ids = np.where(np.arange(layer.k) < k_eff, ids, -1)
+    if k_eff == layer.k:
+        return ids, selection_weights(probs, ids, layer.renormalize), missing
+    weights = np.zeros(ids.shape)
+    weights[:, :k_eff] = selection_weights(probs, ids[:, :k_eff], layer.renormalize)
+    ids[:, k_eff:] = -1
     return ids, weights, missing
 
 
@@ -120,8 +128,15 @@ class LayerBudget:
 
     @property
     def executed(self) -> np.ndarray:
-        """Sorted ids of the experts this layer actually ran."""
-        return np.unique(self.ids[self.ids >= 0])
+        """Sorted ids of the experts this layer actually ran: ``np.unique``
+        of the active ids, by the sort and neighbour comparison that
+        ``np.unique`` runs itself."""
+        ids = self.ids[self.ids >= 0]
+        ids.sort()
+        first = np.empty(ids.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(ids[1:], ids[:-1], out=first[1:])
+        return ids[first]
 
 
 def budgeted_moe(shortlist_for=None, policy: CoveragePolicy | None = None):

@@ -46,7 +46,7 @@ class DraftTree:
         for name in ("tokens", "parents"):
             values = np.asarray(getattr(self, name))
             # Checked before the int64 coercion, which would truncate 1.7 to 1.
-            if values.size and not np.issubdtype(values.dtype, np.integer):
+            if values.size and values.dtype.kind not in "iu":
                 raise ValueError(f"{name} must be integers, got dtype {values.dtype}")
             setattr(self, name, values.astype(np.int64, copy=False))
         if self.tokens.ndim != 1 or self.parents.shape != self.tokens.shape:
@@ -54,10 +54,10 @@ class DraftTree:
         m = self.tokens.size
         if m == 0:
             raise ValueError("tree must have at least the root node")
-        if np.count_nonzero(self.parents == -1) != 1 or self.parents[0] != -1:
-            raise ValueError("tree must have exactly one root at index 0")
         rest = self.parents[1:]
-        if np.any((rest < 0) | (rest >= np.arange(1, m))):
+        if self.parents[0] != -1 or -1 in rest:
+            raise ValueError("tree must have exactly one root at index 0")
+        if np.logical_or.reduce((rest < 0) | (rest >= np.arange(1, m))):
             raise ValueError("parents must precede children (topological order)")
         parents = self.parents.tolist()
         depths = [0] * m
@@ -71,15 +71,16 @@ class DraftTree:
 
     @property
     def depth(self) -> int:
-        return int(self.depths.max())
+        return int(np.maximum.reduce(self.depths))
 
     def path_to(self, node: int) -> list[int]:
         """Node indices from the root to ``node`` inclusive."""
+        parents = self.parents.tolist()
         path = []
         i = int(node)
         while i != -1:
             path.append(i)
-            i = int(self.parents[i])
+            i = parents[i]
         return path[::-1]
 
 
@@ -114,7 +115,7 @@ def expand_tree(decoder: TreeDecoder, branching) -> DraftTree:
     if decoder.n_rows != decoder.causal_len:
         raise ValueError("expand_tree requires a bare causal prefix")
 
-    root_token = int(np.argmax(decoder.context_logits))
+    root_token = int(decoder.context_logits.argmax())
     tokens = [root_token]
     parents = [-1]
     frontier = np.zeros(1, dtype=np.int64)
@@ -124,7 +125,7 @@ def expand_tree(decoder: TreeDecoder, branching) -> DraftTree:
         frontier_logits = decoder.extend(level_tokens, new_parents)
         # Row f of the level's top-k holds frontier node f's children, best first.
         level_tokens = top_k_indices(frontier_logits, b).ravel()
-        new_parents = np.repeat(frontier, b)
+        new_parents = frontier.repeat(b)
         start = len(tokens)
         tokens.extend(level_tokens.tolist())
         parents.extend(new_parents.tolist())

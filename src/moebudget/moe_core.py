@@ -165,8 +165,8 @@ def selection_weights(
     routing probabilities, or those renormalized to sum to 1 per token."""
     w = probs[np.arange(selected.shape[0])[:, None], selected]
     if renormalize:
-        totals = w.sum(axis=-1, keepdims=True)
-        if (totals <= 0.0).any():
+        totals = np.add.reduce(w, axis=-1, keepdims=True)
+        if np.logical_or.reduce(totals <= 0.0, axis=None):
             raise ValueError("cannot renormalize: selected probabilities sum to zero")
         w /= totals
     return w
@@ -191,7 +191,8 @@ def apply_experts(
     bounds are found by bisecting the sorted ids as Python ints. Each
     distinct expert then runs exactly one product per projection over its
     group, and only experts that appear are touched. The products use
-    ``np.dot(..., out=)``, which issues the same BLAS call on the same
+    ``ndarray.dot(..., out=)``, which is ``np.dot``'s own C function without
+    its Python dispatcher, and issues the same BLAS call on the same
     operands and shapes as ``np.matmul``, so its result is the same bit for
     bit (``tests/test_moe_core.py`` checks this at every group shape the
     presets produce) at less cost per call. When no slot is inactive the
@@ -203,17 +204,18 @@ def apply_experts(
     slot runs its two products straight from the token's row into its own
     row of the slot buffer. Every
     group would hold that one slot, so each product is the same M=1
-    ``np.dot`` on the same operands and shapes as the grouped path's, and
+    ``dot`` on the same operands and shapes as the grouped path's, and
     the result is the same bit for bit. Repeated ids take the grouped path:
     one M=2 product over a group can differ in the last bits from two M=1
     products on the same rows.
     """
     if expert_ids.dtype.kind not in "iu":
         raise ValueError(f"expert ids must be integers, got dtype {expert_ids.dtype}")
-    if expert_ids.ndim != 2 or np.shape(weights) != expert_ids.shape:
+    weights = np.asarray(weights)
+    if expert_ids.ndim != 2 or weights.shape != expert_ids.shape:
         raise ValueError(
             f"expert_ids and weights must be (T, j) arrays of one shape, "
-            f"got {expert_ids.shape} and {np.shape(weights)}"
+            f"got {expert_ids.shape} and {weights.shape}"
         )
     states = np.asarray(states, dtype=np.float64)
     n_tokens, n_slots = expert_ids.shape
@@ -231,7 +233,7 @@ def apply_experts(
         direct = len({e for _, e in active}) == len(active)
         low, high = min(ids, default=0), max(ids, default=0)
     if not direct:
-        order = np.argsort(expert_ids, axis=None, kind="stable")
+        order = expert_ids.argsort(axis=None, kind="stable")
         ids = expert_ids.ravel()[order].tolist()
         low, high = (ids[0], ids[-1]) if ids else (0, 0)
     if low < -1 or high >= layer.n_experts:
@@ -247,14 +249,14 @@ def apply_experts(
     if direct:
         pre, act = scratch("apply_hidden", 2, n_active, layer.d_ff)
         for i, (_, e) in enumerate(active):
-            np.dot(states, w_in_t[e], out=pre[i:i + 1])
+            states.dot(w_in_t[e], out=pre[i:i + 1])
         silu(pre, out=act)
         for i, (slot, e) in enumerate(active):
-            np.dot(act[i:i + 1], w_out_t[e], out=out_slots[slot:slot + 1])
+            act[i:i + 1].dot(w_out_t[e], out=out_slots[slot:slot + 1])
     elif n_active:
         slots = order[n_inactive:]
-        rows = np.take(states, slots // n_slots, axis=0, mode="clip",
-                       out=scratch("apply_rows", n_active, d))
+        rows = states.take(slots // n_slots, axis=0, mode="clip",
+                           out=scratch("apply_rows", n_active, d))
         groups = []
         lo = n_inactive
         while lo < n_total:
@@ -264,12 +266,12 @@ def apply_experts(
             lo = hi
         pre, act = scratch("apply_hidden", 2, n_active, layer.d_ff)
         for lo, hi, e in groups:
-            np.dot(rows[lo:hi], w_in_t[e], out=pre[lo:hi])
+            rows[lo:hi].dot(w_in_t[e], out=pre[lo:hi])
         silu(pre, out=act)
         # The first projection has consumed the gathered rows, so the second
         # writes its outputs over them.
         for lo, hi, e in groups:
-            np.dot(act[lo:hi], w_out_t[e], out=rows[lo:hi])
+            act[lo:hi].dot(w_out_t[e], out=rows[lo:hi])
         out_slots[slots] = rows
 
     if n_inactive:

@@ -3,6 +3,17 @@
 All arithmetic is 64-bit float. Ties in every ranking operation are broken
 toward the lower index so that repeated runs (and runs split across workers)
 produce identical results.
+
+The per-layer and per-step code calls numpy's C entry points directly:
+``a.dot(b, out=)`` for ``np.dot``, ndarray methods for the ``np.argsort``,
+``np.take``, ``np.argmax``, ``np.argmin`` and ``np.repeat`` functions that
+only forward to them, ``np.logical_and.reduce``/``np.logical_or.reduce`` for
+``np.all``/``np.any``, and ``np.add.reduce``/``np.maximum.reduce`` for sums
+and maxima. Each of those Python wrappers costs a microsecond or so per
+call, and a layer pass makes dozens of calls on arrays of a few hundred
+entries. The C function behind each wrapper is the one called here, on the
+same operands, so every result is the same bit for bit. ``np.einsum`` keeps
+its wrapper, because its C entry point is private.
 """
 
 from __future__ import annotations
@@ -16,10 +27,11 @@ __all__ = ["Rng", "softmax", "top_k_indices"]
 _scratch_store = threading.local()
 
 # The size, in entries, from which ``top_k_indices`` sorts with numpy's
-# default argsort plus a tie check. The two timing curves cross here: both
-# take about 14.5 us at (16, 64); the check path takes 9.1 us against the
-# stable sort's 2.8 at (1, 64), and 32 us against 104 at (63, 64) (one core
-# of a shared 2-vCPU Xeon, numpy 2.4).
+# default argsort plus a tie check. The two timing curves cross here, also
+# with both sorts called as ndarray methods: the check path takes 14.8 us
+# against the stable sort's 13.7 at (16, 64), 15.9 against 15.6 at (18, 64)
+# and 13.8 against 14.5 at (8, 128); 8.1 against 1.9 at (1, 64), and 43
+# against 112 at (63, 64) (k=8, one core of a shared 2-vCPU Xeon, numpy 2.4).
 SORT_CHECK_ENTRIES = 1024
 
 
@@ -53,7 +65,7 @@ def softmax(logits, axis: int = -1) -> np.ndarray:
     x = np.asarray(logits, dtype=np.float64)
     if x.size == 0:
         raise ValueError("softmax requires at least one logit")
-    if not np.isfinite(x).all():
+    if not np.logical_and.reduce(np.isfinite(x), axis=None):
         raise ValueError("softmax input must be finite")
     e = np.subtract(x, np.maximum.reduce(x, axis=axis, keepdims=True))
     np.exp(e, out=e)
@@ -61,16 +73,19 @@ def softmax(logits, axis: int = -1) -> np.ndarray:
     return e
 
 
-def masked_softmax(scores: np.ndarray, blocked: np.ndarray) -> np.ndarray:
+def masked_softmax(scores: np.ndarray, blocked: np.ndarray | None) -> np.ndarray:
     """Row-wise softmax of ``scores`` over the entries where ``blocked`` is
     False; blocked entries get probability 0. Every row must have at least
-    one unblocked entry.
+    one unblocked entry. ``blocked`` is None when nothing is blocked.
 
     Works in place: ``scores`` (a float64 array) is overwritten with the
     probabilities and returned. The steps are those of the allocating form,
-    in the same order, so the result is the same bit for bit.
+    in the same order, so the result is the same bit for bit. Blocked
+    entries are set to -inf with ``np.putmask``; with nothing blocked that
+    fill would change nothing, so it is skipped.
     """
-    np.copyto(scores, -np.inf, where=blocked)
+    if blocked is not None:
+        np.putmask(scores, blocked, -np.inf)
     scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
     np.exp(scores, out=scores)
     scores /= np.add.reduce(scores, axis=-1, keepdims=True)
@@ -100,12 +115,12 @@ def top_k_indices(scores, k: int) -> np.ndarray:
     if k > n:
         raise ValueError(f"k={k} exceeds number of scores {n}")
     if s.size < SORT_CHECK_ENTRIES:
-        return np.argsort(-s, axis=-1, kind="stable")[..., :k]
+        return np.negative(s).argsort(axis=-1, kind="stable")[..., :k]
     rows = np.negative(s).reshape(-1, n)
     order = rows.argsort(axis=-1)
     head = rows.take(order[:, : k + 1] + np.arange(0, rows.size, n)[:, None])
     increasing = np.logical_and.reduce(head[:, 1:] > head[:, :-1], axis=-1)
-    if not increasing.all():
+    if not np.logical_and.reduce(increasing):
         tied = ~increasing
         order[tied] = rows[tied].argsort(axis=-1, kind="stable")
     return order.reshape(s.shape)[..., :k]

@@ -198,23 +198,23 @@ def _greedy_accept(
     Drafted siblings are distinct, so at most one child of an accepted node
     can match; ties on depth resolve to the earliest node in draft order.
     """
-    node_argmax = np.argmax(tree_logits, axis=-1)  # first maximum = lower index
-    anchor_argmax = int(np.argmax(anchor_logits))
-    accepted = np.zeros(tree.size, dtype=bool)
+    node_argmax = tree_logits.argmax(axis=-1).tolist()  # first maximum = lower index
+    anchor_argmax = int(anchor_logits.argmax())
+    tokens, parents, depths = tree.tokens.tolist(), tree.parents.tolist(), tree.depths.tolist()
+    accepted = [False] * tree.size
     best_node = -1
-    for i in range(tree.size):
-        p = int(tree.parents[i])
+    for i, p in enumerate(parents):
         parent_ok = p == -1 or accepted[p]
-        want = anchor_argmax if p == -1 else int(node_argmax[p])
-        if parent_ok and int(tree.tokens[i]) == want:
+        want = anchor_argmax if p == -1 else node_argmax[p]
+        if parent_ok and tokens[i] == want:
             accepted[i] = True
-            if best_node == -1 or tree.depths[i] > tree.depths[best_node]:
+            if best_node == -1 or depths[i] > depths[best_node]:
                 best_node = i
 
     if best_node == -1:
         return [], anchor_argmax
     path = tree.path_to(best_node)
-    return path, int(node_argmax[best_node])
+    return path, node_argmax[best_node]
 
 
 def _step_report(
@@ -280,7 +280,8 @@ def verify_greedy(
         missing = [rec.missing.tolist() for rec in layers]
         fully = [(rec.missing == k).tolist() for rec in layers]
     path, bonus = _greedy_accept(tree, tree_logits, anchor_logits)
-    emitted = [int(tree.tokens[i]) for i in path] + [bonus]
+    tokens = tree.tokens.tolist()
+    emitted = [tokens[i] for i in path] + [bonus]
     return _step_report(
         emitted, unique, tree.depth + 1, budget_cfg is not None, cost, missing, fully
     )
@@ -341,7 +342,7 @@ def run_generation(
     reports: list[StepReport] = []
     decoder = TreeDecoder(target, prompt)
     for _ in range(gen_len):
-        nxt = int(np.argmax(decoder.context_logits))
+        nxt = int(decoder.context_logits.argmax())
         decoder.append_tokens([nxt])
         generated.append(nxt)
         reports.append(_step_report([nxt], [cfg.top_k] * cfg.n_layers, 0, False, cost))

@@ -311,12 +311,14 @@ class TreeDecoder:
         and against the new rows' own keys, into the two column blocks of
         one (r, n_rows + r) buffer with ``np.matmul(out=)``; scaling and
         ``masked_softmax`` then work on that buffer in place, under a
-        blocked-entry mask built once per call. The two score products, and
-        the two value products, keep their own shapes: a BLAS result can
+        blocked-entry mask built once per call, and only when ``mask``
+        blocks something: a lone causal row and a tree root block nothing,
+        and a fill that changes nothing is skipped. The two score products,
+        and the two value products, keep their own shapes: a BLAS result can
         depend on the operand shape, and one merged score product changes
         bits at most (rows, cached) shapes. The projections use
-        ``np.dot``, keys and values straight into the K/V store; like the
-        ``out=`` products, they equal a plain ``@`` bit for bit at every
+        ``ndarray.dot``, keys and values straight into the K/V store; like
+        the ``out=`` products, they equal a plain ``@`` bit for bit at every
         decoder shape (``tests/test_toy_model.py`` checks them).
         """
         r = tokens.size
@@ -328,8 +330,10 @@ class TreeDecoder:
             grown[:, :, :cached] = self._kv[:, :, :cached]
             self._kv = grown
         kv = self._kv
-        blocked = np.zeros((r, n), dtype=bool)
-        np.logical_not(mask, out=blocked[:, self.causal_len:])
+        blocked = None
+        if not np.logical_and.reduce(mask, axis=None):
+            blocked = np.zeros((r, n), dtype=bool)
+            np.logical_not(mask, out=blocked[:, self.causal_len:])
         scores = scratch("scores", r, n)
         scale = np.sqrt(d)
         x = self.model.embedding[tokens]
@@ -337,16 +341,16 @@ class TreeDecoder:
             attn = block.attention
             keys, values = kv[li, 0, :n], kv[li, 1, :n]
             xn = rms_norm(x)
-            q = np.dot(xn, attn.wq.T)
-            np.dot(xn, attn.wk.T, out=keys[cached:])
-            np.dot(xn, attn.wv.T, out=values[cached:])
+            q = xn.dot(attn.wq.T)
+            xn.dot(attn.wk.T, out=keys[cached:])
+            xn.dot(attn.wv.T, out=values[cached:])
             np.matmul(q, keys[:cached].T, out=scores[:, :cached])
             np.matmul(q, keys[cached:].T, out=scores[:, cached:])
             scores /= scale
             w = masked_softmax(scores, blocked)
             att = np.matmul(w[:, :cached], values[:cached])
             att += np.matmul(w[:, cached:], values[cached:])
-            x += np.dot(att, attn.wo.T)
+            x += att.dot(attn.wo.T)
             moe_in = rms_norm(x)
             if moe_hook is None:
                 out, _, _ = moe_forward_full_batch(block.moe, moe_in)
@@ -374,7 +378,9 @@ class TreeDecoder:
             raise ValueError(f"parents must be integers, got dtype {parents.dtype}")
         parents = parents.astype(np.int64, copy=False)
         t0 = self.n_rows - self.causal_len
-        if parents.shape != tokens.shape or not np.all((parents >= -1) & (parents < t0)):
+        if parents.shape != tokens.shape or not np.logical_and.reduce(
+            (parents >= -1) & (parents < t0)
+        ):
             raise ValueError(
                 f"parents must hold one entry per token, each -1 or a tree row in "
                 f"0..{t0 - 1}; got {parents.tolist()}"
@@ -408,7 +414,7 @@ class TreeDecoder:
         inside = parents >= t0
         at = np.where(inside, parents - t0, 0)  # an inside parent's batch index
         level = ~inside
-        while level.any():
+        while np.logical_or.reduce(level):
             hung = level & (parents >= 0)
             anc[rows[hung]] |= anc[parents[hung]]
             level = inside & level[at]

@@ -1,13 +1,14 @@
 """Test-side references: the stable-sort top-k and the allocating masked
 softmax that ``numerics`` must match, and that the references below use in
-its place; the causal mask and token check that ``toy_model``'s must match; the one-shot masked forward that ``TreeDecoder`` is
-checked against, the ancestor mask of a drafted tree, the plain loops that
-the grouped expert executor and the batched tree expansion must match bit for
-bit, the unblocked dense evaluator and oracle ranking that the blocked ones
-must reproduce, the per-budget reconstruction loop that the one-pass
-analysis must reproduce, the per-config speculative loop that the lockstep
-engine must reproduce, and writers of the routing-trace fixtures that
-``read_trace`` parses."""
+its place; the every-row substitution that ``coverage`` must match; the
+causal mask and token check that ``toy_model``'s must match; the one-shot
+masked forward that ``TreeDecoder`` is checked against, the ancestor mask of
+a drafted tree, the plain loops that the grouped expert executor and the
+batched tree expansion must match bit for bit, the unblocked dense evaluator
+and oracle ranking that the blocked ones must reproduce, the per-budget
+reconstruction loop that the one-pass analysis must reproduce, the
+per-config speculative loop that the lockstep engine must reproduce, and
+writers of the routing-trace fixtures that ``read_trace`` parses."""
 
 from __future__ import annotations
 
@@ -58,6 +59,28 @@ def allocating_masked_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarra
     shifted = neg - neg.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def substitution_every_row(
+    layer: MoELayerWeights, probs: np.ndarray, selected: np.ndarray, shortlist
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``coverage.policy_assignments`` under substitution, re-ranking every
+    token, also those that miss no natural expert, with ``stable_top_k``:
+    (ids, weights, missing). A shortlist below k fills the first
+    ``min(k, B)`` slots, weighted by their own gathered (and, on a
+    renormalizing layer, renormalized) probabilities, and leaves the rest at
+    id -1 and weight 0."""
+    k, k_eff = layer.k, min(layer.k, len(shortlist))
+    member = np.zeros(layer.n_experts, dtype=bool)
+    member[np.asarray(shortlist)] = True
+    ids = stable_top_k(np.where(member, probs, -1.0), k)
+    w = np.take_along_axis(probs, ids[:, :k_eff], axis=-1)
+    if layer.renormalize:
+        w = w / w.sum(axis=-1, keepdims=True)
+    weights = np.zeros(ids.shape)
+    weights[:, :k_eff] = w
+    ids[:, k_eff:] = -1
+    return ids, weights, k - member[selected].sum(axis=1)
 
 
 def tril_causal_mask(n: int) -> np.ndarray:

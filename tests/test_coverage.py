@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from moebudget.budgeting import shortlister
-from moebudget.coverage import CoveragePolicy, budgeted_moe, policy_assignments
+from moebudget.coverage import CoveragePolicy, LayerBudget, budgeted_moe, policy_assignments
 from moebudget.draft_tree import build_tree
 from moebudget.moe_core import apply_experts, moe_forward_full_batch, route_batch
-from moebudget.numerics import Rng, top_k_indices
+from moebudget.numerics import Rng, softmax, top_k_indices
 from moebudget.simulator import BudgetConfig, verify_greedy
 from moebudget.toy_model import TreeDecoder
 
 from conftest import prompt_tokens
+from reference import substitution_every_row
 from test_moe_core import expert_eval_naive, make_layer, preset_layer, route_one
 
 POLICIES = (CoveragePolicy.TRUNCATION, CoveragePolicy.SUBSTITUTION)
@@ -208,6 +209,72 @@ class TestPolicyAssignments:
         ids, _, missing = policy_assignments(layer, probs, selected, sl, policy)
         assert set(ids[ids >= 0].tolist()) <= set(sl.tolist())
         assert np.all(missing == layer.k - np.isin(selected, sl).sum(axis=1))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_substitution_equals_reranking_every_row(self, data):
+        # Only the tokens that miss a natural expert are re-ranked; the rest
+        # keep `selected`. Logits on three levels tie within most tokens,
+        # and shortlists run from one member to all n, below k included.
+        n = data.draw(st.integers(1, 64), label="n")
+        k = data.draw(st.integers(1, min(n, 8)), label="k")
+        size = data.draw(st.integers(1, n), label="size")
+        renormalize = data.draw(st.booleans(), label="renormalize")
+        t = data.draw(st.integers(1, 40), label="t")
+        rng = Rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        layer = make_layer(n=n, k=k, renormalize=renormalize)
+        probs = softmax(rng.integers(0, 3, size=(t, n)).astype(np.float64))
+        selected = top_k_indices(probs, k)
+        sl = rng.permutation(n)[:size]
+        got = policy_assignments(layer, probs, selected, sl, CoveragePolicy.SUBSTITUTION)
+        want = substitution_every_row(layer, probs, selected, sl)
+        for name, g, w in zip(("ids", "weights", "missing"), got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w), name
+
+    @pytest.mark.parametrize("shortlist", [[1, 2], [1, 2, 3, 4]], ids=["below_k", "at_k"])
+    def test_substitution_on_zero_member_mass_raises(self, shortlist):
+        # Every member's probability underflows to 0 on a renormalizing
+        # layer. At B >= k that always raised; below k it divided 0 by 0
+        # into NaN weights and a NaN layer output, with only a warning.
+        layer = make_layer(n=8, k=4, bias=[0.0] + [-1000.0] * 7)
+        probs, selected = route_batch(layer, Rng(9).normal(size=(3, layer.d_model)))
+        assert np.all(probs[:, 1:] == 0.0)
+        with pytest.raises(ValueError, match="selected probabilities sum to zero"):
+            policy_assignments(
+                layer, probs, selected, np.array(shortlist), CoveragePolicy.SUBSTITUTION
+            )
+
+
+class TestExecuted:
+    """``LayerBudget.executed`` is ``np.unique`` of the active ids, by the
+    sort and neighbour comparison ``np.unique`` runs."""
+
+    @staticmethod
+    def executed(ids: np.ndarray) -> np.ndarray:
+        return LayerBudget(None, None, None, None, None, ids, None).executed
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        t=st.integers(1, 70),
+        k=st.integers(1, 8),
+        n=st.integers(1, 128),
+        inactive=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_np_unique(self, t, k, n, inactive, seed):
+        rng = Rng(seed)
+        ids = rng.integers(0, n, size=(t, k))
+        ids[rng.random(size=(t, k)) < inactive] = -1
+        ids[0] = -1  # one token with every slot inactive
+        want = np.unique(ids[ids >= 0])
+        got = self.executed(ids)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_no_active_slot_is_empty(self):
+        ids = np.full((3, 4), -1)
+        got = self.executed(ids)
+        want = np.unique(ids[ids >= 0])
+        assert got.shape == want.shape == (0,) and got.dtype == want.dtype
 
 
 def budgeted_tree(model, ctx, tree, shortlist_for, policy):

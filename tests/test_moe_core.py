@@ -417,11 +417,13 @@ class TestApplyExperts:
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_dot_equals_matmul_at_executor_group_shapes(self, preset):
-        # apply_experts issues its per-group products with np.dot, the
+        # apply_experts issues its per-group products with ndarray.dot, the
         # reference loop with np.matmul; the two are bit-identical only
-        # while both reach the same BLAS call. Routed rows name distinct
-        # experts, so a group has at most T rows: 1 to 271 covers every
-        # group of the calls perfbench makes, up to wide_oracle's 271 rows.
+        # while both reach the same BLAS call. np.dot is checked too: the
+        # method is its C function without the Python dispatcher. Routed rows
+        # name distinct experts, so a group has at most T rows: 1 to 271
+        # covers every group of the calls perfbench makes, up to
+        # wide_oracle's 271 rows.
         layer = preset_layer(preset)
         w_in_t, w_out_t = layer.expert_views
         rng = Rng(47)
@@ -431,11 +433,15 @@ class TestApplyExperts:
                 # Operand and output are row slices of larger buffers, as
                 # the executor's groups are.
                 a = rng.normal(size=(rows + 3, w.shape[0]))[3:]
-                got = np.dot(a, w, out=np.empty((rows + 2, w.shape[1]))[2:])
-                assert np.array_equal(got, np.matmul(a, w)), (
-                    f"np.dot and np.matmul differ on ({rows}, {w.shape[0]}) @ {w.shape}: "
-                    "moe_core.apply_experts no longer matches its np.matmul reference"
-                )
+                want = np.matmul(a, w)
+                for name, got in (
+                    ("ndarray.dot", a.dot(w, out=np.empty((rows + 2, w.shape[1]))[2:])),
+                    ("np.dot", np.dot(a, w, out=np.empty((rows + 2, w.shape[1]))[2:])),
+                ):
+                    assert np.array_equal(got, want), (
+                        f"{name} and np.matmul differ on ({rows}, {w.shape[0]}) @ {w.shape}: "
+                        "moe_core.apply_experts no longer matches its np.matmul reference"
+                    )
 
     def test_dense_expert_outputs_match_naive(self):
         layer = make_layer(n=5, k=2, d=4)

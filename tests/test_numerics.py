@@ -76,6 +76,17 @@ class TestMaskedSoftmax:
         assert np.array_equal(got, want)
         assert np.all(got[blocked] == 0.0)
 
+    @pytest.mark.parametrize("rows, n", [(1, 1), (1, 40), (8, 68), (63, 103), (271, 287)])
+    def test_nothing_blocked_equals_the_all_false_mask(self, rows, n):
+        # run_rows passes None when its mask blocks nothing (a lone causal
+        # row, a tree root), and the fill is skipped.
+        scores = Rng(rows + n).normal(size=(rows, n)) * 4
+        want = masked_softmax(scores.copy(), np.zeros((rows, n), dtype=bool))
+        assert np.array_equal(want, allocating_masked_softmax(scores, np.ones((rows, n), bool)))
+        got = masked_softmax(scores, None)
+        assert got is scores
+        assert np.array_equal(got, want)
+
 
 class TestTopK:
     def test_tie_breaks_to_lower_index(self):

@@ -503,7 +503,7 @@ class TestTreeDecoder:
         assert np.array_equal(grows.append_tokens([4, 9]), fixed.append_tokens([4, 9]))
 
     def test_attention_products_equal_matmul_at_decoder_shapes(self, target):
-        # run_rows projects with np.dot, writing keys and values straight
+        # run_rows projects with ndarray.dot, writing keys and values straight
         # into a row block of the K/V store, and writes its two score
         # products into column blocks of one (r, n) buffer with
         # np.matmul(out=). Each must equal a plain `@` bit for bit at every
@@ -519,8 +519,8 @@ class TestTreeDecoder:
             store = np.empty((rows + 9, d))
             for w in (attn.wq, attn.wk, attn.wo):
                 want = xn @ w.T
-                assert np.array_equal(np.dot(xn, w.T), want), rows
-                assert np.array_equal(np.dot(xn, w.T, out=store[5 : 5 + rows]), want), rows
+                assert np.array_equal(xn.dot(w.T), want), rows
+                assert np.array_equal(xn.dot(w.T, out=store[5 : 5 + rows]), want), rows
             q, k_self = xn @ attn.wq.T, xn @ attn.wk.T
             for cached in range(rows % 37, 301, 37):
                 keys = all_keys[:cached]
