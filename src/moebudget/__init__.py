@@ -14,7 +14,6 @@ from .analysis import (
     expected_pair_probability,
     pareto_table,
     read_trace,
-    reconstruction_error,
 )
 from .budgeting import (
     calibrate_static,

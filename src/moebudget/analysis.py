@@ -1,15 +1,11 @@
-"""Offline analytics over routing records and step reports: reconstruction
-error, coverage curves, co-activation concentration, and Pareto tables.
+"""Offline analytics over routing records and step reports: coverage
+curves, co-activation concentration, and Pareto tables.
 
 Computations accept either in-process routing (the per-layer
 ``coverage.LayerBudget`` records of ``draft_tree.tree_routing`` over the
 seeded trees of ``tree_captures``) or external trace files (JSON lines, one
 record per token and layer), so logs from real systems can be analyzed with
-the same code paths the toy lab uses. Reconstruction analysis ranks experts
-through ``budgeting.shortlister``, the provider budgeted verification uses;
-shortlists are arrays of expert ids. Its gold is each record's full-capacity
-``out``. It makes one dense pass and one ranking per method for each (tree,
-layer), and scores every budget on a prefix of that ranking.
+the same code paths the toy lab uses.
 """
 
 from __future__ import annotations
@@ -19,9 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .budgeting import shortlister
 from .draft_tree import binary_branching, build_tree, tree_routing
-from .moe_core import expert_outputs_grouped
 from .numerics import Rng, top_k_indices
 from .simulator import CELL_COORDS, CONTEXT_LEN
 from .toy_model import MoEModel, random_tokens
@@ -34,32 +28,13 @@ __all__ = [
     "max_pair_count",
     "pareto_table",
     "read_trace",
-    "reconstruction_error",
     "tree_captures",
 ]
 
 
 # ---------------------------------------------------------------------------
-# Reconstruction error
+# Tree captures
 # ---------------------------------------------------------------------------
-
-
-def reconstruction_error(weighted: np.ndarray, gold: np.ndarray, shortlist: np.ndarray) -> float:
-    """Normalized squared distance between the budgeted layer output and the
-    unbudgeted output ``gold`` on the same (teacher-forced) hidden states.
-
-    ``weighted`` is the layer's dense pass scaled by each expert's raw
-    router probability: entry (i, t) is ``probs[t, i] * E_i(h_t)``. The
-    budgeted output sums its ``shortlist`` rows, the quantity the greedy
-    oracle minimizes. ``gold`` is the selection-weighted natural output,
-    the ``out`` of a full-capacity capture of the same inputs; the
-    normalizer is its summed squared norm.
-    """
-    denom = float(np.sum(gold * gold))
-    if denom == 0.0:
-        raise ValueError("degenerate input: unbudgeted outputs are identically zero")
-    diff = weighted[shortlist].sum(axis=0) - gold
-    return float(np.sum(diff * diff)) / denom
 
 
 def tree_captures(target: MoEModel, draft: MoEModel, n_trees: int, tree_size: int, rng: Rng):
@@ -71,48 +46,6 @@ def tree_captures(target: MoEModel, draft: MoEModel, n_trees: int, tree_size: in
     for t in range(n_trees):
         context = random_tokens(rng.substream(t), CONTEXT_LEN, target.config.vocab_size)
         yield tree_routing(target, context, build_tree(draft, context, branching))
-
-
-def reconstruction_analysis(
-    target: MoEModel,
-    captures,
-    methods,
-    budgets,
-    static_counts: np.ndarray | None = None,
-) -> dict[tuple[str, int], list[float]]:
-    """Layer-averaged teacher-forced reconstruction error per captured tree.
-
-    ``captures`` holds one list of full-capacity LayerBudget records of
-    ``target`` per tree, as ``tree_captures`` yields them. Returns
-    {(method, budget): [error per tree]}; callers take means or spreads as
-    needed.
-
-    Each (tree, layer) reads its unbudgeted outputs from the capture and
-    computes one weighted dense pass, and each method ranks once, at the
-    largest budget; budget B scores the first B ids of that ranking. That
-    prefix is the ranking at B: static and router ranking take a stable
-    sort's leading entries, and the oracle's greedy loop makes the same
-    picks in the same order whatever its budget.
-    """
-    out: dict[tuple[str, int], list[float]] = {
-        (m, int(b)): [] for m in methods for b in budgets
-    }
-    top = max(int(b) for b in budgets)
-    providers = {m: shortlister(target, m, top, static_counts) for m in methods}
-    for layers in captures:
-        errs: dict[tuple[str, int], list[float]] = {key: [] for key in out}
-        for li, tr in enumerate(layers):
-            moe = target.blocks[li].moe
-            weighted = expert_outputs_grouped(moe, tr.moe_input) * tr.probs.T[:, :, None]
-            ranked = {
-                m: shortlist_for(li, moe, tr.moe_input, tr.probs, tr.selected)
-                for m, shortlist_for in providers.items()
-            }
-            for m, b in out:
-                errs[(m, b)].append(reconstruction_error(weighted, tr.out, ranked[m][:b]))
-        for key, layer_errs in errs.items():
-            out[key].append(float(np.mean(layer_errs)))
-    return out
 
 
 # ---------------------------------------------------------------------------

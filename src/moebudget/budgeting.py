@@ -5,15 +5,15 @@ A shortlist is a plain int64 array of distinct expert ids in ranking order,
 at least one and at most ``n_experts`` of them; a budget outside that range
 is refused. Static ranking orders experts once from calibration selection
 counts and never looks at the tree. Router ranking sums each tree's routing
-probabilities. Oracle ranking greedily minimizes squared reconstruction
-error against the unbudgeted layer output; it needs every expert's output
-and is a quality ceiling, not a production method.
+probabilities. Oracle ranking is the greedy minimizer of the raw-probability
+reconstruction: the squared distance between the unbudgeted layer output
+and the sum of the shortlist experts' outputs, each weighted by its raw
+router probability. No coverage policy executes that sum, so the oracle is
+not a quality ceiling; it needs every expert's output and is not a
+production method.
 
-``shortlister`` is the one place a method name becomes a ranking: budgeted
-verification and the offline reconstruction analysis both ask it for the
-per-layer shortlist provider. Oracle ranking reads its unbudgeted target
-from its own dense pass; the reconstruction analysis reads it from the
-``out`` of a full-capacity ``coverage.budgeted_moe`` record.
+``shortlister`` turns a method name into the per-layer shortlist provider
+of budgeted verification.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .coverage import budgeted_moe
 from .moe_core import MoELayerWeights, expert_outputs_grouped, selection_weights
-from .numerics import scratch, top_k_indices
+from .numerics import check_int, scratch, top_k_indices
 from .toy_model import MoEModel, TreeDecoder
 
 __all__ = [
@@ -59,6 +59,7 @@ def calibrate_static(model: MoEModel, sequences) -> np.ndarray:
 
 
 def _checked_budget(budget: int, n_experts: int) -> int:
+    budget = check_int("budget", budget)
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if budget > n_experts:

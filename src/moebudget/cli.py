@@ -8,11 +8,11 @@ the fields each command reads. A command takes a flag only for a field it
 reads, besides ``--config``, ``--seed`` (which sets ``model.seed``) and, on
 the two routing analyses, ``--trace``. A run on a trace reads only
 ``TRACE_READS`` and refuses the flags of the other fields. Precedence is
-CLI flag > config file > command default (``ablate``, ``coverage``,
-``coactivation`` and ``reconstruct`` run one tree size, 63 unless set) >
-built-in default. The whole merged config is checked; then every field the
-command does not read goes back to its built-in default. Each flag's destination is the name of
-the config field it sets, and each subcommand carries its ``cmd_*``
+CLI flag > config file > command default (``ablate``, ``coverage`` and
+``coactivation`` run one tree size, 63 unless set) > built-in default.
+The whole merged config is checked; then every field the command does not
+read goes back to its built-in default. Each flag's destination is the name
+of the config field it sets, and each subcommand carries its ``cmd_*``
 function (``simulate`` and ``ablate`` share ``cmd_sweep``, which names its
 files after the command). Every output file starts with a header block
 carrying the tool version, the echo of exactly the fields the command
@@ -47,7 +47,6 @@ from .analysis import (
     max_pair_count,
     pareto_table,
     read_trace,
-    reconstruction_analysis,
     tree_captures,
 )
 from .budgeting import METHODS, static_ranking_report
@@ -65,7 +64,7 @@ from .simulator import (
     default_calibration,
     sweep,
 )
-from .toy_model import DraftSpec, ModelConfig, MoEModel, PRESETS, preset_config
+from .toy_model import DraftSpec, ModelConfig, PRESETS, preset_config
 
 DEFAULT_TREE_SIZES = (3, 7, 15, 31, 63, 127, 255)
 ONE_TREE_SIZE = 63  # the default of the commands that run one tree size
@@ -147,7 +146,6 @@ READS = {
     "ablate": _SWEEP_READS,
     "coverage": _ANALYSIS_READS,
     "coactivation": _ANALYSIS_READS,
-    "reconstruct": _ANALYSIS_READS + ("budgets", "methods"),
     "calibrate-static": _MODEL_READS,
 }
 # A coverage or coactivation run on an external routing trace builds no
@@ -310,8 +308,6 @@ COACTIVATION_COLUMNS = (
     "concentration",
 )
 
-RECONSTRUCT_COLUMNS = ("method", "budget", "trees", "error_mean", "error_std")
-
 
 def cmd_sweep(config: ExperimentConfig, command: str) -> int:
     """Sweep the AR baseline, full verification at each configured tree
@@ -372,13 +368,13 @@ def cmd_sweep(config: ExperimentConfig, command: str) -> int:
     return 0
 
 
-def _captures(config: ExperimentConfig) -> tuple[MoEModel, list[list[LayerBudget]]]:
-    """The config's target model, and the full-capacity per-layer records
-    of its ``trees`` seeded draft trees of size ``tree_sizes[0]``: the one
-    tree population of ``coverage``, ``coactivation`` and ``reconstruct``."""
+def _captures(config: ExperimentConfig) -> list[list[LayerBudget]]:
+    """The full-capacity per-layer records of the config's ``trees`` seeded
+    draft trees of size ``tree_sizes[0]`` on its target model: the one tree
+    population of ``coverage`` and ``coactivation``."""
     target, draft = build_model_pair(config.model, config.draft)
     rng = Rng(config.model.seed).substream(ANALYSIS_STREAM)
-    return target, list(tree_captures(target, draft, config.trees, config.tree_sizes[0], rng))
+    return list(tree_captures(target, draft, config.trees, config.tree_sizes[0], rng))
 
 
 def _load_records(config: ExperimentConfig, trace: str | None):
@@ -391,7 +387,7 @@ def _load_records(config: ExperimentConfig, trace: str | None):
             li: {"probs_per_tree": [rec["probs"]], "selected": rec["selected"]}
             for li, rec in parsed.items()
         }
-    _, trees = _captures(config)
+    trees = _captures(config)
     return {
         li: {
             "probs_per_tree": [layers[li].probs for layers in trees],
@@ -458,36 +454,6 @@ def cmd_coactivation(config: ExperimentConfig, trace: str | None = None) -> int:
         summary_rows,
         trace,
     )
-    return 0
-
-
-def cmd_reconstruct(config: ExperimentConfig) -> int:
-    """Teacher-forced reconstruction error per ranking method and budget,
-    averaged over layers and seeded trees."""
-    target, captures = _captures(config)
-    static_counts = None
-    if "static" in config.methods:
-        static_counts = default_calibration(
-            target, Rng(config.model.seed).substream(CALIB_STREAM)
-        )
-    errors = reconstruction_analysis(
-        target, captures, config.methods, config.budgets, static_counts
-    )
-    rows = []
-    for method in config.methods:
-        for budget in config.budgets:
-            errs = errors[(method, int(budget))]
-            rows.append(
-                {
-                    "method": method,
-                    "budget": int(budget),
-                    "trees": len(errs),
-                    "error_mean": float(np.mean(errs)),
-                    "error_std": float(np.std(errs)),
-                }
-            )
-    path = Path(config.out_dir, "reconstruct.csv")
-    write_csv(path, "reconstruct", config, RECONSTRUCT_COLUMNS, rows)
     return 0
 
 
@@ -573,8 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
                 trace=True, one_size=True)
     add_command("coactivation", cmd_coactivation, "expert co-activation analysis",
                 trace=True, one_size=True)
-    add_command("reconstruct", cmd_reconstruct, "teacher-forced reconstruction error",
-                one_size=True)
     add_command("calibrate-static", cmd_calibrate_static, "static ranking calibration")
     return parser
 

@@ -112,16 +112,15 @@ def policy_assignments(
 
 @dataclass
 class LayerBudget:
-    """What one MoE layer ran: the states it consumed, their natural routing
-    and the output it returned; and, when budgeted, the shortlist it used.
-    ``ids`` and ``missing`` are the per-token slot assignments and the
-    per-token count of missing natural experts (the natural top-k and zero
-    at full capacity)."""
+    """What one MoE layer ran: the states it consumed and their natural
+    routing; and, when budgeted, the shortlist it used. ``ids`` and
+    ``missing`` are the per-token slot assignments and the per-token count
+    of missing natural experts (the natural top-k and zero at full
+    capacity)."""
 
     moe_input: np.ndarray  # (T, d_model)
     probs: np.ndarray  # (T, n_experts) natural routing
     selected: np.ndarray  # (T, k) natural top-k
-    out: np.ndarray  # (T, d_model) the layer output the hook returned
     shortlist: np.ndarray | None  # expert ids in ranking order; None at full capacity
     ids: np.ndarray  # (T, k) assigned expert ids, -1 for inactive slots
     missing: np.ndarray  # (T,) |top_k \ shortlist|, in 0..k
@@ -168,7 +167,7 @@ def budgeted_moe(shortlist_for=None, policy: CoveragePolicy | None = None):
             sl = shortlist_for(li, layer, states, probs, selected)
             ids, weights, missing = policy_assignments(layer, probs, selected, sl, policy)
             out = apply_experts(layer, states, ids, weights)
-        record.append(LayerBudget(states, probs, selected, out, sl, ids, missing))
+        record.append(LayerBudget(states, probs, selected, sl, ids, missing))
         return out
 
     return hook, record

@@ -11,9 +11,8 @@ experts monotone in tree size per prompt, not just on average.
 
 ``tree_routing`` is the one teacher-forced capture of a tree under the full
 target: one full-capacity ``coverage.budgeted_moe`` record per layer, whose
-MoE inputs, natural routing and outputs over the tree rows the
-reconstruction analysis and the CLI's coverage and co-activation records
-all read.
+natural routing over the tree rows the CLI's coverage and co-activation
+records read.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coverage import LayerBudget, budgeted_moe
-from .numerics import top_k_indices
+from .numerics import check_int, top_k_indices
 from .toy_model import MoEModel, TreeDecoder
 
 __all__ = [
@@ -85,7 +84,9 @@ class DraftTree:
 
 
 def binary_branching(size: int) -> tuple[int, ...]:
-    """Branching factors of the nested binary family: size must be 2^j - 1."""
+    """Branching factors of the nested binary family: size must be an
+    integer 2^j - 1."""
+    size = check_int("tree_size", size)
     if size < 1 or (size + 1) & size:
         raise ValueError(f"binary tree size must be 2^j - 1, got {size}")
     return (2,) * (size.bit_length() - 1)
@@ -145,7 +146,7 @@ def build_tree(draft: MoEModel, context_tokens, branching) -> DraftTree:
 def tree_routing(target: MoEModel, context_tokens, tree: DraftTree) -> list[LayerBudget]:
     """Teacher-forced capture of the tree rows under the full target, one
     full-capacity LayerBudget per MoE layer: the states each MoE sublayer
-    consumed, the natural routing they induced and the unbudgeted output."""
+    consumed and the natural routing they induced."""
     hook, layers = budgeted_moe()
     TreeDecoder(target, context_tokens).extend_tree(tree, hook)
     return layers

@@ -300,9 +300,9 @@ def expert_outputs_grouped(
     """Every expert's output on every token, grouped by expert:
     shape (n_experts, T, d_model).
 
-    Dense evaluation used by oracle ranking and reconstruction analysis,
-    which need full model access by definition. ``out`` may be a reusable
-    buffer; callers that let the result escape must pass a fresh one.
+    Dense evaluation used by oracle ranking, which needs full model access
+    by definition. ``out`` may be a reusable buffer; callers that let the
+    result escape must pass a fresh one.
 
     The experts run in blocks whose (T, block * d_ff) pre-activations hold
     about ``DENSE_BLOCK_DOUBLES`` values, so they stay in cache from the

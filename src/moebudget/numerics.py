@@ -35,6 +35,15 @@ _scratch_store = threading.local()
 SORT_CHECK_ENTRIES = 1024
 
 
+def check_int(name: str, value) -> int:
+    """``value`` as an ``int`` when it is a Python or numpy integer;
+    otherwise, booleans and integral floats included, a ValueError naming
+    ``name``. ``int()`` alone would truncate 1.5 to 1 and take True as 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def scratch(name: str, *shape: int) -> np.ndarray:
     """Reusable uninitialized buffer for hot-path intermediates.
 
@@ -137,8 +146,8 @@ class Rng:
     """
 
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
-        self.seed = int(seed)
-        self.path = tuple(int(p) for p in path)
+        self.seed = check_int("seed", seed)
+        self.path = tuple(check_int("substream index", p) for p in path)
         seq = np.random.SeedSequence(self.seed, spawn_key=self.path)
         self._gen = np.random.Generator(np.random.Philox(seq))
 

@@ -40,7 +40,7 @@ import numpy as np
 from .budgeting import METHODS, calibrate_static, shortlister
 from .coverage import CoveragePolicy, budgeted_moe
 from .draft_tree import DraftTree, binary_branching, expand_tree
-from .numerics import Rng
+from .numerics import Rng, check_int
 from .toy_model import (
     DraftSpec,
     ModelConfig,
@@ -139,7 +139,7 @@ class BudgetConfig:
         if self.method not in METHODS:
             raise ValueError(f"unknown ranking method {self.method!r}")
         CoveragePolicy(self.policy)
-        if self.budget < 1:
+        if check_int("budget", self.budget) < 1:
             raise ValueError("budget must be >= 1")
 
 
@@ -320,7 +320,7 @@ def run_generation(
     a non-empty 1-D sequence of integer token ids. The speculative modes are
     ``run_generations`` with one config.
     """
-    if gen_len < 1:
+    if check_int("gen_len", gen_len) < 1:
         raise ValueError("gen_len must be >= 1")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -383,7 +383,7 @@ def run_generations(
     dropped: its traceback is stored under its index and its run is None,
     and the other configs carry on. Otherwise the error propagates.
     """
-    if gen_len < 1:
+    if check_int("gen_len", gen_len) < 1:
         raise ValueError("gen_len must be >= 1")
     if not budget_cfgs:
         raise ValueError("budget_cfgs must hold at least one config")
@@ -507,7 +507,9 @@ class SweepCell:
             self.budget_config().validate()
         elif (self.method, self.policy, self.budget) != (None, None, None):
             raise ValueError(f"{self.mode} cells take no method, policy or budget")
-        if self.mode != "ar":
+        if self.mode == "ar":  # the size only labels the row
+            check_int("tree_size", self.tree_size)
+        else:
             binary_branching(self.tree_size)
 
     def budget_config(self) -> BudgetConfig | None:
@@ -543,11 +545,13 @@ class SweepSpec:
             raise ValueError("sweep needs at least one cell")
         if not self.seeds:
             raise ValueError("sweep needs at least one seed")
+        for i, seed in enumerate(self.seeds):
+            check_int(f"seeds[{i}]", seed)
         if any(s < 0 for s in self.seeds):
             raise ValueError(f"seeds must all be >= 0, got {list(self.seeds)}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must not repeat, got {list(self.seeds)}")
-        if self.gen_len < 1:
+        if check_int("gen_len", self.gen_len) < 1:
             raise ValueError("gen_len must be >= 1")
         seen = set()
         n_experts = self.model_config.n_experts

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .moe_core import MoELayerWeights, RouterWeights, moe_forward_full_batch
-from .numerics import Rng, masked_softmax, scratch
+from .numerics import Rng, check_int, masked_softmax, scratch
 
 __all__ = [
     "DraftSpec",
@@ -56,6 +56,8 @@ class ModelConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for name in ("d_model", "d_ff", "n_experts", "top_k", "n_layers", "vocab_size", "seed"):
+            check_int(name, getattr(self, name))
         if self.top_k > self.n_experts:
             raise ValueError("top_k must not exceed n_experts")
         if self.top_k < 1:

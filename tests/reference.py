@@ -5,10 +5,9 @@ causal mask and token check that ``toy_model``'s must match; the one-shot
 masked forward that ``TreeDecoder`` is checked against, the ancestor mask of
 a drafted tree, the plain loops that the grouped expert executor and the
 batched tree expansion must match bit for bit, the unblocked dense evaluator
-and oracle ranking that the blocked ones must reproduce, the per-budget
-reconstruction loop that the one-pass analysis must reproduce, the
-per-config speculative loop that the lockstep engine must reproduce, and
-writers of the routing-trace fixtures that ``read_trace`` parses."""
+and oracle ranking that the blocked ones must reproduce, the per-config
+speculative loop that the lockstep engine must reproduce, and writers of the
+routing-trace fixtures that ``read_trace`` parses."""
 
 from __future__ import annotations
 
@@ -17,13 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from moebudget.budgeting import shortlister
 from moebudget.coverage import LayerBudget
 from moebudget.draft_tree import DraftTree, binary_branching, expand_tree
 from moebudget.moe_core import (
     MoELayerWeights,
     apply_experts,
-    expert_outputs_grouped,
     moe_forward_full_batch,
     selection_weights,
     silu,
@@ -142,7 +139,7 @@ def forward(model: MoEModel, tokens, mask: np.ndarray | None = None) -> ForwardR
         moe_in = rms_norm(x)
         out, probs, selected = _full_moe(block.moe, moe_in)
         layers.append(
-            LayerBudget(moe_in, probs, selected, out, None, selected, np.zeros(n, dtype=np.int64))
+            LayerBudget(moe_in, probs, selected, None, selected, np.zeros(n, dtype=np.int64))
         )
         x = x + out
     logits = rms_norm(x) @ model.head.T
@@ -245,37 +242,6 @@ def rank_oracle_reference(
         residual = float(candidate_residuals[pick])
         g += gram[:, pick]
     return chosen
-
-
-def reconstruction_analysis_per_budget(
-    target: MoEModel,
-    captures,
-    methods,
-    budgets,
-    static_counts: np.ndarray | None = None,
-) -> dict[tuple[str, int], list[float]]:
-    """``analysis.reconstruction_analysis`` with a shortlister per (method,
-    budget): every budget ranks on its own and runs its own dense pass over
-    every expert, scoring the raw weighted sum of its shortlist."""
-    out: dict[tuple[str, int], list[float]] = {
-        (m, int(b)): [] for m in methods for b in budgets
-    }
-    providers = {key: shortlister(target, *key, static_counts) for key in out}
-    for layers in captures:
-        golds = [
-            moe_forward_full_batch(target.blocks[li].moe, tr.moe_input)[0]
-            for li, tr in enumerate(layers)
-        ]
-        for key, shortlist_for in providers.items():
-            errs = []
-            for li, tr in enumerate(layers):
-                moe = target.blocks[li].moe
-                sl = shortlist_for(li, moe, tr.moe_input, tr.probs, tr.selected)
-                dense = expert_outputs_grouped(moe, tr.moe_input)[sl]
-                diff = (dense * tr.probs.T[sl, :, None]).sum(axis=0) - golds[li]
-                errs.append(float(np.sum(diff * diff)) / float(np.sum(golds[li] * golds[li])))
-            out[key].append(float(np.mean(errs)))
-    return out
 
 
 def expand_tree_per_node(decoder: TreeDecoder, branching) -> DraftTree:

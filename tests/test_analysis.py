@@ -5,7 +5,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from moebudget import analysis, budgeting, moe_core
 from moebudget.analysis import (
     coactivation,
     concentration_ratio,
@@ -14,100 +13,15 @@ from moebudget.analysis import (
     max_pair_count,
     pareto_table,
     read_trace,
-    reconstruction_analysis,
-    reconstruction_error,
-    tree_captures,
 )
 from moebudget.budgeting import calibrate_static
 from moebudget.draft_tree import build_tree, tree_routing
-from moebudget.moe_core import (
-    apply_experts,
-    expert_outputs_grouped,
-    route_batch,
-    selection_weights,
-)
 from moebudget.numerics import Rng
 from moebudget.simulator import SweepCell, SweepSpec, sweep
 from moebudget.toy_model import DraftSpec, ModelConfig, random_tokens
 
 from conftest import prompt_tokens
-from reference import (
-    forward,
-    reconstruction_analysis_per_budget,
-    write_trace_dense,
-    write_trace_topk,
-)
-from test_moe_core import make_layer
-
-
-class TestReconstructionError:
-    def test_raw_mode_matches_manual_sum(self):
-        layer = make_layer(n=6, k=2, renormalize=False)
-        states = Rng(3).normal(size=(3, 4))
-        probs, selected = route_batch(layer, states)
-        gold = apply_experts(layer, states, selected, selection_weights(probs, selected, False))
-        dense = expert_outputs_grouped(layer, states)
-        got = reconstruction_error(dense * probs.T[:, :, None], gold, np.array([0, 2, 5]))
-        approx = sum(probs[:, j, None] * dense[j] for j in [0, 2, 5])
-        want = float(np.sum((approx - gold) ** 2) / np.sum(gold * gold))
-        assert got == pytest.approx(want, rel=1e-12)
-
-    def test_zero_gold_rejected(self):
-        weighted = np.ones((4, 3, 2))
-        with pytest.raises(ValueError, match="identically zero"):
-            reconstruction_error(weighted, np.zeros((3, 2)), np.array([0, 1]))
-
-    @pytest.mark.parametrize("preset", ["olmoe-toy", "qwen3-toy"])
-    def test_one_pass_equals_per_budget_reference(self, request, preset):
-        target, draft = (
-            (request.getfixturevalue("target"), request.getfixturevalue("draft"))
-            if preset == "olmoe-toy"
-            else (request.getfixturevalue("wide_target"), request.getfixturevalue("wide_draft"))
-        )
-        args = (
-            target,
-            list(tree_captures(target, draft, 2, 7, Rng(5))),
-            ("static", "router", "oracle"),
-            (16, 4, 16, target.config.n_experts),  # unsorted, with a repeat, up to every expert
-            calibrate_static(target, [prompt_tokens(target, 90)]),
-        )
-        got = reconstruction_analysis(*args)
-        want = reconstruction_analysis_per_budget(*args)
-        assert got.keys() == want.keys()
-        for key in want:
-            assert got[key] == want[key], key
-
-    @pytest.mark.parametrize(
-        "methods, passes", [(("static", "router"), 1), (("static", "router", "oracle"), 2)]
-    )
-    def test_dense_passes_per_tree_and_layer(self, target, draft, monkeypatch, methods, passes):
-        calls = []
-        real = moe_core.expert_outputs_grouped
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        captures = list(tree_captures(target, draft, 2, 7, Rng(0)))
-        for module in (moe_core, analysis, budgeting):
-            monkeypatch.setattr(module, "expert_outputs_grouped", counted)
-        counts = calibrate_static(target, [prompt_tokens(target, 91)])
-        reconstruction_analysis(target, captures, methods, (4, 8, 16, 32), counts)
-        assert 0 < len(calls) <= passes * 2 * target.n_layers
-
-    def test_wrong_static_counts_shape_rejected_before_any_forward(
-        self, small_target, small_draft, monkeypatch
-    ):
-        # 7 count columns for an 8-expert model used to warn "clamping to 7"
-        # and average errors over shortlists that could never hold expert 7.
-        def no_dense_pass(*args, **kwargs):
-            raise AssertionError("a dense pass ran before the counts were checked")
-
-        captures = list(tree_captures(small_target, small_draft, 1, 3, Rng(0)))
-        for module in (moe_core, analysis, budgeting):
-            monkeypatch.setattr(module, "expert_outputs_grouped", no_dense_pass)
-        with pytest.raises(ValueError, match=r"shape \(2, 8\).*got \(2, 7\)"):
-            reconstruction_analysis(small_target, captures, ["static"], [8], np.ones((2, 7)))
+from reference import forward, write_trace_dense, write_trace_topk
 
 
 class TestCoverageCurve:

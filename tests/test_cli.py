@@ -300,7 +300,7 @@ def test_every_field_is_read_and_every_command_has_reads():
     assert set(cli._FLAGS) <= fields
 
 
-@pytest.mark.parametrize("command", ["ablate", "coverage", "coactivation", "reconstruct"])
+@pytest.mark.parametrize("command", ["ablate", "coverage", "coactivation"])
 def test_tree_size_list_rejected_where_one_size_runs(tmp_path, capsys, command):
     config = {**TINY, "trees": 1, "budgets": [2], "gen_len": 2, "seeds": [0]}
     # A list of sizes is an error whether it comes from the flag or the file.
@@ -342,13 +342,14 @@ def test_prompts_flag_overrides_file_seeds(tmp_path):
 
 
 def test_export_model_is_an_unknown_command(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["export-model"])
-    assert exc.value.code == 2
-    assert "invalid choice: 'export-model'" in capsys.readouterr().err
+    for command in ("export-model", "reconstruct"):
+        with pytest.raises(SystemExit) as exc:
+            main([command])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["coverage", "reconstruct"])
+@pytest.mark.parametrize("command", ["coverage"])
 def test_analysis_outputs_byte_identical_across_runs(tmp_path, command):
     first = run(tmp_path, command, TINY, out="a")
     second = run(tmp_path, command, TINY, out="b")
@@ -410,7 +411,7 @@ def header_of(path) -> dict:
 
 
 @pytest.mark.parametrize(
-    "command", ["simulate", "ablate", "coverage", "coactivation", "reconstruct", "calibrate-static"]
+    "command", ["simulate", "ablate", "coverage", "coactivation", "calibrate-static"]
 )
 def test_every_output_file_starts_with_the_header_block(tmp_path, command):
     config = {**TINY, "methods": ["static"], "budgets": [2], "gen_len": 2, "seeds": [0]}
@@ -429,7 +430,7 @@ def test_every_output_file_starts_with_the_header_block(tmp_path, command):
 
 
 @pytest.mark.parametrize(
-    "command", ["simulate", "ablate", "coverage", "coactivation", "reconstruct", "calibrate-static"]
+    "command", ["simulate", "ablate", "coverage", "coactivation", "calibrate-static"]
 )
 def test_config_echo_loads_back_to_the_config_that_ran(tmp_path, monkeypatch, command):
     ran = []
@@ -460,10 +461,6 @@ def test_calibrate_static_echoes_only_what_it_reads(tmp_path):
 # a change that is meant to move no number must leave every one of them.
 SIMULATE_FLAGS = ("--tree-size", "7,15", "--prompts", "2", "--gen-len", "8")
 DATA_PINS = {
-    "reconstruct.csv": (
-        "reconstruct", ("--method", "static,router,oracle"),
-        "883bb99a965bc30e7c5f14d8e68c899517b2251801780ab6a5a38a7991936ff2",
-    ),
     "coverage.csv": (
         "coverage", (), "e11c4f285fc2ba3c7876583c2dfd1b4c28e86feb9ef367cfc2b82bc06a6968fd",
     ),

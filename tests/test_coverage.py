@@ -9,7 +9,12 @@ from hypothesis import given, settings, strategies as st
 from moebudget.budgeting import shortlister
 from moebudget.coverage import CoveragePolicy, LayerBudget, budgeted_moe, policy_assignments
 from moebudget.draft_tree import build_tree
-from moebudget.moe_core import apply_experts, moe_forward_full_batch, route_batch
+from moebudget.moe_core import (
+    apply_experts,
+    moe_forward_full_batch,
+    route_batch,
+    selection_weights,
+)
 from moebudget.numerics import Rng, softmax, top_k_indices
 from moebudget.simulator import BudgetConfig, verify_greedy
 from moebudget.toy_model import TreeDecoder
@@ -251,7 +256,7 @@ class TestExecuted:
 
     @staticmethod
     def executed(ids: np.ndarray) -> np.ndarray:
-        return LayerBudget(None, None, None, None, None, ids, None).executed
+        return LayerBudget(None, None, None, None, ids, None).executed
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -326,7 +331,9 @@ class TestModelForwardBudgeted:
 
     def test_routing_captured_is_natural_routing(self, target, draft):
         # The hook records the natural routing of the budgeted stream, not
-        # the substituted selection, and returns the output it records.
+        # the substituted selection, and returns the output of the
+        # assignment it records: moe_forward_full_batch's execution with the
+        # substituted ids in place of the natural ones, bit for bit.
         ctx = prompt_tokens(target, 23)
         tree = build_tree(draft, ctx, (2, 2))
         sl = shortlister(target, "static", 8, ordered_counts(target))
@@ -348,7 +355,8 @@ class TestModelForwardBudgeted:
             np.testing.assert_array_equal(
                 rec.selected, top_k_indices(rec.probs, target.config.top_k)
             )
-            assert rec.out is out
+            weights = selection_weights(rec.probs, rec.ids, layer.renormalize)
+            assert np.array_equal(out, apply_experts(layer, states, rec.ids, weights))
             assert not np.array_equal(rec.ids, rec.selected)  # substitution did act
 
     def test_coverage_stats_shapes_and_consistency(self, target, draft):

@@ -762,3 +762,66 @@ class TestSweep:
         }
         assert payload["tau"] == run.reports[0].tau
         assert payload["unique_experts"] == run.reports[0].unique_experts
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, True])
+def test_non_integer_seeds_refused_not_truncated(monkeypatch, seed):
+    # int() turned 1.5 and True into 1: the sweep ran seed 1's prompt under
+    # a row labelled 1.5, and ModelConfig(seed=1.5) built the seed-1 model.
+    def no_model(*args, **kwargs):
+        raise AssertionError("a model was built before the seeds were checked")
+
+    monkeypatch.setattr(simulator, "build_model_pair", no_model)
+    with pytest.raises(ValueError, match=rf"seeds\[1\] must be an integer, got {seed!r}"):
+        sweep(small_sweep_spec(seeds=(0, seed)))
+    with pytest.raises(ValueError, match=rf"^seed must be an integer, got {seed!r}$"):
+        ModelConfig(seed=seed).validate()
+    with pytest.raises(ValueError, match=rf"^seed must be an integer, got {seed!r}$"):
+        Rng(seed)
+    with pytest.raises(ValueError, match=r"substream index must be an integer"):
+        Rng(0).substream(seed)
+
+
+def test_numpy_integers_accepted_as_ints():
+    np.testing.assert_array_equal(Rng(np.int64(1)).normal(size=4), Rng(1).normal(size=4))
+    small_sweep_spec(seeds=(np.int64(1), np.uint8(2)), gen_len=np.int64(4)).validate()
+    ModelConfig(top_k=np.int64(2), n_experts=np.int32(8), seed=np.int64(3)).validate()
+    assert binary_branching(np.int64(7)) == (2, 2)
+    SweepCell("spec_budgeted", np.int64(3), "router", "truncation", np.int16(2)).validate()
+
+
+@pytest.mark.parametrize(
+    "field, value, check",
+    [
+        ("budget", True, lambda v: SweepCell("spec_budgeted", 3, "router", "truncation", v)),
+        ("budget", 2.5, lambda v: SweepCell("spec_budgeted", 3, "router", "truncation", v)),
+        ("budget", True, lambda v: BudgetConfig("router", CoveragePolicy.TRUNCATION, v)),
+        ("tree_size", True, lambda v: SweepCell("spec_full", v)),
+        ("tree_size", 3.0, lambda v: SweepCell("spec_full", v)),
+        ("tree_size", 63.0, lambda v: SweepCell("ar", v)),
+        ("gen_len", 4.0, lambda v: small_sweep_spec(gen_len=v)),
+        ("gen_len", True, lambda v: small_sweep_spec(gen_len=v)),
+        ("top_k", True, lambda v: ModelConfig(top_k=v)),
+        ("n_experts", 64.0, lambda v: ModelConfig(n_experts=v)),
+        ("n_layers", True, lambda v: ModelConfig(n_layers=v)),
+        ("d_model", 32.0, lambda v: ModelConfig(d_model=v)),
+        ("d_ff", True, lambda v: ModelConfig(d_ff=v)),
+        ("vocab_size", 256.0, lambda v: ModelConfig(vocab_size=v)),
+    ],
+    ids=["cell_budget_true", "cell_budget_float", "budget_config_true", "tree_size_true",
+         "tree_size_float", "ar_tree_size_float", "gen_len_float", "gen_len_true", "top_k_true",
+         "n_experts_float", "n_layers_true", "d_model_float", "d_ff_true", "vocab_size_float"],
+)
+def test_non_integer_size_fields_refused_naming_the_field(field, value, check):
+    # budget=True ran at B=1, tree_size=True drafted a root-only tree,
+    # top_k=True built a model with k=True, an ar row took 63.0 as its size
+    # label, and the other floats failed deep inside with a TypeError.
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {value!r}$"):
+        check(value).validate()
+
+
+def test_generation_refuses_a_non_integer_gen_len(small_target, small_draft):
+    prompt = prompt_tokens(small_target, 71, 8)
+    for mode in ("ar", "spec_full"):
+        with pytest.raises(ValueError, match=r"^gen_len must be an integer, got 4\.0$"):
+            run_generation(small_target, small_draft, prompt, 4.0, mode)

@@ -200,8 +200,8 @@ class TestExpertStorage:
                 assert block.moe.w_out_stack.shape == want
 
     def test_router_generation_builds_no_w_out_stack(self):
-        # Only the dense evaluator (oracle ranking, reconstruction) needs the
-        # transposed copy of w_out.
+        # Only the dense evaluator of oracle ranking needs the transposed
+        # copy of w_out.
         cfg = preset_config("mixtral-toy", n_layers=2)
         target = build_target(cfg)
         draft = derive_draft(target, DraftSpec(), Rng(1))
