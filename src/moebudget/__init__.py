@@ -7,14 +7,7 @@ policies, and quantifies the bandwidth/quality tradeoff with an explicit
 memory-cost model.
 """
 
-from .analysis import (
-    coactivation,
-    concentration_ratio,
-    coverage_curve,
-    expected_pair_probability,
-    pareto_table,
-    read_trace,
-)
+from .analysis import coverage_curve, pareto_table, read_trace
 from .budgeting import (
     calibrate_static,
     rank_oracle,

@@ -1,5 +1,5 @@
-"""Offline analytics over routing records and step reports: coverage
-curves, co-activation concentration, and Pareto tables.
+"""Offline analytics over routing records and sweep rows: coverage curves
+and Pareto tables.
 
 Computations accept either in-process routing (the per-layer
 ``coverage.LayerBudget`` records of ``draft_tree.tree_routing`` over the
@@ -11,7 +11,6 @@ the same code paths the toy lab uses.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 import numpy as np
 
@@ -22,10 +21,7 @@ from .toy_model import MoEModel, random_tokens
 
 __all__ = [
     "cell_summaries",
-    "coactivation",
     "coverage_curve",
-    "expected_pair_probability",
-    "max_pair_count",
     "pareto_table",
     "read_trace",
     "tree_captures",
@@ -63,50 +59,6 @@ def coverage_curve(tree_probs: np.ndarray) -> np.ndarray:
         raise ValueError("routing mass must be positive")
     order = top_k_indices(scores, scores.size)
     return np.cumsum(scores[order]) / total
-
-
-# ---------------------------------------------------------------------------
-# Co-activation
-# ---------------------------------------------------------------------------
-
-
-def coactivation(selected: np.ndarray, n_experts: int) -> np.ndarray:
-    """Symmetric pair-selection counts of a (T, k) selection stream, an
-    (n_experts, n_experts) int64 array: entry (i, j) counts tokens whose
-    top-k contained both i and j, so the diagonal holds per-expert counts."""
-    selected = np.asarray(selected, dtype=np.int64)
-    if selected.ndim != 2 or selected.shape[0] == 0:
-        raise ValueError("selected must be a non-empty (tokens, k) array")
-    k = selected.shape[1]
-    counts = np.zeros((n_experts, n_experts), dtype=np.int64)
-    i_idx = np.repeat(selected, k, axis=1).ravel()
-    j_idx = np.tile(selected, (1, k)).ravel()
-    np.add.at(counts, (i_idx, j_idx), 1)
-    return counts
-
-
-def expected_pair_probability(n_experts: int, k: int) -> Fraction:
-    """Probability that a specific expert pair co-occurs under uniform-random
-    selection of k from n: k(k-1) / (n(n-1)), as an exact rational."""
-    return Fraction(k * (k - 1), n_experts * (n_experts - 1))
-
-
-def max_pair_count(counts: np.ndarray) -> int:
-    """Largest off-diagonal entry of co-activation ``counts``: how many
-    tokens selected the most frequent pair of distinct experts."""
-    off = counts.copy()
-    np.fill_diagonal(off, 0)
-    return int(off.max())
-
-
-def concentration_ratio(counts: np.ndarray, tokens: int, k: int) -> float:
-    """Largest off-diagonal pair count of co-activation ``counts`` over
-    ``tokens`` top-k selections, relative to its uniform-random
-    expectation."""
-    expected = tokens * expected_pair_probability(counts.shape[0], k)
-    if expected == 0:
-        raise ValueError("expected pair count is zero (k < 2 or no tokens)")
-    return float(max_pair_count(counts) / float(expected))
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +126,8 @@ def _probability(value) -> float:
     return float(value)
 
 
-def _trace_record(line: str, n_experts: int, k: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """One trace line as (layer, probability vector, selected experts)."""
+def _trace_record(line: str, n_experts: int, k: int) -> tuple[int, np.ndarray]:
+    """One trace line as (layer, probability vector)."""
     try:
         rec = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -191,7 +143,6 @@ def _trace_record(line: str, n_experts: int, k: int) -> tuple[int, np.ndarray, n
         vec = np.array([_probability(p) for p in rec["probs"]], dtype=np.float64)
         if vec.shape != (n_experts,):
             raise ValueError(f"probs length {vec.size} != n_experts {n_experts}")
-        listed = np.arange(n_experts)
     elif "topk" in rec:
         pairs = [(i, _probability(p)) for i, p in rec["topk"]]
         ids = [i for i, _ in pairs]
@@ -206,17 +157,16 @@ def _trace_record(line: str, n_experts: int, k: int) -> tuple[int, np.ndarray, n
             raise ValueError(f"{len(pairs)} topk pairs, need k={k}")
         vec = np.zeros(n_experts, dtype=np.float64)
         vec[ids] = [p for _, p in pairs]
-        listed = np.array(sorted(ids))
     else:
         raise ValueError("record needs 'probs' or 'topk'")
     if not np.all((vec >= 0.0) & (vec <= 1.0)):
         raise ValueError("probabilities must lie in [0, 1]")
     if not vec.any():
         raise ValueError("probabilities sum to 0")
-    return layer, vec, listed[top_k_indices(vec[listed], k)]
+    return layer, vec
 
 
-def read_trace(path, n_experts: int, k: int) -> dict[int, dict[str, np.ndarray]]:
+def read_trace(path, n_experts: int, k: int) -> dict[int, np.ndarray]:
     """Parse an external routing trace into per-layer arrays.
 
     Each record is a JSON object with a non-negative integer "layer". Dense
@@ -226,26 +176,19 @@ def read_trace(path, n_experts: int, k: int) -> dict[int, dict[str, np.ndarray]]
     Probabilities are numbers (not booleans) in [0, 1], not all 0. A
     malformed record raises ValueError naming its line, and so does a file
     with no record (empty or all blank lines), naming the file.
-    Returns {layer: {"probs": (T, n_experts), "selected": (T, k)}}; every
-    record's selection is the top-k of the experts it lists, by probability
-    with ties to the lower id.
+    Returns {layer: (T, n_experts) probabilities}, records in file order.
     """
     probs_rows: dict[int, list[np.ndarray]] = {}
-    sel_rows: dict[int, list[np.ndarray]] = {}
     with open(path) as f:
         for line_no, line in enumerate(f, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                layer, vec, selected = _trace_record(line, n_experts, k)
+                layer, vec = _trace_record(line, n_experts, k)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"line {line_no}: {exc}") from exc
             probs_rows.setdefault(layer, []).append(vec)
-            sel_rows.setdefault(layer, []).append(selected)
     if not probs_rows:
         raise ValueError(f"{path} holds no records")
-    return {
-        layer: {"probs": np.stack(probs_rows[layer]), "selected": np.stack(sel_rows[layer])}
-        for layer in sorted(probs_rows)
-    }
+    return {layer: np.stack(probs_rows[layer]) for layer in sorted(probs_rows)}

@@ -6,10 +6,10 @@ is its JSON type: ``tree_sizes`` holds the tree sizes, ``seeds`` the
 evaluation seeds (``--prompts N`` spells seeds 0..N-1). ``READS`` names
 the fields each command reads. A command takes a flag only for a field it
 reads, besides ``--config``, ``--seed`` (which sets ``model.seed``) and, on
-the two routing analyses, ``--trace``. A run on a trace reads only
-``TRACE_READS`` and refuses the flags of the other fields. Precedence is
-CLI flag > config file > command default (``ablate``, ``coverage`` and
-``coactivation`` run one tree size, 63 unless set) > built-in default.
+``coverage``, ``--trace``. A run on a trace reads only ``TRACE_READS`` and
+refuses the flags of the other fields. Precedence is CLI flag > config file
+> command default (``ablate`` and ``coverage`` run one tree size, 63 unless
+set) > built-in default.
 The whole merged config is checked; then every field the command does not
 read goes back to its built-in default. Each flag's destination is the name
 of the config field it sets, and each subcommand carries its ``cmd_*``
@@ -38,17 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    cell_summaries,
-    coactivation,
-    concentration_ratio,
-    coverage_curve,
-    expected_pair_probability,
-    max_pair_count,
-    pareto_table,
-    read_trace,
-    tree_captures,
-)
+from .analysis import cell_summaries, coverage_curve, pareto_table, read_trace, tree_captures
 from .budgeting import METHODS, static_ranking_report
 from .coverage import CoveragePolicy, LayerBudget
 from .draft_tree import binary_branching
@@ -145,11 +135,10 @@ READS = {
     "simulate": _SWEEP_READS,
     "ablate": _SWEEP_READS,
     "coverage": _ANALYSIS_READS,
-    "coactivation": _ANALYSIS_READS,
     "calibrate-static": _MODEL_READS,
 }
-# A coverage or coactivation run on an external routing trace builds no
-# model and draws no trees: it reads only these.
+# A coverage run on an external routing trace builds no model and draws no
+# trees: it reads only these.
 TRACE_READS = ("preset", "model", "out_dir")
 
 
@@ -300,14 +289,6 @@ PARETO_COLUMNS = CELL_COORDS + ("speedup", "quality_pct")
 
 COVERAGE_COLUMNS = ("layer", "budget", "coverage_mean", "coverage_std", "records")
 
-COACTIVATION_COLUMNS = (
-    "layer",
-    "tokens",
-    "expected_pair_probability",
-    "max_pair_count",
-    "concentration",
-)
-
 
 def cmd_sweep(config: ExperimentConfig, command: str) -> int:
     """Sweep the AR baseline, full verification at each configured tree
@@ -370,31 +351,24 @@ def cmd_sweep(config: ExperimentConfig, command: str) -> int:
 
 def _captures(config: ExperimentConfig) -> list[list[LayerBudget]]:
     """The full-capacity per-layer records of the config's ``trees`` seeded
-    draft trees of size ``tree_sizes[0]`` on its target model: the one tree
-    population of ``coverage`` and ``coactivation``."""
+    draft trees of size ``tree_sizes[0]`` on its target model: the tree
+    population of ``coverage``."""
     target, draft = build_model_pair(config.model, config.draft)
     rng = Rng(config.model.seed).substream(ANALYSIS_STREAM)
     return list(tree_captures(target, draft, config.trees, config.tree_sizes[0], rng))
 
 
-def _load_records(config: ExperimentConfig, trace: str | None):
+def _load_records(config: ExperimentConfig, trace: str | None) -> dict[int, list[np.ndarray]]:
+    """Each layer's (tokens, n_experts) routing probabilities, one array per
+    tree, or one array holding the whole ``trace``."""
     if trace is not None:
         try:
             parsed = read_trace(trace, config.model.n_experts, k=config.model.top_k)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"trace: {exc}") from exc
-        return {
-            li: {"probs_per_tree": [rec["probs"]], "selected": rec["selected"]}
-            for li, rec in parsed.items()
-        }
+        return {li: [probs] for li, probs in parsed.items()}
     trees = _captures(config)
-    return {
-        li: {
-            "probs_per_tree": [layers[li].probs for layers in trees],
-            "selected": np.concatenate([layers[li].selected for layers in trees]),
-        }
-        for li in range(config.model.n_layers)
-    }
+    return {li: [layers[li].probs for layers in trees] for li in range(config.model.n_layers)}
 
 
 def cmd_coverage(config: ExperimentConfig, trace: str | None = None) -> int:
@@ -402,7 +376,7 @@ def cmd_coverage(config: ExperimentConfig, trace: str | None = None) -> int:
     records = _load_records(config, trace)
     rows = []
     for li in sorted(records):
-        curves = np.stack([coverage_curve(p) for p in records[li]["probs_per_tree"]])
+        curves = np.stack([coverage_curve(p) for p in records[li]])
         for b in range(curves.shape[1]):
             rows.append(
                 {
@@ -415,44 +389,6 @@ def cmd_coverage(config: ExperimentConfig, trace: str | None = None) -> int:
             )
     write_csv(
         Path(config.out_dir, "coverage.csv"), "coverage", config, COVERAGE_COLUMNS, rows, trace
-    )
-    return 0
-
-
-def cmd_coactivation(config: ExperimentConfig, trace: str | None = None) -> int:
-    """Pairwise expert co-activation counts and the concentration ratio of
-    the most frequent pair against uniform-random expectation."""
-    n = config.model.n_experts
-    k = config.model.top_k
-    if k < 2:
-        raise ConfigError(f"model.top_k: coactivation needs top_k >= 2 to form pairs, got {k}")
-    records = _load_records(config, trace)
-    out_dir = Path(config.out_dir)
-    summary_rows = []
-    for li in sorted(records):
-        selected = records[li]["selected"]
-        counts = coactivation(selected, n)
-        summary_rows.append(
-            {
-                "layer": li,
-                "tokens": len(selected),
-                "expected_pair_probability": float(expected_pair_probability(n, k)),
-                "max_pair_count": max_pair_count(counts),
-                "concentration": concentration_ratio(counts, len(selected), k),
-            }
-        )
-        lines = _header_lines("coactivation", config, trace)
-        lines.append(f"# layer: {li}")
-        for row in counts:
-            lines.append(",".join(str(int(v)) for v in row))
-        _write_lines(out_dir / f"coactivation_layer{li}.csv", lines)
-    write_csv(
-        out_dir / "coactivation_summary.csv",
-        "coactivation",
-        config,
-        COACTIVATION_COLUMNS,
-        summary_rows,
-        trace,
     )
     return 0
 
@@ -536,8 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_command("simulate", cmd_sweep, "tree-size sweep with budgeted verification")
     add_command("ablate", cmd_sweep, "method x policy x budget grid", one_size=True)
     add_command("coverage", cmd_coverage, "routing-probability coverage curves",
-                trace=True, one_size=True)
-    add_command("coactivation", cmd_coactivation, "expert co-activation analysis",
                 trace=True, one_size=True)
     add_command("calibrate-static", cmd_calibrate_static, "static ranking calibration")
     return parser

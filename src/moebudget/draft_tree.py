@@ -11,8 +11,7 @@ experts monotone in tree size per prompt, not just on average.
 
 ``tree_routing`` is the one teacher-forced capture of a tree under the full
 target: one full-capacity ``coverage.budgeted_moe`` record per layer, whose
-natural routing over the tree rows the CLI's coverage and co-activation
-records read.
+natural routing over the tree rows the CLI's coverage records read.
 """
 
 from __future__ import annotations
@@ -103,11 +102,7 @@ def expand_tree(decoder: TreeDecoder, branching) -> DraftTree:
     Branching factors must be integers, not booleans, from 1 to the
     vocabulary size; anything else raises ValueError.
     """
-    for b in branching:
-        # Checked before the int coercion, which would truncate 2.7 to 2.
-        if isinstance(b, (bool, np.bool_)) or not isinstance(b, (int, np.integer)):
-            raise ValueError(f"branching factors must be integers, got {b!r}")
-    branching = tuple(int(b) for b in branching)
+    branching = tuple(check_int("branching factor", b) for b in branching)
     if any(b < 1 for b in branching):
         raise ValueError("branching factors must be >= 1")
     if any(b > decoder.model.config.vocab_size for b in branching):

@@ -44,6 +44,22 @@ def check_int(name: str, value) -> int:
     return int(value)
 
 
+def check_float(name: str, value) -> float:
+    """``value`` as a ``float`` when it is a Python or numpy real number,
+    integers included; otherwise, booleans included, a ValueError naming
+    ``name``. Arithmetic alone would take True as 1.0."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def check_bool(name: str, value) -> None:
+    """A ValueError naming ``name`` unless ``value`` is a Python or numpy
+    boolean. A truth test alone would take 2 or "no" as True."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a boolean, got {value!r}")
+
+
 def scratch(name: str, *shape: int) -> np.ndarray:
     """Reusable uninitialized buffer for hot-path intermediates.
 

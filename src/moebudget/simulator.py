@@ -40,7 +40,7 @@ import numpy as np
 from .budgeting import METHODS, calibrate_static, shortlister
 from .coverage import CoveragePolicy, budgeted_moe
 from .draft_tree import DraftTree, binary_branching, expand_tree
-from .numerics import Rng, check_int
+from .numerics import Rng, check_float, check_int
 from .toy_model import (
     DraftSpec,
     ModelConfig,
@@ -110,7 +110,7 @@ class CostModelParams:
 
     def validate(self) -> None:
         for name in ("bytes_expert", "bytes_shared", "draft_step_cost", "selection_overhead_frac"):
-            value = getattr(self, name)
+            value = check_float(name, getattr(self, name))
             if not np.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
 

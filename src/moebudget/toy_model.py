@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .moe_core import MoELayerWeights, RouterWeights, moe_forward_full_batch
-from .numerics import Rng, check_int, masked_softmax, scratch
+from .numerics import Rng, check_bool, check_float, check_int, masked_softmax, scratch
 
 __all__ = [
     "DraftSpec",
@@ -58,6 +58,7 @@ class ModelConfig:
     def validate(self) -> None:
         for name in ("d_model", "d_ff", "n_experts", "top_k", "n_layers", "vocab_size", "seed"):
             check_int(name, getattr(self, name))
+        check_bool("renormalize", self.renormalize)
         if self.top_k > self.n_experts:
             raise ValueError("top_k must not exceed n_experts")
         if self.top_k < 1:
@@ -68,7 +69,8 @@ class ModelConfig:
             raise ValueError("n_layers must be >= 1")
         if self.d_model < 1 or self.d_ff < 1:
             raise ValueError("d_model and d_ff must be >= 1")
-        if not np.isfinite(self.skew) or self.skew < 0:
+        skew = check_float("skew", self.skew)
+        if not np.isfinite(skew) or skew < 0:
             raise ValueError(f"skew must be finite and >= 0, got {self.skew}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
@@ -89,7 +91,8 @@ class DraftSpec:
     noise_std: float = 0.05
 
     def validate(self) -> None:
-        if not np.isfinite(self.noise_std) or self.noise_std < 0:
+        noise_std = check_float("noise_std", self.noise_std)
+        if not np.isfinite(noise_std) or noise_std < 0:
             raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
 
 

@@ -133,21 +133,7 @@ def test_commands_that_run_no_budget_ignore_its_size(tmp_path, command):
     assert any(out_dir.iterdir())
 
 
-@pytest.mark.parametrize(
-    "model", [{"n_experts": 4, "top_k": 1}, {"n_experts": 1, "top_k": 1}], ids=["k1", "n1_k1"]
-)
-def test_coactivation_rejects_top_k_below_two(tmp_path, capsys, model):
-    # One expert per token forms no pair, so the uniform-random pair
-    # expectation the concentration divides by is zero (or 0/0 at n = 1).
-    code, out_dir = run(tmp_path, "coactivation", {**TINY, "trees": 1, "model": model})
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error: model.top_k: coactivation needs top_k >= 2")
-    assert "Traceback" not in err
-    assert not out_dir.exists()
-
-
-@pytest.mark.parametrize("command", ["coverage", "coactivation"])
+@pytest.mark.parametrize("command", ["coverage"])
 @pytest.mark.parametrize(
     "trace, message",
     [
@@ -179,7 +165,7 @@ def write_tiny_trace(tmp_path):
     return path
 
 
-@pytest.mark.parametrize("command", ["coverage", "coactivation"])
+@pytest.mark.parametrize("command", ["coverage"])
 @pytest.mark.parametrize(
     "flags, field", [(("--trees", "5"), "trees"), (("--tree-size", "7"), "tree_sizes")]
 )
@@ -193,7 +179,7 @@ def test_trace_run_refuses_flags_it_does_not_read(tmp_path, capsys, command, fla
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("command", ["coverage", "coactivation"])
+@pytest.mark.parametrize("command", ["coverage"])
 def test_trace_run_echoes_only_what_it_reads(tmp_path, command):
     # TINY's file sets trees and tree_sizes; a trace run reads neither, nor
     # the draft, so none of them may appear in its echo.
@@ -300,7 +286,7 @@ def test_every_field_is_read_and_every_command_has_reads():
     assert set(cli._FLAGS) <= fields
 
 
-@pytest.mark.parametrize("command", ["ablate", "coverage", "coactivation"])
+@pytest.mark.parametrize("command", ["ablate", "coverage"])
 def test_tree_size_list_rejected_where_one_size_runs(tmp_path, capsys, command):
     config = {**TINY, "trees": 1, "budgets": [2], "gen_len": 2, "seeds": [0]}
     # A list of sizes is an error whether it comes from the flag or the file.
@@ -342,7 +328,7 @@ def test_prompts_flag_overrides_file_seeds(tmp_path):
 
 
 def test_export_model_is_an_unknown_command(capsys):
-    for command in ("export-model", "reconstruct"):
+    for command in ("export-model", "reconstruct", "coactivation"):
         with pytest.raises(SystemExit) as exc:
             main([command])
         assert exc.value.code == 2
@@ -410,9 +396,7 @@ def header_of(path) -> dict:
     }
 
 
-@pytest.mark.parametrize(
-    "command", ["simulate", "ablate", "coverage", "coactivation", "calibrate-static"]
-)
+@pytest.mark.parametrize("command", ["simulate", "ablate", "coverage", "calibrate-static"])
 def test_every_output_file_starts_with_the_header_block(tmp_path, command):
     config = {**TINY, "methods": ["static"], "budgets": [2], "gen_len": 2, "seeds": [0]}
     code, out_dir = run(tmp_path, command, config, "--seed", "3")
@@ -429,9 +413,7 @@ def test_every_output_file_starts_with_the_header_block(tmp_path, command):
         assert set(header["config"]) == set(cli.READS[command])
 
 
-@pytest.mark.parametrize(
-    "command", ["simulate", "ablate", "coverage", "coactivation", "calibrate-static"]
-)
+@pytest.mark.parametrize("command", ["simulate", "ablate", "coverage", "calibrate-static"])
 def test_config_echo_loads_back_to_the_config_that_ran(tmp_path, monkeypatch, command):
     ran = []
     load_config = cli.load_config
@@ -463,9 +445,6 @@ SIMULATE_FLAGS = ("--tree-size", "7,15", "--prompts", "2", "--gen-len", "8")
 DATA_PINS = {
     "coverage.csv": (
         "coverage", (), "e11c4f285fc2ba3c7876583c2dfd1b4c28e86feb9ef367cfc2b82bc06a6968fd",
-    ),
-    "coactivation_summary.csv": (
-        "coactivation", (), "35208d0fd29afe0ec12ee3718384bcaabcd523d951b1f53bf01693e57f6b20f8",
     ),
     "static_ranking.json": (
         "calibrate-static", (), "a707e5a8e0238bb0c8276990c89fb76b73e3faf36af7dd41760ddb8ef8b52ec2",

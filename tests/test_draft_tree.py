@@ -202,7 +202,7 @@ class TestBuildTree:
     )
     def test_non_integer_branching_rejected(self, small_draft, branching, bad):
         # int() would turn (2.7, True) into a (2, 1) tree of 5 nodes.
-        message = re.escape(f"branching factors must be integers, got {bad}")
+        message = re.escape(f"branching factor must be an integer, got {bad}")
         with pytest.raises(ValueError, match=message):
             build_tree(small_draft, [1, 2], branching)
         decoder = TreeDecoder(small_draft, [1, 2])

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from moebudget.simulator import (
     sweep,
     verify_greedy,
 )
-from moebudget.toy_model import DraftSpec, ModelConfig, TreeDecoder
+from moebudget.toy_model import DraftSpec, ModelConfig, TreeDecoder, build_target
 
 from conftest import prompt_tokens
 from reference import forward, speculative_run
@@ -818,6 +819,36 @@ def test_non_integer_size_fields_refused_naming_the_field(field, value, check):
     # label, and the other floats failed deep inside with a TypeError.
     with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {value!r}$"):
         check(value).validate()
+
+
+@pytest.mark.parametrize(
+    "field, value, kind, overrides",
+    [
+        ("noise_std", True, "a number", {"draft_spec": DraftSpec(noise_std=True)}),
+        ("skew", True, "a number", {"model_config": ModelConfig(skew=True)}),
+        ("skew", "1.0", "a number", {"model_config": ModelConfig(skew="1.0")}),
+        ("bytes_shared", True, "a number", {"cost": CostModelParams(bytes_shared=True)}),
+        ("renormalize", 2, "a boolean", {"model_config": ModelConfig(renormalize=2)}),
+        ("renormalize", "no", "a boolean", {"model_config": ModelConfig(renormalize="no")}),
+    ],
+    ids=["noise_std_true", "skew_true", "skew_string", "bytes_shared_true", "renormalize_two",
+         "renormalize_string"],
+)
+def test_config_fields_of_the_wrong_type_refused_naming_the_field(
+    monkeypatch, field, value, kind, overrides
+):
+    # The booleans ran as 1.0, 2 and "no" built a renormalizing model, and
+    # the string skew failed deep inside with a TypeError.
+    def no_model(*args, **kwargs):
+        raise AssertionError("a model was built before the config was checked")
+
+    monkeypatch.setattr(simulator, "build_model_pair", no_model)
+    message = rf"^{field} must be {kind}, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        sweep(small_sweep_spec(**overrides))
+    if "model_config" in overrides:
+        with pytest.raises(ValueError, match=message):
+            build_target(overrides["model_config"])
 
 
 def test_generation_refuses_a_non_integer_gen_len(small_target, small_draft):
