@@ -1,11 +1,11 @@
 """Offline analytics over routing records and sweep rows: coverage curves
 and Pareto tables.
 
-Computations accept either in-process routing (the per-layer
-``coverage.LayerBudget`` records of ``draft_tree.tree_routing`` over the
-seeded trees of ``tree_captures``) or external trace files (JSON lines, one
-record per token and layer), so logs from real systems can be analyzed with
-the same code paths the toy lab uses.
+A coverage curve reads one layer's (tokens, n_experts) routing
+probabilities, whether they come from the lab's own trees or from an
+external trace file (JSON lines, one record per token and layer, parsed by
+``read_trace``), so logs from real systems are analyzed with the same code
+the toy lab uses. This module builds no model and drafts no tree.
 """
 
 from __future__ import annotations
@@ -14,34 +14,15 @@ import json
 
 import numpy as np
 
-from .draft_tree import binary_branching, build_tree, tree_routing
-from .numerics import Rng, top_k_indices
-from .simulator import CELL_COORDS, CONTEXT_LEN
-from .toy_model import MoEModel, random_tokens
+from .numerics import top_k_indices
+from .simulator import CELL_COORDS
 
 __all__ = [
     "cell_summaries",
     "coverage_curve",
     "pareto_table",
     "read_trace",
-    "tree_captures",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Tree captures
-# ---------------------------------------------------------------------------
-
-
-def tree_captures(target: MoEModel, draft: MoEModel, n_trees: int, tree_size: int, rng: Rng):
-    """Teacher-forced per-layer captures of ``n_trees`` seeded draft trees,
-    one list of full-capacity LayerBudget records per tree: tree ``t`` grows
-    from a random context of ``CONTEXT_LEN`` tokens drawn from
-    ``rng.substream(t)``."""
-    branching = binary_branching(tree_size)
-    for t in range(n_trees):
-        context = random_tokens(rng.substream(t), CONTEXT_LEN, target.config.vocab_size)
-        yield tree_routing(target, context, build_tree(draft, context, branching))
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +107,7 @@ def _probability(value) -> float:
     return float(value)
 
 
-def _trace_record(line: str, n_experts: int, k: int) -> tuple[int, np.ndarray]:
+def _trace_record(line: str, n_experts: int, k: int, n_layers: int) -> tuple[int, np.ndarray]:
     """One trace line as (layer, probability vector)."""
     try:
         rec = json.loads(line)
@@ -139,6 +120,8 @@ def _trace_record(line: str, n_experts: int, k: int) -> tuple[int, np.ndarray]:
     layer = rec["layer"]
     if isinstance(layer, bool) or not isinstance(layer, int) or layer < 0:
         raise ValueError(f"layer must be a non-negative integer, got {layer!r}")
+    if layer >= n_layers:
+        raise ValueError(f"layer {layer} outside 0..{n_layers - 1}")
     if "probs" in rec:
         vec = np.array([_probability(p) for p in rec["probs"]], dtype=np.float64)
         if vec.shape != (n_experts,):
@@ -166,10 +149,10 @@ def _trace_record(line: str, n_experts: int, k: int) -> tuple[int, np.ndarray]:
     return layer, vec
 
 
-def read_trace(path, n_experts: int, k: int) -> dict[int, np.ndarray]:
+def read_trace(path, n_experts: int, k: int, n_layers: int) -> dict[int, np.ndarray]:
     """Parse an external routing trace into per-layer arrays.
 
-    Each record is a JSON object with a non-negative integer "layer". Dense
+    Each record is a JSON object with an integer "layer" in 0..n_layers-1. Dense
     records carry the full probability vector; sparse records list
     (index, probability) pairs, at least k of them, with distinct integer
     indices in 0..n_experts-1; unlisted experts count as probability 0.
@@ -185,7 +168,7 @@ def read_trace(path, n_experts: int, k: int) -> dict[int, np.ndarray]:
             if not line:
                 continue
             try:
-                layer, vec = _trace_record(line, n_experts, k)
+                layer, vec = _trace_record(line, n_experts, k, n_layers)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"line {line_no}: {exc}") from exc
             probs_rows.setdefault(layer, []).append(vec)

@@ -1,6 +1,11 @@
 """Command-line entry point: wires experiment configs to the simulator and
 analysis modules and emits every artifact deterministically.
 
+Three commands: ``simulate`` sweeps the expert budget at every configured
+tree size, ``coverage`` measures routing coverage by budget, and
+``calibrate-static`` writes the static expert ordering. ``coverage`` is the
+one command that runs one tree size (63 unless set).
+
 Each run coordinate is one ``ExperimentConfig`` field, and its annotation
 is its JSON type: ``tree_sizes`` holds the tree sizes, ``seeds`` the
 evaluation seeds (``--prompts N`` spells seeds 0..N-1). ``READS`` names
@@ -8,16 +13,16 @@ the fields each command reads. A command takes a flag only for a field it
 reads, besides ``--config``, ``--seed`` (which sets ``model.seed``) and, on
 ``coverage``, ``--trace``. A run on a trace reads only ``TRACE_READS`` and
 refuses the flags of the other fields. Precedence is CLI flag > config file
-> command default (``ablate`` and ``coverage`` run one tree size, 63 unless
-set) > built-in default.
+> command default (``coverage``'s one tree size) > built-in default.
 The whole merged config is checked; then every field the command does not
 read goes back to its built-in default. Each flag's destination is the name
 of the config field it sets, and each subcommand carries its ``cmd_*``
-function (``simulate`` and ``ablate`` share ``cmd_sweep``, which names its
-files after the command). Every output file starts with a header block
-carrying the tool version, the echo of exactly the fields the command
-reads, and the master seed, so results are self-describing; reruns of the
-same config produce byte-identical files at any worker count.
+function. ``main`` builds one header record per run: the tool version, the
+command, the master seed and the echo of exactly the fields the command
+reads. ``write_csv`` renders it as the leading ``# `` lines and
+``write_json`` as the ``header`` object, so every output file is
+self-describing; reruns of the same config produce byte-identical files at
+any worker count.
 ``cmd_sweep`` writes each ``SweepRow`` as one CSV row: its columns are the
 cell coordinates ``CELL_COORDS``, then the row's scalar fields in their
 declared order. Its summary JSON and Pareto table both aggregate cells
@@ -38,14 +43,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import cell_summaries, coverage_curve, pareto_table, read_trace, tree_captures
+from .analysis import cell_summaries, coverage_curve, pareto_table, read_trace
 from .budgeting import METHODS, static_ranking_report
 from .coverage import CoveragePolicy, LayerBudget
-from .draft_tree import binary_branching
+from .draft_tree import binary_branching, build_tree, tree_routing
 from .numerics import Rng
 from .simulator import (
     CALIB_STREAM,
     CELL_COORDS,
+    CONTEXT_LEN,
     CostModelParams,
     SweepCell,
     SweepRow,
@@ -54,10 +60,10 @@ from .simulator import (
     default_calibration,
     sweep,
 )
-from .toy_model import DraftSpec, ModelConfig, PRESETS, preset_config
+from .toy_model import DraftSpec, ModelConfig, PRESETS, preset_config, random_tokens
 
 DEFAULT_TREE_SIZES = (3, 7, 15, 31, 63, 127, 255)
-ONE_TREE_SIZE = 63  # the default of the commands that run one tree size
+ONE_TREE_SIZE = 63  # the default tree size of coverage, which runs one
 ANALYSIS_STREAM = 103
 
 
@@ -129,22 +135,14 @@ class ExperimentConfig:
 # The config fields each command reads: the flags it takes, the fields it
 # echoes, and whether its budgets are checked all follow from this table.
 _MODEL_READS = ("preset", "model", "draft", "out_dir")
-_ANALYSIS_READS = _MODEL_READS + ("tree_sizes", "trees")
-_SWEEP_READS = tuple(f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "trees")
 READS = {
-    "simulate": _SWEEP_READS,
-    "ablate": _SWEEP_READS,
-    "coverage": _ANALYSIS_READS,
+    "simulate": tuple(f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "trees"),
+    "coverage": _MODEL_READS + ("tree_sizes", "trees"),
     "calibrate-static": _MODEL_READS,
 }
 # A coverage run on an external routing trace builds no model and draws no
 # trees: it reads only these.
 TRACE_READS = ("preset", "model", "out_dir")
-
-
-def reads_of(command: str, trace: str | None = None) -> tuple[str, ...]:
-    """The config fields ``command`` reads, given its ``--trace`` path."""
-    return READS[command] if trace is None else TRACE_READS
 
 
 _KINDS = {int: "an integer", float: "a number", bool: "a boolean", str: "a string",
@@ -238,47 +236,27 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _config_echo(command: str, config: ExperimentConfig, trace: str | None = None) -> dict:
-    """The config fields ``command`` reads, as JSON."""
-    data = dataclasses.asdict(config)
-    return {key: data[key] for key in reads_of(command, trace)}
-
-
-def _header_lines(command: str, config: ExperimentConfig, trace: str | None = None) -> list[str]:
-    return [
-        f"# moebudget {__version__}",
-        f"# command: {command}",
-        f"# master_seed: {config.model.seed}",
-        f"# config: {json.dumps(_config_echo(command, config, trace), sort_keys=True)}",
-    ]
-
-
 def _write_lines(path: Path, lines: list[str]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
 
 
-def write_csv(
-    path: Path, command: str, config: ExperimentConfig, columns, rows, trace: str | None = None
-) -> None:
-    lines = _header_lines(command, config, trace)
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in columns))
+def write_csv(path: Path, header: dict, columns, rows) -> None:
+    """``header`` as four ``# `` lines, then the column names and ``rows``."""
+    lines = [
+        f"# {header['tool']}",
+        f"# command: {header['command']}",
+        f"# master_seed: {header['master_seed']}",
+        f"# config: {json.dumps(header['config'], sort_keys=True)}",
+        ",".join(columns),
+    ]
+    lines += [",".join(_fmt(row[c]) for c in columns) for row in rows]
     _write_lines(path, lines)
 
 
-def write_json(path: Path, command: str, config: ExperimentConfig, payload: dict) -> None:
-    doc = {
-        "header": {
-            "tool": f"moebudget {__version__}",
-            "command": command,
-            "master_seed": config.model.seed,
-            "config": _config_echo(command, config),
-        },
-        **payload,
-    }
-    _write_lines(path, [json.dumps(doc, sort_keys=True, indent=1)])
+def write_json(path: Path, header: dict, payload: dict) -> None:
+    """``payload`` with ``header`` as its ``header`` object."""
+    _write_lines(path, [json.dumps({"header": header, **payload}, sort_keys=True, indent=1)])
 
 
 SWEEP_COLUMNS = CELL_COORDS + tuple(
@@ -290,12 +268,10 @@ PARETO_COLUMNS = CELL_COORDS + ("speedup", "quality_pct")
 COVERAGE_COLUMNS = ("layer", "budget", "coverage_mean", "coverage_std", "records")
 
 
-def cmd_sweep(config: ExperimentConfig, command: str) -> int:
+def cmd_sweep(config: ExperimentConfig, header: dict) -> int:
     """Sweep the AR baseline, full verification at each configured tree
     size, and budgeted verification at each size x method x policy x
-    budget; write the rows, the Pareto table and the cell summaries, each
-    file named after ``command`` (``simulate`` sweeps every configured tree
-    size, ``ablate`` one)."""
+    budget; write the rows, the Pareto table and the cell summaries."""
     cells = [SweepCell(mode="ar")]
     for size in config.tree_sizes:
         cells.append(SweepCell(mode="spec_full", tree_size=size))
@@ -315,28 +291,16 @@ def cmd_sweep(config: ExperimentConfig, command: str) -> int:
 
     out_dir = Path(config.out_dir)
     write_csv(
-        out_dir / f"{command}.csv",
-        command,
-        config,
+        out_dir / "simulate.csv",
+        header,
         SWEEP_COLUMNS,
         [{**dataclasses.asdict(r), **dataclasses.asdict(r.cell)} for r in result.rows],
     )
-    write_csv(
-        out_dir / f"{command}_pareto.csv",
-        command,
-        config,
-        PARETO_COLUMNS,
-        pareto_table(result.rows),
-    )
-    write_json(
-        out_dir / f"{command}_summary.json",
-        command,
-        config,
-        {"cells": cell_summaries(result.rows)},
-    )
+    write_csv(out_dir / "simulate_pareto.csv", header, PARETO_COLUMNS, pareto_table(result.rows))
+    write_json(out_dir / "simulate_summary.json", header, {"cells": cell_summaries(result.rows)})
     for r in result.rows:
         print(
-            f"[{command}] {r.cell.mode} method={r.cell.method or '-'} "
+            f"[simulate] {r.cell.mode} method={r.cell.method or '-'} "
             f"policy={r.cell.policy or '-'} B={r.cell.budget or '-'} "
             f"M={r.cell.tree_size} seed={r.seed}: speedup={r.speedup:.3f} "
             f"tau={r.mean_tau:.2f} match={r.ar_match_rate:.3f}",
@@ -351,11 +315,18 @@ def cmd_sweep(config: ExperimentConfig, command: str) -> int:
 
 def _captures(config: ExperimentConfig) -> list[list[LayerBudget]]:
     """The full-capacity per-layer records of the config's ``trees`` seeded
-    draft trees of size ``tree_sizes[0]`` on its target model: the tree
-    population of ``coverage``."""
+    draft trees of size ``tree_sizes[0]`` on its target model, teacher
+    forced: the tree population of ``coverage``. Tree ``t`` grows from a
+    random context of ``CONTEXT_LEN`` tokens drawn from substream ``t`` of
+    ``ANALYSIS_STREAM``."""
     target, draft = build_model_pair(config.model, config.draft)
     rng = Rng(config.model.seed).substream(ANALYSIS_STREAM)
-    return list(tree_captures(target, draft, config.trees, config.tree_sizes[0], rng))
+    branching = binary_branching(config.tree_sizes[0])
+    trees = []
+    for t in range(config.trees):
+        context = random_tokens(rng.substream(t), CONTEXT_LEN, target.config.vocab_size)
+        trees.append(tree_routing(target, context, build_tree(draft, context, branching)))
+    return trees
 
 
 def _load_records(config: ExperimentConfig, trace: str | None) -> dict[int, list[np.ndarray]]:
@@ -363,7 +334,9 @@ def _load_records(config: ExperimentConfig, trace: str | None) -> dict[int, list
     tree, or one array holding the whole ``trace``."""
     if trace is not None:
         try:
-            parsed = read_trace(trace, config.model.n_experts, k=config.model.top_k)
+            parsed = read_trace(
+                trace, config.model.n_experts, k=config.model.top_k, n_layers=config.model.n_layers
+            )
         except (OSError, ValueError) as exc:
             raise ConfigError(f"trace: {exc}") from exc
         return {li: [probs] for li, probs in parsed.items()}
@@ -371,7 +344,7 @@ def _load_records(config: ExperimentConfig, trace: str | None) -> dict[int, list
     return {li: [layers[li].probs for layers in trees] for li in range(config.model.n_layers)}
 
 
-def cmd_coverage(config: ExperimentConfig, trace: str | None = None) -> int:
+def cmd_coverage(config: ExperimentConfig, header: dict, trace: str | None = None) -> int:
     """Cumulative routing-probability coverage by expert budget, per layer."""
     records = _load_records(config, trace)
     rows = []
@@ -387,21 +360,18 @@ def cmd_coverage(config: ExperimentConfig, trace: str | None = None) -> int:
                     "records": curves.shape[0],
                 }
             )
-    write_csv(
-        Path(config.out_dir, "coverage.csv"), "coverage", config, COVERAGE_COLUMNS, rows, trace
-    )
+    write_csv(Path(config.out_dir, "coverage.csv"), header, COVERAGE_COLUMNS, rows)
     return 0
 
 
-def cmd_calibrate_static(config: ExperimentConfig) -> int:
+def cmd_calibrate_static(config: ExperimentConfig, header: dict) -> int:
     """Selection-frequency calibration and the fixed expert ordering it
     induces, written as a JSON report of what static ranking uses."""
     target, _ = build_model_pair(config.model, config.draft)
     counts = default_calibration(target, Rng(config.model.seed).substream(CALIB_STREAM))
     write_json(
         Path(config.out_dir, "static_ranking.json"),
-        "calibrate-static",
-        config,
+        header,
         static_ranking_report(counts, config.model.top_k),
     )
     return 0
@@ -457,8 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_command(name: str, run, help: str, trace: bool = False, one_size: bool = False):
-        # ``one_size`` commands run at tree_sizes[0], so a list of sizes is an
-        # error.
+        # A ``one_size`` command runs at tree_sizes[0], so a list of sizes is
+        # an error.
         p = sub.add_parser(name, help=help)
         p.set_defaults(run=run, one_size=one_size)
         p.add_argument("--config", help="JSON experiment config file")
@@ -470,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--trace", help="external routing trace (JSON lines)")
 
     add_command("simulate", cmd_sweep, "tree-size sweep with budgeted verification")
-    add_command("ablate", cmd_sweep, "method x policy x budget grid", one_size=True)
     add_command("coverage", cmd_coverage, "routing-probability coverage curves",
                 trace=True, one_size=True)
     add_command("calibrate-static", cmd_calibrate_static, "static ranking calibration")
@@ -486,7 +455,8 @@ def main(argv=None) -> int:
     if args.seed is not None:
         overrides["model"] = {"seed": args.seed}
     defaults = {"tree_sizes": (ONE_TREE_SIZE,)} if args.one_size else {}
-    reads = reads_of(args.command, getattr(args, "trace", None))
+    trace = getattr(args, "trace", None)
+    reads = READS[args.command] if trace is None else TRACE_READS
     try:
         # A --trace run refuses the flags of the fields it does not read.
         for name, value in overrides.items():
@@ -502,11 +472,16 @@ def main(argv=None) -> int:
         over = [b for b in config.budgets if b > n_experts]
         if "budgets" in reads and over:
             raise ConfigError(f"budgets: {over[0]} exceeds model.n_experts {n_experts}")
+        data = dataclasses.asdict(config)
+        header = {
+            "tool": f"moebudget {__version__}",
+            "command": args.command,
+            "master_seed": config.model.seed,
+            "config": {key: data[key] for key in reads},
+        }
         if "trace" in args:
-            return args.run(config, args.trace)
-        if args.run is cmd_sweep:
-            return cmd_sweep(config, args.command)
-        return args.run(config)
+            return args.run(config, header, trace)
+        return args.run(config, header)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

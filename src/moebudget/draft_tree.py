@@ -10,8 +10,9 @@ binary trees of different depths nest, which keeps the union of selected
 experts monotone in tree size per prompt, not just on average.
 
 ``tree_routing`` is the one teacher-forced capture of a tree under the full
-target: one full-capacity ``coverage.budgeted_moe`` record per layer, whose
-natural routing over the tree rows the CLI's coverage records read.
+target: one full-capacity ``coverage.budgeted_moe`` record per layer. Its
+one caller in the package is ``cli._captures``, which drafts the trees of
+``coverage`` and reads their natural routing over the tree rows.
 """
 
 from __future__ import annotations

@@ -78,7 +78,8 @@ class TestTraces:
         routing = tree_routing(small_target, ctx, tree)
         path = tmp_path / "trace_dense.jsonl"
         write_trace_dense(path, {li: layer.probs for li, layer in enumerate(routing)})
-        back = read_trace(path, small_target.config.n_experts, k=small_target.config.top_k)
+        back = read_trace(path, small_target.config.n_experts, k=small_target.config.top_k,
+                          n_layers=small_target.config.n_layers)
         for li, layer in enumerate(routing):
             np.testing.assert_array_equal(back[li], layer.probs)
 
@@ -92,7 +93,8 @@ class TestTraces:
             {li: layer.probs for li, layer in enumerate(routing)},
             {li: layer.selected for li, layer in enumerate(routing)},
         )
-        back = read_trace(path, small_target.config.n_experts, k=small_target.config.top_k)
+        back = read_trace(path, small_target.config.n_experts, k=small_target.config.top_k,
+                          n_layers=small_target.config.n_layers)
         assert sorted(back) == list(range(len(routing)))
         for li, layer in enumerate(routing):
             # A sparse record lists each token's top-k: those probabilities
@@ -106,13 +108,13 @@ class TestTraces:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"layer": 0, "nope": 1}\n')
         with pytest.raises(ValueError):
-            read_trace(path, 4, k=2)
+            read_trace(path, 4, k=2, n_layers=4)
 
     def test_wrong_width_rejected(self, tmp_path):
         path = tmp_path / "w.jsonl"
         write_trace_dense(path, {0: np.full((2, 4), 0.25)})
         with pytest.raises(ValueError):
-            read_trace(path, 8, k=2)
+            read_trace(path, 8, k=2, n_layers=4)
 
     @pytest.mark.parametrize(
         "bad_record, message",
@@ -125,6 +127,7 @@ class TestTraces:
             ('{"layer": 0, "probs": [0.5, -0.1, 0.3, 0.3, 0, 0, 0, 0]}', r"probabilities must lie in \[0, 1\]"),
             ('{"topk": [[1, 0.5], [2, 0.3]]}', "record needs 'layer'"),
             ('{"layer": "x", "topk": [[1, 0.5], [2, 0.3]]}', "layer must be a non-negative integer"),
+            ('{"layer": 4, "topk": [[1, 0.5], [2, 0.3]]}', r"layer 4 outside 0\.\.3"),
             ('{"layer": 0, "topk": [[1, 0.5], [2, 0.3]}', "invalid JSON at column"),
             ('{"layer": 0, "topk": [[1.7, 0.5], [2, 0.3]]}', "expert index must be an integer, got 1.7"),
             ('{"layer": 0, "topk": [[true, 0.5], [2, 0.3]]}', "expert index must be an integer, got true"),
@@ -137,6 +140,7 @@ class TestTraces:
         ],
         ids=["negative_index", "index_out_of_range", "duplicate_index", "prob_above_one",
              "shorter_than_k", "dense_negative_prob", "missing_layer", "non_integer_layer",
+             "layer_past_the_model",
              "malformed_json", "fractional_index", "boolean_index", "string_prob",
              "boolean_topk_prob", "boolean_dense_probs", "null_dense_prob",
              "all_zero_topk", "all_zero_dense"],
@@ -145,4 +149,4 @@ class TestTraces:
         path = tmp_path / "t.jsonl"
         path.write_text('{"layer": 0, "topk": [[1, 0.5], [2, 0.3]]}\n' + bad_record + "\n")
         with pytest.raises(ValueError, match="line 2: " + message):
-            read_trace(path, 8, k=2)
+            read_trace(path, 8, k=2, n_layers=4)

@@ -141,8 +141,10 @@ def test_commands_that_run_no_budget_ignore_its_size(tmp_path, command):
         (None, "No such file or directory"),
         ("", "trace.jsonl holds no records"),
         ("\n  \n\t\n", "trace.jsonl holds no records"),
+        ('{"layer": 2, "probs": [0.125, 0.125, 0.125, 0.125, 0.125, 0.125, 0.125, 0.125]}\n',
+         "line 1: layer 2 outside 0..1"),
     ],
-    ids=["all_zero_dense", "missing", "empty", "all_blank"],
+    ids=["all_zero_dense", "missing", "empty", "all_blank", "layer_past_the_model"],
 )
 def test_bad_trace_exits_2_naming_the_trace(tmp_path, capsys, command, trace, message):
     path = tmp_path / "trace.jsonl"
@@ -286,7 +288,7 @@ def test_every_field_is_read_and_every_command_has_reads():
     assert set(cli._FLAGS) <= fields
 
 
-@pytest.mark.parametrize("command", ["ablate", "coverage"])
+@pytest.mark.parametrize("command", ["coverage"])
 def test_tree_size_list_rejected_where_one_size_runs(tmp_path, capsys, command):
     config = {**TINY, "trees": 1, "budgets": [2], "gen_len": 2, "seeds": [0]}
     # A list of sizes is an error whether it comes from the flag or the file.
@@ -310,11 +312,11 @@ def csv_rows(path) -> list[dict]:
     return [dict(zip(lines[0].split(","), l.split(","))) for l in lines[1:]]
 
 
-def test_file_tree_size_reaches_ablate(tmp_path):
+def test_file_tree_size_reaches_simulate(tmp_path):
     config = {**TINY, "tree_sizes": [3], "methods": ["router"], "budgets": [2], "gen_len": 2}
-    code, out_dir = run(tmp_path, "ablate", config)
+    code, out_dir = run(tmp_path, "simulate", config)
     assert code == 0
-    sizes = {(r["mode"], r["tree_size"]) for r in csv_rows(out_dir / "ablate.csv")}
+    sizes = {(r["mode"], r["tree_size"]) for r in csv_rows(out_dir / "simulate.csv")}
     # The AR baseline's cell keeps its default size label.
     assert sizes == {("ar", "63"), ("spec_full", "3"), ("spec_budgeted", "3")}
 
@@ -328,7 +330,7 @@ def test_prompts_flag_overrides_file_seeds(tmp_path):
 
 
 def test_export_model_is_an_unknown_command(capsys):
-    for command in ("export-model", "reconstruct", "coactivation"):
+    for command in ("export-model", "reconstruct", "coactivation", "ablate"):
         with pytest.raises(SystemExit) as exc:
             main([command])
         assert exc.value.code == 2
@@ -346,12 +348,12 @@ def test_analysis_outputs_byte_identical_across_runs(tmp_path, command):
     assert body_a == body_b
 
 
-def test_ablate_rows_identical_at_any_worker_count(tmp_path):
+def test_simulate_rows_identical_at_any_worker_count(tmp_path):
     config = {**TINY, "methods": ["static", "router"], "budgets": [2]}
-    serial = run(tmp_path, "ablate", config, "--workers", "1", out="w1")
-    pooled = run(tmp_path, "ablate", config, "--workers", "2", out="w2")
+    serial = run(tmp_path, "simulate", config, "--workers", "1", out="w1")
+    pooled = run(tmp_path, "simulate", config, "--workers", "2", out="w2")
     assert serial[0] == pooled[0] == 0
-    for name in ("ablate.csv", "ablate_pareto.csv"):
+    for name in ("simulate.csv", "simulate_pareto.csv"):
         # The header echoes the config, worker count included; the rows
         # below it must not depend on it.
         rows = [
@@ -396,7 +398,7 @@ def header_of(path) -> dict:
     }
 
 
-@pytest.mark.parametrize("command", ["simulate", "ablate", "coverage", "calibrate-static"])
+@pytest.mark.parametrize("command", ["simulate", "coverage", "calibrate-static"])
 def test_every_output_file_starts_with_the_header_block(tmp_path, command):
     config = {**TINY, "methods": ["static"], "budgets": [2], "gen_len": 2, "seeds": [0]}
     code, out_dir = run(tmp_path, command, config, "--seed", "3")
@@ -413,7 +415,18 @@ def test_every_output_file_starts_with_the_header_block(tmp_path, command):
         assert set(header["config"]) == set(cli.READS[command])
 
 
-@pytest.mark.parametrize("command", ["simulate", "ablate", "coverage", "calibrate-static"])
+def test_one_run_writes_one_header_in_every_format(tmp_path):
+    # The CSV header lines and the JSON header object render the same record.
+    config = {**TINY, "methods": ["static"], "budgets": [2], "gen_len": 2, "seeds": [0]}
+    code, out_dir = run(tmp_path, "simulate", config, "--seed", "3")
+    assert code == 0
+    names = ("simulate.csv", "simulate_pareto.csv", "simulate_summary.json")
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(names)
+    first, *rest = [header_of(out_dir / name) for name in names]
+    assert all(header == first for header in rest)
+
+
+@pytest.mark.parametrize("command", ["simulate", "coverage", "calibrate-static"])
 def test_config_echo_loads_back_to_the_config_that_ran(tmp_path, monkeypatch, command):
     ran = []
     load_config = cli.load_config
@@ -439,7 +452,8 @@ def test_calibrate_static_echoes_only_what_it_reads(tmp_path):
 
 # sha256 of the data of each CLI output below, its header lines left out (the
 # payload of a JSON file, without its "header", as sorted-key JSON), from TINY
-# with each command's flags. They pin the bytes across changes to the code:
+# with each command's flags. A key names the output file, after the label of
+# its run where one file is pinned for two runs. They pin the bytes across changes to the code:
 # a change that is meant to move no number must leave every one of them.
 SIMULATE_FLAGS = ("--tree-size", "7,15", "--prompts", "2", "--gen-len", "8")
 DATA_PINS = {
@@ -461,8 +475,9 @@ DATA_PINS = {
         "simulate", SIMULATE_FLAGS,
         "37e95ea5118631e0511515e910d3f5d88a8dbc31149d030dcbc6ba3c41f403e4",
     ),
-    "ablate.csv": (
-        "ablate", (), "20324c8ee6e6d12f99d7effae02b2d3bfd4900bb3bbccebd61be76a2537d5edd",
+    # simulate at TINY's one tree size, with no flags.
+    "one-size/simulate.csv": (
+        "simulate", (), "20324c8ee6e6d12f99d7effae02b2d3bfd4900bb3bbccebd61be76a2537d5edd",
     ),
 }
 
@@ -483,4 +498,4 @@ def test_output_data_matches_pin(tmp_path, name):
     command, flags, want = DATA_PINS[name]
     code, out_dir = run(tmp_path, command, TINY, *flags)
     assert code == 0
-    assert data_sha256(out_dir / name) == want
+    assert data_sha256(out_dir / name.split("/")[-1]) == want

@@ -1,7 +1,9 @@
 """Static checks of the package's import surface, with the standard library's
 ``ast`` and ``tomllib`` only: every name a module lists in ``__all__``
 resolves, every name a module imports is used in it or re-exported by it, and
-every runtime dependency in ``pyproject.toml`` is imported by the package."""
+every runtime dependency in ``pyproject.toml`` is imported by the package. The
+offline analytics module imports none of the modules that build, draft or
+budget."""
 
 from __future__ import annotations
 
@@ -96,3 +98,25 @@ def test_every_runtime_dependency_is_imported():
     for stem in MODULES:
         imported |= imported_modules(ast.parse((PACKAGE_DIR / f"{stem}.py").read_text()))
     assert wanted and sorted(wanted - imported) == []
+
+
+def package_modules_imported(tree: ast.Module) -> set[str]:
+    """The package modules a module imports directly, by relative import or
+    by its ``moebudget.`` name."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            modules |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module)
+        elif isinstance(node, ast.Import):
+            modules |= {alias.name for alias in node.names}
+    return {m.removeprefix("moebudget.") for m in modules}
+
+
+def test_analysis_stays_offline():
+    # Offline analytics read routing records and sweep rows; building models,
+    # drafting trees and budgeting them stay with the modules that run them.
+    tree = ast.parse((PACKAGE_DIR / "analysis.py").read_text())
+    online = {"toy_model", "draft_tree", "coverage", "budgeting"}
+    assert sorted(package_modules_imported(tree) & online) == []
