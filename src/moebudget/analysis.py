@@ -122,6 +122,8 @@ def _trace_record(line: str, n_experts: int, k: int, n_layers: int) -> tuple[int
         raise ValueError(f"layer must be a non-negative integer, got {layer!r}")
     if layer >= n_layers:
         raise ValueError(f"layer {layer} outside 0..{n_layers - 1}")
+    if "probs" in rec and "topk" in rec:
+        raise ValueError("record takes 'probs' or 'topk', not both")
     if "probs" in rec:
         vec = np.array([_probability(p) for p in rec["probs"]], dtype=np.float64)
         if vec.shape != (n_experts,):
@@ -152,8 +154,9 @@ def _trace_record(line: str, n_experts: int, k: int, n_layers: int) -> tuple[int
 def read_trace(path, n_experts: int, k: int, n_layers: int) -> dict[int, np.ndarray]:
     """Parse an external routing trace into per-layer arrays.
 
-    Each record is a JSON object with an integer "layer" in 0..n_layers-1. Dense
-    records carry the full probability vector; sparse records list
+    Each record is a JSON object with an integer "layer" in 0..n_layers-1
+    and one of "probs" and "topk", not both. Dense ("probs") records carry
+    the full probability vector; sparse ("topk") records list
     (index, probability) pairs, at least k of them, with distinct integer
     indices in 0..n_experts-1; unlisted experts count as probability 0.
     Probabilities are numbers (not booleans) in [0, 1], not all 0. A

@@ -14,13 +14,14 @@ reads, besides ``--config``, ``--seed`` (which sets ``model.seed``) and, on
 ``coverage``, ``--trace``. A run on a trace reads only ``TRACE_READS`` and
 refuses the flags of the other fields. Precedence is CLI flag > config file
 > command default (``coverage``'s one tree size) > built-in default.
-The whole merged config is checked; then every field the command does not
-read goes back to its built-in default. Each flag's destination is the name
-of the config field it sets, and each subcommand carries its ``cmd_*``
-function. ``main`` builds one header record per run: the tool version, the
-command, the master seed and the echo of exactly the fields the command
-reads. ``write_csv`` renders it as the leading ``# `` lines and
-``write_json`` as the ``header`` object, so every output file is
+Every config record checks itself when it is built, so the merged config
+is checked as ``load_config`` builds it; then every field the command
+does not read goes back to its built-in default. Each flag's destination
+is the name of the config field it sets, and each subcommand carries its
+``cmd_*`` function. ``main`` builds one header record per run: the tool
+version, the command, the master seed and the echo of exactly the fields
+the command reads. ``write_csv`` renders it as the leading ``# `` lines
+and ``write_json`` as the ``header`` object, so every output file is
 self-describing; reruns of the same config produce byte-identical files at
 any worker count.
 ``cmd_sweep`` writes each ``SweepRow`` as one CSV row: its columns are the
@@ -71,8 +72,11 @@ class ConfigError(Exception):
     """Invalid experiment configuration; the message names the field."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """Every run coordinate of a command. Checked when built, each error a
+    ConfigError naming the field; model, draft and cost check themselves."""
+
     preset: str | None = None
     model: ModelConfig = field(default_factory=ModelConfig)
     draft: DraftSpec = field(default_factory=DraftSpec)
@@ -87,19 +91,7 @@ class ExperimentConfig:
     out_dir: str = "out"
     workers: int = 1
 
-    def validate(self) -> None:
-        try:
-            self.model.validate()
-        except ValueError as exc:
-            raise ConfigError(f"model: {exc}") from exc
-        try:
-            self.draft.validate()
-        except ValueError as exc:
-            raise ConfigError(f"draft: {exc}") from exc
-        try:
-            self.cost.validate()
-        except ValueError as exc:
-            raise ConfigError(f"cost: {exc}") from exc
+    def __post_init__(self):
         for name in ("tree_sizes", "budgets", "methods", "policies", "seeds"):
             values = getattr(self, name)
             if not values:
@@ -193,7 +185,8 @@ def load_config(
     """Merge the built-in defaults, a command's ``defaults``, an optional
     JSON config file, and CLI overrides, later ones winning. An override of
     a model/draft/cost key (--seed sets model.seed) merges into the file's
-    block instead of replacing it. The whole merge is checked; then the
+    block instead of replacing it. Each record checks itself as it is built
+    from the merge, a model/draft/cost error named by its block; then the
     fields outside ``reads`` go back to their built-in defaults."""
     data: dict = {}
     if path is not None:
@@ -207,17 +200,19 @@ def load_config(
     file = _fields(ExperimentConfig, data)
     flags = _fields(ExperimentConfig, {k: v for k, v in overrides.items() if v is not None})
     merged = {**defaults, **file, **flags}
-    blocks = {n: {**file.get(n, {}), **flags.get(n, {})} for n in ("model", "draft", "cost")}
 
     preset = merged.get("preset")
     if preset is not None and preset not in PRESETS:
         raise ConfigError(f"preset: unknown preset {preset!r}; choose from {sorted(PRESETS)}")
     base_model = ModelConfig() if preset is None else preset_config(preset)
-    merged["model"] = dataclasses.replace(base_model, **blocks["model"])
-    merged["draft"] = DraftSpec(**blocks["draft"])
-    merged["cost"] = CostModelParams(**blocks["cost"])
+    builders = {"model": lambda **kw: dataclasses.replace(base_model, **kw),
+                "draft": DraftSpec, "cost": CostModelParams}
+    for name, build in builders.items():
+        try:
+            merged[name] = build(**{**file.get(name, {}), **flags.get(name, {})})
+        except ValueError as exc:
+            raise ConfigError(f"{name}: {exc}") from exc
     cfg = ExperimentConfig(**merged)
-    cfg.validate()
     return ExperimentConfig(**{name: getattr(cfg, name) for name in reads})
 
 

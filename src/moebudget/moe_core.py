@@ -154,7 +154,7 @@ def route_batch(layer: MoELayerWeights, states: np.ndarray) -> tuple[np.ndarray,
         raise ValueError(f"states must have shape (T, {layer.d_model}), got {states.shape}")
     logits = states @ layer.router.w.T
     logits += layer.router.bias
-    probs = softmax(logits, axis=-1)
+    probs = softmax(logits)
     return probs, top_k_indices(probs, layer.k)
 
 

@@ -81,8 +81,8 @@ def scratch(name: str, *shape: int) -> np.ndarray:
     return buf[:need].reshape(shape)
 
 
-def softmax(logits, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax (max-subtraction) along ``axis``.
+def softmax(logits) -> np.ndarray:
+    """Numerically stable softmax (max-subtraction) along the last axis.
 
     Raises ``ValueError`` on empty or non-finite input. The shift, the
     exponential and the normalization run in place on one fresh array.
@@ -92,9 +92,9 @@ def softmax(logits, axis: int = -1) -> np.ndarray:
         raise ValueError("softmax requires at least one logit")
     if not np.logical_and.reduce(np.isfinite(x), axis=None):
         raise ValueError("softmax input must be finite")
-    e = np.subtract(x, np.maximum.reduce(x, axis=axis, keepdims=True))
+    e = np.subtract(x, np.maximum.reduce(x, axis=-1, keepdims=True))
     np.exp(e, out=e)
-    e /= np.add.reduce(e, axis=axis, keepdims=True)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
 
 

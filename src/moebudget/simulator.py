@@ -101,6 +101,7 @@ class CostModelParams:
     Prices follow from each step's measurements alone: its unique experts
     per layer, its tree depth and whether it was budgeted. So ``summarize``
     prices a run's step reports at any params, not only the run's own.
+    Every constant is checked when the params are built.
     """
 
     bytes_expert: float = 1.0
@@ -108,7 +109,7 @@ class CostModelParams:
     draft_step_cost: float = 2.0
     selection_overhead_frac: float = 0.025
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name in ("bytes_expert", "bytes_shared", "draft_step_cost", "selection_overhead_frac"):
             value = check_float(name, getattr(self, name))
             if not np.isfinite(value) or value < 0:
@@ -129,13 +130,13 @@ class CostModelParams:
 
 @dataclass(frozen=True)
 class BudgetConfig:
-    """How verification is budgeted: ranking method, coverage policy, B."""
+    """How verification is budgeted (method, policy, B); checked when built."""
 
     method: str  # static | router | oracle
     policy: CoveragePolicy
     budget: int
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown ranking method {self.method!r}")
         CoveragePolicy(self.policy)
@@ -262,7 +263,6 @@ def verify_greedy(
     """
     shortlist_for = policy = None
     if budget_cfg is not None:
-        budget_cfg.validate()
         shortlist_for = shortlister(
             decoder.model, budget_cfg.method, budget_cfg.budget, static_counts
         )
@@ -326,7 +326,6 @@ def run_generation(
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if mode == "spec_budgeted" and budget_cfg is None:
         raise ValueError("spec_budgeted requires a BudgetConfig")
-    cost.validate()
 
     if mode != "ar":
         use_budget = budget_cfg if mode == "spec_budgeted" else None
@@ -387,7 +386,6 @@ def run_generations(
         raise ValueError("gen_len must be >= 1")
     if not budget_cfgs:
         raise ValueError("budget_cfgs must hold at least one config")
-    cost.validate()
     started = time.perf_counter()
     branching = binary_branching(tree_size)
     n = len(budget_cfgs)
@@ -490,7 +488,7 @@ CELL_COORDS = ("mode", "method", "policy", "budget", "tree_size")
 
 @dataclass(frozen=True)
 class SweepCell:
-    """One grid point: execution mode plus its budgeting coordinates."""
+    """One grid point: mode plus budgeting coordinates; checked when built."""
 
     mode: str  # ar | spec_full | spec_budgeted
     tree_size: int = 63
@@ -498,13 +496,13 @@ class SweepCell:
     policy: str | None = None
     budget: int | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "spec_budgeted":
             if self.method is None or self.policy is None or self.budget is None:
                 raise ValueError("spec_budgeted cells need method, policy and budget")
-            self.budget_config().validate()
+            self.budget_config()  # which checks method, policy and budget
         elif (self.method, self.policy, self.budget) != (None, None, None):
             raise ValueError(f"{self.mode} cells take no method, policy or budget")
         if self.mode == "ar":  # the size only labels the row
@@ -530,6 +528,9 @@ class SweepCell:
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """A sweep's cells x seeds over one model pair. Its records check
+    themselves; built, it checks the seeds, gen_len and how the cells fit."""
+
     model_config: ModelConfig
     draft_spec: DraftSpec
     cells: tuple[SweepCell, ...]
@@ -537,10 +538,7 @@ class SweepSpec:
     gen_len: int = 64
     cost: CostModelParams = CostModelParams()
 
-    def validate(self) -> None:
-        self.model_config.validate()
-        self.draft_spec.validate()
-        self.cost.validate()
+    def __post_init__(self):
         if not self.cells:
             raise ValueError("sweep needs at least one cell")
         if not self.seeds:
@@ -556,7 +554,6 @@ class SweepSpec:
         seen = set()
         n_experts = self.model_config.n_experts
         for cell in self.cells:
-            cell.validate()
             if cell.key() in seen:
                 raise ValueError(f"cells: {cell} repeats")
             seen.add(cell.key())
@@ -707,8 +704,7 @@ def sweep(
     instead of raised, and the other cells of their group carry on; a
     failing AR baseline still raises.
     """
-    spec.validate()
-    if workers < 1:
+    if check_int("workers", workers) < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     # Built here so that forked pool workers inherit the models.
     build_model_pair(spec.model_config, spec.draft_spec)

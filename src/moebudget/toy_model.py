@@ -45,6 +45,9 @@ PRESETS: dict[str, dict] = {
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """The target model's shape, routing and seed; checked when built, so a
+    ModelConfig that exists is valid."""
+
     d_model: int = 32
     d_ff: int = 64
     n_experts: int = 64
@@ -55,7 +58,7 @@ class ModelConfig:
     skew: float = 1.0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name in ("d_model", "d_ff", "n_experts", "top_k", "n_layers", "vocab_size", "seed"):
             check_int(name, getattr(self, name))
         check_bool("renormalize", self.renormalize)
@@ -76,21 +79,21 @@ class ModelConfig:
             raise ValueError("seed must be >= 0")
 
 
-def preset_config(name: str, **overrides) -> ModelConfig:
+def preset_config(name: str) -> ModelConfig:
     """ModelConfig for a named expert-shape preset."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    return replace(ModelConfig(), **{**PRESETS[name], **overrides})
+    return replace(ModelConfig(), **PRESETS[name])
 
 
 @dataclass(frozen=True)
 class DraftSpec:
     """How the draft model is derived from the target: a relative Gaussian
-    perturbation of every block weight."""
+    perturbation of every block weight. Checked when built."""
 
     noise_std: float = 0.05
 
-    def validate(self) -> None:
+    def __post_init__(self):
         noise_std = check_float("noise_std", self.noise_std)
         if not np.isfinite(noise_std) or noise_std < 0:
             raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
@@ -160,7 +163,6 @@ def build_target(config: ModelConfig) -> MoEModel:
     substreams keyed by component (each expert's matrix from its own, into
     its slice of the layer's stack) so the layout is stable under refactoring.
     """
-    config.validate()
     root = Rng(config.seed)
     d, dff, n, v = config.d_model, config.d_ff, config.n_experts, config.vocab_size
 
@@ -202,8 +204,6 @@ def derive_draft(target: MoEModel, spec: DraftSpec, rng: Rng) -> MoEModel:
     Embedding and output head are retained unperturbed so draft and target
     share the token interface. noise_std=0 reproduces the target exactly.
     """
-    spec.validate()
-
     blocks = []
     for layer, src in enumerate(target.blocks):
         lr = rng.substream(layer)

@@ -137,13 +137,15 @@ class TestTraces:
             ('{"layer": 0, "probs": [0.5, null, 0, 0, 0, 0, 0, 0]}', "probability must be a number, got null"),
             ('{"layer": 0, "topk": [[5, 0.0], [6, 0.0]]}', "probabilities sum to 0"),
             ('{"layer": 0, "probs": [0, 0, 0, 0, 0, 0, 0, 0]}', "probabilities sum to 0"),
+            ('{"layer": 0, "probs": [0.5, 0.5, 0, 0, 0, 0, 0, 0], "topk": [[7, 0.9], [6, 0.1]]}',
+             "record takes 'probs' or 'topk', not both"),
         ],
         ids=["negative_index", "index_out_of_range", "duplicate_index", "prob_above_one",
              "shorter_than_k", "dense_negative_prob", "missing_layer", "non_integer_layer",
              "layer_past_the_model",
              "malformed_json", "fractional_index", "boolean_index", "string_prob",
              "boolean_topk_prob", "boolean_dense_probs", "null_dense_prob",
-             "all_zero_topk", "all_zero_dense"],
+             "all_zero_topk", "all_zero_dense", "probs_and_topk"],
     )
     def test_malformed_record_names_line(self, tmp_path, bad_record, message):
         path = tmp_path / "t.jsonl"

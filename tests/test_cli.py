@@ -133,6 +133,18 @@ def test_commands_that_run_no_budget_ignore_its_size(tmp_path, command):
     assert any(out_dir.iterdir())
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("budgets", (), "budgets: list must not be empty"), ("workers", 0, "workers: must be >= 1")],
+    ids=["empty_budgets", "zero_workers"],
+)
+def test_experiment_config_checked_when_built_and_frozen(field, value, message):
+    with pytest.raises(cli.ConfigError, match=f"^{message}$"):
+        cli.ExperimentConfig(**{field: value})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cli.ExperimentConfig(), field, value)
+
+
 @pytest.mark.parametrize("command", ["coverage"])
 @pytest.mark.parametrize(
     "trace, message",
@@ -143,8 +155,11 @@ def test_commands_that_run_no_budget_ignore_its_size(tmp_path, command):
         ("\n  \n\t\n", "trace.jsonl holds no records"),
         ('{"layer": 2, "probs": [0.125, 0.125, 0.125, 0.125, 0.125, 0.125, 0.125, 0.125]}\n',
          "line 1: layer 2 outside 0..1"),
+        ('{"layer": 0, "probs": [0.5, 0.5, 0, 0, 0, 0, 0, 0], "topk": [[7, 0.9], [6, 0.1]]}\n',
+         "line 1: record takes 'probs' or 'topk', not both"),
     ],
-    ids=["all_zero_dense", "missing", "empty", "all_blank", "layer_past_the_model"],
+    ids=["all_zero_dense", "missing", "empty", "all_blank", "layer_past_the_model",
+         "probs_and_topk"],
 )
 def test_bad_trace_exits_2_naming_the_trace(tmp_path, capsys, command, trace, message):
     path = tmp_path / "trace.jsonl"

@@ -3,7 +3,7 @@
 resolves, every name a module imports is used in it or re-exported by it, and
 every runtime dependency in ``pyproject.toml`` is imported by the package. The
 offline analytics module imports none of the modules that build, draft or
-budget."""
+budget, and every record checks itself when built: no ``validate`` method."""
 
 from __future__ import annotations
 
@@ -120,3 +120,25 @@ def test_analysis_stays_offline():
     tree = ast.parse((PACKAGE_DIR / "analysis.py").read_text())
     online = {"toy_model", "draft_tree", "coverage", "budgeting"}
     assert sorted(package_modules_imported(tree) & online) == []
+
+
+@pytest.mark.parametrize("stem", MODULES)
+def test_records_check_themselves_when_built(stem):
+    # A record that exists is valid: its checks run in __post_init__, so no
+    # class defines validate() and no caller has to remember to call it.
+    tree = ast.parse((PACKAGE_DIR / f"{stem}.py").read_text())
+    defined = [
+        f"{node.name}.validate"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name == "validate"
+    ]
+    called = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "validate"
+    ]
+    assert (defined, called) == ([], [])

@@ -42,7 +42,7 @@ def make_layer(n=8, k=2, d=4, d_ff=6, renormalize=True, seed=0, bias=None) -> Mo
 @functools.cache
 def preset_layer(preset: str) -> MoELayerWeights:
     """The MoE layer of a one-layer model of ``preset``."""
-    return build_target(preset_config(preset, n_layers=1)).blocks[0].moe
+    return build_target(dataclasses.replace(preset_config(preset), n_layers=1)).blocks[0].moe
 
 
 def silu_scalar(x: float) -> float:

@@ -24,7 +24,7 @@ from moebudget.simulator import (
     sweep,
     verify_greedy,
 )
-from moebudget.toy_model import DraftSpec, ModelConfig, TreeDecoder, build_target
+from moebudget.toy_model import DraftSpec, ModelConfig, TreeDecoder
 
 from conftest import prompt_tokens
 from reference import forward, speculative_run
@@ -68,7 +68,7 @@ class TestCostModel:
 
     def test_negative_params_rejected(self):
         with pytest.raises(ValueError):
-            CostModelParams(bytes_expert=-1.0).validate()
+            CostModelParams(bytes_expert=-1.0)
 
 
 class TestVerifyGreedy:
@@ -610,17 +610,17 @@ class TestSweep:
 
     def test_validation_errors(self):
         with pytest.raises(ValueError):
-            small_sweep_spec(cells=()).validate()
+            small_sweep_spec(cells=())
         with pytest.raises(ValueError):
-            small_sweep_spec(seeds=()).validate()
+            small_sweep_spec(seeds=())
         with pytest.raises(ValueError):
-            SweepCell(mode="spec_budgeted", method="router").validate()
+            SweepCell(mode="spec_budgeted", method="router")
         for method, policy, budget in [("rank", "truncation", 4), ("router", "drop", 4),
                                        ("router", "truncation", 0)]:
             with pytest.raises(ValueError):
-                SweepCell("spec_budgeted", 15, method, policy, budget).validate()
+                SweepCell("spec_budgeted", 15, method, policy, budget)
         with pytest.raises(ValueError):
-            SweepCell(mode="spec_full", tree_size=10).validate()
+            SweepCell(mode="spec_full", tree_size=10)
 
     @pytest.mark.parametrize("mode", ["ar", "spec_full"])
     @pytest.mark.parametrize(
@@ -632,7 +632,7 @@ class TestSweep:
         # The run would ignore them, but the row, summary and Pareto table
         # would carry them as if the cell were budgeted.
         with pytest.raises(ValueError, match=f"{mode} cells take no method, policy or budget"):
-            SweepCell(mode, 3, **labels).validate()
+            SweepCell(mode, 3, **labels)
 
     @pytest.mark.parametrize(
         "overrides, field",
@@ -674,6 +674,16 @@ class TestSweep:
 
         monkeypatch.setattr(simulator, "build_model_pair", no_model)
         with pytest.raises(ValueError, match="workers must be >= 1"):
+            sweep(small_sweep_spec(), workers=workers)
+
+    @pytest.mark.parametrize("workers", [2.5, True])
+    def test_non_integer_workers_refused_before_any_model_is_built(self, monkeypatch, workers):
+        # 2.5 failed inside the chunking with a TypeError, and True ran as 1.
+        def no_model(*args, **kwargs):
+            raise AssertionError("a model was built before workers was checked")
+
+        monkeypatch.setattr(simulator, "build_model_pair", no_model)
+        with pytest.raises(ValueError, match=rf"^workers must be an integer, got {workers!r}$"):
             sweep(small_sweep_spec(), workers=workers)
 
     @pytest.mark.parametrize("workers, pool_size", [(1, None), (2, 2), (64, 4)])
@@ -776,7 +786,7 @@ def test_non_integer_seeds_refused_not_truncated(monkeypatch, seed):
     with pytest.raises(ValueError, match=rf"seeds\[1\] must be an integer, got {seed!r}"):
         sweep(small_sweep_spec(seeds=(0, seed)))
     with pytest.raises(ValueError, match=rf"^seed must be an integer, got {seed!r}$"):
-        ModelConfig(seed=seed).validate()
+        ModelConfig(seed=seed)
     with pytest.raises(ValueError, match=rf"^seed must be an integer, got {seed!r}$"):
         Rng(seed)
     with pytest.raises(ValueError, match=r"substream index must be an integer"):
@@ -785,10 +795,10 @@ def test_non_integer_seeds_refused_not_truncated(monkeypatch, seed):
 
 def test_numpy_integers_accepted_as_ints():
     np.testing.assert_array_equal(Rng(np.int64(1)).normal(size=4), Rng(1).normal(size=4))
-    small_sweep_spec(seeds=(np.int64(1), np.uint8(2)), gen_len=np.int64(4)).validate()
-    ModelConfig(top_k=np.int64(2), n_experts=np.int32(8), seed=np.int64(3)).validate()
+    small_sweep_spec(seeds=(np.int64(1), np.uint8(2)), gen_len=np.int64(4))
+    ModelConfig(top_k=np.int64(2), n_experts=np.int32(8), seed=np.int64(3))
     assert binary_branching(np.int64(7)) == (2, 2)
-    SweepCell("spec_budgeted", np.int64(3), "router", "truncation", np.int16(2)).validate()
+    SweepCell("spec_budgeted", np.int64(3), "router", "truncation", np.int16(2))
 
 
 @pytest.mark.parametrize(
@@ -818,18 +828,45 @@ def test_non_integer_size_fields_refused_naming_the_field(field, value, check):
     # top_k=True built a model with k=True, an ar row took 63.0 as its size
     # label, and the other floats failed deep inside with a TypeError.
     with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {value!r}$"):
-        check(value).validate()
+        check(value)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ModelConfig(top_k=9, n_experts=8), "top_k must not exceed n_experts"),
+        (lambda: DraftSpec(noise_std=-0.1), "noise_std must be finite and >= 0, got -0.1"),
+        (
+            lambda: CostModelParams(bytes_shared=-100.0),
+            "bytes_shared must be finite and >= 0, got -100.0",
+        ),
+        (lambda: BudgetConfig("router", "truncation", 0), "budget must be >= 1"),
+        (lambda: SweepCell("spec_full", 10), "binary tree size must be 2^j - 1, got 10"),
+        (lambda: small_sweep_spec(cells=()), "sweep needs at least one cell"),
+    ],
+    ids=["model_config", "draft_spec", "cost_model_params", "budget_config", "sweep_cell",
+         "sweep_spec"],
+)
+def test_invalid_record_refused_when_built(build, message):
+    # Each record was checked only where a caller remembered to: summarize
+    # priced a run at bytes_shared=-100, and verify_greedy re-checked its
+    # BudgetConfig on every step.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 @pytest.mark.parametrize(
     "field, value, kind, overrides",
     [
-        ("noise_std", True, "a number", {"draft_spec": DraftSpec(noise_std=True)}),
-        ("skew", True, "a number", {"model_config": ModelConfig(skew=True)}),
-        ("skew", "1.0", "a number", {"model_config": ModelConfig(skew="1.0")}),
-        ("bytes_shared", True, "a number", {"cost": CostModelParams(bytes_shared=True)}),
-        ("renormalize", 2, "a boolean", {"model_config": ModelConfig(renormalize=2)}),
-        ("renormalize", "no", "a boolean", {"model_config": ModelConfig(renormalize="no")}),
+        ("noise_std", True, "a number", lambda: {"draft_spec": DraftSpec(noise_std=True)}),
+        ("skew", True, "a number", lambda: {"model_config": ModelConfig(skew=True)}),
+        ("skew", "1.0", "a number", lambda: {"model_config": ModelConfig(skew="1.0")}),
+        ("bytes_shared", True, "a number", lambda: {"cost": CostModelParams(bytes_shared=True)}),
+        ("renormalize", 2, "a boolean", lambda: {"model_config": ModelConfig(renormalize=2)}),
+        (
+            "renormalize", "no", "a boolean",
+            lambda: {"model_config": ModelConfig(renormalize="no")},
+        ),
     ],
     ids=["noise_std_true", "skew_true", "skew_string", "bytes_shared_true", "renormalize_two",
          "renormalize_string"],
@@ -838,17 +875,15 @@ def test_config_fields_of_the_wrong_type_refused_naming_the_field(
     monkeypatch, field, value, kind, overrides
 ):
     # The booleans ran as 1.0, 2 and "no" built a renormalizing model, and
-    # the string skew failed deep inside with a TypeError.
+    # the string skew failed deep inside with a TypeError. Each record now
+    # refuses the field when built, so no model (and no sweep) is reached.
     def no_model(*args, **kwargs):
         raise AssertionError("a model was built before the config was checked")
 
     monkeypatch.setattr(simulator, "build_model_pair", no_model)
     message = rf"^{field} must be {kind}, got {re.escape(repr(value))}$"
     with pytest.raises(ValueError, match=message):
-        sweep(small_sweep_spec(**overrides))
-    if "model_config" in overrides:
-        with pytest.raises(ValueError, match=message):
-            build_target(overrides["model_config"])
+        sweep(small_sweep_spec(**overrides()))
 
 
 def test_generation_refuses_a_non_integer_gen_len(small_target, small_draft):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import re
 
@@ -55,8 +56,6 @@ class TestBuildTarget:
         assert models_equal(build_target(small_config), build_target(small_config))
 
     def test_different_seed_differs(self, small_config):
-        import dataclasses
-
         other = dataclasses.replace(small_config, seed=small_config.seed + 1)
         assert not models_equal(build_target(small_config), build_target(other))
 
@@ -109,11 +108,11 @@ class TestBuildTarget:
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
-            ModelConfig(top_k=9, n_experts=8).validate()
+            ModelConfig(top_k=9, n_experts=8)
         with pytest.raises(ValueError):
-            ModelConfig(vocab_size=1).validate()
+            ModelConfig(vocab_size=1)
         with pytest.raises(ValueError):
-            ModelConfig(skew=-1.0).validate()
+            ModelConfig(skew=-1.0)
 
     def test_presets(self):
         assert preset_config("olmoe-toy").n_experts == 64
@@ -141,7 +140,7 @@ class TestDeriveDraft:
 
     def test_invalid_spec_rejected(self, small_target):
         with pytest.raises(ValueError):
-            DraftSpec(noise_std=-0.1).validate()
+            DraftSpec(noise_std=-0.1)
 
 
 # sha256 of each preset model's expert weights, every layer's stack in order,
@@ -202,7 +201,7 @@ class TestExpertStorage:
     def test_router_generation_builds_no_w_out_stack(self):
         # Only the dense evaluator of oracle ranking needs the transposed
         # copy of w_out.
-        cfg = preset_config("mixtral-toy", n_layers=2)
+        cfg = dataclasses.replace(preset_config("mixtral-toy"), n_layers=2)
         target = build_target(cfg)
         draft = derive_draft(target, DraftSpec(), Rng(1))
         prompt = random_tokens(Rng(2), 8, cfg.vocab_size)
