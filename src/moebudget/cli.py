@@ -75,7 +75,9 @@ class ConfigError(Exception):
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Every run coordinate of a command. Checked when built, each error a
-    ConfigError naming the field; model, draft and cost check themselves."""
+    ConfigError naming the field: every plain field against its annotation
+    by ``_checked``, the JSON path's own check, and model, draft and cost
+    as instances of their records, which check themselves."""
 
     preset: str | None = None
     model: ModelConfig = field(default_factory=ModelConfig)
@@ -92,6 +94,12 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name, hint in _CONFIG_HINTS.items():
+            value = getattr(self, name)
+            if not dataclasses.is_dataclass(hint):
+                object.__setattr__(self, name, _checked(name, value, hint))
+            elif not isinstance(value, hint):
+                raise ConfigError(f"{name}: expected a {hint.__name__}, got {value!r}")
         for name in ("tree_sizes", "budgets", "methods", "policies", "seeds"):
             values = getattr(self, name)
             if not values:
@@ -124,6 +132,8 @@ class ExperimentConfig:
             raise ConfigError("workers: must be >= 1")
 
 
+_CONFIG_HINTS = typing.get_type_hints(ExperimentConfig)
+
 # The config fields each command reads: the flags it takes, the fields it
 # echoes, and whether its budgets are checked all follow from this table.
 _MODEL_READS = ("preset", "model", "draft", "out_dir")
@@ -146,7 +156,8 @@ def _typed(name: str, value, kind: type):
     a boolean is neither); otherwise a ConfigError naming the field."""
     ok = isinstance(value, {float: (int, float), list: (list, tuple)}.get(kind, kind))
     if not ok or (kind in (int, float) and isinstance(value, bool)):
-        raise ConfigError(f"{name}: expected {_KINDS[kind]}, got {json.dumps(value)}")
+        got = json.dumps(value, default=repr)
+        raise ConfigError(f"{name}: expected {_KINDS[kind]}, got {got}")
     return value
 
 

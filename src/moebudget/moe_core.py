@@ -17,11 +17,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import scratch, softmax, top_k_indices
+from .numerics import constant, scratch, softmax, top_k_indices
 
 # Pre-activations per dense-evaluation block (512 KiB of float64): the block
 # stays in L2 cache between the first projection, silu and the second.
 DENSE_BLOCK_DOUBLES = 1 << 16
+
+# silu's constant operands: the exponent clip and the 1 of 1 + e^-x.
+_EXP_CLIP = constant(709.0)
+_ONE = constant(1.0)
 
 __all__ = [
     "MoELayerWeights",
@@ -44,9 +48,9 @@ def silu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     this size pay more in page faults than the arithmetic costs.
     """
     out = np.negative(x, out=out)
-    np.minimum(out, 709.0, out=out)
+    np.minimum(out, _EXP_CLIP, out=out)
     np.exp(out, out=out)
-    out += 1.0
+    out += _ONE
     np.divide(x, out, out=out)
     return out
 
@@ -162,11 +166,13 @@ def selection_weights(
     probs: np.ndarray, selected: np.ndarray, renormalize: bool
 ) -> np.ndarray:
     """Mixing weights for (T, j) selections against (T, N) probs: the raw
-    routing probabilities, or those renormalized to sum to 1 per token."""
+    routing probabilities, or those renormalized to sum to 1 per token.
+    Renormalizing refuses a batch in which some token's total is <= 0: the
+    smallest total that is not NaN, as ``np.fmin`` skips NaN totals."""
     w = probs[np.arange(selected.shape[0])[:, None], selected]
     if renormalize:
         totals = np.add.reduce(w, axis=-1, keepdims=True)
-        if np.logical_or.reduce(totals <= 0.0, axis=None):
+        if np.fmin.reduce(totals, axis=None, initial=np.inf) <= 0.0:
             raise ValueError("cannot renormalize: selected probabilities sum to zero")
         w /= totals
     return w
@@ -229,9 +235,13 @@ def apply_experts(
     direct = False
     if n_tokens == 1:
         ids = expert_ids[0].tolist()
-        active = [(slot, e) for slot, e in enumerate(ids) if e >= 0]
-        direct = len({e for _, e in active}) == len(active)
         low, high = min(ids, default=0), max(ids, default=0)
+        if low >= 0:  # every slot active, as in every routed selection
+            active = list(enumerate(ids))
+            direct = len(set(ids)) == n_slots
+        else:
+            active = [(slot, e) for slot, e in enumerate(ids) if e >= 0]
+            direct = len({e for _, e in active}) == len(active)
     if not direct:
         order = expert_ids.argsort(axis=None, kind="stable")
         ids = expert_ids.ravel()[order].tolist()

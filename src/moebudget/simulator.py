@@ -101,7 +101,10 @@ class CostModelParams:
     Prices follow from each step's measurements alone: its unique experts
     per layer, its tree depth and whether it was budgeted. So ``summarize``
     prices a run's step reports at any params, not only the run's own.
-    Every constant is checked when the params are built.
+    Every constant is checked when the params are built. Params under which
+    a step can cost 0 are refused too: with ``bytes_shared`` 0, an AR step
+    pays only for its experts, and a verify step that loads none only for
+    its draft passes.
     """
 
     bytes_expert: float = 1.0
@@ -114,6 +117,11 @@ class CostModelParams:
             value = check_float(name, getattr(self, name))
             if not np.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if self.bytes_shared == 0 and (self.bytes_expert == 0 or self.draft_step_cost == 0):
+            raise ValueError(
+                f"bytes_expert and draft_step_cost must be > 0 when bytes_shared is 0, "
+                f"got {float(self.bytes_expert)} and {float(self.draft_step_cost)}"
+            )
 
     def ar_step_cost(self, n_layers: int, k: int) -> float:
         return self.bytes_shared + n_layers * k * self.bytes_expert
@@ -218,30 +226,6 @@ def _greedy_accept(
     return path, node_argmax[best_node]
 
 
-def _step_report(
-    emitted: list[int],
-    unique: list[int],
-    tree_depth: int,
-    budgeted: bool,
-    cost: CostModelParams,
-    missing: list[list[int]] | None = None,
-    fully: list[list[bool]] | None = None,
-) -> StepReport:
-    """One step's measurements, priced at ``cost``. An AR step is one
-    emitted token at ``[k] * n_layers`` experts, depth 0, unbudgeted."""
-    return StepReport(
-        tau=len(emitted),
-        emitted=emitted,
-        unique_experts=unique,
-        tree_depth=tree_depth,
-        budgeted=budgeted,
-        verify_cost=cost.verify_step_cost(unique, budgeted),
-        draft_cost=cost.draft_cost(tree_depth),
-        missing_counts=missing,
-        fully_skipped=fully,
-    )
-
-
 def verify_greedy(
     decoder: TreeDecoder,
     tree: DraftTree,
@@ -282,8 +266,17 @@ def verify_greedy(
     path, bonus = _greedy_accept(tree, tree_logits, anchor_logits)
     tokens = tree.tokens.tolist()
     emitted = [tokens[i] for i in path] + [bonus]
-    return _step_report(
-        emitted, unique, tree.depth + 1, budget_cfg is not None, cost, missing, fully
+    budgeted = budget_cfg is not None
+    return StepReport(
+        tau=len(emitted),
+        emitted=emitted,
+        unique_experts=unique,
+        tree_depth=tree.depth + 1,
+        budgeted=budgeted,
+        verify_cost=cost.verify_step_cost(unique, budgeted),
+        draft_cost=cost.draft_cost(tree.depth + 1),
+        missing_counts=missing,
+        fully_skipped=fully,
     )
 
 
@@ -340,11 +333,17 @@ def run_generation(
     generated: list[int] = []
     reports: list[StepReport] = []
     decoder = TreeDecoder(target, prompt)
+    # Every AR step has the same measurements, so it is priced once.
+    unique = [cfg.top_k] * cfg.n_layers
+    verify_cost, draft_cost = cost.verify_step_cost(unique, False), cost.draft_cost(0)
     for _ in range(gen_len):
         nxt = int(decoder.context_logits.argmax())
         decoder.append_tokens([nxt])
         generated.append(nxt)
-        reports.append(_step_report([nxt], [cfg.top_k] * cfg.n_layers, 0, False, cost))
+        reports.append(StepReport(
+            tau=1, emitted=[nxt], unique_experts=unique.copy(), tree_depth=0, budgeted=False,
+            verify_cost=verify_cost, draft_cost=draft_cost,
+        ))
     summary = summarize(reports, cost, cfg, wall_clock_s=time.perf_counter() - started)
     return GenerationRun(tokens=generated, summary=summary, reports=reports)
 

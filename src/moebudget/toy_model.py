@@ -12,12 +12,14 @@ path, which is what makes tree verification exact.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .moe_core import MoELayerWeights, RouterWeights, moe_forward_full_batch
-from .numerics import Rng, check_bool, check_float, check_int, masked_softmax, scratch
+from .numerics import Rng, check_bool, check_float, check_int, constant, masked_softmax, scratch
 
 __all__ = [
     "DraftSpec",
@@ -33,6 +35,8 @@ __all__ = [
 ]
 
 RMS_EPS = 1e-8
+_RMS_EPS = constant(RMS_EPS)
+_WIDTHS: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # d -> constants d, sqrt(d)
 KV_ROWS = 256  # rows a TreeDecoder's K/V store holds before it first doubles
 
 # Expert-count presets mirroring common production shapes at toy width.
@@ -125,14 +129,24 @@ class MoEModel:
         return len(self.blocks)
 
 
+def _width(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The constants ``d`` and ``sqrt(d)`` of a row width, built once per
+    width. ``math.sqrt`` and ``np.sqrt`` are both correctly rounded, so the
+    two agree on every integer ``d``."""
+    try:
+        return _WIDTHS[d]
+    except KeyError:
+        return _WIDTHS.setdefault(d, (constant(d), constant(math.sqrt(d))))
+
+
 def rms_norm(x: np.ndarray) -> np.ndarray:
     """Scale-only normalization: x / sqrt(mean(x^2) + eps)."""
     # add.reduce / d is np.mean's own arithmetic without its wrapper cost;
     # the steps after the square run in place, the last into its array.
     sq = np.square(x)
     ms = np.add.reduce(sq, axis=-1, keepdims=True)
-    ms /= x.shape[-1]
-    ms += RMS_EPS
+    ms /= _width(x.shape[-1])[0]
+    ms += _RMS_EPS
     np.sqrt(ms, out=ms)
     return np.divide(x, ms, out=sq)
 
@@ -237,9 +251,15 @@ def derive_draft(target: MoEModel, spec: DraftSpec, rng: Rng) -> MoEModel:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
 def causal_mask(n: int) -> np.ndarray:
-    """Lower-triangular attention mask: position i attends to 0..i."""
-    return np.tri(n, dtype=bool)
+    """Lower-triangular attention mask: position i attends to 0..i.
+
+    Built once per recent length, so a steady one-token append builds none,
+    and read-only, because every caller of a length shares one array."""
+    mask = np.tri(n, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 def _check_tokens(model: MoEModel, tokens) -> np.ndarray:
@@ -340,7 +360,7 @@ class TreeDecoder:
             blocked = np.zeros((r, n), dtype=bool)
             np.logical_not(mask, out=blocked[:, self.causal_len:])
         scores = scratch("scores", r, n)
-        scale = np.sqrt(d)
+        scale = _width(d)[1]
         x = self.model.embedding[tokens]
         for li, block in enumerate(self.model.blocks):
             attn = block.attention

@@ -9,6 +9,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -76,6 +77,10 @@ def config_echo(csv_path) -> dict:
         ({"uses_raw_g": True}, (), "uses_raw_g: unknown configuration field"),
         ({"draft": {"layers_kept": 2}}, (), "draft.layers_kept: unknown configuration field"),
         ({"context_len": 16}, (), "context_len: unknown configuration field"),
+        (
+            {"cost": {"bytes_expert": 0, "bytes_shared": 0}}, (),
+            "cost: bytes_expert and draft_step_cost must be > 0 when bytes_shared is 0",
+        ),
     ],
     ids=["string_int", "scalar_list", "array_model", "top_level_array", "list_item",
          "nested_string_int", "unknown_nested_key", "bool_number", "negative_seed_flag",
@@ -84,7 +89,7 @@ def config_echo(csv_path) -> dict:
          "empty_seeds", "zero_prompts_flag", "repeated_tree_size", "repeated_budget",
          "repeated_method", "repeated_policy", "non_binary_tree_size", "unknown_preset",
          "optional_nested_int", "int_bool", "old_uses_raw_g_field", "old_layers_kept_field",
-         "old_context_len_field"],
+         "old_context_len_field", "zero_cost_step"],
 )
 def test_bad_config_exits_2_naming_the_field(tmp_path, capsys, monkeypatch, config, flags, field):
     def no_model(*args, **kwargs):
@@ -135,11 +140,24 @@ def test_commands_that_run_no_budget_ignore_its_size(tmp_path, command):
 
 @pytest.mark.parametrize(
     "field, value, message",
-    [("budgets", (), "budgets: list must not be empty"), ("workers", 0, "workers: must be >= 1")],
-    ids=["empty_budgets", "zero_workers"],
+    [
+        ("budgets", (), "budgets: list must not be empty"),
+        ("workers", 0, "workers: must be >= 1"),
+        ("preset", 3, "preset: expected a string, got 3"),
+        ("workers", 2.5, "workers: expected an integer, got 2.5"),
+        ("seeds", (0.5,), "seeds[0]: expected an integer, got 0.5"),
+        ("out_dir", 5, "out_dir: expected a string, got 5"),
+        ("gen_len", "64", 'gen_len: expected an integer, got "64"'),
+        ("model", {"d_model": 3}, "model: expected a ModelConfig, got {'d_model': 3}"),
+        ("cost", None, "cost: expected a CostModelParams, got None"),
+    ],
+    ids=["empty_budgets", "zero_workers", "int_preset", "float_workers", "float_seed",
+         "int_out_dir", "string_gen_len", "dict_model", "none_cost"],
 )
 def test_experiment_config_checked_when_built_and_frozen(field, value, message):
-    with pytest.raises(cli.ConfigError, match=f"^{message}$"):
+    # Only the JSON path checked the field types: each of the type cases
+    # built a config, and gen_len "64" raised a bare TypeError.
+    with pytest.raises(cli.ConfigError, match=f"^{re.escape(message)}$"):
         cli.ExperimentConfig(**{field: value})
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(cli.ExperimentConfig(), field, value)

@@ -167,6 +167,24 @@ class TestMixingWeights:
         with pytest.raises(ValueError):
             selection_weights(np.zeros((1, 4)), np.array([[0, 1]]), renormalize=True)
 
+    @pytest.mark.parametrize(
+        "totals, refused",
+        [([np.nan, 0.0], True), ([-0.0, 1.0], True), ([np.nan, np.nan], False), ([], False)],
+        ids=["nan_and_zero", "negative_zero", "all_nan", "no_tokens"],
+    )
+    def test_renormalization_refuses_any_total_at_or_below_zero(self, totals, refused):
+        # One selected expert per token, so each token's total is its one
+        # probability. A NaN total is never refused, and it hides no zero
+        # total of another token in the batch.
+        probs = np.array(totals).reshape(-1, 1)
+        selected = np.zeros((len(totals), 1), dtype=np.int64)
+        if refused:
+            with pytest.raises(ValueError, match="cannot renormalize"):
+                selection_weights(probs, selected, renormalize=True)
+        else:
+            w = selection_weights(probs, selected, renormalize=True)
+            assert w.shape == selected.shape and np.isnan(w).all()
+
 
 class TestLayerStorage:
     @pytest.mark.parametrize("preset", sorted(PRESETS))

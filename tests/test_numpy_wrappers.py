@@ -1,7 +1,8 @@
 """The per-step path calls numpy's C entry points, never the Python wrappers
 of ``fromnumeric`` (``np.argsort``, ``np.take``, ``np.argmax``, ``np.all``,
 ``np.shape``, ...) or of the set routines (``np.unique``), which only
-forward to them at a microsecond or more per call."""
+forward to them at a microsecond or more per call. A steady one-token step
+also builds no causal mask with ``np.tri``."""
 
 from __future__ import annotations
 
@@ -22,11 +23,14 @@ from conftest import prompt_tokens
 # and numpy.lib.arraysetops count as well as numpy 2's
 # numpy._core.fromnumeric and numpy.lib._arraysetops_impl.
 WRAPPER_MODULES = ("fromnumeric", "arraysetops", "_arraysetops_impl")
+# The module of np.tri: numpy.lib._twodim_base_impl, numpy.lib.twodim_base
+# on numpy 1.
+TRI_MODULES = ("_twodim_base_impl", "twodim_base")
 
 
-def wrapper_calls(run) -> list[str]:
-    """Run ``run()`` under ``sys.setprofile``; return, sorted, each wrapper
-    function entered from outside the wrapper modules, with its caller."""
+def wrapper_calls(run, modules=WRAPPER_MODULES) -> list[str]:
+    """Run ``run()`` under ``sys.setprofile``; return, sorted, each function
+    of ``modules`` entered from outside them, with its caller."""
     seen = set()
 
     def profile(frame, event, arg):
@@ -35,7 +39,7 @@ def wrapper_calls(run) -> list[str]:
         module = frame.f_globals.get("__name__", "")
         caller = frame.f_back
         caller_module = caller.f_globals.get("__name__", "") if caller else ""
-        if module.endswith(WRAPPER_MODULES) and not caller_module.endswith(WRAPPER_MODULES):
+        if module.endswith(modules) and not caller_module.endswith(modules):
             where = f"{caller_module}.{caller.f_code.co_name}" if caller else "?"
             seen.add(f"{module}.{frame.f_code.co_name} called from {where}")
 
@@ -62,6 +66,21 @@ def test_the_check_sees_a_wrapper():
 def test_ar_step(target):
     decoder = TreeDecoder(target, prompt_tokens(target, 30))
     assert_no_wrapper(lambda: decoder.append_tokens([int(decoder.context_logits.argmax())]))
+
+
+def test_the_mask_check_sees_np_tri():
+    assert wrapper_calls(lambda: np.tri(2), TRI_MODULES) != []
+
+
+def test_steady_ar_step_builds_no_mask(target):
+    decoder = TreeDecoder(target, prompt_tokens(target, 33))
+
+    def step():
+        decoder.append_tokens([int(decoder.context_logits.argmax())])
+
+    step()  # the warm-up token
+    calls = wrapper_calls(step, TRI_MODULES)
+    assert not calls, "a steady one-token step builds its causal mask: " + "; ".join(calls)
 
 
 def test_expand_tree(draft):

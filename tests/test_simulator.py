@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from moebudget import simulator
 from moebudget.coverage import CoveragePolicy, budgeted_moe
@@ -60,7 +60,10 @@ class TestCostModel:
     )
     def test_ar_step_priced_as_a_verify_step(self, params, n_layers, k):
         # An AR step is priced by the same formulas as a speculative one: k
-        # experts per layer, unbudgeted, at depth 0, bit for bit.
+        # experts per layer, unbudgeted, at depth 0, bit for bit. Params
+        # under which a step costs 0 are refused when built.
+        expert, shared, draft_step, _ = params
+        assume(shared > 0 or (expert > 0 and draft_step > 0))
         p = CostModelParams(*params)
         assert p.verify_step_cost([k] * n_layers, False) + p.draft_cost(0) == p.ar_step_cost(
             n_layers, k
@@ -840,17 +843,22 @@ def test_non_integer_size_fields_refused_naming_the_field(field, value, check):
             lambda: CostModelParams(bytes_shared=-100.0),
             "bytes_shared must be finite and >= 0, got -100.0",
         ),
+        (
+            lambda: CostModelParams(bytes_shared=0.0, draft_step_cost=0.0),
+            "bytes_expert and draft_step_cost must be > 0 when bytes_shared is 0, got 1.0 and 0.0",
+        ),
         (lambda: BudgetConfig("router", "truncation", 0), "budget must be >= 1"),
         (lambda: SweepCell("spec_full", 10), "binary tree size must be 2^j - 1, got 10"),
         (lambda: small_sweep_spec(cells=()), "sweep needs at least one cell"),
     ],
-    ids=["model_config", "draft_spec", "cost_model_params", "budget_config", "sweep_cell",
-         "sweep_spec"],
+    ids=["model_config", "draft_spec", "cost_model_params", "zero_cost_step", "budget_config",
+         "sweep_cell", "sweep_spec"],
 )
 def test_invalid_record_refused_when_built(build, message):
     # Each record was checked only where a caller remembered to: summarize
     # priced a run at bytes_shared=-100, and verify_greedy re-checked its
-    # BudgetConfig on every step.
+    # BudgetConfig on every step. Params under which a step cost 0 ended a
+    # run's summary in a ZeroDivisionError.
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
 
